@@ -177,11 +177,3 @@ def parse_assignment_text(text: str, phi: Formula, g: Graph) -> dict[Var, object
         if var.sort.is_set:
             alpha[var] = frozenset(alpha[var])
     return alpha
-
-
-def assignment_bits(delta, dvars) -> tuple[int, ...]:
-    return tuple(delta[d] for d in dvars)
-
-
-def bits_to_assignment(bits, dvars) -> dict[DecisionVariable, int]:
-    return dict(zip(dvars, bits))

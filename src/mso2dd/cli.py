@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import oracle as q
+from .assignment import decision_variables
 from .decomposition import (
     good_coloring,
     is_path_decomposition,
@@ -24,34 +24,15 @@ from .sdd import compile_sdd, sdd_size
 from .serialize import diagram_to_dot, load_diagram, serialize_diagram
 
 
-@dataclass
-class RunConfig:
-    command: str
-    graph: str | None = None
-    td: str | None = None
-    formula: str | None = None
-    target: str = "sdd"
-    out: str | None = None
-    diagram: str | None = None
-    query: str | None = None
-    targets: str | None = None
-    force_zero: tuple[str, ...] = ()
-    limit: int = 10
-    cap: int = 20
-    seed: int = 0
-    k: int = 2
-    r_max: int = 3
-
-
 def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_inputs(cfg: RunConfig):
-    g = parse_graph(_read(cfg.graph))
-    phi = desugar(parse_formula(_read(cfg.formula)))
-    if cfg.td:
-        td = parse_tree_decomposition(_read(cfg.td))
+def _load_inputs(args: argparse.Namespace):
+    g = parse_graph(_read(args.graph))
+    phi = desugar(parse_formula(_read(args.formula)))
+    if args.td:
+        td = parse_tree_decomposition(_read(args.td))
         report = validate_decomposition(g, td)
         if not report.valid:
             raise Mso2ddError(
@@ -78,14 +59,13 @@ def _stats_block(pairs) -> str:
     return human + "\n-- stats --\n" + machine
 
 
-def cmd_compile(cfg: RunConfig) -> int:
-    g, phi, nice = _load_inputs(cfg)
+def cmd_compile(args: argparse.Namespace) -> int:
+    g, phi, nice = _load_inputs(args)
     width = nice.width()
     coloring = good_coloring(g, nice)
-    if cfg.target == "obdd" and not is_path_decomposition(nice):
-        print("error: path decomposition required for the obdd target", file=sys.stderr)
-        return 2
-    if cfg.target == "sdd":
+    if args.target == "obdd" and not is_path_decomposition(nice):
+        raise Mso2ddError("path decomposition required for the obdd target")
+    if args.target == "sdd":
         comp = compile_sdd(phi, g, nice, coloring)
         size = sdd_size(comp.root)
     else:
@@ -94,13 +74,13 @@ def cmd_compile(cfg: RunConfig) -> int:
     n = g.n_objects
     k = width + formula_size(phi)
     states = comp.reachable.count
-    bound = _bound_sdd(n, k, states) if cfg.target == "sdd" else _bound_obdd(n, k, states)
-    if cfg.out:
-        Path(cfg.out).write_text(serialize_diagram(comp))
+    bound = _bound_sdd(n, k, states) if args.target == "sdd" else _bound_obdd(n, k, states)
+    if args.out:
+        Path(args.out).write_text(serialize_diagram(comp))
     print(
         _stats_block(
             [
-                ("target", cfg.target),
+                ("target", args.target),
                 ("n", n),
                 ("width", width),
                 ("k", k),
@@ -114,22 +94,15 @@ def cmd_compile(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    g = parse_graph(_read(cfg.graph))
-    phi = desugar(parse_formula(_read(cfg.formula)))
-    diagram = load_diagram(_read(cfg.diagram))
-    from .assignment import decision_variables
-
+def cmd_verify(args: argparse.Namespace) -> int:
+    g = parse_graph(_read(args.graph))
+    phi = desugar(parse_formula(_read(args.formula)))
+    diagram = load_diagram(_read(args.diagram))
     dvars = decision_variables(phi, g)
-    if len(dvars) > cfg.cap:
-        print(
-            f"error: {len(dvars)} decision variables exceed the cap of {cfg.cap}",
-            file=sys.stderr,
-        )
-        return 2
+    if len(dvars) > args.cap:
+        raise Mso2ddError(f"{len(dvars)} decision variables exceed the cap of {args.cap}")
     if set(diagram.legend) != set(dvars):
-        print("error: diagram legend does not match the instance", file=sys.stderr)
-        return 2
+        raise Mso2ddError("diagram legend does not match the instance")
     expected = q.truth_table_oracle(phi, g, dvars)
     actual = q.truth_table(diagram, dvars)
     if expected == actual:
@@ -169,49 +142,49 @@ def _render_assignment(legend, alpha) -> str:
     return " ".join(parts) if parts else "(empty)"
 
 
-def cmd_query(cfg: RunConfig) -> int:
-    diagram = load_diagram(_read(cfg.diagram))
-    if cfg.query == "sat":
+def cmd_query(args: argparse.Namespace) -> int:
+    diagram = load_diagram(_read(args.diagram))
+    if args.query == "sat":
         print("SAT" if q.is_satisfiable(diagram) else "UNSAT")
-    elif cfg.query == "count":
+    elif args.query == "count":
         print(q.model_count(diagram))
-    elif cfg.query == "enumerate":
-        for alpha in q.enumerate_models(diagram, cfg.limit):
+    elif args.query == "enumerate":
+        for alpha in q.enumerate_models(diagram, args.limit):
             print(_render_assignment(diagram.legend, alpha))
-    elif cfg.query == "min-card":
-        targets = _query_targets(diagram, cfg.targets or "")
+    elif args.query == "min-card":
+        targets = _query_targets(diagram, args.targets or "")
         forced = {}
-        for name in cfg.force_zero:
+        for name in args.force_zero:
             for d in _query_targets(diagram, name):
                 forced[d] = 0
         minimum, alpha = q.min_cardinality_model(diagram, targets, forced)
         print(f"min-cardinality {minimum}")
         print("model: " + _render_assignment(diagram.legend, alpha))
     else:
-        raise Mso2ddError(f"unknown query {cfg.query!r}")
+        raise Mso2ddError(f"unknown query {args.query!r}")
     return 0
 
 
-def cmd_export_dot(cfg: RunConfig) -> int:
-    diagram = load_diagram(_read(cfg.diagram))
+def cmd_export_dot(args: argparse.Namespace) -> int:
+    diagram = load_diagram(_read(args.diagram))
     dot = diagram_to_dot(diagram)
-    if cfg.out:
-        Path(cfg.out).write_text(dot)
+    if args.out:
+        Path(args.out).write_text(dot)
     else:
         print(dot, end="")
     return 0
 
 
-def cmd_bench_kt(cfg: RunConfig) -> int:
+def cmd_bench_kt(args: argparse.Namespace) -> int:
     """Reduced diagrams for the edge-cover CNF of clique-tree products; sizes are
     checked against the 2^(rk/2) floor, which any variable order must obey."""
-    k = cfg.k
-    if k * (2**cfg.r_max - 1) > cfg.cap:
+    k = args.k
+    if k * (2**args.r_max - 1) > args.cap:
         raise Mso2ddError(
-            f"largest instance has {k * (2 ** cfg.r_max - 1)} vertices, cap is {cfg.cap}"
+            f"largest instance has {k * (2 ** args.r_max - 1)} vertices, cap is {args.cap}"
         )
     rows = []
-    for r in range(1, cfg.r_max + 1):
+    for r in range(1, args.r_max + 1):
         g = clique_tree(k, r)
         cnf = q.cnf_of_graph(g)
         order = _kt_variable_order(g, k, r, cnf)
@@ -230,7 +203,7 @@ def cmd_bench_kt(cfg: RunConfig) -> int:
             floor_text = str(floor)
             verdict = "yes" if size >= floor else "no"
         print(f"{r}  {nv}  {ne}  {size}  {floor_text}  {verdict}")
-    width = min_fill_decomposition(clique_tree(k, cfg.r_max)).width()
+    width = min_fill_decomposition(clique_tree(k, args.r_max)).width()
     print(f"min_fill_width: {width}")
     print(f"width_bound: {2 * k - 1}")
     return 0
@@ -278,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--td", help=".td decomposition file (default: min-fill)")
         if needs_diagram:
             p.add_argument("--diagram", required=True, help="serialized diagram file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=20)
 
     p = sub.add_parser("compile", help="compile a formula/graph pair into a diagram")
     common(p, needs_inputs=True)
@@ -288,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively compare a diagram with the oracle")
     common(p, needs_inputs=True, needs_diagram=True)
+    p.add_argument("--cap", type=int, default=20, help="most decision variables to check")
 
     p = sub.add_parser("query", help="query a compiled diagram")
     common(p, needs_diagram=True)
@@ -306,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="where to write the DOT file")
 
     p = sub.add_parser("bench-kt", help="size benchmark on clique-tree cover CNFs")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=500, help="largest vertex count to build")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--r-max", type=int, default=3)
@@ -316,23 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        graph=getattr(args, "graph", None),
-        td=getattr(args, "td", None),
-        formula=getattr(args, "formula", None),
-        target=getattr(args, "target", "sdd"),
-        out=getattr(args, "out", None),
-        diagram=getattr(args, "diagram", None),
-        query=getattr(args, "query", None),
-        targets=getattr(args, "targets", None),
-        force_zero=tuple(getattr(args, "force_zero", [])),
-        limit=getattr(args, "limit", 10),
-        cap=args.cap,
-        seed=args.seed,
-        k=getattr(args, "k", 2),
-        r_max=getattr(args, "r_max", 3),
-    )
     handlers = {
         "compile": cmd_compile,
         "verify": cmd_verify,
@@ -341,11 +295,8 @@ def main(argv=None) -> int:
         "bench-kt": cmd_bench_kt,
     }
     try:
-        return handlers[cfg.command](cfg)
-    except Mso2ddError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return handlers[args.command](args)
+    except (Mso2ddError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

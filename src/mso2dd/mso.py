@@ -31,11 +31,6 @@ class Sort(enum.Enum):
     def is_vertex(self) -> bool:
         return self in (Sort.VERTEX_OBJECT, Sort.VERTEX_SET)
 
-    @property
-    def object_sort(self) -> "Sort":
-        """The object sort with the same base (vertex/edge) as this sort."""
-        return Sort.VERTEX_OBJECT if self.is_vertex else Sort.EDGE_OBJECT
-
 
 @dataclass(frozen=True)
 class Var:

@@ -90,6 +90,8 @@ class Obdd:
         return self.space.order
 
     def nodes(self) -> list[ObddNode]:
+        """Distinct reachable nodes in uid order, which is children first: a
+        node is interned after its children."""
         seen = {}
         stack = [self.root]
         while stack:
@@ -198,15 +200,18 @@ def _import_into(space: ObddSpace, b: Obdd) -> Obdd:
 
 
 class ObddCompilation:
-    def __init__(self, phi, g, nice, coloring, obdd, reachable, legend):
+    """An ordered diagram with the legend of its decision variables. A compiled
+    diagram also keeps its inputs; a diagram loaded from text has None there."""
+
+    def __init__(self, obdd, legend, phi=None, g=None, nice=None, coloring=None, reachable=None):
         self.kind = "obdd"
+        self.obdd: Obdd = obdd
+        self.legend: tuple[DecisionVariable, ...] = legend
         self.formula = phi
         self.graph = g
         self.nice = nice
         self.coloring = coloring
-        self.obdd: Obdd = obdd
         self.reachable = reachable
-        self.legend: tuple[DecisionVariable, ...] = legend
 
     @property
     def root(self) -> ObddNode:
@@ -216,8 +221,8 @@ class ObddCompilation:
     def order(self) -> tuple[DecisionVariable, ...]:
         return self.obdd.order
 
-    def size(self) -> int:
-        return obdd_size(self.obdd)
+    def nodes(self) -> list[ObddNode]:
+        return self.obdd.nodes()
 
     def evaluate(self, delta) -> bool:
         return evaluate_obdd(self.obdd, delta)
@@ -284,4 +289,4 @@ def compile_obdd(
     legend = decision_variables(phi, g)
     if set(order) != set(legend):
         raise DiagramError("context variables do not cover the decision universe")
-    return ObddCompilation(phi, g, t, coloring, obdd, reach, legend)
+    return ObddCompilation(obdd, legend, phi, g, t, coloring, reach)

@@ -10,6 +10,7 @@ diagram/oracle comparisons and partition checks cheap at desk scale.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .assignment import (
@@ -18,7 +19,6 @@ from .assignment import (
     decision_variables,
     dv_mem,
     encode_assignment,
-    is_consistent,
 )
 from .errors import QueryError
 from .graph import Graph
@@ -41,7 +41,7 @@ from .mso import (
     parse_formula,
 )
 from .obdd import Obdd, ObddSpace, obdd_apply
-from .sdd import FALSE, LITERAL, TRUE, iter_sdd_nodes
+from .sdd import DECOMP, LITERAL, TRUE, iter_sdd_nodes
 
 DEFAULT_VARIABLE_CAP = 20
 QUANTIFIER_BRANCH_CAP = 10**7
@@ -160,12 +160,6 @@ class ModelSet:
     def count(self) -> int:
         return len(self.assignments)
 
-    def __contains__(self, bits) -> bool:
-        return tuple(bits) in self.assignments
-
-    def as_dicts(self):
-        return [dict(zip(self.variables, bits)) for bits in sorted(self.assignments)]
-
 
 def oracle_models(phi: Formula, g: Graph, cap: int = DEFAULT_VARIABLE_CAP) -> ModelSet:
     """Enumerate every assignment to the free variables, keep the models, and
@@ -217,130 +211,142 @@ def truth_table_oracle(phi: Formula, g: Graph, dvars=None) -> int:
     return table
 
 
-def sdd_truth_tables(root, dvars) -> dict[int, int]:
-    """Per-node bitsets over the given variable order; dummies never appear as
-    literals so they need no columns."""
-    n = len(dvars)
-    ones = (1 << (1 << n)) - 1
-    masks = dict(zip(dvars, variable_masks(n)))
-    table: dict[int, int] = {}
-    for node in iter_sdd_nodes(root):
-        if node.kind == FALSE:
-            bits = 0
-        elif node.kind == TRUE:
-            bits = ones
+# -- queries as children-first folds ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class Fold:
+    """A query as a semiring fold over a diagram (Kimmig, Van den Broeck & De
+    Raedt, "Algebraic Model Counting", 2017).
+
+    Constants take `false` and `true`, a literal takes `literal(var, value)`,
+    and a node takes `combine` of its (prime, sub) value pairs, where an OBDD
+    decision on `var` is the pairs (literal(var, 0), lo) and (literal(var, 1),
+    hi). A value is over the variables below its node; a child whose scope is
+    narrower than its slot is widened by `lift(value, extra)`, where `extra`
+    sums `weight` over the variables the child does not mention.
+    """
+
+    false: object
+    true: object
+    literal: Callable
+    combine: Callable
+    lift: Callable = lambda value, extra: value
+    weight: Callable = lambda var: 0
+
+
+def fold(diagram, q: Fold):
+    """Run q over an SDD or OBDD, children first and without recursion.
+
+    Returns the value of the whole diagram, every node's value by uid, and
+    `pairs(node)`, the widened (prime, sub) value pairs that a decomposition
+    or decision node combines.
+    """
+    if diagram.kind == "sdd":
+        return _fold_sdd(diagram, q)
+    return _fold_obdd(diagram, q)
+
+
+def _fold_sdd(diagram, q: Fold):
+    vtree = diagram.vtree
+    scope = []  # summed weight below each v-tree node; ids are children first
+    for vid, var in enumerate(vtree.var):
+        if vtree.kind[vid] == "leaf":
+            scope.append(q.weight(var))
+        else:
+            scope.append(scope[vtree.left[vid]] + scope[vtree.right[vid]])
+    values, own, lift = {}, {}, q.lift
+
+    def pairs(node):
+        left, right = scope[vtree.left[node.vtree_id]], scope[vtree.right[node.vtree_id]]
+        return [
+            (
+                values[p.uid] if own[p.uid] == left else lift(values[p.uid], left - own[p.uid]),
+                values[s.uid] if own[s.uid] == right else lift(values[s.uid], right - own[s.uid]),
+            )
+            for p, s in node.pairs
+        ]
+
+    for node in iter_sdd_nodes(diagram.root):
+        if node.kind == DECOMP:
+            values[node.uid] = q.combine(pairs(node))
         elif node.kind == LITERAL:
-            if node.var not in masks:
-                raise QueryError(f"literal on unknown variable {node.var!r}")
-            bits = masks[node.var] if node.polarity else ones ^ masks[node.var]
+            values[node.uid] = q.literal(node.var, int(node.polarity))
         else:
-            bits = 0
-            for p, s in node.pairs:
-                bits |= table[p.uid] & table[s.uid]
-        table[node.uid] = bits
-    return table
+            values[node.uid] = q.true if node.kind == TRUE else q.false
+        own[node.uid] = 0 if node.vtree_id is None else scope[node.vtree_id]
+    root = diagram.root.uid
+    return lift(values[root], scope[diagram.vtree_root] - own[root]), values, pairs
 
 
-def truth_table_sdd(root, dvars) -> int:
-    return sdd_truth_tables(root, dvars)[root.uid]
+def _fold_obdd(diagram, q: Fold):
+    order = diagram.order
+    scope = [0]  # summed weight of the levels above each level
+    for var in order:
+        scope.append(scope[-1] + q.weight(var))
+    literals = [(q.literal(var, 0), q.literal(var, 1)) for var in order]
+    values, lift = {}, q.lift
 
+    def widened(child, level: int):
+        extra = scope[len(order) if child.is_leaf else child.level] - scope[level]
+        return lift(values[child.uid], extra) if extra else values[child.uid]
 
-def truth_table_obdd(b: Obdd, dvars) -> int:
-    n = len(dvars)
-    ones = (1 << (1 << n)) - 1
-    masks = dict(zip(dvars, variable_masks(n)))
-    table: dict[int, int] = {}
+    def pairs(node):
+        below = node.level + 1
+        off, on = literals[node.level]
+        return [(off, widened(node.lo, below)), (on, widened(node.hi, below))]
 
-    def bits(node) -> int:
-        got = table.get(node.uid)
-        if got is not None:
-            return got
+    for node in diagram.nodes():
         if node.is_leaf:
-            out = ones if node.label else 0
+            values[node.uid] = q.true if node.label else q.false
         else:
-            mask = masks[b.order[node.level]]
-            out = (bits(node.lo) & (ones ^ mask)) | (bits(node.hi) & mask)
-        table[node.uid] = out
-        return out
+            values[node.uid] = q.combine(pairs(node))
+    return widened(diagram.root, 0), values, pairs
 
-    return bits(b.root)
+
+def _truth_fold(dvars) -> Fold:
+    """Bitsets over the given variable order; dummies never appear as
+    literals, so they need no columns."""
+    ones = (1 << (1 << len(dvars))) - 1
+    masks = dict(zip(dvars, variable_masks(len(dvars))))
+
+    def literal(var, value: int) -> int:
+        if var not in masks:
+            raise QueryError(f"literal on unknown variable {var!r}")
+        return masks[var] if value else ones ^ masks[var]
+
+    def combine(pairs) -> int:
+        bits = 0
+        for p, s in pairs:
+            bits |= p & s
+        return bits
+
+    return Fold(0, ones, literal, combine)
 
 
 def truth_table(diagram, dvars) -> int:
-    if diagram.kind == "sdd":
-        return truth_table_sdd(diagram.root, dvars)
-    obdd = diagram if isinstance(diagram, Obdd) else diagram.obdd
-    return truth_table_obdd(obdd, dvars)
+    return fold(diagram, _truth_fold(dvars))[0]
 
 
-# -- counting, enumeration, optimization ----------------------------------------
+def node_truth_tables(diagram, dvars) -> dict[int, int]:
+    """The truth table of every node, by uid."""
+    return fold(diagram, _truth_fold(dvars))[1]
 
 
-def _sdd_model_count(diagram) -> int:
-    vtree = diagram.vtree
-    memo: dict[int, int] = {}
-
-    def scoped(node, vid: int) -> int:
-        # models over the scope of vid; variables outside the node's own scope
-        # are unconstrained
-        base = count(node)
-        own = 0 if node.vtree_id is None else vtree.n_vars[node.vtree_id]
-        return base << (vtree.n_vars[vid] - own)
-
-    def count(node) -> int:
-        got = memo.get(node.uid)
-        if got is not None:
-            return got
-        if node.kind == FALSE:
-            out = 0
-        elif node.kind in (TRUE, LITERAL):
-            out = 1
-        else:
-            vid = node.vtree_id
-            out = sum(
-                scoped(p, vtree.left[vid]) * scoped(s, vtree.right[vid])
-                for p, s in node.pairs
-            )
-        memo[node.uid] = out
-        return out
-
-    total = scoped(diagram.root, diagram.vtree_root)
-    return total >> len(diagram.dummy_vars)
-
-
-def _obdd_model_count(diagram) -> int:
-    obdd = diagram if isinstance(diagram, Obdd) else diagram.obdd
-    n = len(obdd.order)
-    memo: dict[int, int] = {}
-
-    def tail(node) -> int:
-        """Models over variables from node's level to the end."""
-        got = memo.get(node.uid)
-        if got is not None:
-            return got
-        if node.is_leaf:
-            out = 1 if node.label else 0
-        else:
-            out = 0
-            for child in (node.lo, node.hi):
-                child_level = n if child.is_leaf else child.level
-                out += tail(child) << (child_level - node.level - 1)
-        memo[node.uid] = out
-        return out
-
-    root_level = n if obdd.root.is_leaf else obdd.root.level
-    return tail(obdd.root) << root_level
+COUNT = Fold(
+    0, 1, lambda var, value: 1, lambda pairs: sum(p * s for p, s in pairs),
+    lambda value, extra: value << extra, lambda var: int(var.kind != "dummy"),
+)
+SAT = Fold(False, True, lambda var, value: True, lambda pairs: any(p and s for p, s in pairs))
 
 
 def model_count(diagram) -> int:
     """Satisfying assignments over the real decision variables only."""
-    if diagram.kind == "sdd":
-        return _sdd_model_count(diagram)
-    return _obdd_model_count(diagram)
+    return fold(diagram, COUNT)[0]
 
 
 def is_satisfiable(diagram) -> bool:
-    return model_count(diagram) > 0
+    return fold(diagram, SAT)[0]
 
 
 def decode_bits(legend, delta):
@@ -383,132 +389,49 @@ def enumerate_models(diagram, limit: int):
 _INF = float("inf")
 
 
-class _MinCard:
-    """Shared cost model: forced variables are pinned, satisfied targets cost 1,
-    unconstrained variables take their cheapest legal value."""
-
-    def __init__(self, targets, forced):
-        self.targets = set(targets)
-        self.forced = dict(forced)
-
-    def var_cost(self, var, value) -> float:
-        if var in self.forced and self.forced[var] != value:
-            return _INF
-        return 1 if value and var in self.targets else 0
-
-    def free_value(self, var) -> int:
-        return self.forced.get(var, 0)
-
-    def free_cost(self, var) -> float:
-        return self.var_cost(var, self.free_value(var))
-
-
 def min_cardinality_model(diagram, targets, forced=None):
     """A model minimizing the number of satisfied target variables.
 
-    Bottom-up dynamic program over the diagram DAG: costs add across a
-    decomposition's prime and sub (or a decision's branch and skipped levels)
-    and minimize across alternatives. `forced` pins variables to fixed values
-    (the vertex-cover demo pins all edge-set memberships to 0). Returns
-    (minimum, decoded witness assignment).
+    Costs add across a prime and its sub (or a decision and its branch) and
+    minimize across alternatives. `forced` pins variables to fixed values
+    (the vertex-cover demo pins all edge-set memberships to 0); a variable no
+    literal mentions takes its cheapest legal value. Returns (minimum, decoded
+    witness assignment).
     """
-    cm = _MinCard(targets, forced or {})
-    if diagram.kind == "sdd":
-        cost, partial = _sdd_min_card(diagram, cm)
-    else:
-        cost, partial = _obdd_min_card(diagram, cm)
-    if cost == _INF:
+    targets, forced = set(targets), dict(forced or {})
+
+    def cost(var, value: int) -> float:
+        if var in forced and forced[var] != value:
+            return _INF
+        return 1 if value and var in targets else 0
+
+    total, _, pairs = fold(diagram, Fold(
+        _INF, 0, cost, lambda pairs: min([p + s for p, s in pairs]),
+        lambda value, extra: value + extra, lambda var: cost(var, forced.get(var, 0)),
+    ))
+    if total == _INF:
         raise QueryError("diagram is unsatisfiable under the given constraints")
-    witness = {
-        var: partial.get(var, cm.free_value(var)) for var in diagram.legend
-    }
-    return int(cost), decode_bits(diagram.legend, witness)
+    # follow a cheapest pair down from the root; variables it never decides
+    # keep their free value
+    witness = {var: forced.get(var, 0) for var in diagram.legend}
+    stack = [diagram.root]
+    while stack:
+        node = stack.pop()
+        if diagram.kind == "sdd":
+            if node.kind == LITERAL:
+                witness[node.var] = int(node.polarity)
+            elif node.kind == DECOMP:
+                stack.extend(node.pairs[_cheapest(pairs(node))])
+        elif not node.is_leaf:
+            value = _cheapest(pairs(node))
+            witness[diagram.order[node.level]] = value
+            stack.append(node.hi if value else node.lo)
+    return int(total), decode_bits(diagram.legend, witness)
 
 
-def _sdd_min_card(diagram, cm: _MinCard):
-    vtree = diagram.vtree
-    floor_memo: dict[int, float] = {}
-
-    def scope_floor(vid: int) -> float:
-        got = floor_memo.get(vid)
-        if got is None:
-            got = sum(
-                cm.free_cost(var)
-                for var in vtree.variables(vid)
-                if var.kind != "dummy"
-            )
-            floor_memo[vid] = got
-        return got
-
-    memo: dict[int, tuple] = {}
-
-    def scoped(node, vid: int):
-        # lift a node to a wider scope: unconstrained variables take free values
-        cost, partial = best(node)
-        if cost == _INF:
-            return cost, partial
-        own_floor = scope_floor(node.vtree_id) if node.vtree_id is not None else 0
-        return cost + scope_floor(vid) - own_floor, partial
-
-    def best(node):
-        got = memo.get(node.uid)
-        if got is not None:
-            return got
-        if node.kind == FALSE:
-            out = (_INF, {})
-        elif node.kind == TRUE:
-            out = (0, {})
-        elif node.kind == LITERAL:
-            value = 1 if node.polarity else 0
-            out = (cm.var_cost(node.var, value), {node.var: value})
-        else:
-            vid = node.vtree_id
-            out = (_INF, {})
-            for p, s in node.pairs:
-                pc, pb = scoped(p, vtree.left[vid])
-                sc, sb = scoped(s, vtree.right[vid])
-                if pc + sc < out[0]:
-                    out = (pc + sc, pb | sb)
-        memo[node.uid] = out
-        return out
-
-    return scoped(diagram.root, diagram.vtree_root)
-
-
-def _obdd_min_card(diagram, cm: _MinCard):
-    obdd = diagram if isinstance(diagram, Obdd) else diagram.obdd
-    order = obdd.order
-    n = len(order)
-
-    def gap_cost(lo: int, hi: int) -> float:
-        return sum(cm.free_cost(order[i]) for i in range(lo, hi))
-
-    memo: dict[int, tuple] = {}
-
-    def best(node):
-        got = memo.get(node.uid)
-        if got is not None:
-            return got
-        if node.is_leaf:
-            out = (0, {}) if node.label else (_INF, {})
-        else:
-            var = order[node.level]
-            out = (_INF, {})
-            for value, child in ((0, node.lo), (1, node.hi)):
-                step = cm.var_cost(var, value)
-                if step == _INF:
-                    continue
-                child_level = n if child.is_leaf else child.level
-                ccost, cbits = best(child)
-                total = step + gap_cost(node.level + 1, child_level) + ccost
-                if total < out[0]:
-                    out = (total, {var: value} | cbits)
-        memo[node.uid] = out
-        return out
-
-    root_level = n if obdd.root.is_leaf else obdd.root.level
-    cost, bits = best(obdd.root)
-    return cost + gap_cost(0, root_level), bits
+def _cheapest(pairs) -> int:
+    """Index of the first pair with the least summed cost."""
+    return min(range(len(pairs)), key=lambda i: pairs[i][0] + pairs[i][1])
 
 
 # -- the covering formula and its CNF twin ---------------------------------------

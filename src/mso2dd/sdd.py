@@ -33,25 +33,23 @@ class VTree:
         self.var: list[DecisionVariable | None] = []
         self.left: list[int | None] = []
         self.right: list[int | None] = []
-        self.n_vars: list[int] = []
         self._var_leaf: dict[DecisionVariable, int] = {}
 
     def leaf(self, var: DecisionVariable) -> int:
         if var in self._var_leaf:
             raise DiagramError(f"variable {var!r} already has a v-tree leaf")
-        vid = self._new("leaf", var, None, None, 1)
+        vid = self._new("leaf", var, None, None)
         self._var_leaf[var] = vid
         return vid
 
     def inner(self, left: int, right: int) -> int:
-        return self._new("inner", None, left, right, self.n_vars[left] + self.n_vars[right])
+        return self._new("inner", None, left, right)
 
-    def _new(self, kind, var, left, right, count) -> int:
+    def _new(self, kind, var, left, right) -> int:
         self.kind.append(kind)
         self.var.append(var)
         self.left.append(left)
         self.right.append(right)
-        self.n_vars.append(count)
         return len(self.kind) - 1
 
     def leaf_of(self, var: DecisionVariable) -> int:
@@ -59,11 +57,6 @@ class VTree:
 
     def all_variables(self) -> tuple[DecisionVariable, ...]:
         return tuple(self._var_leaf)
-
-    def variables(self, vid: int) -> list[DecisionVariable]:
-        if self.kind[vid] == "leaf":
-            return [self.var[vid]]
-        return self.variables(self.left[vid]) + self.variables(self.right[vid])
 
     def contains(self, ancestor: int, vid: int) -> bool:
         if ancestor == vid:
@@ -88,10 +81,6 @@ class SddNode:
         self.polarity = polarity
         self.pairs = pairs
         self.vtree_id = vtree_id
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.kind in (FALSE, TRUE, LITERAL)
 
     def __repr__(self) -> str:
         if self.kind == LITERAL:
@@ -142,20 +131,21 @@ class SddBuilder:
 
 
 def iter_sdd_nodes(root: SddNode):
-    """Distinct nodes reachable from the root, children first."""
-    seen = set()
+    """Distinct nodes reachable from the root, children first: each node's
+    primes and subs in pair order, then the node."""
+    seen = {root.uid}
     order = []
-
-    def walk(node: SddNode) -> None:
-        if node.uid in seen:
-            return
-        seen.add(node.uid)
-        for p, s in node.pairs:
-            walk(p)
-            walk(s)
-        order.append(node)
-
-    walk(root)
+    stack = [(root, itertools.chain.from_iterable(root.pairs))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child.uid not in seen:
+                seen.add(child.uid)
+                stack.append((child, itertools.chain.from_iterable(child.pairs)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
     return order
 
 
@@ -314,34 +304,27 @@ def state_table_mapping(
 
 
 class SddCompilation:
-    """Result of compiling a formula into a structured diagram."""
+    """A structured diagram over its builder's v-tree, with the legend of its
+    decision variables. A compiled diagram also keeps its inputs and per-node
+    mappings; a diagram loaded from text has None in those fields."""
 
-    def __init__(self, phi, g, nice, coloring, builder, root, mappings, reachable, legend):
+    def __init__(self, builder, root, legend, vtree_root, phi=None, g=None, nice=None,
+                 coloring=None, mappings=None, reachable=None):
         self.kind = "sdd"
+        self.builder = builder
+        self.root: SddNode = root
+        self.legend: tuple[DecisionVariable, ...] = legend
+        self.vtree_root: int = vtree_root
         self.formula = phi
         self.graph = g
         self.nice = nice
         self.coloring = coloring
-        self.builder = builder
-        self.root: SddNode = root
-        self.node_mappings: dict[int, StateSddMapping] = mappings
-        self.reachable: ReachableSets = reachable
-        self.legend: tuple[DecisionVariable, ...] = legend
+        self.node_mappings: dict[int, StateSddMapping] | None = mappings
+        self.reachable: ReachableSets | None = reachable
 
     @property
     def vtree(self) -> VTree:
         return self.builder.vtree
-
-    @property
-    def vtree_root(self) -> int:
-        return self.root.vtree_id
-
-    @property
-    def dummy_vars(self) -> tuple[DecisionVariable, ...]:
-        return tuple(v for v in self.vtree.all_variables() if v.kind == "dummy")
-
-    def size(self) -> int:
-        return sdd_size(self.root)
 
     def evaluate(self, delta) -> bool:
         return evaluate_sdd(self.root, delta)
@@ -416,7 +399,7 @@ def compile_sdd(
     root = builder.decomposition(top_vid, pairs)
     legend = decision_variables(phi, g)
     return SddCompilation(
-        phi, g, t, coloring, builder, root, mappings, reach, legend
+        builder, root, legend, top_vid, phi, g, t, coloring, mappings, reach
     )
 
 

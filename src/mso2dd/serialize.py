@@ -4,7 +4,7 @@ One format covers both diagram kinds. Lines:
 
     mso2dd-diagram 1
     kind sdd|obdd
-    var <idx> <kind> <mso-var> <obj>      legend; kind in veq eeq vmem emem dummy
+    var <idx> <kind> <mso-var> <obj>      kind in veq eeq vmem emem dummy
     vtree <id> leaf <var-idx>             sdd only
     vtree <id> inner <left> <right>
     vtreeroot <id>
@@ -13,10 +13,14 @@ One format covers both diagram kinds. Lines:
     node <id> lit <var-idx> <0|1>
     node <id> decomp <vtree-id> <prime>:<sub>...
     node <id> leaf <0|1>                  obdd terminals
-    node <id> dec <var-idx> <lo> <hi>
+    node <id> dec <level> <lo> <hi>
     root <id>
 
-Lines starting with `c` are comments.
+The `var` lines list the legend in order (then, for an SDD, the dummy
+variables of its v-tree), so a loaded diagram enumerates models in the order
+of the compiled one. An OBDD's `order` line is a permutation of the var
+indices: the variable decided at each level, from the root down. A node's
+children come before it. Lines starting with `c` are comments.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from __future__ import annotations
 from .assignment import DecisionVariable, dv_dummy, dv_eq, dv_mem
 from .errors import DiagramError
 from .mso import Sort, Var
-from .obdd import Obdd, ObddSpace, evaluate_obdd
-from .sdd import DECOMP, FALSE, LITERAL, TRUE, SddBuilder, SddNode, evaluate_sdd, iter_sdd_nodes
+from .obdd import Obdd, ObddCompilation, ObddSpace
+from .sdd import DECOMP, FALSE, LITERAL, TRUE, SddBuilder, SddCompilation, SddNode, iter_sdd_nodes
 
 _VAR_KIND = {
     ("eq", True): "veq",
@@ -86,67 +90,18 @@ def serialize_diagram(diagram) -> str:
                 lines.append(f"node {node.uid} decomp {node.vtree_id} {pairs}")
         lines.append(f"root {diagram.root.uid}")
     else:
-        obdd = diagram if isinstance(diagram, Obdd) else diagram.obdd
-        variables = list(obdd.order)
-        index = {v: i for i, v in enumerate(variables)}
-        lines.extend(_var_line(i, v) for i, v in enumerate(variables))
-        lines.append("order " + " ".join(str(index[v]) for v in obdd.order))
-        for node in obdd.nodes():
+        index = {v: i for i, v in enumerate(diagram.legend)}
+        lines.extend(_var_line(i, v) for i, v in enumerate(diagram.legend))
+        lines.append("order " + " ".join(str(index[v]) for v in diagram.order))
+        for node in diagram.nodes():
             if node.is_leaf:
                 lines.append(f"node {node.uid} leaf {int(node.label)}")
             else:
                 lines.append(
                     f"node {node.uid} dec {node.level} {node.lo.uid} {node.hi.uid}"
                 )
-        lines.append(f"root {obdd.root.uid}")
+        lines.append(f"root {diagram.root.uid}")
     return "\n".join(lines) + "\n"
-
-
-class LoadedSdd:
-    """A deserialized structured diagram; quacks like a compilation for queries."""
-
-    kind = "sdd"
-
-    def __init__(self, builder, root, vtree_root, legend, dummy_vars):
-        self.builder = builder
-        self.root: SddNode = root
-        self.vtree_root: int = vtree_root
-        self.legend = legend
-        self.dummy_vars = dummy_vars
-
-    @property
-    def vtree(self):
-        return self.builder.vtree
-
-    def size(self) -> int:
-        from .sdd import sdd_size
-
-        return sdd_size(self.root)
-
-    def evaluate(self, delta) -> bool:
-        return evaluate_sdd(self.root, delta)
-
-
-class LoadedObdd:
-    kind = "obdd"
-
-    def __init__(self, obdd: Obdd):
-        self.obdd = obdd
-        self.legend = obdd.order
-
-    @property
-    def root(self):
-        return self.obdd.root
-
-    @property
-    def order(self):
-        return self.obdd.order
-
-    def size(self) -> int:
-        return len(self.obdd.nodes())
-
-    def evaluate(self, delta) -> bool:
-        return evaluate_obdd(self.obdd, delta)
 
 
 def load_diagram(text: str):
@@ -160,109 +115,104 @@ def load_diagram(text: str):
     if len(lines) < 2 or not lines[1].startswith("kind "):
         raise DiagramError("missing kind line")
     kind = lines[1].split()[1]
-    if kind == "sdd":
-        return _load_sdd(lines[2:])
-    if kind == "obdd":
-        return _load_obdd(lines[2:])
-    raise DiagramError(f"unknown diagram kind {kind!r}")
-
-
-def _load_sdd(lines) -> LoadedSdd:
+    if kind not in ("sdd", "obdd"):
+        raise DiagramError(f"unknown diagram kind {kind!r}")
     variables: dict[int, DecisionVariable] = {}
+    body = []
+    root_id = None
+    try:
+        for line in lines[2:]:
+            tag = line.split(None, 1)[0]
+            if tag == "var":
+                parts = line.split()
+                variables[int(parts[1])] = _parse_var(parts[2:])
+            elif tag == "root":
+                root_id = int(line.split()[1])
+            else:
+                body.append(line)
+        load = _load_sdd if kind == "sdd" else _load_obdd
+        return load(variables, body, root_id)
+    except (KeyError, ValueError, IndexError) as exc:
+        raise DiagramError(f"malformed diagram file: {exc}") from exc
+
+
+def _load_sdd(variables, body, root_id) -> SddCompilation:
     builder = SddBuilder()
     vtree_ids: dict[int, int] = {}
     nodes: dict[int, SddNode] = {}
     vtree_root = None
-    root_id = None
-    try:
-        for line in lines:
-            parts = line.split()
-            if parts[0] == "var":
-                variables[int(parts[1])] = _parse_var(parts[2:])
-            elif parts[0] == "vtree":
-                fid = int(parts[1])
-                if parts[2] == "leaf":
-                    vtree_ids[fid] = builder.vtree.leaf(variables[int(parts[3])])
-                else:
-                    vtree_ids[fid] = builder.vtree.inner(
-                        vtree_ids[int(parts[3])], vtree_ids[int(parts[4])]
-                    )
-            elif parts[0] == "vtreeroot":
-                vtree_root = vtree_ids[int(parts[1])]
-            elif parts[0] == "node":
-                nid = int(parts[1])
-                if parts[2] == "false":
-                    nodes[nid] = builder.false
-                elif parts[2] == "true":
-                    nodes[nid] = builder.true
-                elif parts[2] == "lit":
-                    nodes[nid] = builder.literal(
-                        variables[int(parts[3])], parts[4] == "1"
-                    )
-                elif parts[2] == "decomp":
-                    pairs = []
-                    for chunk in parts[4:]:
-                        p, s = chunk.split(":")
-                        pairs.append((nodes[int(p)], nodes[int(s)]))
-                    nodes[nid] = builder.decomposition(
-                        vtree_ids[int(parts[3])], pairs
-                    )
-                else:
-                    raise DiagramError(f"unknown node form {parts[2]!r}")
-            elif parts[0] == "root":
-                root_id = int(parts[1])
+    for line in body:
+        parts = line.split()
+        if parts[0] == "vtree":
+            fid = int(parts[1])
+            if parts[2] == "leaf":
+                vtree_ids[fid] = builder.vtree.leaf(variables[int(parts[3])])
             else:
-                raise DiagramError(f"unknown line {line!r}")
-    except (KeyError, ValueError, IndexError) as exc:
-        raise DiagramError(f"malformed diagram file: {exc}") from exc
-    if root_id is None or root_id not in nodes or vtree_root is None:
+                vtree_ids[fid] = builder.vtree.inner(
+                    vtree_ids[int(parts[3])], vtree_ids[int(parts[4])]
+                )
+        elif parts[0] == "vtreeroot":
+            vtree_root = vtree_ids[int(parts[1])]
+        elif parts[0] == "node":
+            nid = int(parts[1])
+            if parts[2] == "false":
+                nodes[nid] = builder.false
+            elif parts[2] == "true":
+                nodes[nid] = builder.true
+            elif parts[2] == "lit":
+                nodes[nid] = builder.literal(variables[int(parts[3])], parts[4] == "1")
+            elif parts[2] == "decomp":
+                vid = vtree_ids[int(parts[3])]
+                if builder.vtree.kind[vid] != "inner":
+                    raise DiagramError(f"decomposition {nid} on v-tree leaf {parts[3]}")
+                pairs = []
+                for chunk in parts[4:]:
+                    p, s = chunk.split(":")
+                    pairs.append((nodes[int(p)], nodes[int(s)]))
+                nodes[nid] = builder.decomposition(vid, pairs)
+            else:
+                raise DiagramError(f"unknown node form {parts[2]!r}")
+        else:
+            raise DiagramError(f"unknown line {line!r}")
+    if root_id not in nodes or vtree_root is None:
         raise DiagramError("diagram file missing root")
     legend = tuple(
         variables[i] for i in sorted(variables) if variables[i].kind != "dummy"
     )
-    dummies = tuple(
-        variables[i] for i in sorted(variables) if variables[i].kind == "dummy"
-    )
-    return LoadedSdd(builder, nodes[root_id], vtree_root, legend, dummies)
+    return SddCompilation(builder, nodes[root_id], legend, vtree_root)
 
 
-def _load_obdd(lines) -> LoadedObdd:
-    variables: dict[int, DecisionVariable] = {}
-    order = None
-    raw_nodes = []
-    root_id = None
-    try:
-        for line in lines:
-            parts = line.split()
-            if parts[0] == "var":
-                variables[int(parts[1])] = _parse_var(parts[2:])
-            elif parts[0] == "order":
-                order = tuple(variables[int(i)] for i in parts[1:])
-            elif parts[0] == "node":
-                raw_nodes.append(parts[1:])
-            elif parts[0] == "root":
-                root_id = int(parts[1])
-            else:
-                raise DiagramError(f"unknown line {line!r}")
-        if order is None:
-            raise DiagramError("missing order line")
-        space = ObddSpace(order)
-        nodes = {}
-        for parts in raw_nodes:
-            nid = int(parts[0])
-            if parts[1] == "leaf":
-                nodes[nid] = space.leaf(int(parts[2]))
-            elif parts[1] == "dec":
-                nodes[nid] = space.decision(
-                    int(parts[2]), nodes[int(parts[3])], nodes[int(parts[4])]
-                )
-            else:
-                raise DiagramError(f"unknown node form {parts[1]!r}")
-    except (KeyError, ValueError, IndexError) as exc:
-        raise DiagramError(f"malformed diagram file: {exc}") from exc
-    if root_id is None or root_id not in nodes:
+def _load_obdd(variables, body, root_id) -> ObddCompilation:
+    orders = [parts[1:] for parts in map(str.split, body) if parts[0] == "order"]
+    if not orders:
+        raise DiagramError("missing order line")
+    order = tuple(variables[int(i)] for i in orders[-1])
+    legend = tuple(variables[i] for i in sorted(variables))
+    if set(order) != set(legend):
+        raise DiagramError("order does not list every variable")
+    space = ObddSpace(order)
+    nodes = {}
+    for line in body:
+        parts = line.split()
+        if parts[0] == "order":
+            continue
+        if parts[0] != "node":
+            raise DiagramError(f"unknown line {line!r}")
+        nid = int(parts[1])
+        if parts[2] == "leaf":
+            nodes[nid] = space.leaf(int(parts[3]))
+        elif parts[2] == "dec":
+            level, lo, hi = int(parts[3]), nodes[int(parts[4])], nodes[int(parts[5])]
+            if level not in range(len(order)) or any(
+                not c.is_leaf and c.level <= level for c in (lo, hi)
+            ):
+                raise DiagramError(f"decision {nid} breaks the level order")
+            nodes[nid] = space.decision(level, lo, hi)
+        else:
+            raise DiagramError(f"unknown node form {parts[2]!r}")
+    if root_id not in nodes:
         raise DiagramError("diagram file missing root")
-    return LoadedObdd(Obdd(space, nodes[root_id]))
+    return ObddCompilation(Obdd(space, nodes[root_id]), legend)
 
 
 # -- DOT export -----------------------------------------------------------------
@@ -315,15 +265,14 @@ def _sdd_dot(diagram) -> str:
 
 def _obdd_dot(diagram) -> str:
     # dotted edges are 0-branches, solid edges 1-branches
-    obdd = diagram if isinstance(diagram, Obdd) else diagram.obdd
     out = ["digraph obdd {", "  node [fontname=monospace];"]
-    for node in obdd.nodes():
+    for node in diagram.nodes():
         if node.is_leaf:
             out.append(
                 f"  n{node.uid} [shape=box label={_dot_quote(str(int(node.label)))}];"
             )
         else:
-            name = obdd.order[node.level].name
+            name = diagram.order[node.level].name
             out.append(f"  n{node.uid} [shape=ellipse label={_dot_quote(name)}];")
             out.append(f"  n{node.uid} -> n{node.lo.uid} [style=dotted];")
             out.append(f"  n{node.uid} -> n{node.hi.uid};")

@@ -33,8 +33,8 @@ from mso2dd.oracle import (
     kappa_formula,
     min_cardinality_model,
     oracle_models,
-    sdd_truth_tables,
-    truth_table_obdd,
+    node_truth_tables,
+    truth_table,
     truth_table_oracle,
 )
 from mso2dd.sdd import DECOMP, iter_sdd_nodes, vtree_respected
@@ -62,12 +62,12 @@ def test_criterion_1_oracle_equivalence(corpus):
     for inst in corpus:
         assert len(inst.dvars) <= 14
         expected = truth_table_oracle(inst.phi, inst.graph, inst.dvars)
-        got_sdd = sdd_truth_tables(inst.sdd.root, inst.dvars)[inst.sdd.root.uid]
+        got_sdd = truth_table(inst.sdd, inst.dvars)
         assert got_sdd == expected, (inst.formula_name, inst.graph_name)
         checked_sdd += 1
         total_assignments += 1 << len(inst.dvars)
         if inst.obdd is not None:
-            got_obdd = truth_table_obdd(inst.obdd.obdd, inst.dvars)
+            got_obdd = truth_table(inst.obdd.obdd, inst.dvars)
             assert got_obdd == expected, (inst.formula_name, inst.graph_name)
             checked_obdd += 1
     elapsed = time.time() - started
@@ -206,7 +206,7 @@ def test_criterion_6_structural_invariants(corpus):
     decompositions = 0
     for inst in corpus:
         assert vtree_respected(inst.sdd.root, inst.sdd.vtree)
-        tables = sdd_truth_tables(inst.sdd.root, inst.dvars)
+        tables = node_truth_tables(inst.sdd, inst.dvars)
         ones = (1 << (1 << len(inst.dvars))) - 1
         for node in iter_sdd_nodes(inst.sdd.root):
             if node.kind != DECOMP:

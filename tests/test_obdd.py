@@ -20,12 +20,12 @@ from mso2dd import (
 from mso2dd.assignment import dv_eq
 from mso2dd.errors import DiagramError
 from mso2dd.mso import Sort, Var
-from mso2dd.obdd import Obdd, ObddSpace
+from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_to_obdd,
     model_count,
-    truth_table_obdd,
+    truth_table,
     truth_table_oracle,
 )
 
@@ -99,7 +99,7 @@ class TestReduce:
         once = reduce_obdd(obdd)
         twice = reduce_obdd(once)
         assert once.root is twice.root
-        assert truth_table_obdd(once, order) == truth_table_obdd(obdd, order)
+        assert truth_table(once, order) == truth_table(obdd, order)
         assert once.is_ordered()
 
 
@@ -108,7 +108,7 @@ class TestApply:
         obdd, order = build_example_obdd()
         true_dd = obdd.space.constant(1)
         combined = obdd_apply(obdd, true_dd, lambda a, b: a and b)
-        assert truth_table_obdd(combined, order) == truth_table_obdd(obdd, order)
+        assert truth_table(combined, order) == truth_table(obdd, order)
         assert combined.root is reduce_obdd(obdd).root
 
     def test_contradiction(self):
@@ -132,7 +132,7 @@ class TestApply:
             if all(any(bits[i] for i in clause) for clause in cnf.clauses):
                 count += 1
         assert count == 45
-        assert model_count(_wrap(dd)) == 45
+        assert model_count(ObddCompilation(dd, dd.order)) == 45
         assert dd.is_ordered()
 
     def test_truth_table_matches_pointwise_ops(self):
@@ -148,15 +148,6 @@ class TestApply:
                 ), name
 
 
-def _wrap(dd):
-    class Wrapped:
-        kind = "obdd"
-        obdd = dd
-        legend = dd.order
-
-    return Wrapped()
-
-
 class TestCompile:
     def compile(self, text, g, td=None):
         phi = desugar(parse_formula(text))
@@ -168,7 +159,7 @@ class TestCompile:
         g = clique(1)
         phi, comp = self.compile("free vertex x; free vertex y; (x = y)", g)
         dvars = decision_variables(phi, g)
-        assert truth_table_obdd(comp.obdd, dvars) == truth_table_oracle(phi, g, dvars)
+        assert truth_table(comp.obdd, dvars) == truth_table_oracle(phi, g, dvars)
 
     def test_kappa_on_path(self):
         from mso2dd.oracle import kappa_formula, oracle_models

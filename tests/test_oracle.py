@@ -10,12 +10,16 @@ from mso2dd import (
     desugar,
     encode_assignment,
     good_coloring,
+    load_diagram,
     make_nice,
     min_fill_decomposition,
     parse_formula,
+    serialize_diagram,
 )
+from mso2dd.assignment import dv_mem
 from mso2dd.errors import QueryError
-from mso2dd.mso import Sort
+from mso2dd.mso import Sort, Var
+from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_to_dimacs,
@@ -30,7 +34,7 @@ from mso2dd.oracle import (
     variable_masks,
 )
 
-from conftest import path_graph
+from conftest import path_decomposition, path_graph
 
 
 def compile_kappa(g, target="sdd"):
@@ -200,6 +204,36 @@ class TestMinCardinality:
         comp = compile_sdd(phi, g, nice, good_coloring(g, nice))
         with pytest.raises(QueryError):
             min_cardinality_model(comp, set())
+
+
+class TestDeepDiagrams:
+    """Queries run without recursion, so diagram depth is no limit."""
+
+    def test_membership_on_long_path(self):
+        n = 450
+        g = path_graph(n)
+        phi = desugar(parse_formula("free vertex x; free vset X; (x in X)"))
+        nice = make_nice(g, path_decomposition(n))
+        comp = compile_sdd(phi, g, nice, good_coloring(g, nice))
+        loaded = load_diagram(serialize_diagram(comp))
+        assert model_count(comp) == model_count(loaded) == n * 2 ** (n - 1)
+        targets = [d for d in loaded.legend if d.var.name == "X"]
+        minimum, alpha = min_cardinality_model(loaded, targets)
+        assert minimum == 1
+        assert oracle_eval(phi, g, alpha)
+
+    def test_obdd_chain(self):
+        # "some variable is 1" over 3,000 levels, one decision per level
+        order = tuple(dv_mem(Var("X", Sort.VERTEX_SET), i) for i in range(1, 3001))
+        space = ObddSpace(order)
+        node = space.leaf(0)
+        for level in reversed(range(len(order))):
+            node = space.decision(level, node, space.leaf(1))
+        chain = ObddCompilation(Obdd(space, node), order)
+        assert model_count(chain) == 2 ** len(order) - 1
+        minimum, alpha = min_cardinality_model(chain, order)
+        assert minimum == 1
+        assert alpha[order[0].var] == frozenset({3000})
 
 
 class TestCountAgreement:

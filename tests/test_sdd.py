@@ -19,8 +19,8 @@ from mso2dd.errors import DiagramError
 from mso2dd.mso import Sort, Var
 from mso2dd.oracle import (
     model_count,
+    truth_table,
     truth_table_oracle,
-    truth_table_sdd,
     variable_masks,
 )
 from mso2dd.sdd import (
@@ -244,7 +244,7 @@ class TestCompile:
         g = clique(1)
         phi, comp = self.compile("free vertex x; free vertex y; (x = y)", g)
         dvars = decision_variables(phi, g)
-        assert truth_table_sdd(comp.root, dvars) == truth_table_oracle(phi, g, dvars)
+        assert truth_table(comp, dvars) == truth_table_oracle(phi, g, dvars)
         assert model_count(comp) == 1
 
     def test_kappa_on_triangle_counts(self):
@@ -268,11 +268,12 @@ class TestCompile:
         g = path_graph(2)
         phi, comp = self.compile("free vertex x; free vertex y; (x = y)", g)
         dvars = decision_variables(phi, g)
+        dummies = [v for v in comp.vtree.all_variables() if v.kind == "dummy"]
         for _, delta in all_deltas(dvars):
             base = comp.evaluate(delta)
             for flip in (0, 1):
                 noisy = dict(delta)
-                for dummy in comp.dummy_vars:
+                for dummy in dummies:
                     noisy[dummy] = flip
                 assert comp.evaluate(noisy) == base
 

@@ -13,12 +13,13 @@ from mso2dd import (
     parse_formula,
     serialize_diagram,
 )
+from mso2dd.cli import main
 from mso2dd.errors import DiagramError
 from mso2dd.oracle import (
+    enumerate_models,
     kappa_formula,
     model_count,
-    truth_table_obdd,
-    truth_table_sdd,
+    truth_table,
 )
 from mso2dd.serialize import diagram_to_dot
 
@@ -43,12 +44,12 @@ class TestRoundtrip:
         loaded = load_diagram(text)
         assert loaded.kind == "sdd"
         assert loaded.legend == dvars
-        assert truth_table_sdd(loaded.root, dvars) == truth_table_sdd(sdd.root, dvars)
+        assert truth_table(loaded, dvars) == truth_table(sdd, dvars)
         assert model_count(loaded) == 45
         # serialization of a fixed object is reproducible
         assert serialize_diagram(sdd) == text
         reloaded = load_diagram(serialize_diagram(loaded))
-        assert truth_table_sdd(reloaded.root, dvars) == truth_table_sdd(sdd.root, dvars)
+        assert truth_table(reloaded, dvars) == truth_table(sdd, dvars)
 
     def test_obdd(self):
         g = path_graph(3)
@@ -57,11 +58,20 @@ class TestRoundtrip:
         text = serialize_diagram(obdd)
         loaded = load_diagram(text)
         assert loaded.kind == "obdd"
-        assert truth_table_obdd(loaded.obdd, dvars) == truth_table_obdd(obdd.obdd, dvars)
+        assert truth_table(loaded.obdd, dvars) == truth_table(obdd.obdd, dvars)
         assert model_count(loaded) == 25
         assert serialize_diagram(obdd) == text
         reloaded = load_diagram(serialize_diagram(loaded))
-        assert truth_table_obdd(reloaded.obdd, dvars) == truth_table_obdd(obdd.obdd, dvars)
+        assert truth_table(reloaded.obdd, dvars) == truth_table(obdd.obdd, dvars)
+
+    def test_obdd_keeps_legend_order(self):
+        g = path_graph(4)
+        _, _, obdd = compile_both(g)
+        assert obdd.order != obdd.legend
+        loaded = load_diagram(serialize_diagram(obdd))
+        assert loaded.legend == obdd.legend
+        assert loaded.order == obdd.order
+        assert enumerate_models(loaded, 3) == enumerate_models(obdd, 3)
 
     def test_queries_on_loaded_sdd(self):
         from mso2dd.oracle import min_cardinality_model
@@ -77,6 +87,45 @@ class TestRoundtrip:
         assert len(alpha[xv]) == 2
 
 
+OBDD_TEXT = """mso2dd-diagram 1
+kind obdd
+var 0 vmem X 1
+var 1 vmem X 2
+order 0 1
+node 0 leaf 0
+node 1 leaf 1
+node 2 dec {child} 0 1
+node 3 dec {root} 2 1
+root 3
+"""
+
+SDD_TEXT = """mso2dd-diagram 1
+kind sdd
+var 0 vmem X 1
+var 1 dummy root 0
+vtree 0 leaf 0
+vtree 1 leaf 1
+vtree 2 inner 0 1
+vtreeroot 2
+node 0 false
+node 1 true
+node 2 lit 0 1
+node 3 lit 0 0
+node 4 decomp {vtree} 2:1 3:0
+root 4
+"""
+
+MALFORMED = {
+    "level-past-order": OBDD_TEXT.format(child=2, root=0),
+    "negative-level": OBDD_TEXT.format(child=1, root=-1),
+    "child-on-parent-level": OBDD_TEXT.format(child=1, root=1),
+    "decomp-on-vtree-leaf": SDD_TEXT.format(vtree=0),
+    "var-missing-from-order": OBDD_TEXT.format(child=1, root=0).replace(
+        "order 0 1", "var 2 vmem X 3\norder 0 1"
+    ),
+}
+
+
 class TestErrors:
     def test_bad_magic(self):
         with pytest.raises(DiagramError):
@@ -89,6 +138,24 @@ class TestErrors:
     def test_missing_root(self):
         with pytest.raises(DiagramError):
             load_diagram("mso2dd-diagram 1\nkind obdd\norder\n")
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_rejected(self, name, tmp_path, capsys):
+        with pytest.raises(DiagramError):
+            load_diagram(MALFORMED[name])
+        path = tmp_path / "bad.dd"
+        path.write_text(MALFORMED[name])
+        for query in ("count", "min-card"):
+            assert main(["query", "--diagram", str(path), "--query", query]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_well_formed_variants_load(self):
+        # the OBDD text lists its var lines in level order under the identity
+        # permutation, as files did before var lines followed the legend
+        obdd = load_diagram(OBDD_TEXT.format(child=1, root=0))
+        assert obdd.legend == obdd.order
+        assert model_count(obdd) == 3
+        assert model_count(load_diagram(SDD_TEXT.format(vtree=2))) == 1
 
     def test_dangling_reference(self):
         g = path_graph(3)
