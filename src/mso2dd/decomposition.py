@@ -281,17 +281,29 @@ def make_nice(g: Graph, t: TreeDecomposition) -> NiceTreeDecomposition:
             cur = new_node(INTRODUCE, v, bag, (cur,))
         return cur
 
-    def build(x: int, parent: int | None) -> int:
-        kids = sorted(k for k in nbrs[x] if k != parent)
-        if not kids:
+    def finish(x: int, lifted: list[int]) -> int:
+        if not lifted:
             return new_node(LEAF, None, bags[x])
-        lifted = [lift(build(k, x), bags[k], bags[x]) for k in kids]
         acc = lifted[0]
         for nxt in lifted[1:]:
             acc = new_node(JOIN, None, bags[x], (acc, nxt))
         return acc
 
-    top = build(root_in, None)
+    # Depth-first over the input tree with one frame per open bag: each
+    # child's subtree is numbered, then its lift, then the next child's, and
+    # a bag's joins come last.
+    stack = [(root_in, None, iter(sorted(nbrs[root_in])), [])]
+    while True:
+        x, parent, kids, lifted = stack[-1]
+        k = next((k for k in kids if k != parent), None)
+        if k is not None:
+            stack.append((k, x, iter(sorted(nbrs[k])), []))
+            continue
+        stack.pop()
+        top = finish(x, lifted)
+        if not stack:
+            break
+        stack[-1][3].append(lift(top, bags[x], bags[stack[-1][0]]))
     bag = set(bags[root_in])
     for v in sorted(bags[root_in]):
         bag.discard(v)

@@ -8,6 +8,7 @@ and the neighbourhood predicate) is surface sugar removed by :func:`desugar`.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 from .errors import FormulaError
@@ -164,8 +165,8 @@ def is_core(expr: Expr) -> bool:
 
 # -- parsing ------------------------------------------------------------------
 
-_SORT_KEYWORDS = {s.value: s for s in Sort}
-_PUNCT = ["->", "!=", "(", ")", ",", ";", ".", "~", "&", "|", "="]
+_SORT_KEYWORDS = frozenset(s.value for s in Sort)
+_PUNCT = ("->", "!=", "(", ")", ",", ";", ".", "~", "&", "|", "=")
 
 
 def _tokenize(text: str):
@@ -200,9 +201,9 @@ def _tokenize(text: str):
     return tokens
 
 
-_WORD_OPS = {"in", "notin"}
-_BINDERS = {"exists", "forall"}
-_ATOM_HEADS = {"adj", "edge", "nbr"}
+_WORD_OPS = frozenset({"in", "notin"})
+_BINDERS = frozenset({"exists", "forall"})
+_ATOM_HEADS = frozenset({"adj", "edge", "nbr"})
 
 
 class _Parser:
@@ -241,7 +242,7 @@ class _Parser:
             name = self.ident()
             if name in env:
                 raise FormulaError(f"duplicate free declaration of {name!r}")
-            var = Var(name, _SORT_KEYWORDS[sort_tok])
+            var = Var(name, Sort(sort_tok))
             env[name] = var
             free.append(var)
             self.take(";")
@@ -291,7 +292,7 @@ class _Parser:
         self.take(".")
         # alpha-rename so every binder introduces a globally fresh variable
         self.fresh += 1
-        var = Var(f"{name}@{self.fresh}", _SORT_KEYWORDS[sort_tok])
+        var = Var(f"{name}@{self.fresh}", Sort(sort_tok))
         inner_env = dict(env)
         inner_env[name] = var
         body, used = self.expr(inner_env)
@@ -365,9 +366,6 @@ def parse_formula(text: str) -> Formula:
 
 # -- desugaring ---------------------------------------------------------------
 
-_FRESH_NBR = [0]
-
-
 def _neg(expr: Expr) -> Expr:
     if isinstance(expr, Not):
         return expr.body
@@ -380,21 +378,22 @@ def _exists(variables: tuple[Var, ...], body: Expr) -> Expr:
     return Exists(variables, body)
 
 
-def _desugar(expr: Expr) -> Expr:
+def _desugar(expr: Expr, fresh) -> Expr:
+    """`fresh` numbers the edge variables that `nbr` atoms introduce."""
     if isinstance(expr, (Adj, Eq, In)):
         return expr
     if isinstance(expr, Not):
-        return _neg(_desugar(expr.body))
+        return _neg(_desugar(expr.body, fresh))
     if isinstance(expr, And):
-        return And(_desugar(expr.left), _desugar(expr.right))
+        return And(_desugar(expr.left, fresh), _desugar(expr.right, fresh))
     if isinstance(expr, Or):
-        return _neg(And(_neg(_desugar(expr.left)), _neg(_desugar(expr.right))))
+        return _neg(And(_neg(_desugar(expr.left, fresh)), _neg(_desugar(expr.right, fresh))))
     if isinstance(expr, Implies):
-        return _neg(And(_desugar(expr.left), _neg(_desugar(expr.right))))
+        return _neg(And(_desugar(expr.left, fresh), _neg(_desugar(expr.right, fresh))))
     if isinstance(expr, Exists):
-        return _exists(expr.variables, _desugar(expr.body))
+        return _exists(expr.variables, _desugar(expr.body, fresh))
     if isinstance(expr, Forall):
-        return _neg(_exists(expr.variables, _neg(_desugar(expr.body))))
+        return _neg(_exists(expr.variables, _neg(_desugar(expr.body, fresh))))
     if isinstance(expr, Neq):
         return Not(Eq(expr.left, expr.right))
     if isinstance(expr, NotIn):
@@ -403,15 +402,15 @@ def _desugar(expr: Expr) -> Expr:
         e, u, v = expr.edge, expr.left, expr.right
         return And(And(Not(Eq(u, v)), Adj(u, e)), Adj(v, e))
     if isinstance(expr, Nbr):
-        _FRESH_NBR[0] += 1
-        x = Var(f"_nbr@{_FRESH_NBR[0]}", Sort.EDGE_OBJECT)
+        # parsed binders are renamed `name@k`, so a leading `@` cannot clash
+        x = Var(f"@nbr{next(fresh)}", Sort.EDGE_OBJECT)
         return _exists((x,), And(Adj(expr.left, x), Adj(expr.right, x)))
     raise FormulaError(f"unknown expression node {type(expr).__name__}")
 
 
 def desugar(formula: Formula) -> Formula:
     """Rewrite to the core connectives, merging consecutive quantifier blocks."""
-    return Formula(formula.free_vars, _desugar(formula.root))
+    return Formula(formula.free_vars, _desugar(formula.root, itertools.count(1)))
 
 
 # -- analysis -----------------------------------------------------------------

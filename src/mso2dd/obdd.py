@@ -1,10 +1,10 @@
 """Ordered binary decision diagrams and the path-decomposition compiler.
 
-The compiler grows a multi-terminal diagram whose leaves carry procedure
-states: each forget node substitutes every leaf by a complete tree over the
-node's context variables, relabelled with the transition result; identical
-subtrees are shared by hash-consing. The final step maps accepting terminals
-to 1 and reduces.
+The compiler reads the reachable transition tables from the root down to the
+leaf: each state entering a forget node becomes a tree over the node's context
+variables whose leaves are the diagrams of the successor states, built reduced
+and shared by hash-consing, and the root's states are terminals by the
+accepting test.
 """
 
 from __future__ import annotations
@@ -234,10 +234,11 @@ def compile_obdd(
     """Compile along a nice path decomposition; the variable order concatenates
     the forget-node contexts from the leaf up to the root.
 
-    Every forget step turns each distinct procedure state into a complete tree
-    over the step's context variables whose branches continue with the successor
-    state; hash-consing merges equal successors, and the accepting test labels
-    the bottom. One reduction pass finishes the diagram.
+    The diagram grows from its terminals up while the forget chain is walked
+    from the root back to the leaf: the root's states become terminals by the
+    accepting test, and at every forget step each state entering it becomes a
+    reduced tree over the step's context variables whose leaves are the
+    diagrams of its successors.
     """
     if not phi.is_core:
         raise DiagramError("formula must be desugared before compilation")
@@ -258,34 +259,26 @@ def compile_obdd(
         order.extend(plan[nid].context.variables)
     space = ObddSpace(tuple(order))
 
-    memo: dict[tuple, ObddNode] = {}
+    below = {
+        s: space.leaf(1 if space_dp.is_accepting(s) else 0)
+        for s in reach.per_node[t.root]
+    }
+    for step in reversed(range(len(chain))):
+        nid = chain[step]
+        k = len(plan[nid].context.variables)
+        table = reach.forget_tables[nid]
+        entering = {}
+        for state in reach.per_node[t.nodes[nid].children[0]]:
+            layer = [below[table[(state, idx)]] for idx in range(1 << k)]
+            for level in reversed(range(bases[step], bases[step] + k)):
+                layer = [
+                    space.reduced(level, layer[i], layer[i + 1])
+                    for i in range(0, len(layer), 2)
+                ]
+            entering[state] = layer[0]
+        below = entering
 
-    def continue_from(step: int, state) -> ObddNode:
-        """Sub-diagram over the contexts of steps step.. given the entering state."""
-        got = memo.get((step, state))
-        if got is not None:
-            return got
-        if step == len(chain):
-            out = space.leaf(1 if space_dp.is_accepting(state) else 0)
-        else:
-            nid = chain[step]
-            k = len(plan[nid].context.variables)
-            table = reach.forget_tables[nid]
-
-            def expand(pos: int, idx: int) -> ObddNode:
-                if pos == k:
-                    return continue_from(step + 1, table[(state, idx)])
-                return space.decision(
-                    bases[step] + pos,
-                    expand(pos + 1, idx * 2),
-                    expand(pos + 1, idx * 2 + 1),
-                )
-
-            out = expand(0, 0)
-        memo[(step, state)] = out
-        return out
-
-    obdd = reduce_obdd(Obdd(space, continue_from(0, space_dp.initial)))
+    obdd = Obdd(space, below[space_dp.initial])
     legend = decision_variables(phi, g)
     if set(order) != set(legend):
         raise DiagramError("context variables do not cover the decision universe")

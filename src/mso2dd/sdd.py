@@ -58,14 +58,41 @@ class VTree:
     def all_variables(self) -> tuple[DecisionVariable, ...]:
         return tuple(self._var_leaf)
 
-    def contains(self, ancestor: int, vid: int) -> bool:
-        if ancestor == vid:
-            return True
-        if self.kind[ancestor] == "leaf":
-            return False
-        return self.contains(self.left[ancestor], vid) or self.contains(
-            self.right[ancestor], vid
-        )
+    def intervals(self) -> tuple[list[int], list[int]]:
+        """Preorder numbers over the v-tree forest: `first[v]` is v's position
+        and `end[v]` one past its last descendant's, so u lies under v exactly
+        when first[v] <= first[u] < end[v]. Children have smaller ids than
+        their parents."""
+        n = len(self.kind)
+        size, parents = [1] * n, [0] * n
+        for vid in range(n):
+            if self.kind[vid] == "inner":
+                for child in (self.left[vid], self.right[vid]):
+                    parents[child] += 1
+                    size[vid] += size[child]
+        if max(parents, default=0) > 1:
+            raise DiagramError("a v-tree node has two parents")
+        first, pos = [0] * n, 0
+        for vid in reversed(range(n)):
+            if not parents[vid]:
+                first[vid], pos = pos, pos + size[vid]
+            if self.kind[vid] == "inner":
+                first[self.left[vid]] = first[vid] + 1
+                first[self.right[vid]] = first[vid] + 1 + size[self.left[vid]]
+        return first, [f + k for f, k in zip(first, size)]
+
+    def respects(self, span, vtree_id: int, pairs) -> bool:
+        """Every prime lies under the left child of the node, every sub under
+        its right child; constants fit anywhere. `span` is `intervals()`."""
+        first, end = span
+        left, right = self.left[vtree_id], self.right[vtree_id]
+        lo_p, hi_p, lo_s, hi_s = first[left], end[left], first[right], end[right]
+        for p, s in pairs:
+            if p.vtree_id is not None and not lo_p <= first[p.vtree_id] < hi_p:
+                return False
+            if s.vtree_id is not None and not lo_s <= first[s.vtree_id] < hi_s:
+                return False
+        return True
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -187,22 +214,23 @@ class StateSddMapping:
     `the run lands in this state`; exactly one image is true per assignment.
 
     Keys are procedure states, except for context mappings where they are
-    context-assignment bit tuples; `order` fixes a deterministic iteration.
+    context-assignment indices in binary-counter order. The images' insertion
+    order is the mapping's deterministic iteration order.
     """
 
     images: dict
     vtree_id: int
-    order: tuple
 
     def states(self):
-        return self.order
+        return tuple(self.images)
 
 
 def context_assignment_mapping(
     builder: SddBuilder, ctx_vars: tuple[DecisionVariable, ...]
 ) -> StateSddMapping:
     """One diagram per context assignment, true exactly on that assignment,
-    over a right-linear v-tree of the context variables."""
+    over a right-linear v-tree of the context variables. Assignment idx sets
+    variable i to bit k-1-i of idx."""
     if not ctx_vars:
         raise DiagramError("context mapping needs at least one variable")
     leaves = [builder.vtree.leaf(v) for v in ctx_vars]
@@ -216,7 +244,6 @@ def context_assignment_mapping(
         suffix_vid.append(builder.vtree.right[suffix_vid[-1]])
 
     k = len(ctx_vars)
-    images: dict[tuple, SddNode] = {}
     cache: dict[tuple, SddNode] = {}
 
     def build(i: int, bits: tuple) -> SddNode:
@@ -245,25 +272,26 @@ def context_assignment_mapping(
         cache[(i, bits[i:])] = node
         return node
 
-    order = tuple(itertools.product((0, 1), repeat=k))
-    for bits in order:
-        images[bits] = build(0, bits)
-    return StateSddMapping(images, spine, order)
+    images = {
+        idx: build(0, bits)
+        for idx, bits in enumerate(itertools.product((0, 1), repeat=k))
+    }
+    return StateSddMapping(images, spine)
 
 
 def state_table_mapping(
     builder: SddBuilder,
     g_a: StateSddMapping,
     g_b: StateSddMapping,
-    table,
+    table: dict,
     out_states,
     dummy_tag: str,
 ) -> StateSddMapping:
     """Combine two mappings through a transition table.
 
-    `table(a, b)` gives the state reached from a-state and b-state; the result
-    maps each output state c to a diagram true exactly when the combination
-    lands in c. Respects node(t_a, node(t_b, dummy)).
+    `table[(a, b)]` is the state reached from a-state and b-state; the result
+    maps each output state c, in `out_states` order, to a diagram true exactly
+    when the combination lands in c. Respects node(t_a, node(t_b, dummy)).
     """
     pad = builder.vtree.leaf(dv_dummy(dummy_tag))
     right_vid = builder.vtree.inner(g_b.vtree_id, pad)
@@ -274,8 +302,7 @@ def state_table_mapping(
     hits: dict[object, dict[object, set]] = {}
     for a in a_states:
         for b in b_states:
-            c = table(a, b)
-            hits.setdefault(c, {}).setdefault(a, set()).add(b)
+            hits.setdefault(table[(a, b)], {}).setdefault(a, set()).add(b)
     unknown = set(hits) - set(out_states)
     if unknown:
         raise DiagramError(f"transition image outside declared states: {unknown}")
@@ -295,12 +322,11 @@ def state_table_mapping(
         return node
 
     images = {}
-    out_order = tuple(out_states)  # caller-fixed deterministic order
-    for c in out_order:
+    for c in out_states:
         selected_by_a = hits.get(c, {})
         pairs = [(g_a.images[a], beta(selected_by_a.get(a, set()))) for a in a_states]
         images[c] = builder.decomposition(out_vid, pairs)
-    return StateSddMapping(images, out_vid, out_order)
+    return StateSddMapping(images, out_vid)
 
 
 class SddCompilation:
@@ -349,9 +375,7 @@ def compile_sdd(
         node = t.nodes[nid]
         if node.kind == LEAF:
             vid = builder.vtree.leaf(dv_dummy(f"leaf{nid}"))
-            mappings[nid] = StateSddMapping(
-                {space.initial: builder.true}, vid, (space.initial,)
-            )
+            mappings[nid] = StateSddMapping({space.initial: builder.true}, vid)
         elif node.kind == INTRODUCE:
             mappings[nid] = mappings[node.children[0]]
         elif node.kind == FORGET:
@@ -360,31 +384,21 @@ def compile_sdd(
                 g_b = context_assignment_mapping(builder, ctx_vars)
             else:
                 vid = builder.vtree.leaf(dv_dummy(f"ctx{nid}"))
-                g_b = StateSddMapping({(): builder.true}, vid, ((),))
-            table = reach.forget_tables[nid]
-
-            def forget_table(a, bits, _table=table):
-                # context assignment indices follow binary-counter order
-                idx = 0
-                for bit in bits:
-                    idx = idx * 2 + bit
-                return _table[(a, idx)]
-
+                g_b = StateSddMapping({0: builder.true}, vid)
             mappings[nid] = state_table_mapping(
                 builder,
                 mappings[node.children[0]],
                 g_b,
-                forget_table,
+                reach.forget_tables[nid],
                 reach.per_node[nid],
                 f"forget{nid}",
             )
         else:
-            table = reach.join_tables[nid]
             mappings[nid] = state_table_mapping(
                 builder,
                 mappings[node.children[0]],
                 mappings[node.children[1]],
-                lambda a, b, _table=table: _table[(a, b)],
+                reach.join_tables[nid],
                 reach.per_node[nid],
                 f"join{nid}",
             )
@@ -406,14 +420,9 @@ def compile_sdd(
 def vtree_respected(root: SddNode, vtree: VTree) -> bool:
     """Structural check: primes live in the left subtree of their decomposition's
     v-tree node, subs in the right subtree."""
-    for node in iter_sdd_nodes(root):
-        if node.kind != DECOMP:
-            continue
-        left = vtree.left[node.vtree_id]
-        right = vtree.right[node.vtree_id]
-        for p, s in node.pairs:
-            if p.vtree_id is not None and not vtree.contains(left, p.vtree_id):
-                return False
-            if s.vtree_id is not None and not vtree.contains(right, s.vtree_id):
-                return False
-    return True
+    span = vtree.intervals()
+    return all(
+        vtree.respects(span, node.vtree_id, node.pairs)
+        for node in iter_sdd_nodes(root)
+        if node.kind == DECOMP
+    )

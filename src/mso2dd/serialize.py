@@ -141,9 +141,12 @@ def _load_sdd(variables, body, root_id) -> SddCompilation:
     vtree_ids: dict[int, int] = {}
     nodes: dict[int, SddNode] = {}
     vtree_root = None
+    span = None  # the v-tree's preorder intervals, fixed at the first decomposition
     for line in body:
         parts = line.split()
         if parts[0] == "vtree":
+            if span is not None:
+                raise DiagramError("v-tree line after a decomposition")
             fid = int(parts[1])
             if parts[2] == "leaf":
                 vtree_ids[fid] = builder.vtree.leaf(variables[int(parts[3])])
@@ -169,6 +172,10 @@ def _load_sdd(variables, body, root_id) -> SddCompilation:
                 for chunk in parts[4:]:
                     p, s = chunk.split(":")
                     pairs.append((nodes[int(p)], nodes[int(s)]))
+                if span is None:
+                    span = builder.vtree.intervals()
+                if not builder.vtree.respects(span, vid, pairs):
+                    raise DiagramError(f"decomposition {nid} has a pair outside its v-tree slots")
                 nodes[nid] = builder.decomposition(vid, pairs)
             else:
                 raise DiagramError(f"unknown node form {parts[2]!r}")

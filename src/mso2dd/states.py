@@ -6,8 +6,13 @@ tied to the vertex/edges dropped at a forget node, `join` combines the states
 of the two subtrees below a join node. Spaces depend only on the formula and
 the decomposition width, never on the graph.
 
-States are hash-consed values with identity semantics, so the set-valued
-states of quantifier blocks stay cheap to hash and compare.
+States are plain hashable values, not hash-consed identities: an atom is one
+of the strings INIT, TRUE and BOT, an adjacency colour is an int, consistency
+bits and conjunction pairs are tuples, and a quantifier state is a frozenset
+of (inner state, bits) pairs. Equal states compare equal wherever they were
+made, and no table outlives the space that one compilation builds. Each
+space's `key` gives a state's deterministic text encoding, which orders states
+canonically.
 """
 
 from __future__ import annotations
@@ -30,78 +35,14 @@ from .errors import Mso2ddError
 from .graph import Edge, Graph
 from .mso import Adj, And, Eq, Exists, Formula, In, Not, Sort, Var
 
-
-class State:
-    """Interned state value; equality and hashing are by identity."""
-
-    __slots__ = ("uid", "tag", "payload", "_key")
-
-    def __init__(self, uid: int, tag: str, payload) -> None:
-        self.uid = uid
-        self.tag = tag
-        self.payload = payload
-        self._key = None
-
-    def __hash__(self) -> int:
-        return self.uid
-
-    def __repr__(self) -> str:
-        return f"<state {state_key(self)}>"
+# atoms are strings that are their own encodings
+INIT = "I"
+TRUE = "T"
+BOT = "X"
 
 
-_store: dict = {}
-
-
-def _intern(key, tag, payload) -> State:
-    state = _store.get(key)
-    if state is None:
-        state = State(len(_store), tag, payload)
-        _store[key] = state
-    return state
-
-
-INIT = _intern(("atom", "INIT"), "atom", "INIT")
-TRUE = _intern(("atom", "TRUE"), "atom", "TRUE")
-BOT = _intern(("atom", "BOT"), "atom", "BOT")
-
-
-def color_state(i: int) -> State:
-    return _intern(("color", i), "color", i)
-
-
-def pair_state(left: State, right: State) -> State:
-    return _intern(("pair", left.uid, right.uid), "pair", (left, right))
-
-
-def bits_state(bits: tuple) -> State:
-    return _intern(("bits", bits), "bits", bits)
-
-
-def set_state(members) -> State:
-    """Members are (inner state, bits tuple) pairs."""
-    canon = tuple(sorted(set(members), key=lambda m: (m[0].uid, m[1])))
-    return _intern(("set", tuple((s.uid, b) for s, b in canon)), "set", canon)
-
-
-def state_key(s: State) -> str:
-    """Deterministic structural encoding, used to order states canonically."""
-    if s._key is None:
-        if s.tag == "atom":
-            key = {"INIT": "I", "TRUE": "T", "BOT": "X"}[s.payload]
-        elif s.tag == "color":
-            key = f"c{s.payload:03d}"
-        elif s.tag == "bits":
-            key = "b" + "".join(map(str, s.payload))
-        elif s.tag == "pair":
-            key = f"P({state_key(s.payload[0])},{state_key(s.payload[1])})"
-        else:
-            parts = sorted(
-                f"({state_key(inner)},{''.join(map(str, bits))})"
-                for inner, bits in s.payload
-            )
-            key = "S{" + ";".join(parts) + "}"
-        s._key = key
-    return s._key
+def _bits_key(bits: tuple) -> str:
+    return "".join(map(str, bits))
 
 
 @dataclass(frozen=True)
@@ -122,16 +63,20 @@ class ForgetInfo:
 
 
 class StateSpace:
-    initial: State = None
+    initial = None
 
-    def is_accepting(self, s: State) -> bool:
+    def is_accepting(self, s) -> bool:
         raise NotImplementedError
 
-    def forget(self, s: State, info: ForgetInfo, delta) -> State:
+    def forget(self, s, info: ForgetInfo, delta):
         raise NotImplementedError
 
-    def join(self, left: State, right: State) -> State:
+    def join(self, left, right):
         raise NotImplementedError
+
+    def key(self, s) -> str:
+        """Atoms encode as themselves."""
+        return s
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -146,10 +91,10 @@ class EqualitySpace(StateSpace):
         self.is_vertex = left.sort.is_vertex
 
     def is_accepting(self, s) -> bool:
-        return s is TRUE
+        return s == TRUE
 
     def forget(self, s, info, delta):
-        if s is TRUE:
+        if s == TRUE:
             return TRUE
         if self.is_vertex:
             v = info.vertex
@@ -162,7 +107,7 @@ class EqualitySpace(StateSpace):
         return INIT
 
     def join(self, left, right):
-        return TRUE if (left is TRUE or right is TRUE) else INIT
+        return TRUE if TRUE in (left, right) else INIT
 
     def describe(self) -> str:
         return f"eq({self.left.name},{self.right.name})"
@@ -177,10 +122,10 @@ class MembershipSpace(StateSpace):
         self.is_vertex = element.sort.is_vertex
 
     def is_accepting(self, s) -> bool:
-        return s is TRUE
+        return s == TRUE
 
     def forget(self, s, info, delta):
-        if s is TRUE:
+        if s == TRUE:
             return TRUE
         if self.is_vertex:
             v = info.vertex
@@ -194,7 +139,7 @@ class MembershipSpace(StateSpace):
         return INIT
 
     def join(self, left, right):
-        return TRUE if (left is TRUE or right is TRUE) else INIT
+        return TRUE if TRUE in (left, right) else INIT
 
     def describe(self) -> str:
         return f"in({self.element.name},{self.container.name})"
@@ -202,42 +147,44 @@ class MembershipSpace(StateSpace):
 
 class AdjacencySpace(StateSpace):
     """Endpoint checks may have to wait until the other endpoint is forgotten;
-    its color is parked in the state meanwhile."""
+    its color (an int) is parked in the state meanwhile."""
 
     initial = INIT
-
-    # joins pairing two non-INIT states are unreachable on consistent runs;
-    # instrumented so tests can assert that
-    impossible_join_hits = 0
 
     def __init__(self, vertex: Var, edge: Var, width: int) -> None:
         self.vertex = vertex
         self.edge = edge
         self.width = width
+        # joins pairing two non-INIT states are unreachable on consistent runs;
+        # instrumented so tests can assert that
+        self.impossible_join_hits = 0
 
     def is_accepting(self, s) -> bool:
-        return s is TRUE
+        return s == TRUE
 
     def forget(self, s, info, delta):
-        if s is TRUE:
+        if s == TRUE:
             return TRUE
-        if s.tag == "color":
-            if info.vertex_color == s.payload:
+        if isinstance(s, int):
+            if info.vertex_color == s:
                 return TRUE if delta[dv_eq(self.vertex, info.vertex)] else INIT
             return s
         x_here = delta[dv_eq(self.vertex, info.vertex)]
         for fe in info.edges:
             if delta[dv_eq(self.edge, fe.edge.id)]:
-                return TRUE if x_here else color_state(fe.other_color)
+                return TRUE if x_here else fe.other_color
         return INIT
 
     def join(self, left, right):
-        if left is INIT:
+        if left == INIT:
             return right
-        if right is INIT:
+        if right == INIT:
             return left
-        AdjacencySpace.impossible_join_hits += 1
+        self.impossible_join_hits += 1
         return INIT  # unconstrained cell, any value works
+
+    def key(self, s) -> str:
+        return f"c{s:03d}" if isinstance(s, int) else s
 
     def describe(self) -> str:
         return f"adj({self.vertex.name},{self.edge.name},w={self.width})"
@@ -257,30 +204,36 @@ class NegationSpace(StateSpace):
     def join(self, left, right):
         return self.inner.join(left, right)
 
+    def key(self, s) -> str:
+        return self.inner.key(s)
+
     def describe(self) -> str:
         return f"not({self.inner.describe()})"
 
 
 class ConjunctionSpace(StateSpace):
+    """States are (left state, right state) pairs."""
+
     def __init__(self, left: StateSpace, right: StateSpace) -> None:
         self.left = left
         self.right = right
-        self.initial = pair_state(left.initial, right.initial)
+        self.initial = (left.initial, right.initial)
 
     def is_accepting(self, s) -> bool:
-        l, r = s.payload
+        l, r = s
         return self.left.is_accepting(l) and self.right.is_accepting(r)
 
     def forget(self, s, info, delta):
-        l, r = s.payload
-        return pair_state(
-            self.left.forget(l, info, delta), self.right.forget(r, info, delta)
-        )
+        l, r = s
+        return (self.left.forget(l, info, delta), self.right.forget(r, info, delta))
 
     def join(self, a, b):
-        al, ar = a.payload
-        bl, br = b.payload
-        return pair_state(self.left.join(al, bl), self.right.join(ar, br))
+        al, ar = a
+        bl, br = b
+        return (self.left.join(al, bl), self.right.join(ar, br))
+
+    def key(self, s) -> str:
+        return f"P({self.left.key(s[0])},{self.right.key(s[1])})"
 
     def describe(self) -> str:
         return f"and({self.left.describe()},{self.right.describe()})"
@@ -347,9 +300,9 @@ def all_consistent_extensions(bound_vars, delta, bits, info: ForgetInfo):
 
 
 class QuantifierSpace(StateSpace):
-    """Existential block: states are sets of (inner state, assigned-bits) pairs,
-    one per way of instantiating the bound variables with already-forgotten
-    objects."""
+    """Existential block: states are frozensets of (inner state, assigned-bits)
+    pairs, one per way of instantiating the bound variables with
+    already-forgotten objects."""
 
     def __init__(self, bound_vars: tuple[Var, ...], inner: StateSpace, width: int) -> None:
         self.bound_vars = bound_vars
@@ -357,23 +310,25 @@ class QuantifierSpace(StateSpace):
         self.width = width
         self.n_object = sum(1 for v in bound_vars if v.sort.is_object)
         zeros = (0,) * self.n_object
-        self.initial = set_state([(inner.initial, zeros)])
+        self.initial = frozenset([(inner.initial, zeros)])
         self._ones = (1,) * self.n_object
         # per (node, context assignment, member) transition results
         self._forget_memo: dict = {}
         self._join_memo: dict = {}
+        # encodings of sets and of their (inner, bits) members, which many
+        # sets share; without them nested sets re-encode on every call
+        self._keys: dict = {}
 
     def is_accepting(self, s) -> bool:
         return any(
-            bits == self._ones and self.inner.is_accepting(inner)
-            for inner, bits in s.payload
+            bits == self._ones and self.inner.is_accepting(inner) for inner, bits in s
         )
 
     def forget(self, s, info, delta):
         delta_key = (info.context.node, frozenset(delta.items()))
         memo = self._forget_memo
         result = set()
-        for inner, bits in s.payload:
+        for inner, bits in s:
             key = (delta_key, inner, bits)
             got = memo.get(key)
             if got is None:
@@ -385,7 +340,7 @@ class QuantifierSpace(StateSpace):
                 )
                 memo[key] = got
             result.update(got)
-        return set_state(result)
+        return frozenset(result)
 
     def join(self, left, right):
         key = (left, right)
@@ -393,14 +348,27 @@ class QuantifierSpace(StateSpace):
         if got is not None:
             return got
         result = set()
-        for inner_l, bl in left.payload:
-            for inner_r, br in right.payload:
+        for inner_l, bl in left:
+            for inner_r, br in right:
                 if all(x & y == 0 for x, y in zip(bl, br)):
                     merged = tuple(x | y for x, y in zip(bl, br))
                     result.add((self.inner.join(inner_l, inner_r), merged))
-        out = set_state(result)
+        out = frozenset(result)
         self._join_memo[key] = out
         return out
+
+    def key(self, s) -> str:
+        got = self._keys.get(s)
+        if got is None:
+            got = self._keys[s] = "S{" + ";".join(sorted(map(self._member_key, s))) + "}"
+        return got
+
+    def _member_key(self, member) -> str:
+        got = self._keys.get(member)
+        if got is None:
+            inner, bits = member
+            got = self._keys[member] = f"({self.inner.key(inner)},{_bits_key(bits)})"
+        return got
 
     def describe(self) -> str:
         vs = ",".join(f"{v.name}:{v.sort.value}" for v in self.bound_vars)
@@ -409,20 +377,21 @@ class QuantifierSpace(StateSpace):
 
 class ConsistencySpace(StateSpace):
     """Tracks, per free object variable, whether it has received a value; a second
-    value or a missing one at the root rejects the whole assignment."""
+    value or a missing one at the root rejects the whole assignment. States are
+    bit tuples, or BOT."""
 
     def __init__(self, object_vars: tuple[Var, ...]) -> None:
         self.object_vars = object_vars
-        self.initial = bits_state((0,) * len(object_vars))
+        self.initial = (0,) * len(object_vars)
         self._ones = (1,) * len(object_vars)
 
     def is_accepting(self, s) -> bool:
-        return s is not BOT and s.payload == self._ones
+        return s == self._ones
 
     def forget(self, s, info, delta):
-        if s is BOT:
+        if s == BOT:
             return BOT
-        counts = list(s.payload)
+        counts = list(s)
         for i, var in enumerate(self.object_vars):
             if var.sort is Sort.VERTEX_OBJECT:
                 hits = delta[dv_eq(var, info.vertex)]
@@ -431,14 +400,17 @@ class ConsistencySpace(StateSpace):
             counts[i] += hits
             if counts[i] > 1:
                 return BOT
-        return bits_state(tuple(counts))
+        return tuple(counts)
 
     def join(self, left, right):
-        if left is BOT or right is BOT:
+        if left == BOT or right == BOT:
             return BOT
-        if any(x & y for x, y in zip(left.payload, right.payload)):
+        if any(x & y for x, y in zip(left, right)):
             return BOT
-        return bits_state(tuple(x | y for x, y in zip(left.payload, right.payload)))
+        return tuple(x | y for x, y in zip(left, right))
+
+    def key(self, s) -> str:
+        return s if s == BOT else "b" + _bits_key(s)
 
     def describe(self) -> str:
         return f"consistency[{','.join(v.name for v in self.object_vars)}]"
@@ -495,9 +467,9 @@ def forget_plan(
 
 def node_states(
     space: StateSpace, t: NiceTreeDecomposition, plan: dict[int, ForgetInfo], delta
-) -> dict[int, State]:
+) -> dict:
     """Run the procedure once, recording the state assigned to every node."""
-    states: dict[int, State] = {}
+    states: dict = {}
     for nid in t.postorder():
         n = t.nodes[nid]
         if n.kind == LEAF:
@@ -535,27 +507,24 @@ def context_assignments(context: Context):
 class ReachableSets:
     """Per-node reachable states plus the transition tables restricted to them.
 
-    Forget tables are keyed by (child state, context assignment index) with
-    assignment indices following `context_assignments` order; join tables by the
-    pair of child states."""
+    Each node's states are ordered by their `key`. Forget tables are keyed by
+    (child state, context assignment index) with assignment indices following
+    `context_assignments` order; join tables by the pair of child states.
+    `count` is the number of distinct states over all nodes."""
 
     per_node: dict[int, tuple]
-    all_states: tuple
+    count: int
     forget_tables: dict[int, dict]
     join_tables: dict[int, dict]
 
-    @property
-    def count(self) -> int:
-        return len(self.all_states)
 
-
-def dump_reachable_states(reach: "ReachableSets") -> str:
+def dump_reachable_states(space: StateSpace, reach: ReachableSets) -> str:
     """Diagnostic listing: per decomposition node, one canonical state encoding
     per line."""
     lines = []
     for nid in sorted(reach.per_node):
         lines.append(f"node {nid}")
-        lines.extend(f"  {state_key(s)}" for s in reach.per_node[nid])
+        lines.extend(f"  {space.key(s)}" for s in reach.per_node[nid])
     return "\n".join(lines) + "\n"
 
 
@@ -564,33 +533,33 @@ def reachable_states(
 ) -> ReachableSets:
     """Per-node reachable state sets: the closure over every context assignment
     of every forget node, computed in one bottom-up pass."""
+    # one object per distinct state, so table keys and values share it
+    distinct = {space.initial: space.initial}
     per_node: dict[int, tuple] = {}
     forget_tables: dict[int, dict] = {}
     join_tables: dict[int, dict] = {}
     for nid in t.postorder():
         n = t.nodes[nid]
         if n.kind == LEAF:
-            reached = {space.initial}
-        elif n.kind == INTRODUCE:
-            reached = set(per_node[n.children[0]])
-        elif n.kind == FORGET:
-            table = {}
+            per_node[nid] = (space.initial,)
+            continue
+        if n.kind == INTRODUCE:
+            per_node[nid] = per_node[n.children[0]]
+            continue
+        table = {}
+        if n.kind == FORGET:
+            info = plan[nid]
+            deltas = context_assignments(info.context)
             for s in per_node[n.children[0]]:
-                for idx, delta in enumerate(context_assignments(plan[nid].context)):
-                    table[(s, idx)] = space.forget(s, plan[nid], delta)
+                for idx, delta in enumerate(deltas):
+                    c = space.forget(s, info, delta)
+                    table[(s, idx)] = distinct.setdefault(c, c)
             forget_tables[nid] = table
-            reached = set(table.values())
         else:
-            table = {}
             for a in per_node[n.children[0]]:
                 for b in per_node[n.children[1]]:
-                    table[(a, b)] = space.join(a, b)
+                    c = space.join(a, b)
+                    table[(a, b)] = distinct.setdefault(c, c)
             join_tables[nid] = table
-            reached = set(table.values())
-        per_node[nid] = tuple(sorted(reached, key=state_key))
-    union = set()
-    for states in per_node.values():
-        union.update(states)
-    return ReachableSets(
-        per_node, tuple(sorted(union, key=state_key)), forget_tables, join_tables
-    )
+        per_node[nid] = tuple(sorted(set(table.values()), key=space.key))
+    return ReachableSets(per_node, len(distinct), forget_tables, join_tables)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mso2dd.cli import main
@@ -7,6 +12,8 @@ K3_GR = "p gr 3 3\n1 2\n2 3\n1 3\n"
 P4_GR = "p gr 4 3\n1 2\n2 3\n3 4\n"
 P4_TD = "s td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n"
 EQ_MSO = "free vertex x; free vertex y; (x = y)\n"
+C4_GR = "p gr 4 4\n1 2\n2 3\n3 4\n1 4\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -16,6 +23,7 @@ def workdir(tmp_path):
     (tmp_path / "p4.td").write_text(P4_TD)
     (tmp_path / "kappa.mso").write_text(KAPPA_TEXT + "\n")
     (tmp_path / "eq.mso").write_text(EQ_MSO)
+    (tmp_path / "c4.gr").write_text(C4_GR)
     return tmp_path
 
 
@@ -62,6 +70,23 @@ class TestCompile:
             ) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_output_independent_of_hash_seed(self, workdir):
+        # set-valued states iterate in hash order, which the seed changes
+        script = "import sys; from mso2dd.cli import main; sys.exit(main(sys.argv[1:]))"
+        texts = {}
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+            for target in ("sdd", "obdd"):
+                out = workdir / f"c4-{seed}.{target}"
+                subprocess.run(
+                    [sys.executable, "-c", script, "compile", "--graph", workdir / "c4.gr",
+                     "--formula", workdir / "kappa.mso", "--target", target, "--out", out],
+                    env=env, check=True, capture_output=True,
+                )
+                texts[seed, target] = out.read_text()
+        for target in ("sdd", "obdd"):
+            assert texts["0", target] == texts["1", target]
 
     def test_parse_error_exit_code(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.gr"

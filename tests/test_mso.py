@@ -14,7 +14,7 @@ from mso2dd.mso import (
     is_core,
     occurring_variables,
 )
-from mso2dd.oracle import kappa_formula, oracle_eval
+from mso2dd.oracle import kappa_formula, oracle_eval, oracle_models
 
 from conftest import FORMULA_TEXTS, corpus_graphs
 
@@ -98,6 +98,19 @@ class TestDesugar:
         assert len(root.variables) == 1
         assert root.variables[0].sort is Sort.EDGE_OBJECT
         assert isinstance(root.body, And)
+
+    def test_deterministic(self):
+        # the edge variables nbr introduces are numbered per call
+        f = parse_formula("free vertex u; free vertex v; nbr(u, v)")
+        assert desugar(f) == desugar(f)
+
+    def test_nbr_edge_variable_not_captured(self):
+        # a bound variable named like the expansion's edge variable stays apart
+        f = parse_formula(
+            "free vertex u; free vertex v; exists edge _nbr. (adj(u, _nbr) & ~nbr(u, v))"
+        )
+        g = corpus_graphs()["P3"]
+        assert oracle_models(desugar(f), g).count == oracle_models(f, g).count
 
     def test_quantifier_blocks_merge(self):
         f = desugar(kappa_formula())

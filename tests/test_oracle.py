@@ -5,6 +5,7 @@ import pytest
 from mso2dd import (
     clique,
     clique_tree,
+    compile_obdd,
     compile_sdd,
     decision_variables,
     desugar,
@@ -14,6 +15,7 @@ from mso2dd import (
     make_nice,
     min_fill_decomposition,
     parse_formula,
+    parse_tree_decomposition,
     serialize_diagram,
 )
 from mso2dd.assignment import dv_mem
@@ -221,6 +223,24 @@ class TestDeepDiagrams:
         minimum, alpha = min_cardinality_model(loaded, targets)
         assert minimum == 1
         assert oracle_eval(phi, g, alpha)
+
+    def test_membership_compiles_on_2000_vertex_path(self):
+        # nice form and both compilers run without recursion
+        n = 2000
+        g = path_graph(n)
+        phi = desugar(parse_formula("free vertex x; free vset X; (x in X)"))
+        td = "\n".join(
+            [f"s td {n - 1} 2 {n}"]
+            + [f"b {i} {i} {i + 1}" for i in range(1, n)]
+            + [f"{i} {i + 1}" for i in range(1, n - 1)]
+        )
+        nice = make_nice(g, parse_tree_decomposition(td))
+        coloring = good_coloring(g, nice)
+        for comp in (compile_obdd(phi, g, nice, coloring), compile_sdd(phi, g, nice, coloring)):
+            loaded = load_diagram(serialize_diagram(comp))
+            assert model_count(loaded) == n * 2 ** (n - 1)
+            targets = [d for d in loaded.legend if d.var.name == "X"]
+            assert min_cardinality_model(loaded, targets)[0] == 1
 
     def test_obdd_chain(self):
         # "some variable is 1" over 3,000 levels, one decision per level

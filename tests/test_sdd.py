@@ -143,16 +143,16 @@ class TestContextMapping:
         builder = SddBuilder()
         d1 = dv_eq(Var("x", Sort.VERTEX_OBJECT), 1)
         mapping = context_assignment_mapping(builder, (d1,))
-        assert mapping.images[(1,)].kind == "lit"
-        assert mapping.images[(1,)].polarity is True
-        assert mapping.images[(0,)].polarity is False
+        assert mapping.images[1].kind == "lit"
+        assert mapping.images[1].polarity is True
+        assert mapping.images[0].polarity is False
 
     def test_two_variables_structure(self):
         builder = SddBuilder()
         x = Var("x", Sort.VERTEX_OBJECT)
         d1, d2 = dv_eq(x, 1), dv_eq(x, 2)
         mapping = context_assignment_mapping(builder, (d1, d2))
-        node = mapping.images[(1, 0)]
+        node = mapping.images[0b10]  # x=v1 set, x=v2 clear
         assert node.kind == DECOMP
         rendered = {
             (p.var.name, p.polarity, s.kind, getattr(s, "polarity", None))
@@ -171,11 +171,11 @@ class TestContextMapping:
             mapping = context_assignment_mapping(builder, ctx)
             for _, delta in all_deltas(ctx):
                 hits = [
-                    bits
-                    for bits in mapping.states()
-                    if evaluate_sdd(mapping.images[bits], delta)
+                    idx
+                    for idx in mapping.states()
+                    if evaluate_sdd(mapping.images[idx], delta)
                 ]
-                assert hits == [tuple(delta[d] for d in ctx)]
+                assert hits == [int("".join(str(delta[d]) for d in ctx), 2)]
 
     def test_size_bound(self):
         builder = SddBuilder()
@@ -203,24 +203,31 @@ class TestStateTableMapping:
         g_b = context_assignment_mapping(builder, b_vars)
         return builder, g_a, g_b, a_vars + b_vars
 
+    @staticmethod
+    def table(g_a, g_b, rule):
+        return {(a, b): rule(a, b) for a in g_a.states() for b in g_b.states()}
+
     def test_constant_table(self):
         builder, g_a, g_b, dvars = self.setup_mappings()
-        out = state_table_mapping(builder, g_a, g_b, lambda a, b: "c0", ("c0",), "t")
+        out = state_table_mapping(
+            builder, g_a, g_b, self.table(g_a, g_b, lambda a, b: "c0"), ("c0",), "t"
+        )
         for _, delta in all_deltas(dvars):
             assert evaluate_sdd(out.images["c0"], delta)
 
     def test_projection_table(self):
         builder, g_a, g_b, dvars = self.setup_mappings()
-        out = state_table_mapping(builder, g_a, g_b, lambda a, b: a, g_a.states(), "t")
+        table = self.table(g_a, g_b, lambda a, b: a)
+        out = state_table_mapping(builder, g_a, g_b, table, g_a.states(), "t")
         for _, delta in all_deltas(dvars):
-            for a_bits in g_a.states():
-                assert evaluate_sdd(out.images[a_bits], delta) == evaluate_sdd(
-                    g_a.images[a_bits], delta
+            for a in g_a.states():
+                assert evaluate_sdd(out.images[a], delta) == evaluate_sdd(
+                    g_a.images[a], delta
                 )
 
     def test_output_partition(self):
         builder, g_a, g_b, dvars = self.setup_mappings()
-        table = lambda a, b: (a[0], b[0])
+        table = self.table(g_a, g_b, lambda a, b: (a, b))
         states = [(i, j) for i in (0, 1) for j in (0, 1)]
         out = state_table_mapping(builder, g_a, g_b, table, states, "t")
         for _, delta in all_deltas(dvars):
@@ -230,7 +237,9 @@ class TestStateTableMapping:
     def test_image_outside_declared_states(self):
         builder, g_a, g_b, _ = self.setup_mappings()
         with pytest.raises(DiagramError):
-            state_table_mapping(builder, g_a, g_b, lambda a, b: "other", ("c0",), "t")
+            state_table_mapping(
+                builder, g_a, g_b, self.table(g_a, g_b, lambda a, b: "other"), ("c0",), "t"
+            )
 
 
 class TestCompile:

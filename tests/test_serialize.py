@@ -115,11 +115,37 @@ node 4 decomp {vtree} 2:1 3:0
 root 4
 """
 
+# the prime of node 7 lies under the right child of v-tree node 4, not the left
+PAIR_OUTSIDE_VTREE_TEXT = """mso2dd-diagram 1
+kind sdd
+var 0 vmem X 1
+var 1 vmem X 2
+var 2 vmem X 3
+vtree 0 leaf 0
+vtree 1 leaf 1
+vtree 2 leaf 2
+vtree 3 inner 0 1
+vtree 4 inner 2 3
+vtreeroot 4
+node 0 false
+node 1 true
+node 2 lit 0 1
+node 3 lit 0 0
+node 5 lit 1 1
+node 6 decomp 3 2:5 3:0
+node 7 decomp 4 6:1
+root 7
+"""
+
 MALFORMED = {
     "level-past-order": OBDD_TEXT.format(child=2, root=0),
     "negative-level": OBDD_TEXT.format(child=1, root=-1),
     "child-on-parent-level": OBDD_TEXT.format(child=1, root=1),
     "decomp-on-vtree-leaf": SDD_TEXT.format(vtree=0),
+    "pair-outside-vtree": PAIR_OUTSIDE_VTREE_TEXT,
+    "vtree-node-with-two-parents": SDD_TEXT.format(vtree=2).replace(
+        "vtree 2 inner 0 1", "vtree 2 inner 0 0"
+    ),
     "var-missing-from-order": OBDD_TEXT.format(child=1, root=0).replace(
         "order 0 1", "var 2 vmem X 3\norder 0 1"
     ),
