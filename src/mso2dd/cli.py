@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +53,14 @@ def _bound_obdd(n: int, k: int, states: int) -> int:
     return n * 2 * k * states * 2 ** (k * k)
 
 
+def _big(value: int) -> str:
+    """Exact digits, or a rounded power of ten for numbers too long for `str`."""
+    if value.bit_length() <= 10_000:
+        return str(value)
+    log = math.log10(value)
+    return f"{10 ** (log % 1):.3f}e+{math.floor(log)}"
+
+
 def _stats_block(pairs) -> str:
     width = max(len(key) for key, _ in pairs)
     human = "\n".join(f"  {key.ljust(width)}  {value}" for key, value in pairs)
@@ -85,8 +94,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
                 ("width", width),
                 ("k", k),
                 ("states", states),
+                ("classes", comp.reachable.classes),
                 ("size", size),
-                ("bound", bound),
+                ("bound", _big(bound)),
                 ("bound_ok", "yes" if size <= bound else "no"),
             ]
         )

@@ -201,6 +201,12 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest nesting of negations, quantifiers and binary connectives the parser
+# accepts. Parsing, desugaring, sizing and the state spaces recurse over the
+# syntax tree with at most about two Python frames per level, so this keeps
+# all of them well inside the interpreter's default recursion limit.
+MAX_NESTING = 200
+
 _WORD_OPS = frozenset({"in", "notin"})
 _BINDERS = frozenset({"exists", "forall"})
 _ATOM_HEADS = frozenset({"adj", "edge", "nbr"})
@@ -254,16 +260,18 @@ class _Parser:
                 raise FormulaError(f"free variable {var.name!r} never occurs in the formula")
         return Formula(tuple(free), root)
 
-    def expr(self, env) -> tuple[Expr, set]:
+    def expr(self, env, depth: int = 0) -> tuple[Expr, set]:
+        if depth > MAX_NESTING:
+            raise FormulaError(f"formula nested deeper than {MAX_NESTING} levels")
         tok = self.peek()
         if tok is None:
             raise FormulaError("unexpected end of input")
         if tok == "~":
             self.take()
-            body, used = self.expr(env)
+            body, used = self.expr(env, depth + 1)
             return Not(body), used
         if tok in _BINDERS:
-            return self.binder(env)
+            return self.binder(env, depth)
         if tok in _ATOM_HEADS and self.peek(1) == "(":
             return self.predicate_atom(env)
         if tok == "(":
@@ -271,17 +279,17 @@ class _Parser:
             if self.peek(2) in ("=", "!=", "in", "notin"):
                 return self.relation_atom(env)
             self.take("(")
-            left, lu = self.expr(env)
+            left, lu = self.expr(env, depth + 1)
             op = self.take()
             if op not in ("&", "|", "->"):
                 raise FormulaError(f"expected binary operator, found {op!r}")
-            right, ru = self.expr(env)
+            right, ru = self.expr(env, depth + 1)
             self.take(")")
             node = {"&": And, "|": Or, "->": Implies}[op](left, right)
             return node, lu | ru
         raise FormulaError(f"unexpected token {tok!r}")
 
-    def binder(self, env) -> tuple[Expr, set]:
+    def binder(self, env, depth: int) -> tuple[Expr, set]:
         kind = self.take()
         sort_tok = self.take()
         if sort_tok not in _SORT_KEYWORDS:
@@ -295,7 +303,7 @@ class _Parser:
         var = Var(f"{name}@{self.fresh}", Sort(sort_tok))
         inner_env = dict(env)
         inner_env[name] = var
-        body, used = self.expr(inner_env)
+        body, used = self.expr(inner_env, depth + 1)
         if var not in used:
             raise FormulaError(f"quantified variable {name!r} never occurs in its scope")
         used.discard(var)

@@ -1,10 +1,10 @@
 """Ordered binary decision diagrams and the path-decomposition compiler.
 
-The compiler reads the reachable transition tables from the root down to the
-leaf: each state entering a forget node becomes a tree over the node's context
-variables whose leaves are the diagrams of the successor states, built reduced
-and shared by hash-consing, and the root's states are terminals by the
-accepting test.
+The compiler reads the reachable transition tables, quotiented to state
+classes, from the root down to the leaf: each class entering a forget node
+becomes a tree over the node's context variables whose leaves are the diagrams
+of the successor classes, built reduced and shared by hash-consing, and the
+root's classes are terminals by the accepting test.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .decomposition import FORGET, JOIN, NiceTreeDecomposition
 from .errors import DiagramError
 from .graph import Graph
 from .mso import Formula
-from .states import decision_space, forget_plan, reachable_states
+from .states import decision_space, forget_plan, minimize_states, reachable_states
 
 
 class ObddNode:
@@ -137,20 +137,14 @@ def evaluate_obdd(b: Obdd, delta) -> bool:
 
 def reduce_obdd(b: Obdd) -> Obdd:
     """Canonical form for the given order: no redundant decisions, all shared."""
+    space = b.space
     memo: dict[int, ObddNode] = {}
-
-    def walk(node: ObddNode) -> ObddNode:
-        got = memo.get(node.uid)
-        if got is not None:
-            return got
+    for node in b.nodes():  # children first
         if node.is_leaf:
-            out = b.space.leaf(node.label)
+            memo[node.uid] = space.leaf(node.label)
         else:
-            out = b.space.reduced(node.level, walk(node.lo), walk(node.hi))
-        memo[node.uid] = out
-        return out
-
-    return Obdd(b.space, walk(b.root))
+            memo[node.uid] = space.reduced(node.level, memo[node.lo.uid], memo[node.hi.uid])
+    return Obdd(space, memo[b.root.uid])
 
 
 def obdd_apply(a: Obdd, b: Obdd, op) -> Obdd:
@@ -162,41 +156,41 @@ def obdd_apply(a: Obdd, b: Obdd, op) -> Obdd:
     if b.space is not space:
         b = _import_into(space, b)
     memo: dict[tuple[int, int], ObddNode] = {}
-
-    def walk(x: ObddNode, y: ObddNode) -> ObddNode:
+    stack = [(a.root, b.root)]
+    while stack:
+        x, y = stack[-1]
         key = (x.uid, y.uid)
-        got = memo.get(key)
-        if got is not None:
-            return got
+        if key in memo:
+            stack.pop()
+            continue
         if x.is_leaf and y.is_leaf:
-            out = space.leaf(int(op(bool(x.label), bool(y.label))))
-        else:
-            levels = [n.level for n in (x, y) if not n.is_leaf]
-            level = min(levels)
-            x0, x1 = (x.lo, x.hi) if (not x.is_leaf and x.level == level) else (x, x)
-            y0, y1 = (y.lo, y.hi) if (not y.is_leaf and y.level == level) else (y, y)
-            out = space.reduced(level, walk(x0, y0), walk(x1, y1))
-        memo[key] = out
-        return out
-
-    return Obdd(space, walk(a.root, b.root))
+            memo[key] = space.leaf(int(op(bool(x.label), bool(y.label))))
+            stack.pop()
+            continue
+        level = min(n.level for n in (x, y) if not n.is_leaf)
+        x0, x1 = (x.lo, x.hi) if (not x.is_leaf and x.level == level) else (x, x)
+        y0, y1 = (y.lo, y.hi) if (not y.is_leaf and y.level == level) else (y, y)
+        lo, hi = memo.get((x0.uid, y0.uid)), memo.get((x1.uid, y1.uid))
+        if lo is not None and hi is not None:
+            memo[key] = space.reduced(level, lo, hi)
+            stack.pop()
+            continue
+        # the low branch is pushed last so it is built first
+        if hi is None:
+            stack.append((x1, y1))
+        if lo is None:
+            stack.append((x0, y0))
+    return Obdd(space, memo[(a.root.uid, b.root.uid)])
 
 
 def _import_into(space: ObddSpace, b: Obdd) -> Obdd:
     memo: dict[int, ObddNode] = {}
-
-    def walk(node: ObddNode) -> ObddNode:
-        got = memo.get(node.uid)
-        if got is not None:
-            return got
+    for node in b.nodes():  # children first
         if node.is_leaf:
-            out = space.leaf(node.label)
+            memo[node.uid] = space.leaf(node.label)
         else:
-            out = space.decision(node.level, walk(node.lo), walk(node.hi))
-        memo[node.uid] = out
-        return out
-
-    return Obdd(space, walk(b.root))
+            memo[node.uid] = space.decision(node.level, memo[node.lo.uid], memo[node.hi.uid])
+    return Obdd(space, memo[b.root.uid])
 
 
 class ObddCompilation:
@@ -247,7 +241,7 @@ def compile_obdd(
             raise DiagramError("path decomposition required: join node present")
     space_dp = decision_space(phi, t.width())
     plan = forget_plan(phi, g, t, coloring)
-    reach = reachable_states(space_dp, t, plan)
+    reach = minimize_states(space_dp, t, reachable_states(space_dp, t, plan))
 
     chain = [
         nid for nid in t.postorder() if t.nodes[nid].kind == FORGET

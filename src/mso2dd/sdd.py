@@ -17,7 +17,13 @@ from .decomposition import FORGET, INTRODUCE, LEAF, NiceTreeDecomposition
 from .errors import DiagramError
 from .graph import Graph
 from .mso import Formula
-from .states import ReachableSets, decision_space, forget_plan, reachable_states
+from .states import (
+    ReachableSets,
+    decision_space,
+    forget_plan,
+    minimize_states,
+    reachable_states,
+)
 
 FALSE = "false"
 TRUE = "true"
@@ -186,26 +192,43 @@ def sdd_size(root: SddNode) -> int:
 
 
 def evaluate_sdd(root: SddNode, delta) -> bool:
+    """Short-circuit walk from the root with an explicit stack: a decomposition
+    is true at its first pair, in pair order, whose prime and sub are both
+    true; shared nodes are evaluated once."""
     memo: dict[int, bool] = {}
-
-    def value(node: SddNode) -> bool:
-        got = memo.get(node.uid)
-        if got is not None:
-            return got
-        if node.kind == FALSE:
-            result = False
-        elif node.kind == TRUE:
-            result = True
-        elif node.kind == LITERAL:
+    stack = [[root, 0]]  # node, index of the pair it waits on
+    while stack:
+        frame = stack[-1]
+        node = frame[0]
+        if node.kind == LITERAL:
             if node.var not in delta:
                 raise DiagramError(f"assignment missing variable {node.var!r}")
-            result = bool(delta[node.var]) == node.polarity
+            memo[node.uid] = bool(delta[node.var]) == node.polarity
+        elif node.kind != DECOMP:
+            memo[node.uid] = node.kind == TRUE
         else:
-            result = any(value(p) and value(s) for p, s in node.pairs)
-        memo[node.uid] = result
-        return result
-
-    return value(root)
+            result, pending = False, None
+            for i in range(frame[1], len(node.pairs)):
+                prime, sub = node.pairs[i]
+                got = memo.get(prime.uid)
+                if got is None:
+                    pending = prime
+                elif got:
+                    got = memo.get(sub.uid)
+                    if got is None:
+                        pending = sub
+                    result = bool(got)
+                if pending is not None:
+                    frame[1] = i
+                    stack.append([pending, 0])
+                    break
+                if result:
+                    break
+            if pending is not None:
+                continue
+            memo[node.uid] = result
+        stack.pop()
+    return memo[root.uid]
 
 
 @dataclass
@@ -360,14 +383,14 @@ def compile_sdd(
     phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
 ) -> SddCompilation:
     """Bottom-up construction over the nice decomposition: every node gets a
-    state-to-diagram mapping; the root mapping collapses to one diagram that is
-    true exactly on the accepted assignments."""
+    mapping from its state classes to diagrams; the root mapping collapses to
+    one diagram that is true exactly on the accepted assignments."""
     if not phi.is_core:
         raise DiagramError("formula must be desugared before compilation")
     width = t.width()
     space = decision_space(phi, width)
     plan = forget_plan(phi, g, t, coloring)
-    reach = reachable_states(space, t, plan)
+    reach = minimize_states(space, t, reachable_states(space, t, plan))
     builder = SddBuilder()
     mappings: dict[int, StateSddMapping] = {}
 

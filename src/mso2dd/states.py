@@ -510,12 +510,23 @@ class ReachableSets:
     Each node's states are ordered by their `key`. Forget tables are keyed by
     (child state, context assignment index) with assignment indices following
     `context_assignments` order; join tables by the pair of child states.
-    `count` is the number of distinct states over all nodes."""
+    `count` is the number of distinct reachable states over all nodes.
+
+    After `minimize_states` the states and tables are class representatives,
+    `count` still counts the raw states, and `representative[nid]` maps each
+    raw state reachable at the node to its class's representative."""
 
     per_node: dict[int, tuple]
     count: int
     forget_tables: dict[int, dict]
     join_tables: dict[int, dict]
+    representative: dict[int, dict] | None = None
+
+    @property
+    def classes(self) -> int:
+        """Distinct states over all nodes of these tables: representatives
+        once minimized, so at most `count`."""
+        return len(set().union(*self.per_node.values()))
 
 
 def dump_reachable_states(space: StateSpace, reach: ReachableSets) -> str:
@@ -563,3 +574,65 @@ def reachable_states(
             join_tables[nid] = table
         per_node[nid] = tuple(sorted(set(table.values()), key=space.key))
     return ReachableSets(per_node, len(distinct), forget_tables, join_tables)
+
+
+def _classes(states, row) -> dict:
+    """Each state to its class's representative: states with equal rows share
+    a class, represented by its first member in `states` order."""
+    first: dict = {}
+    return {s: first.setdefault(row(s), s) for s in states}
+
+
+def minimize_states(
+    space: StateSpace, t: NiceTreeDecomposition, reach: ReachableSets
+) -> ReachableSets:
+    """Quotient the reachable states by Myhill-Nerode equivalence over the
+    fixed decomposition: two states at a node are equivalent when every way of
+    completing the run from there accepts for both or for neither.
+
+    One top-down refinement finds the classes. At the root they are the
+    accepting and the rejecting states; an introduce node's child inherits
+    them; a forget node's child state is classed by its row of parent classes
+    over the context assignments; a join node's left state by its row over
+    the right child's states, then a right state by its row over the left
+    classes' representatives. A class is represented by its first member in
+    `key` order, so the quotient tables are as deterministic as the raw ones.
+    """
+    per_node, nodes = reach.per_node, t.nodes
+    rep = {t.root: _classes(per_node[t.root], space.is_accepting)}
+    for nid in reversed(t.postorder()):
+        n, up = nodes[nid], rep[nid]
+        if n.kind == INTRODUCE:
+            rep[n.children[0]] = up
+        elif n.kind == FORGET:
+            child = n.children[0]
+            table = reach.forget_tables[nid]
+            width = range(len(table) // len(per_node[child]))
+            rep[child] = _classes(
+                per_node[child], lambda s: tuple(up[table[(s, i)]] for i in width)
+            )
+        elif n.kind == JOIN:
+            left, right = n.children
+            table = reach.join_tables[nid]
+            rep[left] = _classes(
+                per_node[left], lambda a: tuple(up[table[(a, b)]] for b in per_node[right])
+            )
+            firsts = tuple(dict.fromkeys(rep[left].values()))
+            rep[right] = _classes(
+                per_node[right], lambda b: tuple(up[table[(a, b)]] for a in firsts)
+            )
+
+    reps = {nid: tuple(dict.fromkeys(rep[nid].values())) for nid in per_node}
+    forget_tables, join_tables = {}, {}
+    for nid, table in reach.forget_tables.items():
+        child = nodes[nid].children[0]
+        width = range(len(table) // len(per_node[child]))
+        forget_tables[nid] = {
+            (s, i): rep[nid][table[(s, i)]] for s in reps[child] for i in width
+        }
+    for nid, table in reach.join_tables.items():
+        left, right = nodes[nid].children
+        join_tables[nid] = {
+            (a, b): rep[nid][table[(a, b)]] for a in reps[left] for b in reps[right]
+        }
+    return ReachableSets(reps, reach.count, forget_tables, join_tables, rep)

@@ -39,6 +39,16 @@ def bowtie_graph() -> Graph:
     return Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
 
 
+def kappa_count_path(n: int) -> int:
+    """Models of kappa on the n-vertex path, by a transfer matrix over the
+    vertices: an edge with an endpoint in X_V may be in X_E or not, any other
+    edge must be in X_E."""
+    ways = [1, 1]  # assignments so far, by whether the last vertex is in X_V
+    for _ in range(n - 1):
+        ways = [ways[0] + 2 * ways[1], 2 * (ways[0] + ways[1])]
+    return sum(ways)
+
+
 def path_decomposition(n: int):
     """Width-1 decomposition of the n-vertex path: bags {i, i+1} in a chain."""
     from mso2dd import TreeDecomposition

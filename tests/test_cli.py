@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from mso2dd.cli import main
+from mso2dd.mso import MAX_NESTING
 from mso2dd.oracle import KAPPA_TEXT
 
 K3_GR = "p gr 3 3\n1 2\n2 3\n1 3\n"
@@ -29,6 +30,21 @@ def workdir(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def python_m(args):
+    """`python -m mso2dd` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "mso2dd", *map(str, args)],
+        env=env, capture_output=True, text=True,
+    )
+
+
+def test_python_m_help():
+    proc = python_m(["--help"])
+    assert proc.returncode == 0
+    assert "compile" in proc.stdout
 
 
 class TestCompile:
@@ -87,6 +103,41 @@ class TestCompile:
                 texts[seed, target] = out.read_text()
         for target in ("sdd", "obdd"):
             assert texts["0", target] == texts["1", target]
+
+    def test_stats_report_classes_within_states(self, workdir, capsys):
+        for target in ("sdd", "obdd"):
+            assert run(
+                ["compile", "--graph", workdir / "p4.gr", "--formula", workdir / "kappa.mso",
+                 "--td", workdir / "p4.td", "--target", target]
+            ) == 0
+            machine = capsys.readouterr().out.split("-- stats --\n")[1]
+            stats = dict(line.split(": ") for line in machine.splitlines())
+            assert 1 <= int(stats["classes"]) <= int(stats["states"])
+
+    def test_deep_formula_rejected_cleanly(self, workdir):
+        deep = workdir / "deep.mso"
+        deep.write_text("free vertex x; " + "~" * 3000 + "(x = x)\n")
+        proc = python_m(["compile", "--graph", workdir / "k3.gr", "--formula", deep])
+        assert proc.returncode == 2
+        assert "nested deeper" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_formula_nested_to_the_cap_compiles(self, workdir, capsys):
+        inner = "(x = x)"
+        for _ in range(MAX_NESTING // 2):
+            inner = f"~((x = x) & {inner})"
+        deep = workdir / "cap.mso"
+        deep.write_text("free vertex x; " + inner + "\n")
+        for target in ("sdd", "obdd"):
+            assert run(
+                ["compile", "--graph", workdir / "p4.gr", "--formula", deep,
+                 "--td", workdir / "p4.td", "--target", target]
+            ) == 0
+            assert "bound_ok: yes" in capsys.readouterr().out
+        deeper = workdir / "over.mso"
+        deeper.write_text("free vertex x; ~" + inner + "\n")
+        assert run(["compile", "--graph", workdir / "p4.gr", "--formula", deeper]) == 2
+        assert "nested deeper" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.gr"

@@ -21,7 +21,7 @@ from mso2dd import (
 from mso2dd.assignment import dv_mem
 from mso2dd.errors import QueryError
 from mso2dd.mso import Sort, Var
-from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace
+from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace, obdd_apply, reduce_obdd
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_to_dimacs,
@@ -242,18 +242,34 @@ class TestDeepDiagrams:
             targets = [d for d in loaded.legend if d.var.name == "X"]
             assert min_cardinality_model(loaded, targets)[0] == 1
 
-    def test_obdd_chain(self):
+    @staticmethod
+    def obdd_chain():
         # "some variable is 1" over 3,000 levels, one decision per level
         order = tuple(dv_mem(Var("X", Sort.VERTEX_SET), i) for i in range(1, 3001))
         space = ObddSpace(order)
         node = space.leaf(0)
         for level in reversed(range(len(order))):
             node = space.decision(level, node, space.leaf(1))
-        chain = ObddCompilation(Obdd(space, node), order)
+        return Obdd(space, node)
+
+    def test_obdd_chain(self):
+        chain = self.obdd_chain()
+        order = chain.order
+        chain = ObddCompilation(chain, order)
         assert model_count(chain) == 2 ** len(order) - 1
         minimum, alpha = min_cardinality_model(chain, order)
         assert minimum == 1
         assert alpha[order[0].var] == frozenset({3000})
+
+    def test_obdd_chain_reduce_and_apply(self):
+        chain = self.obdd_chain()
+        expected = 2 ** len(chain.order) - 1
+        reduced = reduce_obdd(chain)
+        assert reduced.root is chain.root  # already reduced
+        both = obdd_apply(chain, chain, lambda a, b: a and b)
+        elsewhere = obdd_apply(chain, self.obdd_chain(), lambda a, b: a and b)
+        for dd in (reduced, both, elsewhere):
+            assert model_count(ObddCompilation(dd, chain.order)) == expected
 
 
 class TestCountAgreement:

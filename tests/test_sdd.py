@@ -9,15 +9,19 @@ from mso2dd import (
     desugar,
     evaluate_sdd,
     good_coloring,
+    load_diagram,
     make_nice,
     min_fill_decomposition,
     parse_formula,
     sdd_size,
+    serialize_diagram,
 )
-from mso2dd.assignment import dv_eq
+from mso2dd.assignment import dv_eq, dv_mem
 from mso2dd.errors import DiagramError
 from mso2dd.mso import Sort, Var
 from mso2dd.oracle import (
+    enumerate_models,
+    kappa_formula,
     model_count,
     truth_table,
     truth_table_oracle,
@@ -34,7 +38,7 @@ from mso2dd.sdd import (
 )
 from mso2dd.states import decision_space, forget_plan, node_states
 
-from conftest import all_deltas, path_graph
+from conftest import all_deltas, kappa_count_path, path_decomposition, path_graph
 
 
 def build_example_sdd():
@@ -310,12 +314,13 @@ class TestCompile:
 
     def test_state_mapping_property(self):
         # at every decomposition node exactly one image is true, and it names
-        # the state the procedure reaches there
+        # the representative of the state the procedure reaches there
         g = path_graph(3)
         phi, comp = self.compile("free vertex x; free vset X; (x in X)", g)
         dvars = decision_variables(phi, g)
         space = decision_space(phi, comp.nice.width())
         plan = forget_plan(phi, g, comp.nice, comp.coloring)
+        representative = comp.reachable.representative
         for _, delta in all_deltas(dvars):
             states = node_states(space, comp.nice, plan, delta)
             for nid, mapping in comp.node_mappings.items():
@@ -324,4 +329,44 @@ class TestCompile:
                     for s in mapping.states()
                     if evaluate_sdd(mapping.images[s], delta)
                 ]
-                assert hits == [states[nid]]
+                assert hits == [representative[nid][states[nid]]]
+
+    def test_kappa_on_16_vertex_path_is_small(self):
+        # built over state classes; over the raw states it had 2,227,084 nodes
+        n = 16
+        g = path_graph(n)
+        phi = desugar(kappa_formula())
+        nice = make_nice(g, path_decomposition(n))
+        comp = compile_sdd(phi, g, nice, good_coloring(g, nice))
+        assert sdd_size(comp.root) <= 1000
+        assert model_count(comp) == kappa_count_path(n)
+        assert comp.reachable.classes < comp.reachable.count
+
+
+class TestDeepEvaluation:
+    """Evaluation walks the diagram without recursion."""
+
+    N = 450
+
+    def deep_sdd(self, text):
+        n = self.N
+        g = path_graph(n)
+        phi = desugar(parse_formula(text))
+        nice = make_nice(g, path_decomposition(n))
+        return compile_sdd(phi, g, nice, good_coloring(g, nice))
+
+    def test_enumerate_first_models(self):
+        comp = self.deep_sdd("free vset X; exists vertex v. (v in X)")
+        x = comp.legend[0].var
+        for diagram in (comp, load_diagram(serialize_diagram(comp))):
+            models = enumerate_models(diagram, 2)
+            assert models == [{x: frozenset({self.N})}, {x: frozenset({self.N - 1})}]
+
+    def test_evaluate_membership(self):
+        comp = self.deep_sdd("free vertex x; free vset X; (x in X)")
+        x, big_x = comp.formula.free_vars
+        for diagram in (comp, load_diagram(serialize_diagram(comp))):
+            for member, expected in ((7, True), (8, False)):
+                delta = {d: 0 for d in diagram.legend}
+                delta[dv_eq(x, 7)] = delta[dv_mem(big_x, member)] = 1
+                assert diagram.evaluate(delta) is expected

@@ -14,7 +14,7 @@ from mso2dd import (
     with_consistency,
 )
 from mso2dd.assignment import all_mso_assignments, dv_eq, dv_mem
-from mso2dd.oracle import oracle_eval
+from mso2dd.oracle import KAPPA_TEXT, oracle_eval
 from mso2dd.states import (
     BOT,
     INIT,
@@ -26,6 +26,7 @@ from mso2dd.states import (
     all_consistent_extensions,
     decision_space,
     forget_plan,
+    minimize_states,
     node_states,
     reachable_states,
 )
@@ -368,3 +369,46 @@ class TestQuantifierSemantics:
             reach = reachable_states(space, nice, plan)
             counts.append(max(len(v) for v in reach.per_node.values()))
         assert counts[1] == counts[2]  # per-node reachable width saturates
+
+
+class TestMinimize:
+    def quotient(self, text, g):
+        phi, nice, col = setup_instance(text, g)
+        space = decision_space(phi, nice.width())
+        raw = reachable_states(space, nice, forget_plan(phi, g, nice, col))
+        return space, nice, raw, minimize_states(space, nice, raw)
+
+    def test_classes_respect_transitions(self):
+        # every raw transition lands in the class the representatives' one does
+        for text, g in (
+            (KAPPA_TEXT, star_graph(3)),
+            ("free vset X; exists vertex x. (x in X)", path_graph(4)),
+        ):
+            space, nice, raw, quo = self.quotient(text, g)
+            rep = quo.representative
+            assert quo.count == raw.count
+            for nid, states in raw.per_node.items():
+                reps = quo.per_node[nid]
+                assert list(reps) == sorted(reps, key=space.key)
+                assert set(rep[nid].values()) == set(reps)
+                for s in states:
+                    assert space.key(rep[nid][s]) <= space.key(s)
+            for nid, table in raw.forget_tables.items():
+                child = nice.nodes[nid].children[0]
+                for (s, idx), c in table.items():
+                    assert rep[nid][c] == quo.forget_tables[nid][(rep[child][s], idx)]
+            for nid, table in raw.join_tables.items():
+                left, right = nice.nodes[nid].children
+                for (a, b), c in table.items():
+                    assert rep[nid][c] == quo.join_tables[nid][(rep[left][a], rep[right][b])]
+            roots = quo.per_node[nice.root]
+            assert sorted(map(space.is_accepting, roots)) == sorted(
+                set(map(space.is_accepting, raw.per_node[nice.root]))
+            )
+            for s in raw.per_node[nice.root]:
+                assert space.is_accepting(rep[nice.root][s]) == space.is_accepting(s)
+
+    def test_kappa_classes_stay_few(self):
+        _, _, raw, quo = self.quotient(KAPPA_TEXT, path_graph(8))
+        assert max(map(len, quo.per_node.values())) <= 3
+        assert quo.classes < raw.count == raw.classes
