@@ -33,7 +33,7 @@ from .decomposition import (
 )
 from .errors import Mso2ddError
 from .graph import Edge, Graph
-from .mso import Adj, And, Eq, Exists, Formula, In, Not, Sort, Var
+from .mso import Adj, And, Eq, Exists, Formula, In, Not, Sort, Var, occurring_variables
 
 # atoms are strings that are their own encodings
 INIT = "I"
@@ -63,10 +63,24 @@ class ForgetInfo:
 
 
 class StateSpace:
+    """A state machine for one subformula.
+
+    `dead(s)` and `sure(s)` are graph-independent predicates: a dead state
+    rejects and a sure state accepts on every consistent continuation of the
+    run, that is, one that gives each object variable at most one value (see
+    `QuantifierSpace`, which relies on them). Both may answer False when
+    unsure."""
+
     initial = None
 
     def is_accepting(self, s) -> bool:
         raise NotImplementedError
+
+    def dead(self, s) -> bool:
+        return False
+
+    def sure(self, s) -> bool:
+        return False
 
     def forget(self, s, info: ForgetInfo, delta):
         raise NotImplementedError
@@ -82,16 +96,23 @@ class StateSpace:
         raise NotImplementedError
 
 
-class EqualitySpace(StateSpace):
+class AtomSpace(StateSpace):
+    """An atom starts at INIT and accepts once TRUE, which it keeps."""
+
     initial = INIT
 
+    def is_accepting(self, s) -> bool:
+        return s == TRUE
+
+    def sure(self, s) -> bool:
+        return s == TRUE
+
+
+class EqualitySpace(AtomSpace):
     def __init__(self, left: Var, right: Var) -> None:
         self.left = left
         self.right = right
         self.is_vertex = left.sort.is_vertex
-
-    def is_accepting(self, s) -> bool:
-        return s == TRUE
 
     def forget(self, s, info, delta):
         if s == TRUE:
@@ -113,16 +134,11 @@ class EqualitySpace(StateSpace):
         return f"eq({self.left.name},{self.right.name})"
 
 
-class MembershipSpace(StateSpace):
-    initial = INIT
-
+class MembershipSpace(AtomSpace):
     def __init__(self, element: Var, container: Var) -> None:
         self.element = element
         self.container = container
         self.is_vertex = element.sort.is_vertex
-
-    def is_accepting(self, s) -> bool:
-        return s == TRUE
 
     def forget(self, s, info, delta):
         if s == TRUE:
@@ -145,11 +161,9 @@ class MembershipSpace(StateSpace):
         return f"in({self.element.name},{self.container.name})"
 
 
-class AdjacencySpace(StateSpace):
+class AdjacencySpace(AtomSpace):
     """Endpoint checks may have to wait until the other endpoint is forgotten;
     its color (an int) is parked in the state meanwhile."""
-
-    initial = INIT
 
     def __init__(self, vertex: Var, edge: Var, width: int) -> None:
         self.vertex = vertex
@@ -158,9 +172,6 @@ class AdjacencySpace(StateSpace):
         # joins pairing two non-INIT states are unreachable on consistent runs;
         # instrumented so tests can assert that
         self.impossible_join_hits = 0
-
-    def is_accepting(self, s) -> bool:
-        return s == TRUE
 
     def forget(self, s, info, delta):
         if s == TRUE:
@@ -198,6 +209,12 @@ class NegationSpace(StateSpace):
     def is_accepting(self, s) -> bool:
         return not self.inner.is_accepting(s)
 
+    def dead(self, s) -> bool:
+        return self.inner.sure(s)
+
+    def sure(self, s) -> bool:
+        return self.inner.dead(s)
+
     def forget(self, s, info, delta):
         return self.inner.forget(s, info, delta)
 
@@ -222,6 +239,12 @@ class ConjunctionSpace(StateSpace):
     def is_accepting(self, s) -> bool:
         l, r = s
         return self.left.is_accepting(l) and self.right.is_accepting(r)
+
+    def dead(self, s) -> bool:
+        return self.left.dead(s[0]) or self.right.dead(s[1])
+
+    def sure(self, s) -> bool:
+        return self.left.sure(s[0]) and self.right.sure(s[1])
 
     def forget(self, s, info, delta):
         l, r = s
@@ -302,17 +325,49 @@ def all_consistent_extensions(bound_vars, delta, bits, info: ForgetInfo):
 class QuantifierSpace(StateSpace):
     """Existential block: states are frozensets of (inner state, assigned-bits)
     pairs, one per way of instantiating the bound variables with
-    already-forgotten objects."""
+    already-forgotten objects, less the members that cannot matter.
 
-    def __init__(self, bound_vars: tuple[Var, ...], inner: StateSpace, width: int) -> None:
+    A set accepts iff it holds a member with all bits set whose inner state
+    accepts. Every `forget` and `join` result is settled: members whose inner
+    state is dead are dropped, and a set holding a member with all bits set
+    and a sure inner state is cut down to that member alone, the first such
+    in key order. An empty set is dead, a set with such a member is sure, and
+    `join` returns a sure operand as it is.
+
+    Why no answer changes: the predicates need only hold on consistent runs,
+    which give every object variable at most one value. A run giving a free
+    variable a second value ends in the consistency space's BOT and rejects
+    at the root whatever the other states are, and a quantifier never pairs
+    two members that both hold one of its bound variables. On consistent runs:
+    - an atom keeps TRUE through every transition. The one cell that would
+      not is `AdjacencySpace.join` sending TRUE ⋈ colour (or TRUE) to INIT,
+      which needs the edge variable matched on both sides, that is, given two
+      values; `test_adjacency_impossible_join_cells_untouched` checks that
+      consistent runs never reach it;
+    - negation and conjunction follow from their acceptance, and BOT stays;
+    - a dead member has only dead successors, so it never makes a set accept;
+    - a member with all bits set and a sure inner state has such a successor
+      after every forget (an assigned object variable skips the forgotten
+      object), so its set accepts on every continuation, and one such member
+      stands for all of them. At a join it would need the other side's
+      all-clear member as a partner, which that side's settling may have
+      dropped: hence the early return.
+
+    `reads` holds the variables free in the block: the body consults no
+    other context bits, so `forget` keys its memo on these alone."""
+
+    def __init__(
+        self, bound_vars: tuple[Var, ...], inner: StateSpace, width: int, reads: frozenset
+    ) -> None:
         self.bound_vars = bound_vars
         self.inner = inner
         self.width = width
+        self.reads = reads
         self.n_object = sum(1 for v in bound_vars if v.sort.is_object)
         zeros = (0,) * self.n_object
         self.initial = frozenset([(inner.initial, zeros)])
         self._ones = (1,) * self.n_object
-        # per (node, context assignment, member) transition results
+        # per (node, projected context assignment, member) live successors
         self._forget_memo: dict = {}
         self._join_memo: dict = {}
         # encodings of sets and of their (inner, bits) members, which many
@@ -324,25 +379,45 @@ class QuantifierSpace(StateSpace):
             bits == self._ones and self.inner.is_accepting(inner) for inner, bits in s
         )
 
+    def dead(self, s) -> bool:
+        return not s
+
+    def sure(self, s) -> bool:
+        return any(bits == self._ones and self.inner.sure(inner) for inner, bits in s)
+
+    def _settle(self, members) -> frozenset:
+        """The set of live `members`, collapsed to its key-first member with
+        all bits set and a sure inner state if it has one."""
+        sure = [m for m in members if m[1] == self._ones and self.inner.sure(m[0])]
+        if sure:
+            return frozenset([min(sure, key=self._member_key)])
+        return frozenset(members)
+
     def forget(self, s, info, delta):
-        delta_key = (info.context.node, frozenset(delta.items()))
-        memo = self._forget_memo
+        reads = self.reads
+        seen = {dv: bit for dv, bit in delta.items() if dv.var in reads}
+        delta_key = (info.context.node, frozenset(seen.items()))
+        memo, dead = self._forget_memo, self.inner.dead
         result = set()
         for inner, bits in s:
             key = (delta_key, inner, bits)
             got = memo.get(key)
             if got is None:
-                got = tuple(
+                successors = (
                     (self.inner.forget(inner, info, ext), new_bits)
                     for ext, new_bits in all_consistent_extensions(
-                        self.bound_vars, delta, bits, info
+                        self.bound_vars, seen, bits, info
                     )
                 )
-                memo[key] = got
+                got = memo[key] = tuple(m for m in successors if not dead(m[0]))
             result.update(got)
-        return frozenset(result)
+        return self._settle(result)
 
     def join(self, left, right):
+        if self.sure(left):
+            return left
+        if self.sure(right):
+            return right
         key = (left, right)
         got = self._join_memo.get(key)
         if got is not None:
@@ -351,10 +426,10 @@ class QuantifierSpace(StateSpace):
         for inner_l, bl in left:
             for inner_r, br in right:
                 if all(x & y == 0 for x, y in zip(bl, br)):
-                    merged = tuple(x | y for x, y in zip(bl, br))
-                    result.add((self.inner.join(inner_l, inner_r), merged))
-        out = frozenset(result)
-        self._join_memo[key] = out
+                    inner = self.inner.join(inner_l, inner_r)
+                    if not self.inner.dead(inner):
+                        result.add((inner, tuple(x | y for x, y in zip(bl, br))))
+        out = self._join_memo[key] = self._settle(result)
         return out
 
     def key(self, s) -> str:
@@ -387,6 +462,9 @@ class ConsistencySpace(StateSpace):
 
     def is_accepting(self, s) -> bool:
         return s == self._ones
+
+    def dead(self, s) -> bool:
+        return s == BOT
 
     def forget(self, s, info, delta):
         if s == BOT:
@@ -432,7 +510,10 @@ def build_state_space(expr, width: int) -> StateSpace:
         )
     if isinstance(expr, Exists):
         return QuantifierSpace(
-            expr.variables, build_state_space(expr.body, width), width
+            expr.variables,
+            build_state_space(expr.body, width),
+            width,
+            frozenset(occurring_variables(expr)),  # free in the block
         )
     raise Mso2ddError(f"formula is not in core form: {type(expr).__name__}")
 

@@ -5,15 +5,20 @@ from pathlib import Path
 
 import pytest
 
+from mso2dd import Graph, load_diagram
 from mso2dd.cli import main
 from mso2dd.mso import MAX_NESTING
-from mso2dd.oracle import KAPPA_TEXT
+from mso2dd.obdd import ObddCompilation
+from mso2dd.oracle import KAPPA_TEXT, cnf_of_graph, cnf_to_obdd, model_count
+
+from conftest import FORMULA_TEXTS
 
 K3_GR = "p gr 3 3\n1 2\n2 3\n1 3\n"
 P4_GR = "p gr 4 3\n1 2\n2 3\n3 4\n"
 P4_TD = "s td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n"
 EQ_MSO = "free vertex x; free vertex y; (x = y)\n"
 C4_GR = "p gr 4 4\n1 2\n2 3\n3 4\n1 4\n"
+P5_GR = "p gr 5 4\n1 2\n2 3\n3 4\n4 5\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -25,6 +30,8 @@ def workdir(tmp_path):
     (tmp_path / "kappa.mso").write_text(KAPPA_TEXT + "\n")
     (tmp_path / "eq.mso").write_text(EQ_MSO)
     (tmp_path / "c4.gr").write_text(C4_GR)
+    (tmp_path / "p5.gr").write_text(P5_GR)
+    (tmp_path / "dom.mso").write_text(FORMULA_TEXTS["dom"] + "\n")
     return tmp_path
 
 
@@ -88,21 +95,59 @@ class TestCompile:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_output_independent_of_hash_seed(self, workdir):
-        # set-valued states iterate in hash order, which the seed changes
+        # set-valued states iterate in hash order, which the seed changes; in
+        # dom the sure sets of the inner exists are dead members of the outer
+        # one, and those of nbr's edge quantifier collapse
         script = "import sys; from mso2dd.cli import main; sys.exit(main(sys.argv[1:]))"
+        cases = (("c4", "kappa"), ("p5", "dom"))
         texts = {}
         for seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+            for graph, formula in cases:
+                for target in ("sdd", "obdd"):
+                    out = workdir / f"{graph}-{formula}-{seed}.{target}"
+                    subprocess.run(
+                        [sys.executable, "-c", script, "compile",
+                         "--graph", workdir / f"{graph}.gr",
+                         "--formula", workdir / f"{formula}.mso",
+                         "--target", target, "--out", out],
+                        env=env, check=True, capture_output=True,
+                    )
+                    texts[seed, graph, target] = out.read_text()
+        for graph, _ in cases:
             for target in ("sdd", "obdd"):
-                out = workdir / f"c4-{seed}.{target}"
-                subprocess.run(
-                    [sys.executable, "-c", script, "compile", "--graph", workdir / "c4.gr",
-                     "--formula", workdir / "kappa.mso", "--target", target, "--out", out],
-                    env=env, check=True, capture_output=True,
-                )
-                texts[seed, target] = out.read_text()
-        for target in ("sdd", "obdd"):
-            assert texts["0", target] == texts["1", target]
+                assert texts["0", graph, target] == texts["1", graph, target]
+
+    def test_kappa_sdd_on_3x4_grid(self, workdir, capsys):
+        # width 3 under min-fill; the count is checked against the cover CNF
+        # conjoined clause by clause under a column-major order
+        rows, cols = 3, 4
+        vid = lambda r, c: r * cols + c + 1
+        edges = [(vid(r, c), vid(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+        edges += [(vid(r, c), vid(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+        gr = workdir / "grid.gr"
+        gr.write_text(f"p gr {rows * cols} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        out = workdir / "grid.sdd"
+        assert run(
+            ["compile", "--graph", gr, "--formula", workdir / "kappa.mso",
+             "--target", "sdd", "--out", out]
+        ) == 0
+        machine = capsys.readouterr().out.split("-- stats --\n")[1]
+        stats = dict(line.split(": ") for line in machine.splitlines())
+        assert stats["width"] == "3" and stats["bound_ok"] == "yes"
+
+        g = Graph(rows * cols, edges)
+        cnf = cnf_of_graph(g)
+
+        def column(dv):
+            if dv.var.sort.is_vertex:
+                return ((dv.obj - 1) % cols, 0, dv.obj)
+            e = g.edges[dv.obj - 1]
+            return ((min(e.u, e.v) - 1) % cols, 1, dv.obj)
+
+        dd = cnf_to_obdd(cnf, sorted(cnf.variables, key=column))
+        expected = model_count(ObddCompilation(dd, dd.order))
+        assert model_count(load_diagram(out.read_text())) == expected == 92_860_673
 
     def test_stats_report_classes_within_states(self, workdir, capsys):
         for target in ("sdd", "obdd"):

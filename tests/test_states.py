@@ -2,6 +2,7 @@ from mso2dd import (
     Graph,
     build_state_space,
     clique,
+    compile_sdd,
     decision_variables,
     desugar,
     encode_assignment,
@@ -14,15 +15,18 @@ from mso2dd import (
     with_consistency,
 )
 from mso2dd.assignment import all_mso_assignments, dv_eq, dv_mem
-from mso2dd.oracle import KAPPA_TEXT, oracle_eval
+from mso2dd.oracle import KAPPA_TEXT, oracle_eval, truth_table, truth_table_oracle
 from mso2dd.states import (
     BOT,
     INIT,
     TRUE,
     AdjacencySpace,
+    ConjunctionSpace,
     ConsistencySpace,
     ForgetEdge,
     ForgetInfo,
+    NegationSpace,
+    QuantifierSpace,
     all_consistent_extensions,
     decision_space,
     forget_plan,
@@ -31,7 +35,7 @@ from mso2dd.states import (
     reachable_states,
 )
 
-from conftest import all_deltas, path_graph, star_graph
+from conftest import FORMULA_TEXTS, all_deltas, path_decomposition, path_graph, star_graph
 
 
 def setup_instance(formula_text, g):
@@ -299,7 +303,9 @@ class TestOracleEquivalence:
 class TestQuantifierSemantics:
     def test_state_sets_enumerate_extensions(self):
         # a quantifier state set at node p holds exactly the (state, bits) pairs
-        # realized by extending the assignment with values for the bound variables
+        # realized by extending the assignment with values for the bound
+        # variables, less the dead ones, and collapsed to the key-first sure
+        # member with all bits set when there is one
         g = path_graph(2)
         phi = desugar(parse_formula("free vset X; exists vertex x. (x in X)"))
         inner = desugar(parse_formula("free vertex x; free vset X; (x in X)"))
@@ -340,6 +346,10 @@ class TestQuantifierSemantics:
                     inner_states = node_states(inner_space, nice, inner_plan, inner_delta)
                     bit = 1 if (v is not None and v in below[nid]) else 0
                     expected.add((inner_states[nid], (bit,)))
+                expected = {m for m in expected if not inner_space.dead(m[0])}
+                sure = [m for m in expected if m[1] == (1,) and inner_space.sure(m[0])]
+                if sure:
+                    expected = {min(sure, key=lambda m: phi_space.key(frozenset([m])))}
                 got = set(sigma[nid])
                 # identify the bound variable's decision bits with the inner free ones
                 assert got == expected, nid
@@ -412,3 +422,153 @@ class TestMinimize:
         _, _, raw, quo = self.quotient(KAPPA_TEXT, path_graph(8))
         assert max(map(len, quo.per_node.values())) <= 3
         assert quo.classes < raw.count == raw.classes
+
+
+def quantifier_sets(space, state):
+    """Every (quantifier space, set) pair nested in a state, outermost first."""
+    stack = [(space, state)]
+    while stack:
+        sp, st = stack.pop()
+        if isinstance(sp, QuantifierSpace):
+            yield sp, st
+            stack.extend((sp.inner, inner) for inner, _ in st)
+        elif isinstance(sp, ConjunctionSpace):
+            stack += [(sp.left, st[0]), (sp.right, st[1])]
+        elif isinstance(sp, NegationSpace):
+            stack.append((sp.inner, st))
+
+
+def nested_chain(depth):
+    """`exists vset Y0. ~((x in Y0) & exists vset Y1. ~(... (x = x)))`."""
+    body = "(x = x)"
+    for i in reversed(range(depth)):
+        body = f"exists vset Y{i}. ~((x in Y{i}) & {body})"
+    return "free vertex x; " + body
+
+
+class TestPrune:
+    def space(self, text):
+        return build_state_space(desugar(parse_formula(text)).root, 2)
+
+    def test_atom_true_is_sure(self):
+        for text in (
+            "free vertex x; free vertex y; (x = y)",
+            "free vertex x; free vset X; (x in X)",
+            "free vertex x; free edge p; adj(x, p)",
+        ):
+            space = self.space(text)
+            assert space.sure(TRUE) and not space.dead(TRUE)
+            assert not space.sure(INIT) and not space.dead(INIT)
+        adjacency = self.space("free vertex x; free edge p; adj(x, p)")
+        assert not adjacency.sure(2) and not adjacency.dead(2)
+
+    def test_negation_swaps(self):
+        space = self.space("free vertex x; free vertex y; ~(x = y)")
+        assert space.dead(TRUE) and not space.sure(TRUE)
+        assert not space.dead(INIT) and not space.sure(INIT)
+
+    def test_conjunction(self):
+        space = self.space("free vertex x; free vset X; ((x in X) & (x = x))")
+        assert space.sure((TRUE, TRUE))
+        assert not space.sure((TRUE, INIT)) and not space.dead((TRUE, INIT))
+        space = self.space("free vertex x; free vset X; ((x in X) & ~(x = x))")
+        assert space.dead((INIT, TRUE)) and space.dead((TRUE, TRUE))
+        assert not space.dead((TRUE, INIT))
+
+    def test_consistency_bot_is_dead(self):
+        phi = desugar(parse_formula("free vertex x; free vertex y; (x = y)"))
+        space = ConsistencySpace(phi.free_object_vars)
+        assert space.dead(BOT)
+        assert not space.dead((0, 0)) and not space.dead((1, 1))
+        assert not space.sure((1, 1))
+
+    def test_quantifier(self):
+        space = self.space("free vset X; exists vertex x. (x in X)")
+        assert space.dead(frozenset()) and not space.dead(space.initial)
+        assert space.sure(frozenset([(TRUE, (1,))]))
+        assert not space.sure(frozenset([(TRUE, (0,))]))  # x not placed yet
+        assert not space.sure(frozenset([(INIT, (1,)), (TRUE, (0,))]))
+        assert not space.sure(frozenset())
+
+    def test_collapse_keeps_key_first_member(self):
+        # with Y a set variable every member has all (zero) bits set; on a
+        # vertex in X both choices for Y satisfy the disjunction
+        g = clique(1)
+        phi, nice, col = setup_instance(
+            "free vertex x; free vset X; exists vset Y. ((x in Y) | (x in X))", g
+        )
+        space = build_state_space(phi.root, nice.width())
+        (nid,) = nice.forget_nodes()
+        info = forget_plan(phi, g, nice, col)[nid]
+        x, xs = phi.free_vars
+        delta = {dv_eq(x, 1): 1, dv_mem(xs, 1): 1}
+        (y,) = phi.root.variables
+        members = {
+            (space.inner.forget(space.inner.initial, info, {**delta, dv_mem(y, 1): b}), ())
+            for b in (0, 1)
+        }
+        assert len(members) == 2 and all(space.inner.sure(m[0]) for m in members)
+        got = space.forget(space.initial, info, delta)
+        first = min(members, key=lambda m: space.key(frozenset([m])))
+        assert got == frozenset([first])
+
+    def test_reachable_sets_hold_no_dead_member(self):
+        collapsed = 0
+        for text, g in (
+            (KAPPA_TEXT, star_graph(3)),
+            (KAPPA_TEXT, path_graph(6)),
+            (FORMULA_TEXTS["dom"], path_graph(5)),
+            (nested_chain(4), path_graph(4)),
+        ):
+            phi, nice, col = setup_instance(text, g)
+            space = decision_space(phi, nice.width())
+            reach = reachable_states(space, nice, forget_plan(phi, g, nice, col))
+            for states in reach.per_node.values():
+                for s in states:
+                    for q, members in quantifier_sets(space, s):
+                        assert not any(q.inner.dead(inner) for inner, _ in members)
+                        if q.sure(members):
+                            assert len(members) == 1
+                            collapsed += 1
+        assert collapsed > 0
+
+    def test_sure_sets_meet_at_join(self):
+        # both subtrees below the star's join place x in X; neither collapsed
+        # side keeps the all-clear member the other would pair with
+        g = star_graph(4)
+        for text in (
+            "free vset X; exists vertex x. (x in X)",
+            "free vset X; ~ exists vertex x. (x in X)",
+            "free vset X; free eset Y; (exists edge e. (e in Y) & exists vertex x. (x in X))",
+        ):
+            phi, nice, col = setup_instance(text, g)
+            assert any(n.kind == "join" for n in nice.nodes.values())
+            dvars = decision_variables(phi, g)
+            comp = compile_sdd(phi, g, nice, col)
+            assert truth_table(comp, dvars) == truth_table_oracle(phi, g, dvars), text
+
+    def test_kappa_on_24_vertex_path_few_states(self):
+        g = path_graph(24)
+        phi = desugar(parse_formula(KAPPA_TEXT))
+        nice = make_nice(g, path_decomposition(24))
+        col = good_coloring(g, nice)
+        space = decision_space(phi, nice.width())
+        raw = reachable_states(space, nice, forget_plan(phi, g, nice, col))
+        assert raw.count <= 100  # 1,841 without pruning
+        quo = minimize_states(space, nice, raw)
+        assert max(map(len, quo.per_node.values())) <= 3
+
+    def test_forget_memo_flat_in_nesting_depth(self):
+        # the memo key holds only the context bits the body reads, not those
+        # of the outer bound variables
+        g = path_graph(4)
+        sizes = {}
+        for depth in (4, 10):
+            phi, nice, col = setup_instance(nested_chain(depth), g)
+            space = decision_space(phi, nice.width())
+            reachable_states(space, nice, forget_plan(phi, g, nice, col))
+            memos = [len(q._forget_memo) for q, _ in quantifier_sets(space, space.initial)]
+            assert len(memos) == depth
+            sizes[depth] = memos
+        assert set(sizes[10]) == set(sizes[4])
+        assert sizes[10][0] == sizes[4][0] and sizes[10][-1] == sizes[4][-1]
