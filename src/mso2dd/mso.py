@@ -202,9 +202,9 @@ def _tokenize(text: str):
 
 
 # Deepest nesting of negations, quantifiers and binary connectives the parser
-# accepts. Parsing, desugaring, sizing and the state spaces recurse over the
-# syntax tree with at most about two Python frames per level, so this keeps
-# all of them well inside the interpreter's default recursion limit.
+# accepts. Parsing, desugaring, sizing, the state spaces and the oracle recurse
+# over the syntax tree with at most about two Python frames per level, so this
+# keeps all of them well inside the interpreter's default recursion limit.
 MAX_NESTING = 200
 
 _WORD_OPS = frozenset({"in", "notin"})

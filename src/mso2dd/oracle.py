@@ -5,21 +5,21 @@ The truth-table helpers represent the set of satisfying assignments over an
 ordered variable list as a single big integer: bit i gives the value on the
 assignment whose j-th variable equals bit j of i. That makes exhaustive
 diagram/oracle comparisons and partition checks cheap at desk scale.
+
+The oracle evaluates a formula on all assignments to its free variables at
+once: every subformula evaluates to such a bitset, a free variable is read off
+the masks of its decision variables, and only the bound variables are
+enumerated, each over its whole universe.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .assignment import (
-    DecisionVariable,
-    all_mso_assignments,
-    decision_variables,
-    dv_mem,
-    encode_assignment,
-)
+from .assignment import DecisionVariable, decision_variables, dv_mem
 from .errors import QueryError
 from .graph import Graph
 from .mso import (
@@ -47,7 +47,7 @@ DEFAULT_VARIABLE_CAP = 20
 QUANTIFIER_BRANCH_CAP = 10**7
 
 
-# -- recursive evaluation ------------------------------------------------------
+# -- brute-force semantics over all free-variable assignments at once -----------
 
 
 def _domain(g: Graph, sort: Sort):
@@ -65,84 +65,206 @@ def _domain(g: Graph, sort: Sort):
     ]
 
 
-def oracle_eval(phi: Formula, g: Graph, alpha) -> bool:
-    """Textbook recursive evaluation; quantifiers enumerate the whole universe.
-    Handles the surface sugar directly so pre- and post-desugar formulas can be
-    compared."""
-    return compile_oracle(phi, g)(dict(alpha))
+def _domain_size(g: Graph, sort: Sort) -> int:
+    n = g.n_vertices if sort.is_vertex else g.n_edges
+    return n if sort.is_object else 1 << n
 
 
-def compile_oracle(phi: Formula, g: Graph):
-    """Close the recursion over the graph once; the returned callable evaluates
-    one assignment dict per call."""
-    return _compile_eval(phi.root, g)
+class _Bitsets:
+    """The textbook recursive evaluation, run on every assignment to the free
+    variables at once.
 
+    The constructor closes the recursion over the graph once; `table` then
+    returns the bitset of the assignments to a list of decision variables
+    under which the formula holds. Every variable has a slot in the list `a`
+    the closures read. A slot holding a value is bound; an empty one (None)
+    is free and read off the masks of its decision variables. Quantifiers
+    bind their variables to every value of their universe in turn. Below the
+    root a bitset is exact on consistent assignments only. Sugar nodes are
+    evaluated directly, so pre- and post-desugar formulas can be compared.
+    """
 
-def _compile_eval(expr, g: Graph):
-    if isinstance(expr, Adj):
-        x, y, edges = expr.vertex, expr.edge, g.edges
+    def __init__(self, g: Graph, phi: Formula) -> None:
+        self.g, self.phi = g, phi
+        self.slot = {var: i for i, var in enumerate(phi.free_vars)}
+        self.domains: dict[Sort, list] = {}
+        self.ones = 1
+        # bits[slot][obj]: where free variable = obj (objects) or obj in it (sets)
+        self.bits: dict[int, dict] = {}
+        # checks every quantifier against the cap before any table is built
+        self.run = self.compile(phi.root)
 
-        return lambda a: edges[a[y] - 1].incident_to(a[x])
-    if isinstance(expr, Eq):
-        x, y = expr.left, expr.right
-        return lambda a: a[x] == a[y]
-    if isinstance(expr, Neq):
-        x, y = expr.left, expr.right
-        return lambda a: a[x] != a[y]
-    if isinstance(expr, In):
-        x, s = expr.element, expr.container
-        return lambda a: a[x] in a[s]
-    if isinstance(expr, NotIn):
-        x, s = expr.element, expr.container
-        return lambda a: a[x] not in a[s]
-    if isinstance(expr, EdgePred):
-        e, u, v, edges = expr.edge, expr.left, expr.right, g.edges
+    def table(self, dvars, alpha) -> int:
+        """Bitset over the assignments to dvars of those that, with the
+        values in alpha, are consistent and satisfy the formula. Every free
+        variable without a value in alpha must have all its decision
+        variables in dvars."""
+        free = self.phi.free_vars
+        a = [alpha.get(var) for var in free] + [None] * (len(self.slot) - len(free))
+        self.ones = (1 << (1 << len(dvars))) - 1
+        self.bits = {i: {} for i in range(len(free)) if a[i] is None}
+        for d, mask in zip(dvars, variable_masks(len(dvars))):
+            self.bits[self.slot[d.var]][d.obj] = mask
+        table = self.run(a)
+        for i, by_obj in self.bits.items():
+            if free[i].sort.is_object:  # exactly one equality bit set
+                none, one = self.ones, 0
+                for mask in by_obj.values():
+                    one = (one & ~mask) | (none & mask)
+                    none &= ~mask
+                table &= one
+        return table
 
-        def edge_pred(a):
-            edge = edges[a[e] - 1]
-            return a[u] != a[v] and edge.incident_to(a[u]) and edge.incident_to(a[v])
+    # -- atoms over slots: bound ones hold a value, free ones are None -------------
 
-        return edge_pred
-    if isinstance(expr, Nbr):
+    def equals(self, a, i, obj) -> int:
+        """Where object variable i has the value obj."""
+        if a[i] is None:
+            return self.bits[i][obj]
+        return self.ones if a[i] == obj else 0
+
+    def values(self, a, i):
+        """(value, where variable i has it) for each value it takes: its own
+        value when bound, every object when free."""
+        if a[i] is None:
+            return self.bits[i].items()
+        return ((a[i], self.ones),)
+
+    def touches(self, a, i, edge) -> int:
+        return self.equals(a, i, edge.u) | self.equals(a, i, edge.v)
+
+    def eq(self, a, i, j) -> int:
+        if a[j] is not None:
+            if a[i] is not None:
+                return self.ones if a[i] == a[j] else 0
+            i, j = j, i
+        bits = 0
+        for obj, where in self.values(a, i):
+            bits |= where & self.equals(a, j, obj)
+        return bits
+
+    def member(self, a, obj, s) -> int:
+        """Where obj belongs to set variable s."""
+        if a[s] is None:
+            return self.bits[s][obj]
+        return self.ones if obj in a[s] else 0
+
+    def element(self, a, i, s) -> int:
+        if a[i] is not None and a[s] is not None:
+            return self.ones if a[i] in a[s] else 0
+        bits = 0
+        for obj, where in self.values(a, i):
+            bits |= where & self.member(a, obj, s)
+        return bits
+
+    def adj(self, a, i, e) -> int:
+        edges, bits = self.g.edges, 0
+        if a[e] is not None:
+            return self.touches(a, i, edges[a[e] - 1])
+        if a[i] is not None:
+            for edge in self.g.incident_edges(a[i]):
+                bits |= self.bits[e][edge.id]
+            return bits
+        for edge_id, where in self.bits[e].items():
+            bits |= where & self.touches(a, i, edges[edge_id - 1])
+        return bits
+
+    def nbr(self, a, i, j) -> int:
         # some edge touches both arguments; for equal arguments that reads as
         # "has any incident edge", matching the desugared existential exactly
-        u, v, edges = expr.left, expr.right, g.edges
-        return lambda a: any(
-            e.incident_to(a[u]) and e.incident_to(a[v]) for e in edges
-        )
-    if isinstance(expr, Not):
-        body = _compile_eval(expr.body, g)
-        return lambda a: not body(a)
-    if isinstance(expr, And):
-        left, right = _compile_eval(expr.left, g), _compile_eval(expr.right, g)
-        return lambda a: left(a) and right(a)
-    if isinstance(expr, Or):
-        left, right = _compile_eval(expr.left, g), _compile_eval(expr.right, g)
-        return lambda a: left(a) or right(a)
-    if isinstance(expr, Implies):
-        left, right = _compile_eval(expr.left, g), _compile_eval(expr.right, g)
-        return lambda a: (not left(a)) or right(a)
-    if isinstance(expr, (Exists, Forall)):
-        body = _compile_eval(expr.body, g)
-        domains = [(v, _domain(g, v.sort)) for v in expr.variables]
-        if math.prod(len(d) for _, d in domains) > QUANTIFIER_BRANCH_CAP:
+        if a[j] is not None:
+            i, j = j, i
+        bits = 0
+        for edge in self.g.incident_edges(a[i]) if a[i] is not None else self.g.edges:
+            bits |= self.touches(a, i, edge) & self.touches(a, j, edge)
+        return bits
+
+    # -- the recursion ----------------------------------------------------------------
+
+    def compile(self, expr) -> Callable[[list], int]:
+        slot = self.slot
+        if isinstance(expr, Adj):
+            i, e = slot[expr.vertex], slot[expr.edge]
+            return lambda a: self.adj(a, i, e)
+        if isinstance(expr, Eq):
+            i, j = slot[expr.left], slot[expr.right]
+            return lambda a: self.eq(a, i, j)
+        if isinstance(expr, Neq):
+            i, j = slot[expr.left], slot[expr.right]
+            return lambda a: self.ones ^ self.eq(a, i, j)
+        if isinstance(expr, In):
+            i, s = slot[expr.element], slot[expr.container]
+            return lambda a: self.element(a, i, s)
+        if isinstance(expr, NotIn):
+            i, s = slot[expr.element], slot[expr.container]
+            return lambda a: self.ones ^ self.element(a, i, s)
+        if isinstance(expr, EdgePred):
+            e, u, v = slot[expr.edge], slot[expr.left], slot[expr.right]
+            return lambda a: (self.ones ^ self.eq(a, u, v)) & self.adj(a, u, e) & self.adj(a, v, e)
+        if isinstance(expr, Nbr):
+            i, j = slot[expr.left], slot[expr.right]
+            return lambda a: self.nbr(a, i, j)
+        if isinstance(expr, Not):
+            body = self.compile(expr.body)
+            return lambda a: self.ones ^ body(a)
+        if isinstance(expr, And):
+            left, right = self.compile(expr.left), self.compile(expr.right)
+
+            def conjoin(a):
+                bits = left(a)
+                return bits & right(a) if bits else 0
+
+            return conjoin
+        if isinstance(expr, (Or, Implies)):
+            left, right = self.compile(expr.left), self.compile(expr.right)
+            implies = isinstance(expr, Implies)
+
+            def disjoin(a):
+                ones = self.ones
+                bits = ones ^ left(a) if implies else left(a)
+                return bits if bits == ones else bits | right(a)
+
+            return disjoin
+        if isinstance(expr, (Exists, Forall)):
+            return self.quantify(expr, isinstance(expr, Exists))
+        raise QueryError(f"unknown expression node {type(expr).__name__}")
+
+    def domain(self, sort: Sort) -> list:
+        if sort not in self.domains:
+            self.domains[sort] = _domain(self.g, sort)
+        return self.domains[sort]
+
+    def quantify(self, expr, existential: bool):
+        """OR (exists) or AND (forall) of the body over every value of the
+        bound variables, stopping at all-ones or at 0 respectively."""
+        # from the sizes alone: a domain is built on first use
+        if math.prod(_domain_size(self.g, v.sort) for v in expr.variables) > QUANTIFIER_BRANCH_CAP:
             raise QueryError("quantifier enumeration exceeds the cap")
-        existential = isinstance(expr, Exists)
+        slots = [self.slot.setdefault(var, len(self.slot)) for var in expr.variables]
+        sorts = [var.sort for var in expr.variables]
+        body = self.compile(expr.body)
 
-        def quantify(a, i=0):
-            if i == len(domains):
-                return body(a)
-            var, domain = domains[i]
-            for value in domain:
-                a[var] = value
-                if quantify(a, i + 1) == existential:
-                    del a[var]
-                    return existential
-            a.pop(var, None)
-            return not existential
+        def quantified(a):
+            ones = self.ones
+            bits, stop = (0, ones) if existential else (ones, 0)
+            for values in itertools.product(*map(self.domain, sorts)):
+                for i, value in zip(slots, values):
+                    a[i] = value
+                bits = bits | body(a) if existential else bits & body(a)
+                if bits == stop:
+                    break
+            for i in slots:
+                a[i] = None
+            return bits
 
-        return quantify
-    raise QueryError(f"unknown expression node {type(expr).__name__}")
+        return quantified
+
+
+def oracle_eval(phi: Formula, g: Graph, alpha) -> bool:
+    """Textbook evaluation under one assignment to the free variables;
+    quantifiers enumerate the whole universe. A set variable over an empty
+    universe, such as an edge set on an edgeless graph, may be left out."""
+    return bool(_Bitsets(g, phi).table((), alpha))
 
 
 # -- explicit model sets -------------------------------------------------------
@@ -162,19 +284,18 @@ class ModelSet:
 
 
 def oracle_models(phi: Formula, g: Graph, cap: int = DEFAULT_VARIABLE_CAP) -> ModelSet:
-    """Enumerate every assignment to the free variables, keep the models, and
-    encode each as a consistent bit tuple."""
+    """Every model, read off the oracle's truth table as a consistent bit
+    tuple."""
     dvars = decision_variables(phi, g)
     if len(dvars) > cap:
         raise QueryError(f"{len(dvars)} decision variables exceed the cap of {cap}")
-    evaluate = compile_oracle(phi, g)
-    found = set()
-    for alpha in all_mso_assignments(phi, g):
-        # quantifiers scratch only their own bound-variable keys
-        if evaluate(alpha):
-            delta = encode_assignment(alpha, phi, g)
-            found.add(tuple(delta[d] for d in dvars))
-    return ModelSet(dvars, frozenset(found))
+    digits = bin(_Bitsets(g, phi).table(dvars, {}))[:1:-1]  # bit i at index i
+    found = frozenset(
+        tuple((idx >> i) & 1 for i in range(len(dvars)))
+        for idx, digit in enumerate(digits)
+        if digit == "1"
+    )
+    return ModelSet(dvars, found)
 
 
 # -- truth tables as big-integer bitsets ----------------------------------------
@@ -196,19 +317,13 @@ def variable_masks(n_vars: int) -> list[int]:
 
 
 def truth_table_oracle(phi: Formula, g: Graph, dvars=None) -> int:
-    """Bitset of assignments that are consistent and encode a model."""
-    if dvars is None:
-        dvars = decision_variables(phi, g)
-    dvars = tuple(dvars)
-    table = 0
-    models = oracle_models(phi, g, cap=max(DEFAULT_VARIABLE_CAP, len(dvars)))
-    index = {d: i for i, d in enumerate(dvars)}
-    for bits in models.assignments:
-        idx = 0
-        for d, b in zip(models.variables, bits):
-            idx |= b << index[d]
-        table |= 1 << idx
-    return table
+    """Bitset of assignments to dvars (default: the decision variables in
+    canonical order) that are consistent and encode a model."""
+    universe = decision_variables(phi, g)
+    dvars = universe if dvars is None else tuple(dvars)
+    if len(dvars) != len(universe) or set(dvars) != set(universe):
+        raise QueryError("the variables are not the instance's decision variables")
+    return _Bitsets(g, phi).table(dvars, {})
 
 
 # -- queries as children-first folds ---------------------------------------------
@@ -476,14 +591,6 @@ def cnf_of_graph(g: Graph) -> Cnf:
         for e in g.edges
     )
     return Cnf(variables, clauses)
-
-
-def cnf_to_dimacs(cnf: Cnf) -> str:
-    lines = [f"p cnf {len(cnf.variables)} {len(cnf.clauses)}"]
-    lines.extend(
-        " ".join(str(i + 1) for i in clause) + " 0" for clause in cnf.clauses
-    )
-    return "\n".join(lines) + "\n"
 
 
 def cnf_truth_table(cnf: Cnf) -> int:

@@ -57,6 +57,14 @@ def path_decomposition(n: int):
     return TreeDecomposition(bags, [(i, i + 1) for i in range(1, n - 1)])
 
 
+def nested_chain(depth: int) -> str:
+    """`exists vset Y0. ~((x in Y0) & exists vset Y1. ~(... (x = x)))`."""
+    body = "(x = x)"
+    for i in reversed(range(depth)):
+        body = f"exists vset Y{i}. ~((x in Y{i}) & {body})"
+    return "free vertex x; " + body
+
+
 FORMULA_TEXTS = {
     "eq": "free vertex x; free vertex y; (x = y)",
     "mem": "free vertex x; free vset X; (x in X)",

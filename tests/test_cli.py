@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mso2dd import Graph, load_diagram
+from mso2dd import Graph, clique_tree, load_diagram, serialize_graph
 from mso2dd.cli import main
 from mso2dd.mso import MAX_NESTING
 from mso2dd.obdd import ObddCompilation
@@ -201,6 +201,17 @@ class TestVerify:
                     "--diagram", out])
         assert code == 0
         assert "OK (64 assignments checked)" in capsys.readouterr().out
+
+    def test_seventeen_variables(self, workdir, capsys):
+        graph, out = workdir / "kt22.gr", workdir / "kt22.sdd"
+        graph.write_text(serialize_graph(clique_tree(2, 2)))
+        assert run(["compile", "--graph", graph, "--formula", workdir / "kappa.mso",
+                    "--out", out]) == 0
+        capsys.readouterr()
+        code = run(["verify", "--graph", graph, "--formula", workdir / "kappa.mso",
+                    "--diagram", out, "--cap", "17"])
+        assert code == 0
+        assert "OK (131072 assignments checked)" in capsys.readouterr().out
 
     def test_corrupted_diagram_detected(self, workdir, capsys):
         out = workdir / "p4.obdd"

@@ -18,13 +18,12 @@ from mso2dd import (
     parse_tree_decomposition,
     serialize_diagram,
 )
-from mso2dd.assignment import dv_mem
+from mso2dd.assignment import all_mso_assignments, dv_mem
 from mso2dd.errors import QueryError
 from mso2dd.mso import Sort, Var
 from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace, obdd_apply, reduce_obdd
 from mso2dd.oracle import (
     cnf_of_graph,
-    cnf_to_dimacs,
     cnf_truth_table,
     enumerate_models,
     kappa_formula,
@@ -36,7 +35,9 @@ from mso2dd.oracle import (
     variable_masks,
 )
 
-from conftest import path_decomposition, path_graph
+from conftest import (
+    FORMULA_TEXTS, corpus_graphs, nested_chain, path_decomposition, path_graph,
+)
 
 
 def compile_kappa(g, target="sdd"):
@@ -69,6 +70,68 @@ class TestEval:
         xv, xe = phi.free_vars
         assert oracle_eval(phi, g, {xv: frozenset({1, 2}), xe: frozenset()})
         assert not oracle_eval(phi, g, {xv: frozenset({1}), xe: frozenset()})
+
+    def test_set_variable_without_objects_left_out(self):
+        # a diagram's legend holds no bit of X_E on an edgeless graph, so a
+        # decoded witness has no value for it
+        phi = kappa_formula()
+        assert oracle_eval(phi, clique(1), {phi.free_vars[0]: frozenset()})
+
+    def test_quantifier_cap_checked_before_any_domain(self):
+        # 2**30 vertex sets: the cap is read off the sizes, so this raises
+        # before a single set or table is built
+        g = path_graph(30)
+        phi = parse_formula("free vertex x; exists vset X. (x in X)")
+        with pytest.raises(QueryError, match="cap"):
+            oracle_eval(phi, g, {phi.free_vars[0]: 1})
+        with pytest.raises(QueryError, match="cap"):
+            truth_table_oracle(phi, g)
+
+
+# every sugar node, once with free and once with bound arguments
+SUGAR_TEXT = (
+    "free vertex x; free vertex y; free edge p; free vset X; "
+    "(((edge(p, x, y) | nbr(x, y)) -> ((x != y) & (x notin X))) & "
+    "(forall vertex u. forall vertex v. forall edge q. "
+    "((edge(q, u, v) & nbr(u, v)) -> (((u in X) | (v notin X)) & (u != v))) | "
+    "exists vertex w. (edge(p, w, x) & (nbr(w, y) -> (w notin X)))))"
+)
+
+
+class TestBitsets:
+    def test_table_matches_one_assignment_at_a_time(self):
+        # the table runs every atom on free arguments, oracle_eval on bound ones
+        texts = dict(FORMULA_TEXTS, sugar=SUGAR_TEXT)
+        checked = 0
+        for g in corpus_graphs().values():
+            for text in texts.values():
+                raw = parse_formula(text)
+                for phi in (raw, desugar(raw)):
+                    dvars = decision_variables(phi, g)
+                    if len(dvars) > 12:
+                        continue
+                    expected = 0
+                    for alpha in all_mso_assignments(phi, g):
+                        if oracle_eval(phi, g, alpha):
+                            delta = encode_assignment(alpha, phi, g)
+                            expected |= 1 << sum(delta[d] << i for i, d in enumerate(dvars))
+                    assert truth_table_oracle(phi, g, dvars) == expected, text
+                    checked += 1
+        assert checked > 100
+
+    def test_formulas_nested_to_the_cap(self):
+        # the evaluator takes a bounded number of frames per level of nesting
+        g = path_graph(4)
+        inner = "(x = x)"
+        for _ in range(100):
+            inner = f"~((x = x) & {inner})"
+        x_is = {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
+        tables = set()
+        for text in ("free vertex x; " + inner, nested_chain(66)):
+            phi = parse_formula(text)
+            assert oracle_models(phi, g).assignments == x_is
+            tables.add(truth_table_oracle(phi, g))
+        assert tables == {(1 << 1) | (1 << 2) | (1 << 4) | (1 << 8)}
 
 
 class TestModels:
@@ -298,12 +361,6 @@ class TestCnf:
         u, e, v = cnf.clauses[0]
         assert {cnf.variables[u].name, cnf.variables[v].name} == {"v1inX_V", "v2inX_V"}
         assert cnf.variables[e].name == "e1inX_E"
-
-    def test_dimacs(self):
-        text = cnf_to_dimacs(cnf_of_graph(path_graph(3)))
-        lines = text.strip().splitlines()
-        assert lines[0] == "p cnf 5 2"
-        assert lines[1].endswith(" 0") and len(lines) == 3
 
     def test_kappa_signature(self):
         phi = kappa_formula()

@@ -35,7 +35,9 @@ from mso2dd.states import (
     reachable_states,
 )
 
-from conftest import FORMULA_TEXTS, all_deltas, path_decomposition, path_graph, star_graph
+from conftest import (
+    FORMULA_TEXTS, all_deltas, nested_chain, path_decomposition, path_graph, star_graph,
+)
 
 
 def setup_instance(formula_text, g):
@@ -436,14 +438,6 @@ def quantifier_sets(space, state):
             stack += [(sp.left, st[0]), (sp.right, st[1])]
         elif isinstance(sp, NegationSpace):
             stack.append((sp.inner, st))
-
-
-def nested_chain(depth):
-    """`exists vset Y0. ~((x in Y0) & exists vset Y1. ~(... (x = x)))`."""
-    body = "(x = x)"
-    for i in reversed(range(depth)):
-        body = f"exists vset Y{i}. ~((x in Y{i}) & {body})"
-    return "free vertex x; " + body
 
 
 class TestPrune:
