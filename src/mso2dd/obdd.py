@@ -90,18 +90,20 @@ class Obdd:
         return self.space.order
 
     def nodes(self) -> list[ObddNode]:
-        """Distinct reachable nodes in uid order, which is children first: a
-        node is interned after its children."""
-        seen = {}
-        stack = [self.root]
+        """Distinct reachable nodes, children first: a depth-first walk from
+        the root lists each node after its lo and then its hi subtree. The
+        order depends on the diagram's shape only, not on interning order."""
+        seen, order, stack = set(), [], [(self.root, False)]
         while stack:
-            n = stack.pop()
-            if n.uid in seen:
-                continue
-            seen[n.uid] = n
-            if not n.is_leaf:
-                stack.extend((n.lo, n.hi))
-        return [seen[uid] for uid in sorted(seen)]
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+            elif node.uid not in seen:
+                seen.add(node.uid)
+                stack.append((node, True))
+                if not node.is_leaf:
+                    stack.extend(((node.hi, False), (node.lo, False)))
+        return order
 
     def level_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -126,13 +128,39 @@ def obdd_size(b: Obdd) -> int:
 
 
 def evaluate_obdd(b: Obdd, delta) -> bool:
-    node = b.root
-    while not node.is_leaf:
-        var = b.order[node.level]
-        if var not in delta:
+    """The diagram's value under a total assignment of its order."""
+    return _walk_obdd(b, delta, False)
+
+
+def satisfiable_obdd(b: Obdd, delta) -> bool:
+    """Whether the diagram conditioned on a partial assignment is satisfiable;
+    a variable delta leaves out is free."""
+    return _walk_obdd(b, delta, True)
+
+
+def _walk_obdd(b: Obdd, delta, partial: bool) -> bool:
+    """Search for a true leaf along the edges delta allows. A total
+    assignment allows one path; with `partial`, a decision on a variable
+    delta leaves out allows both edges."""
+    order, seen, stack = b.order, {b.root.uid}, [b.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            if node.label:
+                return True
+            continue
+        var = order[node.level]
+        if var in delta:
+            children = (node.hi if delta[var] else node.lo,)
+        elif partial:
+            children = (node.lo, node.hi)
+        else:
             raise DiagramError(f"assignment missing variable {var!r}")
-        node = node.hi if delta[var] else node.lo
-    return bool(node.label)
+        for child in children:
+            if child.uid not in seen:
+                seen.add(child.uid)
+                stack.append(child)
+    return False
 
 
 def reduce_obdd(b: Obdd) -> Obdd:
@@ -220,6 +248,9 @@ class ObddCompilation:
 
     def evaluate(self, delta) -> bool:
         return evaluate_obdd(self.obdd, delta)
+
+    def satisfiable(self, delta) -> bool:
+        return satisfiable_obdd(self.obdd, delta)
 
 
 def compile_obdd(

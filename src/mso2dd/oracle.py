@@ -483,22 +483,80 @@ def decode_bits(legend, delta):
 
 
 def enumerate_models(diagram, limit: int):
-    """Decoded models in lexicographic order of the legend bit string (first
-    variable is the most significant bit). Dummy variables never influence
-    evaluation, so each model appears once."""
+    """The first `limit` decoded models in lexicographic order of the legend
+    bit string (first variable is the most significant bit). Dummy variables
+    never influence evaluation, so each model appears once.
+
+    A walk over the legend with polynomial delay (Darwiche & Marquis, "A
+    Knowledge Compilation Map", 2002): `fixed` holds a prefix of the legend,
+    and the diagram conditioned on it stays satisfiable. The first model
+    extends the empty prefix; each later one scans back to the rightmost 0
+    whose flip to 1 keeps the diagram satisfiable and extends from there.
+    """
     if limit < 1:
         raise QueryError("limit must be at least 1")
     legend = tuple(diagram.legend)
     n = len(legend)
+    fixed: dict = {}
     out = []
-    for idx in range(1 << n):
-        bits = tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
-        delta = dict(zip(legend, bits))
-        if diagram.evaluate(delta):
-            out.append(decode_bits(legend, delta))
-            if len(out) >= limit:
+    if not diagram.satisfiable(fixed):
+        return out
+    start = 0
+    while True:
+        _complete(diagram, legend, fixed, start)
+        out.append(decode_bits(legend, fixed))
+        if len(out) >= limit:
+            return out
+        for j in reversed(range(n)):
+            if fixed.pop(legend[j]) == 0:
+                fixed[legend[j]] = 1
+                if diagram.satisfiable(fixed):
+                    start = j + 1
+                    break
+                del fixed[legend[j]]
+        else:
+            return out
+
+
+def _complete(diagram, legend, fixed, i: int) -> None:
+    """Extend the satisfiable prefix legend[:i] in `fixed` to the least model.
+
+    Galloping over each run of zeros: try 1, 2, 4, ... more zero bits, then
+    bisect. A longer run of zeros is a stronger condition, so satisfiability
+    only falls as the run grows, and the bit after the longest satisfiable
+    run is forced to 1. A completion costs O((ones + 1) log n) checks.
+    """
+    n = len(legend)
+    while i < n:
+        # longest run known satisfiable, shortest known not, zeros now set
+        good, bad, have = 0, n - i + 1, 0
+        while good < n - i:
+            have = _zero_run(legend, fixed, i, have, min(2 * good or 1, n - i))
+            if not diagram.satisfiable(fixed):
+                bad = have
                 break
-    return out
+            good = have
+        while bad - good > 1:
+            have = _zero_run(legend, fixed, i, have, (good + bad) // 2)
+            if diagram.satisfiable(fixed):
+                good = have
+            else:
+                bad = have
+        _zero_run(legend, fixed, i, have, good)
+        i += good
+        if i < n:
+            fixed[legend[i]] = 1
+            i += 1
+
+
+def _zero_run(legend, fixed, i: int, have: int, want: int) -> int:
+    """Turn the zeros `fixed` holds on legend[i:i + have] into zeros on
+    legend[i:i + want]."""
+    for var in legend[i + have:i + want]:
+        fixed[var] = 0
+    for var in legend[i + want:i + have]:
+        del fixed[var]
+    return want
 
 
 _INF = float("inf")

@@ -192,18 +192,35 @@ def sdd_size(root: SddNode) -> int:
 
 
 def evaluate_sdd(root: SddNode, delta) -> bool:
+    """The diagram's value under a total assignment of its literals' variables."""
+    return _walk_sdd(root, delta, False)
+
+
+def satisfiable_sdd(root: SddNode, delta) -> bool:
+    """Whether the diagram conditioned on a partial assignment is satisfiable;
+    a variable delta leaves out is free."""
+    return _walk_sdd(root, delta, True)
+
+
+def _walk_sdd(root: SddNode, delta, partial: bool) -> bool:
     """Short-circuit walk from the root with an explicit stack: a decomposition
     is true at its first pair, in pair order, whose prime and sub are both
-    true; shared nodes are evaluated once."""
+    true; shared nodes are evaluated once. With `partial`, a literal on a
+    variable delta leaves out is true, so the walk decides satisfiability:
+    a prime and its sub mention disjoint variables, so the pair is
+    satisfiable exactly when both are."""
     memo: dict[int, bool] = {}
     stack = [[root, 0]]  # node, index of the pair it waits on
     while stack:
         frame = stack[-1]
         node = frame[0]
         if node.kind == LITERAL:
-            if node.var not in delta:
+            if node.var in delta:
+                memo[node.uid] = bool(delta[node.var]) == node.polarity
+            elif partial:
+                memo[node.uid] = True
+            else:
                 raise DiagramError(f"assignment missing variable {node.var!r}")
-            memo[node.uid] = bool(delta[node.var]) == node.polarity
         elif node.kind != DECOMP:
             memo[node.uid] = node.kind == TRUE
         else:
@@ -377,6 +394,9 @@ class SddCompilation:
 
     def evaluate(self, delta) -> bool:
         return evaluate_sdd(self.root, delta)
+
+    def satisfiable(self, delta) -> bool:
+        return satisfiable_sdd(self.root, delta)
 
 
 def compile_sdd(

@@ -21,6 +21,12 @@ variables of its v-tree), so a loaded diagram enumerates models in the order
 of the compiled one. An OBDD's `order` line is a permutation of the var
 indices: the variable decided at each level, from the root down. A node's
 children come before it. Lines starting with `c` are comments.
+
+Node ids are positions in the children-first walk (`iter_sdd_nodes`,
+`Obdd.nodes`), not interning uids. The OBDD walk depends on the diagram's
+shape only, so equal OBDDs give equal text however their nodes were
+interned. Loading a compiled diagram's file and writing it again gives the
+same text.
 """
 
 from __future__ import annotations
@@ -78,29 +84,28 @@ def serialize_diagram(diagram) -> str:
             else:
                 lines.append(f"vtree {vid} inner {vtree.left[vid]} {vtree.right[vid]}")
         lines.append(f"vtreeroot {diagram.vtree_root}")
-        for node in iter_sdd_nodes(diagram.root):
+        nodes = iter_sdd_nodes(diagram.root)
+        nid = {node.uid: i for i, node in enumerate(nodes)}
+        for i, node in enumerate(nodes):
             if node.kind in (FALSE, TRUE):
-                lines.append(f"node {node.uid} {node.kind}")
+                lines.append(f"node {i} {node.kind}")
             elif node.kind == LITERAL:
-                lines.append(
-                    f"node {node.uid} lit {index[node.var]} {1 if node.polarity else 0}"
-                )
+                lines.append(f"node {i} lit {index[node.var]} {1 if node.polarity else 0}")
             else:
-                pairs = " ".join(f"{p.uid}:{s.uid}" for p, s in node.pairs)
-                lines.append(f"node {node.uid} decomp {node.vtree_id} {pairs}")
-        lines.append(f"root {diagram.root.uid}")
+                pairs = " ".join(f"{nid[p.uid]}:{nid[s.uid]}" for p, s in node.pairs)
+                lines.append(f"node {i} decomp {node.vtree_id} {pairs}")
     else:
         index = {v: i for i, v in enumerate(diagram.legend)}
         lines.extend(_var_line(i, v) for i, v in enumerate(diagram.legend))
         lines.append("order " + " ".join(str(index[v]) for v in diagram.order))
-        for node in diagram.nodes():
+        nodes = diagram.nodes()
+        nid = {node.uid: i for i, node in enumerate(nodes)}
+        for i, node in enumerate(nodes):
             if node.is_leaf:
-                lines.append(f"node {node.uid} leaf {int(node.label)}")
+                lines.append(f"node {i} leaf {int(node.label)}")
             else:
-                lines.append(
-                    f"node {node.uid} dec {node.level} {node.lo.uid} {node.hi.uid}"
-                )
-        lines.append(f"root {diagram.root.uid}")
+                lines.append(f"node {i} dec {node.level} {nid[node.lo.uid]} {nid[node.hi.uid]}")
+    lines.append(f"root {len(nodes) - 1}")  # the walks list the root last
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,9 @@ from mso2dd import Graph, clique_tree, load_diagram, serialize_graph
 from mso2dd.cli import main
 from mso2dd.mso import MAX_NESTING
 from mso2dd.obdd import ObddCompilation
-from mso2dd.oracle import KAPPA_TEXT, cnf_of_graph, cnf_to_obdd, model_count
+from mso2dd.oracle import (
+    KAPPA_TEXT, cnf_of_graph, cnf_to_obdd, kappa_formula, model_count, oracle_eval,
+)
 
 from conftest import FORMULA_TEXTS
 
@@ -267,6 +270,36 @@ class TestQuery:
         assert run(["query", "--diagram", out, "--query", "enumerate", "--limit", "5"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5
+
+    def test_enumerate_kappa_on_64_vertex_path(self, tmp_path, capsys):
+        # 127 legend variables: the first ten models come from the prefix walk
+        n = 64
+        g = Graph(n, [(i, i + 1) for i in range(1, n)])
+        (tmp_path / "p.gr").write_text(serialize_graph(g))
+        (tmp_path / "p.td").write_text(
+            f"s td {n - 1} 2 {n}\n"
+            + "".join(f"b {i} {i} {i + 1}\n" for i in range(1, n))
+            + "".join(f"{i} {i + 1}\n" for i in range(1, n - 1))
+        )
+        (tmp_path / "kappa.mso").write_text(KAPPA_TEXT + "\n")
+        out = tmp_path / "kappa.sdd"
+        assert run(["compile", "--graph", tmp_path / "p.gr", "--formula", tmp_path / "kappa.mso",
+                    "--td", tmp_path / "p.td", "--target", "sdd", "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["query", "--diagram", out, "--query", "enumerate", "--limit", "10"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 10
+        phi = kappa_formula()
+        x_v, x_e = phi.free_vars
+        legend = load_diagram(out.read_text()).legend
+        keys = []
+        for line in lines:
+            sets = dict(re.fullmatch(r"(\w+)=\{([\d,]*)\}", part).groups() for part in line.split())
+            alpha = {var: frozenset(int(o) for o in sets[var.name].split(",") if o)
+                     for var in (x_v, x_e)}
+            assert oracle_eval(phi, g, alpha)
+            keys.append(tuple(int(d.obj in alpha[d.var]) for d in legend))
+        assert keys == sorted(set(keys))
 
     def test_min_card_vertex_cover(self, workdir, capsys):
         out = self.compiled(workdir)

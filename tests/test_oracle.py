@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mso2dd import (
+    Graph,
     clique,
     clique_tree,
     compile_obdd,
@@ -11,6 +14,7 @@ from mso2dd import (
     desugar,
     encode_assignment,
     good_coloring,
+    is_path_decomposition,
     load_diagram,
     make_nice,
     min_fill_decomposition,
@@ -25,6 +29,7 @@ from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace, obdd_apply, reduce_obd
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_truth_table,
+    decode_bits,
     enumerate_models,
     kappa_formula,
     min_cardinality_model,
@@ -216,6 +221,84 @@ class TestEnumerate:
         nice = make_nice(g, min_fill_decomposition(g))
         comp = compile_sdd(phi, g, nice, good_coloring(g, nice))
         assert enumerate_models(comp, limit=5) == []
+
+    def test_matches_oracle_on_corpus(self, corpus):
+        # both targets, compiled and loaded, against the oracle's truth table
+        checked, closed = 0, 0
+        for inst in corpus:
+            if len(inst.dvars) > 12:
+                continue
+            for comp in (inst.sdd, inst.obdd):
+                if comp is None:
+                    continue
+                expected = oracle_listing(inst.phi, inst.graph, comp.legend)
+                for diagram in (comp, load_diagram(serialize_diagram(comp))):
+                    for limit in (1, 5, 10**6):
+                        assert enumerate_models(diagram, limit) == expected[:limit], (
+                            inst.formula_name, inst.graph_name, comp.kind, limit,
+                        )
+                    checked += 1
+                if not comp.legend:  # taut is closed
+                    assert expected == [{}]
+                    closed += 1
+        assert checked > 200 and closed > 0
+
+    @pytest.mark.parametrize("text", [
+        "exists vertex v. ~(v = v)",
+        "free vertex x; free vset X; ((x in X) & ~(x in X))",
+    ])
+    def test_unsatisfiable_on_both_targets(self, text):
+        for comp in compile_both(parse_formula(text), path_graph(3)):
+            for diagram in (comp, load_diagram(serialize_diagram(comp))):
+                assert enumerate_models(diagram, 10**6) == []
+
+    def test_lex_first_model_beyond_any_scan(self):
+        # legend x=1..120 then X∋1..120: the first model sets the last bit of
+        # each block, at scan index 2^120 + 1
+        n = 120
+        phi = parse_formula("free vertex x; free vset X; (x in X)")
+        x, big_x = phi.free_vars
+        for comp in compile_both(phi, path_graph(n), path_decomposition(n)):
+            for diagram in (comp, load_diagram(serialize_diagram(comp))):
+                assert enumerate_models(diagram, 1) == [{x: n, big_x: frozenset({n})}]
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        parents=st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=5),
+        as_path=st.booleans(),
+        name=st.sampled_from(sorted(FORMULA_TEXTS)),
+    )
+    def test_random_small_graphs(self, parents, as_path, name):
+        # vertex i + 2 hangs off vertex i + 1 (a path) or off a drawn earlier one
+        edges = [(i + 1 if as_path else p % (i + 1) + 1, i + 2) for i, p in enumerate(parents)]
+        g = Graph(len(parents) + 1, edges)
+        phi = parse_formula(FORMULA_TEXTS[name])
+        for comp in compile_both(phi, g):
+            assert enumerate_models(comp, 10**6) == oracle_listing(comp.formula, g, comp.legend)
+
+
+def compile_both(raw, g, td=None):
+    """The SDD, and the OBDD when the nice form is join-free."""
+    phi = desugar(raw)
+    nice = make_nice(g, td or min_fill_decomposition(g))
+    coloring = good_coloring(g, nice)
+    comps = [compile_sdd(phi, g, nice, coloring)]
+    if is_path_decomposition(nice):
+        comps.append(compile_obdd(phi, g, nice, coloring))
+    return comps
+
+
+def oracle_listing(phi, g, legend):
+    """The oracle's models in ascending order of the legend bit string, the
+    first legend variable most significant."""
+    legend = tuple(legend)
+    digits = bin(truth_table_oracle(phi, g, legend))[:1:-1]  # bit i at index i
+    rows = sorted(
+        tuple((idx >> i) & 1 for i in range(len(legend)))
+        for idx, digit in enumerate(digits)
+        if digit == "1"
+    )
+    return [decode_bits(legend, dict(zip(legend, bits))) for bits in rows]
 
 
 class TestMinCardinality:

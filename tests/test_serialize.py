@@ -15,7 +15,12 @@ from mso2dd import (
 )
 from mso2dd.cli import main
 from mso2dd.errors import DiagramError
+from mso2dd.obdd import ObddCompilation
 from mso2dd.oracle import (
+    Cnf,
+    cnf_of_graph,
+    cnf_to_obdd,
+    cnf_truth_table,
     enumerate_models,
     kappa_formula,
     model_count,
@@ -72,6 +77,29 @@ class TestRoundtrip:
         assert loaded.legend == obdd.legend
         assert loaded.order == obdd.order
         assert enumerate_models(loaded, 3) == enumerate_models(obdd, 3)
+
+    def test_writing_a_loaded_file_gives_its_text(self, corpus):
+        checked = 0
+        for inst in corpus:
+            for comp in (inst.sdd, inst.obdd):
+                if comp is not None:
+                    text = serialize_diagram(comp)
+                    assert serialize_diagram(load_diagram(text)) == text, (
+                        inst.formula_name, inst.graph_name, comp.kind,
+                    )
+                    checked += 1
+        assert checked > 100
+
+    def test_equal_obdds_interned_in_different_orders(self):
+        # the cover CNF conjoined clause by clause, forwards and backwards:
+        # one reduced diagram, whose nodes the two spaces intern in other orders
+        cnf = cnf_of_graph(path_graph(5))
+        backwards = Cnf(cnf.variables, cnf.clauses[::-1])
+        a, b = cnf_to_obdd(cnf), cnf_to_obdd(backwards)
+        assert [n.uid for n in a.nodes()] != [n.uid for n in b.nodes()]
+        texts = [serialize_diagram(ObddCompilation(dd, cnf.variables)) for dd in (a, b)]
+        assert texts[0] == texts[1]
+        assert model_count(load_diagram(texts[0])) == bin(cnf_truth_table(cnf)).count("1")
 
     def test_queries_on_loaded_sdd(self):
         from mso2dd.oracle import min_cardinality_model
