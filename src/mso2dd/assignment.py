@@ -137,43 +137,3 @@ def all_mso_assignments(phi: Formula, g: Graph):
     for values in itertools.product(*domains):
         yield dict(zip(phi.free_vars, values))
 
-
-def parse_assignment_text(text: str, phi: Formula, g: Graph) -> dict[Var, object]:
-    """Parse `set <var> <obj>` / `member <var> <obj>` lines into an assignment.
-
-    Set variables not mentioned at all get the empty set; object variables must
-    be given exactly one `set` line.
-    """
-    by_name = {v.name: v for v in phi.free_vars}
-    alpha: dict[Var, object] = {v: set() for v in phi.free_vars if v.sort.is_set}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[0] not in ("set", "member"):
-            raise AssignmentError(f"line {lineno}: malformed assignment line {line!r}")
-        cmd, name, obj_text = parts
-        if name not in by_name:
-            raise AssignmentError(f"line {lineno}: unknown variable {name!r}")
-        var = by_name[name]
-        try:
-            obj = int(obj_text)
-        except ValueError:
-            raise AssignmentError(f"line {lineno}: bad object id {obj_text!r}") from None
-        if cmd == "set":
-            if not var.sort.is_object:
-                raise AssignmentError(f"line {lineno}: `set` needs an object variable")
-            if var in alpha:
-                raise AssignmentError(f"line {lineno}: {name!r} assigned twice")
-            alpha[var] = obj
-        else:
-            if not var.sort.is_set:
-                raise AssignmentError(f"line {lineno}: `member` needs a set variable")
-            alpha[var].add(obj)
-    for var in phi.free_vars:
-        if var not in alpha:
-            raise AssignmentError(f"object variable {var.name!r} never assigned")
-        if var.sort.is_set:
-            alpha[var] = frozenset(alpha[var])
-    return alpha

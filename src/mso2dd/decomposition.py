@@ -74,15 +74,6 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
     return TreeDecomposition(bags, edges)
 
 
-def serialize_tree_decomposition(t: TreeDecomposition, n_vertices: int) -> str:
-    max_bag = max((len(b) for b in t.bags.values()), default=0)
-    lines = [f"s td {len(t.bags)} {max_bag} {n_vertices}"]
-    for n in t.nodes:
-        lines.append("b " + " ".join([str(n)] + [str(v) for v in sorted(t.bags[n])]))
-    lines.extend(f"{a} {b}" for a, b in sorted(t.tree_edges))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
@@ -108,12 +99,18 @@ def validate_decomposition(g: Graph, t: TreeDecomposition) -> ValidationReport:
     if len(seen) != len(nodes):
         violations.append("underlying graph is not a tree (disconnected)")
     tree_ok = not violations
+    # the nodes whose bags hold each vertex, in node order
+    occurrences = {v: [] for v in g.vertices()}
+    for n in nodes:
+        for v in t.bags[n]:
+            occurrences.setdefault(v, []).append(n)
     for e in g.edges:
-        if not any({e.u, e.v} <= bag for bag in t.bags.values()):
+        a, b = sorted((e.u, e.v), key=lambda v: len(occurrences[v]))
+        if not any(b in t.bags[n] for n in occurrences[a]):
             violations.append(f"edge ({e.u}, {e.v}) not covered by any bag")
     if tree_ok:  # occurrence connectivity is only meaningful on a tree
         for v in g.vertices():
-            occ = [n for n in nodes if v in t.bags[n]]
+            occ = occurrences[v]
             if not occ:
                 violations.append(f"vertex {v} appears in no bag")
                 continue

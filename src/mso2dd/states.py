@@ -4,15 +4,22 @@ Each formula constructor gets a space with an initial state, an acceptance
 predicate, and two transition functions: `forget` consumes the decision bits
 tied to the vertex/edges dropped at a forget node, `join` combines the states
 of the two subtrees below a join node. Spaces depend only on the formula and
-the decomposition width, never on the graph.
+the decomposition width, never on the graph, and a forget depends on its node
+only through the node's local shape (`ForgetInfo.shape`) and the bits in
+context order. So `reachable_states` and the quantifier memos compute a
+forget once per state, shape and context assignment, for every node of that
+shape.
 
-States are plain hashable values, not hash-consed identities: an atom is one
-of the strings INIT, TRUE and BOT, an adjacency colour is an int, consistency
-bits and conjunction pairs are tuples, and a quantifier state is a frozenset
-of (inner state, bits) pairs. Equal states compare equal wherever they were
-made, and no table outlives the space that one compilation builds. Each
-space's `key` gives a state's deterministic text encoding, which orders states
-canonically.
+States are plain hashable values: an atom is one of the strings INIT, TRUE
+and BOT, an adjacency colour is an int, consistency bits and conjunction
+pairs are tuples, and a quantifier state is a frozenset of (inner state,
+bits) pairs, hash-consed by its space. Equal states compare equal wherever
+they were made, and no table outlives the space that one compilation builds.
+Each space's `key` gives a state's deterministic text encoding, which orders
+states canonically. A quantifier set is encoded by a fixed-width digest of
+its members' sorted encodings, so encodings stay short however deep
+quantifiers nest; the digest is taken of text, not of Python's `hash`, so the
+order does not depend on the hash seed.
 """
 
 from __future__ import annotations
@@ -41,6 +48,11 @@ TRUE = "T"
 BOT = "X"
 
 
+# quantifier set keys are their member text reduced modulo this prime, a
+# 128-bit digest that is exact for texts under 16 bytes
+_DIGEST_MODULUS = (1 << 128) - 159
+
+
 def _bits_key(bits: tuple) -> str:
     return "".join(map(str, bits))
 
@@ -60,6 +72,13 @@ class ForgetInfo:
     vertex_color: int
     edges: tuple[ForgetEdge, ...]
     context: Context
+
+    @property
+    def shape(self) -> tuple:
+        """The local shape: the vertex colour and the far-end colours of the
+        forgotten edges in context order. Forget transitions depend on the node
+        through nothing else, and it fixes the context layout."""
+        return (self.vertex_color, tuple(fe.other_color for fe in self.edges))
 
 
 class StateSpace:
@@ -354,7 +373,14 @@ class QuantifierSpace(StateSpace):
       dropped: hence the early return.
 
     `reads` holds the variables free in the block: the body consults no
-    other context bits, so `forget` keys its memo on these alone."""
+    other bits, so `forget` keys its memo on the local shape and on the bits
+    of these variables on the forgotten objects, in a fixed order, and the memo
+    serves every decomposition node of that shape.
+
+    Sets are hash-consed: equal sets made by this space are one object, so
+    comparing sets that hold them stops at the first level. A set's `key` is
+    a fixed-width digest of its sorted member keys, computed once per set, so
+    keys stay short however deep quantifiers nest."""
 
     def __init__(
         self, bound_vars: tuple[Var, ...], inner: StateSpace, width: int, reads: frozenset
@@ -362,17 +388,16 @@ class QuantifierSpace(StateSpace):
         self.bound_vars = bound_vars
         self.inner = inner
         self.width = width
-        self.reads = reads
+        self.reads = tuple(sorted(reads, key=lambda v: (v.name, v.sort.value)))
         self.n_object = sum(1 for v in bound_vars if v.sort.is_object)
-        zeros = (0,) * self.n_object
-        self.initial = frozenset([(inner.initial, zeros)])
         self._ones = (1,) * self.n_object
-        # per (node, projected context assignment, member) live successors
+        self._sets: dict = {}
+        # per (local shape, read bits, member) live successors
         self._forget_memo: dict = {}
         self._join_memo: dict = {}
-        # encodings of sets and of their (inner, bits) members, which many
-        # sets share; without them nested sets re-encode on every call
+        # keys of sets and of their (inner, bits) members, which many sets share
         self._keys: dict = {}
+        self.initial = self._settle([(inner.initial, (0,) * self.n_object)])
 
     def is_accepting(self, s) -> bool:
         return any(
@@ -386,17 +411,25 @@ class QuantifierSpace(StateSpace):
         return any(bits == self._ones and self.inner.sure(inner) for inner, bits in s)
 
     def _settle(self, members) -> frozenset:
-        """The set of live `members`, collapsed to its key-first member with
-        all bits set and a sure inner state if it has one."""
+        """The canonical set of live `members`, collapsed to its key-first
+        member with all bits set and a sure inner state if it has one."""
         sure = [m for m in members if m[1] == self._ones and self.inner.sure(m[0])]
         if sure:
-            return frozenset([min(sure, key=self._member_key)])
-        return frozenset(members)
+            members = [min(sure, key=self._member_key)]
+        s = frozenset(members)
+        return self._sets.setdefault(s, s)
 
     def forget(self, s, info, delta):
-        reads = self.reads
-        seen = {dv: bit for dv, bit in delta.items() if dv.var in reads}
-        delta_key = (info.context.node, frozenset(seen.items()))
+        # the read bits on the forgotten objects only: delta may be a whole
+        # assignment, as in `node_states`
+        seen = {}
+        for var in self.reads:
+            make = dv_eq if var.sort.is_object else dv_mem
+            objects = [info.vertex] if var.sort.is_vertex else [fe.edge.id for fe in info.edges]
+            for obj in objects:
+                dv = make(var, obj)
+                seen[dv] = delta[dv]
+        delta_key = (info.shape, tuple(seen.values()))
         memo, dead = self._forget_memo, self.inner.dead
         result = set()
         for inner, bits in s:
@@ -435,7 +468,8 @@ class QuantifierSpace(StateSpace):
     def key(self, s) -> str:
         got = self._keys.get(s)
         if got is None:
-            got = self._keys[s] = "S{" + ";".join(sorted(map(self._member_key, s))) + "}"
+            text = ";".join(sorted(map(self._member_key, s))).encode()
+            got = self._keys[s] = f"S{int.from_bytes(text, 'little') % _DIGEST_MODULUS:032x}"
         return got
 
     def _member_key(self, member) -> str:
@@ -610,23 +644,16 @@ class ReachableSets:
         return len(set().union(*self.per_node.values()))
 
 
-def dump_reachable_states(space: StateSpace, reach: ReachableSets) -> str:
-    """Diagnostic listing: per decomposition node, one canonical state encoding
-    per line."""
-    lines = []
-    for nid in sorted(reach.per_node):
-        lines.append(f"node {nid}")
-        lines.extend(f"  {space.key(s)}" for s in reach.per_node[nid])
-    return "\n".join(lines) + "\n"
-
-
 def reachable_states(
     space: StateSpace, t: NiceTreeDecomposition, plan: dict[int, ForgetInfo]
 ) -> ReachableSets:
     """Per-node reachable state sets: the closure over every context assignment
-    of every forget node, computed in one bottom-up pass."""
+    of every forget node, computed in one bottom-up pass. A forget transition
+    is computed once per (state, local shape, context assignment index) and
+    shared by every node of that shape."""
     # one object per distinct state, so table keys and values share it
     distinct = {space.initial: space.initial}
+    memo: dict = {}
     per_node: dict[int, tuple] = {}
     forget_tables: dict[int, dict] = {}
     join_tables: dict[int, dict] = {}
@@ -641,11 +668,15 @@ def reachable_states(
         table = {}
         if n.kind == FORGET:
             info = plan[nid]
-            deltas = context_assignments(info.context)
+            shape, deltas = info.shape, None
             for s in per_node[n.children[0]]:
-                for idx, delta in enumerate(deltas):
-                    c = space.forget(s, info, delta)
-                    table[(s, idx)] = distinct.setdefault(c, c)
+                for idx in range(1 << len(info.context.variables)):
+                    c = memo.get((s, shape, idx))
+                    if c is None:
+                        deltas = deltas or context_assignments(info.context)
+                        c = space.forget(s, info, deltas[idx])
+                        c = memo[(s, shape, idx)] = distinct.setdefault(c, c)
+                    table[(s, idx)] = c
             forget_tables[nid] = table
         else:
             for a in per_node[n.children[0]]:

@@ -12,7 +12,7 @@ from mso2dd import (
     is_consistent,
     parse_formula,
 )
-from mso2dd.assignment import all_mso_assignments, dv_eq, dv_mem, parse_assignment_text
+from mso2dd.assignment import all_mso_assignments, dv_eq, dv_mem
 from mso2dd.errors import AssignmentError
 from mso2dd.oracle import kappa_formula
 
@@ -137,28 +137,3 @@ class TestEncodeDecode:
         )
         nv, ne = g.n_vertices, g.n_edges
         assert count == nv * ne * 2**nv * 2**ne
-
-
-class TestAssignmentText:
-    def test_parse(self):
-        phi = desugar(parse_formula("free vertex x; free vset X; (x in X)"))
-        alpha = parse_assignment_text("set x 2\nmember X 1\nmember X 3\n", phi, path_graph(3))
-        x, xs = phi.free_vars
-        assert alpha == {x: 2, xs: frozenset({1, 3})}
-
-    def test_unset_set_variable_is_empty(self):
-        phi = desugar(parse_formula("free vset X; exists vertex v. (v in X)"))
-        alpha = parse_assignment_text("", phi, path_graph(2))
-        assert alpha == {phi.free_vars[0]: frozenset()}
-
-    def test_missing_object_variable(self):
-        with pytest.raises(AssignmentError):
-            parse_assignment_text("", EQ_XY, clique(1))
-
-    def test_double_set(self):
-        with pytest.raises(AssignmentError):
-            parse_assignment_text("set x 1\nset x 1\nset y 1\n", EQ_XY, clique(1))
-
-    def test_malformed(self):
-        with pytest.raises(AssignmentError):
-            parse_assignment_text("assign x 1\nset y 1\n", EQ_XY, clique(1))

@@ -22,7 +22,6 @@ from mso2dd.decomposition import (
     FORGET,
     JOIN,
     is_good_coloring,
-    serialize_tree_decomposition,
     validate_nice,
 )
 from mso2dd.errors import DecompositionError
@@ -303,8 +302,7 @@ class TestContext:
 class TestTdIO:
     def test_roundtrip(self):
         t = TreeDecomposition({1: {1, 2}, 2: {2, 3}}, [(1, 2)])
-        text = serialize_tree_decomposition(t, 3)
-        back = parse_tree_decomposition(text)
+        back = parse_tree_decomposition("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
         assert back.bags == t.bags
         assert sorted(back.tree_edges) == sorted(t.tree_edges)
 

@@ -24,12 +24,14 @@ from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_to_obdd,
+    kappa_formula,
+    min_cardinality_model,
     model_count,
     truth_table,
     truth_table_oracle,
 )
 
-from conftest import all_deltas, path_graph, star_graph
+from conftest import all_deltas, kappa_count_path, path_decomposition, path_graph, star_graph
 
 
 def fig_order():
@@ -162,7 +164,7 @@ class TestCompile:
         assert truth_table(comp.obdd, dvars) == truth_table_oracle(phi, g, dvars)
 
     def test_kappa_on_path(self):
-        from mso2dd.oracle import kappa_formula, oracle_models
+        from mso2dd.oracle import oracle_models
 
         g = path_graph(3)
         phi = desugar(kappa_formula())
@@ -171,6 +173,18 @@ class TestCompile:
         )
         comp = compile_obdd(phi, g, nice, good_coloring(g, nice))
         assert model_count(comp) == oracle_models(phi, g).count == 25
+
+    def test_kappa_on_2000_vertex_path(self):
+        n = 2000
+        g = path_graph(n)
+        phi = desugar(kappa_formula())
+        nice = make_nice(g, path_decomposition(n))
+        comp = compile_obdd(phi, g, nice, good_coloring(g, nice))
+        assert model_count(comp) == kappa_count_path(n)
+        targets = [d for d in comp.legend if d.var.name == "X_V"]
+        forced = {d: 0 for d in comp.legend if d.var.name == "X_E"}
+        minimum, _ = min_cardinality_model(comp, targets, forced)
+        assert minimum == n // 2
 
     def test_constant_formula_single_terminal(self):
         g = path_graph(2)

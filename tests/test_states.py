@@ -1,7 +1,13 @@
+import random
+
+import pytest
+
 from mso2dd import (
     Graph,
+    TreeDecomposition,
     build_state_space,
     clique,
+    compile_obdd,
     compile_sdd,
     decision_variables,
     desugar,
@@ -356,19 +362,6 @@ class TestQuantifierSemantics:
                 # identify the bound variable's decision bits with the inner free ones
                 assert got == expected, nid
 
-    def test_reachable_dump_format(self):
-        from mso2dd.states import dump_reachable_states
-
-        g = path_graph(2)
-        phi, nice, col = setup_instance("free vertex x; free vertex y; (x = y)", g)
-        space = decision_space(phi, nice.width())
-        plan = forget_plan(phi, g, nice, col)
-        text = dump_reachable_states(space, reachable_states(space, nice, plan))
-        lines = text.strip().splitlines()
-        assert lines[0] == "node 1"
-        assert lines[1] == "  P(I,b00)"  # one canonical encoding per line
-        assert sum(1 for l in lines if l.startswith("node ")) == len(nice)
-
     def test_reachable_count_graph_size_independent_shape(self):
         phi = desugar(parse_formula("free vset X; exists vertex x. (x in X)"))
         counts = []
@@ -566,3 +559,54 @@ class TestPrune:
             sizes[depth] = memos
         assert set(sizes[10]) == set(sizes[4])
         assert sizes[10][0] == sizes[4][0] and sizes[10][-1] == sizes[4][-1]
+
+    def test_forget_memos_flat_in_graph_size(self):
+        # an entry serves every node of its local shape, so a longer path
+        # adds none
+        phi = desugar(parse_formula(KAPPA_TEXT))
+        sizes = {}
+        for n in (64, 256):
+            g = path_graph(n)
+            nice = make_nice(g, path_decomposition(n))
+            col = good_coloring(g, nice)
+            space = decision_space(phi, nice.width())
+            reachable_states(space, nice, forget_plan(phi, g, nice, col))
+            sizes[n] = [len(q._forget_memo) for q, _ in quantifier_sets(space, space.initial)]
+        assert sizes[64] and all(sizes[64])
+        assert sizes[64] == sizes[256]
+
+    def test_keys_linear_in_nesting_depth(self):
+        # a key names nested sets by fixed-width digests instead of spelling
+        # out each nested set once per member that holds it
+        g = path_graph(4)
+        longest = {}
+        for depth in (6, 12, 24):
+            phi, nice, col = setup_instance(nested_chain(depth), g)
+            space = decision_space(phi, nice.width())
+            reach = reachable_states(space, nice, forget_plan(phi, g, nice, col))
+            longest[depth] = max(
+                len(space.key(s)) for states in reach.per_node.values() for s in states
+            )
+            if depth > 6:
+                assert longest[depth] <= 2 * longest[depth // 2], longest
+
+    @pytest.mark.parametrize("name", ["kappa", "dom"])
+    def test_shuffled_path_matches_oracle(self, name):
+        # memo entries are shared by local shape, never by vertex or edge id
+        n = 7
+        rng = random.Random(1)
+        label = rng.sample(range(1, n + 1), n)
+        edges = [(label[i], label[i + 1]) for i in range(n - 1)]
+        rng.shuffle(edges)
+        g = Graph(n, edges)
+        td = TreeDecomposition(
+            {i: {label[i - 1], label[i]} for i in range(1, n)},
+            [(i, i + 1) for i in range(1, n - 1)],
+        )
+        phi = desugar(parse_formula(FORMULA_TEXTS[name]))
+        nice = make_nice(g, td)
+        col = good_coloring(g, nice)
+        dvars = decision_variables(phi, g)
+        expected = truth_table_oracle(phi, g, dvars)
+        for compile_ in (compile_obdd, compile_sdd):
+            assert truth_table(compile_(phi, g, nice, col), dvars) == expected
