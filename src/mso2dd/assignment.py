@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import AssignmentError
+from .errors import AssignmentError, QueryError
 from .graph import Graph
 from .mso import Formula, Sort, Var
 
@@ -100,22 +100,31 @@ def encode_assignment(alpha, phi: Formula, g: Graph) -> dict[DecisionVariable, i
     return delta
 
 
+def decode_bits(legend, delta) -> dict[Var, object]:
+    """Recover the variable assignment a consistent bit assignment encodes;
+    works from the legend alone, so it applies to loaded diagrams too."""
+    by_var: dict = {}
+    for d in legend:
+        by_var.setdefault(d.var, []).append(d)
+    alpha = {}
+    for var, dvs in by_var.items():
+        if var.sort.is_object:
+            hits = [d.obj for d in dvs if delta[d]]
+            if len(hits) != 1:
+                raise QueryError(f"inconsistent bits for object variable {var.name!r}")
+            alpha[var] = hits[0]
+        else:
+            alpha[var] = frozenset(d.obj for d in dvs if delta[d])
+    return alpha
+
+
 def decode_assignment(delta, phi: Formula, g: Graph) -> dict[Var, object]:
     """Inverse of encode_assignment; rejects inconsistent input."""
     if not is_consistent(delta, phi, g):
         raise AssignmentError("assignment is not consistent")
-    alpha: dict[Var, object] = {}
-    for var in phi.free_vars:
-        if var.sort.is_object:
-            for obj in _objects(g, var.sort):
-                if delta[dv_eq(var, obj)]:
-                    alpha[var] = obj
-                    break
-        else:
-            alpha[var] = frozenset(
-                obj for obj in _objects(g, var.sort) if delta[dv_mem(var, obj)]
-            )
-    return alpha
+    alpha = decode_bits(decision_variables(phi, g), delta)
+    # a set variable over an empty universe has no decision variable
+    return {var: alpha.get(var, frozenset()) for var in phi.free_vars}
 
 
 def all_mso_assignments(phi: Formula, g: Graph):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import sys
 from pathlib import Path
@@ -157,7 +158,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.query == "sat":
         print("SAT" if q.is_satisfiable(diagram) else "UNSAT")
     elif args.query == "count":
-        print(q.model_count(diagram))
+        # Decimal prints past the interpreter's 4,300-digit limit on int-to-str
+        print(decimal.Decimal(q.model_count(diagram)))
     elif args.query == "enumerate":
         for alpha in q.enumerate_models(diagram, args.limit):
             print(_render_assignment(diagram.legend, alpha))

@@ -270,7 +270,7 @@ def compile_obdd(
     for n in t.nodes.values():
         if n.kind == JOIN:
             raise DiagramError("path decomposition required: join node present")
-    space_dp = decision_space(phi, t.width())
+    space_dp = decision_space(phi)
     plan = forget_plan(phi, g, t, coloring)
     reach = minimize_states(space_dp, t, reachable_states(space_dp, t, plan))
 

@@ -19,7 +19,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .assignment import DecisionVariable, decision_variables, dv_mem
+from .assignment import DecisionVariable, decision_variables, decode_bits, dv_mem
 from .errors import QueryError
 from .graph import Graph
 from .mso import (
@@ -462,24 +462,6 @@ def model_count(diagram) -> int:
 
 def is_satisfiable(diagram) -> bool:
     return fold(diagram, SAT)[0]
-
-
-def decode_bits(legend, delta):
-    """Recover the variable assignment a consistent bit assignment encodes;
-    works from the legend alone, so it applies to loaded diagrams too."""
-    by_var: dict = {}
-    for d in legend:
-        by_var.setdefault(d.var, []).append(d)
-    alpha = {}
-    for var, dvs in by_var.items():
-        if var.sort.is_object:
-            hits = [d.obj for d in dvs if delta[d]]
-            if len(hits) != 1:
-                raise QueryError(f"inconsistent bits for object variable {var.name!r}")
-            alpha[var] = hits[0]
-        else:
-            alpha[var] = frozenset(d.obj for d in dvs if delta[d])
-    return alpha
 
 
 def enumerate_models(diagram, limit: int):

@@ -295,13 +295,6 @@ def context_assignment_mapping(
         neg = builder.literal(var, False)
         if i == k - 1:
             node = pos if bits[i] else neg
-        elif i == k - 2:
-            last = builder.literal(ctx_vars[i + 1], bits[i + 1] == 1)
-            if bits[i]:
-                pairs = [(pos, last), (neg, builder.false)]
-            else:
-                pairs = [(pos, builder.false), (neg, last)]
-            node = builder.decomposition(suffix_vid[i], pairs)
         else:
             rest = build(i + 1, bits)
             if bits[i]:
@@ -407,8 +400,7 @@ def compile_sdd(
     one diagram that is true exactly on the accepted assignments."""
     if not phi.is_core:
         raise DiagramError("formula must be desugared before compilation")
-    width = t.width()
-    space = decision_space(phi, width)
+    space = decision_space(phi)
     plan = forget_plan(phi, g, t, coloring)
     reach = minimize_states(space, t, reachable_states(space, t, plan))
     builder = SddBuilder()

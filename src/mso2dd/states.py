@@ -3,23 +3,20 @@
 Each formula constructor gets a space with an initial state, an acceptance
 predicate, and two transition functions: `forget` consumes the decision bits
 tied to the vertex/edges dropped at a forget node, `join` combines the states
-of the two subtrees below a join node. Spaces depend only on the formula and
-the decomposition width, never on the graph, and a forget depends on its node
-only through the node's local shape (`ForgetInfo.shape`) and the bits in
-context order. So `reachable_states` and the quantifier memos compute a
-forget once per state, shape and context assignment, for every node of that
-shape.
+of the two subtrees below a join node. Spaces are built from the formula
+alone, never from the graph, and a forget depends on its node only through
+the node's local shape (`ForgetInfo.shape`) and the bits in context order.
+So `reachable_states` and the quantifier memos compute a forget once per
+state, shape and context assignment, for every node of that shape.
 
 States are plain hashable values: an atom is one of the strings INIT, TRUE
 and BOT, an adjacency colour is an int, consistency bits and conjunction
-pairs are tuples, and a quantifier state is a frozenset of (inner state,
-bits) pairs, hash-consed by its space. Equal states compare equal wherever
-they were made, and no table outlives the space that one compilation builds.
-Each space's `key` gives a state's deterministic text encoding, which orders
-states canonically. A quantifier set is encoded by a fixed-width digest of
-its members' sorted encodings, so encodings stay short however deep
-quantifiers nest; the digest is taken of text, not of Python's `hash`, so the
-order does not depend on the hash seed.
+pairs are tuples, and a quantifier state is TRUE or a frozenset of (inner
+state, bits) pairs, hash-consed by its space. Equal states compare equal
+wherever they were made, and no table outlives the space that one
+compilation builds. States carry no names: `reachable_states` orders each
+node's states by when the pass first made them, which depends on no hash, so
+neither does the output.
 """
 
 from __future__ import annotations
@@ -42,19 +39,9 @@ from .errors import Mso2ddError
 from .graph import Edge, Graph
 from .mso import Adj, And, Eq, Exists, Formula, In, Not, Sort, Var, occurring_variables
 
-# atoms are strings that are their own encodings
 INIT = "I"
 TRUE = "T"
 BOT = "X"
-
-
-# quantifier set keys are their member text reduced modulo this prime, a
-# 128-bit digest that is exact for texts under 16 bytes
-_DIGEST_MODULUS = (1 << 128) - 159
-
-
-def _bits_key(bits: tuple) -> str:
-    return "".join(map(str, bits))
 
 
 @dataclass(frozen=True)
@@ -107,13 +94,6 @@ class StateSpace:
     def join(self, left, right):
         raise NotImplementedError
 
-    def key(self, s) -> str:
-        """Atoms encode as themselves."""
-        return s
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 class AtomSpace(StateSpace):
     """An atom starts at INIT and accepts once TRUE, which it keeps."""
@@ -149,9 +129,6 @@ class EqualitySpace(AtomSpace):
     def join(self, left, right):
         return TRUE if TRUE in (left, right) else INIT
 
-    def describe(self) -> str:
-        return f"eq({self.left.name},{self.right.name})"
-
 
 class MembershipSpace(AtomSpace):
     def __init__(self, element: Var, container: Var) -> None:
@@ -176,18 +153,14 @@ class MembershipSpace(AtomSpace):
     def join(self, left, right):
         return TRUE if TRUE in (left, right) else INIT
 
-    def describe(self) -> str:
-        return f"in({self.element.name},{self.container.name})"
-
 
 class AdjacencySpace(AtomSpace):
     """Endpoint checks may have to wait until the other endpoint is forgotten;
     its color (an int) is parked in the state meanwhile."""
 
-    def __init__(self, vertex: Var, edge: Var, width: int) -> None:
+    def __init__(self, vertex: Var, edge: Var) -> None:
         self.vertex = vertex
         self.edge = edge
-        self.width = width
         # joins pairing two non-INIT states are unreachable on consistent runs;
         # instrumented so tests can assert that
         self.impossible_join_hits = 0
@@ -213,12 +186,6 @@ class AdjacencySpace(AtomSpace):
         self.impossible_join_hits += 1
         return INIT  # unconstrained cell, any value works
 
-    def key(self, s) -> str:
-        return f"c{s:03d}" if isinstance(s, int) else s
-
-    def describe(self) -> str:
-        return f"adj({self.vertex.name},{self.edge.name},w={self.width})"
-
 
 class NegationSpace(StateSpace):
     def __init__(self, inner: StateSpace) -> None:
@@ -239,12 +206,6 @@ class NegationSpace(StateSpace):
 
     def join(self, left, right):
         return self.inner.join(left, right)
-
-    def key(self, s) -> str:
-        return self.inner.key(s)
-
-    def describe(self) -> str:
-        return f"not({self.inner.describe()})"
 
 
 class ConjunctionSpace(StateSpace):
@@ -273,12 +234,6 @@ class ConjunctionSpace(StateSpace):
         al, ar = a
         bl, br = b
         return (self.left.join(al, bl), self.right.join(ar, br))
-
-    def key(self, s) -> str:
-        return f"P({self.left.key(s[0])},{self.right.key(s[1])})"
-
-    def describe(self) -> str:
-        return f"and({self.left.describe()},{self.right.describe()})"
 
 
 def all_consistent_extensions(bound_vars, delta, bits, info: ForgetInfo):
@@ -342,16 +297,15 @@ def all_consistent_extensions(bound_vars, delta, bits, info: ForgetInfo):
 
 
 class QuantifierSpace(StateSpace):
-    """Existential block: states are frozensets of (inner state, assigned-bits)
-    pairs, one per way of instantiating the bound variables with
-    already-forgotten objects, less the members that cannot matter.
+    """Existential block: a state is TRUE or a frozenset of (inner state,
+    assigned-bits) pairs, one per way of instantiating the bound variables
+    with already-forgotten objects, less the members that cannot matter.
 
     A set accepts iff it holds a member with all bits set whose inner state
     accepts. Every `forget` and `join` result is settled: members whose inner
     state is dead are dropped, and a set holding a member with all bits set
-    and a sure inner state is cut down to that member alone, the first such
-    in key order. An empty set is dead, a set with such a member is sure, and
-    `join` returns a sure operand as it is.
+    and a sure inner state becomes TRUE. An empty set is dead, TRUE is sure
+    and accepting, and `forget` and `join` keep TRUE.
 
     Why no answer changes: the predicates need only hold on consistent runs,
     which give every object variable at most one value. A run giving a free
@@ -367,10 +321,11 @@ class QuantifierSpace(StateSpace):
     - a dead member has only dead successors, so it never makes a set accept;
     - a member with all bits set and a sure inner state has such a successor
       after every forget (an assigned object variable skips the forgotten
-      object), so its set accepts on every continuation, and one such member
-      stands for all of them. At a join it would need the other side's
-      all-clear member as a partner, which that side's settling may have
-      dropped: hence the early return.
+      object), and one at every join, paired with the other side's all-clear
+      member, so its set accepts on every continuation whatever else it
+      holds. One state, TRUE, stands for every such set; a join with it is
+      TRUE without pairing, because the other side's settling may have
+      dropped the all-clear member.
 
     `reads` holds the variables free in the block: the body consults no
     other bits, so `forget` keys its memo on the local shape and on the bits
@@ -378,16 +333,11 @@ class QuantifierSpace(StateSpace):
     serves every decomposition node of that shape.
 
     Sets are hash-consed: equal sets made by this space are one object, so
-    comparing sets that hold them stops at the first level. A set's `key` is
-    a fixed-width digest of its sorted member keys, computed once per set, so
-    keys stay short however deep quantifiers nest."""
+    comparing sets that hold them stops at the first level."""
 
-    def __init__(
-        self, bound_vars: tuple[Var, ...], inner: StateSpace, width: int, reads: frozenset
-    ) -> None:
+    def __init__(self, bound_vars: tuple[Var, ...], inner: StateSpace, reads: frozenset) -> None:
         self.bound_vars = bound_vars
         self.inner = inner
-        self.width = width
         self.reads = tuple(sorted(reads, key=lambda v: (v.name, v.sort.value)))
         self.n_object = sum(1 for v in bound_vars if v.sort.is_object)
         self._ones = (1,) * self.n_object
@@ -395,12 +345,10 @@ class QuantifierSpace(StateSpace):
         # per (local shape, read bits, member) live successors
         self._forget_memo: dict = {}
         self._join_memo: dict = {}
-        # keys of sets and of their (inner, bits) members, which many sets share
-        self._keys: dict = {}
         self.initial = self._settle([(inner.initial, (0,) * self.n_object)])
 
     def is_accepting(self, s) -> bool:
-        return any(
+        return s == TRUE or any(
             bits == self._ones and self.inner.is_accepting(inner) for inner, bits in s
         )
 
@@ -408,18 +356,19 @@ class QuantifierSpace(StateSpace):
         return not s
 
     def sure(self, s) -> bool:
-        return any(bits == self._ones and self.inner.sure(inner) for inner, bits in s)
+        return s == TRUE
 
-    def _settle(self, members) -> frozenset:
-        """The canonical set of live `members`, collapsed to its key-first
-        member with all bits set and a sure inner state if it has one."""
-        sure = [m for m in members if m[1] == self._ones and self.inner.sure(m[0])]
-        if sure:
-            members = [min(sure, key=self._member_key)]
+    def _settle(self, members):
+        """TRUE if a member of the live `members` has all bits set and a sure
+        inner state, else their canonical set."""
+        if any(bits == self._ones and self.inner.sure(inner) for inner, bits in members):
+            return TRUE
         s = frozenset(members)
         return self._sets.setdefault(s, s)
 
     def forget(self, s, info, delta):
+        if s == TRUE:
+            return TRUE
         # the read bits on the forgotten objects only: delta may be a whole
         # assignment, as in `node_states`
         seen = {}
@@ -447,10 +396,8 @@ class QuantifierSpace(StateSpace):
         return self._settle(result)
 
     def join(self, left, right):
-        if self.sure(left):
-            return left
-        if self.sure(right):
-            return right
+        if TRUE in (left, right):
+            return TRUE
         key = (left, right)
         got = self._join_memo.get(key)
         if got is not None:
@@ -464,24 +411,6 @@ class QuantifierSpace(StateSpace):
                         result.add((inner, tuple(x | y for x, y in zip(bl, br))))
         out = self._join_memo[key] = self._settle(result)
         return out
-
-    def key(self, s) -> str:
-        got = self._keys.get(s)
-        if got is None:
-            text = ";".join(sorted(map(self._member_key, s))).encode()
-            got = self._keys[s] = f"S{int.from_bytes(text, 'little') % _DIGEST_MODULUS:032x}"
-        return got
-
-    def _member_key(self, member) -> str:
-        got = self._keys.get(member)
-        if got is None:
-            inner, bits = member
-            got = self._keys[member] = f"({self.inner.key(inner)},{_bits_key(bits)})"
-        return got
-
-    def describe(self) -> str:
-        vs = ",".join(f"{v.name}:{v.sort.value}" for v in self.bound_vars)
-        return f"exists[{vs}]({self.inner.describe()})"
 
 
 class ConsistencySpace(StateSpace):
@@ -521,32 +450,23 @@ class ConsistencySpace(StateSpace):
             return BOT
         return tuple(x | y for x, y in zip(left, right))
 
-    def key(self, s) -> str:
-        return s if s == BOT else "b" + _bits_key(s)
 
-    def describe(self) -> str:
-        return f"consistency[{','.join(v.name for v in self.object_vars)}]"
-
-
-def build_state_space(expr, width: int) -> StateSpace:
+def build_state_space(expr) -> StateSpace:
     """Recursive state-space construction over the core connectives."""
     if isinstance(expr, Eq):
         return EqualitySpace(expr.left, expr.right)
     if isinstance(expr, In):
         return MembershipSpace(expr.element, expr.container)
     if isinstance(expr, Adj):
-        return AdjacencySpace(expr.vertex, expr.edge, width)
+        return AdjacencySpace(expr.vertex, expr.edge)
     if isinstance(expr, Not):
-        return NegationSpace(build_state_space(expr.body, width))
+        return NegationSpace(build_state_space(expr.body))
     if isinstance(expr, And):
-        return ConjunctionSpace(
-            build_state_space(expr.left, width), build_state_space(expr.right, width)
-        )
+        return ConjunctionSpace(build_state_space(expr.left), build_state_space(expr.right))
     if isinstance(expr, Exists):
         return QuantifierSpace(
             expr.variables,
-            build_state_space(expr.body, width),
-            width,
+            build_state_space(expr.body),
             frozenset(occurring_variables(expr)),  # free in the block
         )
     raise Mso2ddError(f"formula is not in core form: {type(expr).__name__}")
@@ -557,11 +477,11 @@ def with_consistency(space: StateSpace, phi: Formula) -> ConjunctionSpace:
     return ConjunctionSpace(space, ConsistencySpace(phi.free_object_vars))
 
 
-def decision_space(phi: Formula, width: int) -> ConjunctionSpace:
+def decision_space(phi: Formula) -> ConjunctionSpace:
     """The consistency-checked space the compilers and the runner operate on."""
     if not phi.is_core:
         raise Mso2ddError("formula must be desugared first")
-    return with_consistency(build_state_space(phi.root, width), phi)
+    return with_consistency(build_state_space(phi.root), phi)
 
 
 def forget_plan(
@@ -604,7 +524,7 @@ def run_decision_procedure(
     phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int], delta
 ) -> bool:
     """Accept iff delta is consistent and encodes a model of phi on g."""
-    space = decision_space(phi, t.width())
+    space = decision_space(phi)
     plan = forget_plan(phi, g, t, coloring)
     states = node_states(space, t, plan, delta)
     return space.is_accepting(states[t.root])
@@ -622,10 +542,11 @@ def context_assignments(context: Context):
 class ReachableSets:
     """Per-node reachable states plus the transition tables restricted to them.
 
-    Each node's states are ordered by their `key`. Forget tables are keyed by
-    (child state, context assignment index) with assignment indices following
-    `context_assignments` order; join tables by the pair of child states.
-    `count` is the number of distinct reachable states over all nodes.
+    Each node's states are ordered by their rank in the order the pass first
+    made them, one order over the whole decomposition. Forget tables are keyed
+    by (child state, context assignment index) with assignment indices
+    following `context_assignments` order; join tables by the pair of child
+    states. `count` is the number of distinct reachable states over all nodes.
 
     After `minimize_states` the states and tables are class representatives,
     `count` still counts the raw states, and `representative[nid]` maps each
@@ -640,7 +561,8 @@ class ReachableSets:
     @property
     def classes(self) -> int:
         """Distinct states over all nodes of these tables: representatives
-        once minimized, so at most `count`."""
+        once minimized, so at most `count`. A class is represented by its
+        earliest-made state, so nodes whose classes share it count it once."""
         return len(set().union(*self.per_node.values()))
 
 
@@ -650,9 +572,19 @@ def reachable_states(
     """Per-node reachable state sets: the closure over every context assignment
     of every forget node, computed in one bottom-up pass. A forget transition
     is computed once per (state, local shape, context assignment index) and
-    shared by every node of that shape."""
-    # one object per distinct state, so table keys and values share it
-    distinct = {space.initial: space.initial}
+    shared by every node of that shape. Each node's states are ordered by
+    their rank in the order the pass first made them; the postorder, the
+    child-state order and the context-index order fix that order."""
+    # each distinct state to its first-made object, so table keys and values
+    # share it, and to its rank
+    distinct = {space.initial: (space.initial, 0)}
+
+    def intern(c):
+        got = distinct.get(c)
+        if got is None:
+            got = distinct[c] = (c, len(distinct))
+        return got[0]
+
     memo: dict = {}
     per_node: dict[int, tuple] = {}
     forget_tables: dict[int, dict] = {}
@@ -674,17 +606,15 @@ def reachable_states(
                     c = memo.get((s, shape, idx))
                     if c is None:
                         deltas = deltas or context_assignments(info.context)
-                        c = space.forget(s, info, deltas[idx])
-                        c = memo[(s, shape, idx)] = distinct.setdefault(c, c)
+                        c = memo[(s, shape, idx)] = intern(space.forget(s, info, deltas[idx]))
                     table[(s, idx)] = c
             forget_tables[nid] = table
         else:
             for a in per_node[n.children[0]]:
                 for b in per_node[n.children[1]]:
-                    c = space.join(a, b)
-                    table[(a, b)] = distinct.setdefault(c, c)
+                    table[(a, b)] = intern(space.join(a, b))
             join_tables[nid] = table
-        per_node[nid] = tuple(sorted(set(table.values()), key=space.key))
+        per_node[nid] = tuple(sorted(set(table.values()), key=lambda c: distinct[c][1]))
     return ReachableSets(per_node, len(distinct), forget_tables, join_tables)
 
 
@@ -708,7 +638,8 @@ def minimize_states(
     over the context assignments; a join node's left state by its row over
     the right child's states, then a right state by its row over the left
     classes' representatives. A class is represented by its first member in
-    `key` order, so the quotient tables are as deterministic as the raw ones.
+    `per_node` order, the earliest made, so the quotient tables are as
+    deterministic as the raw ones.
     """
     per_node, nodes = reach.per_node, t.nodes
     rep = {t.root: _classes(per_node[t.root], space.is_accepting)}

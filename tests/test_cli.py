@@ -251,6 +251,21 @@ class TestQuery:
         assert run(["query", "--diagram", out, "--query", "count"]) == 0
         assert capsys.readouterr().out.strip() == "45"
 
+    def test_count_past_int_digit_limit(self, tmp_path, capsys):
+        # the all-true OBDD over 14,300 set bits: 2^14300 has 4,305 digits,
+        # past the interpreter's default 4,300-digit int-to-str limit
+        n = 14_300
+        dd = tmp_path / "wide.obdd"
+        dd.write_text(
+            "mso2dd-diagram 1\nkind obdd\n"
+            + "".join(f"var {i} vmem X {i + 1}\n" for i in range(n))
+            + "order " + " ".join(map(str, range(n))) + "\nnode 0 leaf 1\nroot 0\n"
+        )
+        assert run(["query", "--diagram", dd, "--query", "count"]) == 0
+        digits = capsys.readouterr().out.strip()
+        assert len(digits) == 4_305
+        assert int(digits[:-5]) * 10**5 + int(digits[-5:]) == 1 << n
+
     def test_sat_and_unsat(self, workdir, tmp_path, capsys):
         out = self.compiled(workdir)
         capsys.readouterr()

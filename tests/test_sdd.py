@@ -318,7 +318,7 @@ class TestCompile:
         g = path_graph(3)
         phi, comp = self.compile("free vertex x; free vset X; (x in X)", g)
         dvars = decision_variables(phi, g)
-        space = decision_space(phi, comp.nice.width())
+        space = decision_space(phi)
         plan = forget_plan(phi, g, comp.nice, comp.coloring)
         representative = comp.reachable.representative
         for _, delta in all_deltas(dvars):

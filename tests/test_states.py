@@ -60,19 +60,19 @@ def fake_info(vertex, vertex_color, edges=()):
 class TestSpaceShapes:
     def test_equality_space(self):
         phi = desugar(parse_formula("free vertex x; free vertex y; (x = y)"))
-        space = build_state_space(phi.root, 1)
+        space = build_state_space(phi.root)
         assert space.initial == INIT
         assert space.is_accepting(TRUE) and not space.is_accepting(INIT)
 
     def test_negation_swaps_acceptance(self):
         phi = desugar(parse_formula("free vertex x; free vertex y; ~(x = y)"))
-        space = build_state_space(phi.root, 1)
+        space = build_state_space(phi.root)
         assert space.initial == INIT
         assert space.is_accepting(INIT) and not space.is_accepting(TRUE)
 
     def test_quantifier_space(self):
         phi = desugar(parse_formula("free vset X; exists vertex x. (x in X)"))
-        space = build_state_space(phi.root, 2)
+        space = build_state_space(phi.root)
         assert space.initial == frozenset([(INIT, (0,))])
         assert space.is_accepting(frozenset([(TRUE, (1,))]))
         assert not space.is_accepting(frozenset([(TRUE, (0,))]))
@@ -80,17 +80,24 @@ class TestSpaceShapes:
 
     def test_independent_of_graph(self):
         phi = desugar(parse_formula("free vertex x; free edge p; adj(x, p)"))
-        a = build_state_space(phi.root, 3)
-        b = build_state_space(phi.root, 3)
-        assert a.describe() == b.describe()
+        a = build_state_space(phi.root)
+        b = build_state_space(phi.root)
+        assert type(a) is type(b) is AdjacencySpace
         assert a.initial == b.initial
-        assert a.describe() != build_state_space(phi.root, 4).describe()
+        x, p = phi.free_vars
+        # the same transitions on two different graphs' forget nodes
+        for g, vertex in ((path_graph(2), 1), (star_graph(3), 2)):
+            edge = ForgetEdge(g.edges[0], other=g.edges[0].other(vertex), other_color=3)
+            info = fake_info(vertex, 1, [edge])
+            delta = {dv_eq(x, vertex): 0, dv_eq(p, g.edges[0].id): 1}
+            assert a.forget(INIT, info, delta) == b.forget(INIT, info, delta) == 3
+        assert a.join(INIT, 2) == b.join(INIT, 2) == 2
 
 
 class TestForgetRules:
     def test_equality_hit(self):
         phi = desugar(parse_formula("free vertex x; free vertex y; (x = y)"))
-        space = build_state_space(phi.root, 1)
+        space = build_state_space(phi.root)
         x, y = phi.free_vars
         delta = {dv_eq(x, 3): 1, dv_eq(y, 3): 1}
         assert space.forget(INIT, fake_info(3, 1), delta) == TRUE
@@ -100,7 +107,7 @@ class TestForgetRules:
 
     def test_membership_hit(self):
         phi = desugar(parse_formula("free vertex x; free vset X; (x in X)"))
-        space = build_state_space(phi.root, 1)
+        space = build_state_space(phi.root)
         x, xs = phi.free_vars
         delta = {dv_eq(x, 2): 1, dv_mem(xs, 2): 1}
         assert space.forget(INIT, fake_info(2, 1), delta) == TRUE
@@ -109,7 +116,7 @@ class TestForgetRules:
 
     def test_adjacency_delayed_endpoint(self):
         phi = desugar(parse_formula("free vertex x; free edge y; adj(x, y)"))
-        space = build_state_space(phi.root, 2)
+        space = build_state_space(phi.root)
         x, y = phi.free_vars
         g = path_graph(2)
         edge = ForgetEdge(g.edges[0], other=2, other_color=3)
@@ -155,13 +162,13 @@ class TestForgetRules:
 class TestJoinRules:
     def test_equality_join(self):
         phi = desugar(parse_formula("free vertex x; free vertex y; (x = y)"))
-        space = build_state_space(phi.root, 1)
+        space = build_state_space(phi.root)
         assert space.join(INIT, TRUE) == TRUE
         assert space.join(INIT, INIT) == INIT
 
     def test_adjacency_join(self):
         phi = desugar(parse_formula("free vertex x; free edge y; adj(x, y)"))
-        space = build_state_space(phi.root, 2)
+        space = build_state_space(phi.root)
         assert space.join(2, INIT) == 2
         assert space.join(INIT, 1) == 1
         assert space.join(TRUE, INIT) == TRUE
@@ -224,7 +231,7 @@ class TestRuns:
     def test_product_root_state_shape(self):
         g = path_graph(2)
         phi, nice, col = setup_instance("free vertex x; free vertex y; (x = y)", g)
-        space = decision_space(phi, nice.width())
+        space = decision_space(phi)
         plan = forget_plan(phi, g, nice, col)
         delta = encode_assignment({phi.free_vars[0]: 2, phi.free_vars[1]: 2}, phi, g)
         root = node_states(space, nice, plan, delta)[nice.root]
@@ -241,7 +248,7 @@ class TestRuns:
         phi, nice, col = setup_instance(
             "exists vset X. ~ exists vertex v. (~(v in X) & (v in X))", g
         )
-        space = decision_space(phi, nice.width())
+        space = decision_space(phi)
         assert space.right.initial == ()
         assert space.right.is_accepting(())
         assert run_decision_procedure(phi, g, nice, col, {})
@@ -251,7 +258,7 @@ class TestRuns:
         phi, nice, col = setup_instance("free vertex x; free edge p; adj(x, p)", g)
         dvars = decision_variables(phi, g)
         for _, delta in all_deltas(dvars):
-            space = decision_space(phi, nice.width())
+            space = decision_space(phi)
             plan = forget_plan(phi, g, nice, col)
             a = node_states(space, nice, plan, delta)[nice.root]
             b = node_states(space, nice, plan, delta)[nice.root]
@@ -277,7 +284,7 @@ class TestOracleEquivalence:
                 dvars = decision_variables(phi, g)
                 if len(dvars) > 14:
                     continue
-                space = decision_space(phi, nice.width())
+                space = decision_space(phi)
                 plan = forget_plan(phi, g, nice, col)
                 for _, delta in all_deltas(dvars):
                     got = space.is_accepting(node_states(space, nice, plan, delta)[nice.root])
@@ -294,7 +301,7 @@ class TestOracleEquivalence:
         g = star_graph(4)  # branching decomposition, so joins occur
         phi, nice, col = setup_instance("free vertex x; free edge p; adj(x, p)", g)
         dvars = decision_variables(phi, g)
-        space = decision_space(phi, nice.width())
+        space = decision_space(phi)
         plan = forget_plan(phi, g, nice, col)
         adjacency = space.left
         assert isinstance(adjacency, AdjacencySpace)
@@ -312,8 +319,8 @@ class TestQuantifierSemantics:
     def test_state_sets_enumerate_extensions(self):
         # a quantifier state set at node p holds exactly the (state, bits) pairs
         # realized by extending the assignment with values for the bound
-        # variables, less the dead ones, and collapsed to the key-first sure
-        # member with all bits set when there is one
+        # variables, less the dead ones, and settled to TRUE when a member
+        # with all bits set has a sure inner state
         g = path_graph(2)
         phi = desugar(parse_formula("free vset X; exists vertex x. (x in X)"))
         inner = desugar(parse_formula("free vertex x; free vset X; (x in X)"))
@@ -321,9 +328,9 @@ class TestQuantifierSemantics:
         nice = make_nice(g, min_fill_decomposition(g))
         col = good_coloring(g, nice)
 
-        phi_space = build_state_space(phi.root, nice.width())
+        phi_space = build_state_space(phi.root)
         phi_plan = forget_plan(phi, g, nice, col)
-        inner_space = build_state_space(inner.root, nice.width())
+        inner_space = build_state_space(inner.root)
         inner_plan = forget_plan(inner, g, nice, col)
 
         own_forgets = {phi_plan[nid].vertex: nid for nid in nice.forget_nodes()}
@@ -355,12 +362,10 @@ class TestQuantifierSemantics:
                     bit = 1 if (v is not None and v in below[nid]) else 0
                     expected.add((inner_states[nid], (bit,)))
                 expected = {m for m in expected if not inner_space.dead(m[0])}
-                sure = [m for m in expected if m[1] == (1,) and inner_space.sure(m[0])]
-                if sure:
-                    expected = {min(sure, key=lambda m: phi_space.key(frozenset([m])))}
-                got = set(sigma[nid])
+                if any(m[1] == (1,) and inner_space.sure(m[0]) for m in expected):
+                    expected = TRUE
                 # identify the bound variable's decision bits with the inner free ones
-                assert got == expected, nid
+                assert sigma[nid] == expected, nid
 
     def test_reachable_count_graph_size_independent_shape(self):
         phi = desugar(parse_formula("free vset X; exists vertex x. (x in X)"))
@@ -369,7 +374,7 @@ class TestQuantifierSemantics:
             g = path_graph(n)
             nice = make_nice(g, min_fill_decomposition(g))
             col = good_coloring(g, nice)
-            space = decision_space(phi, nice.width())
+            space = decision_space(phi)
             plan = forget_plan(phi, g, nice, col)
             reach = reachable_states(space, nice, plan)
             counts.append(max(len(v) for v in reach.per_node.values()))
@@ -379,7 +384,7 @@ class TestQuantifierSemantics:
 class TestMinimize:
     def quotient(self, text, g):
         phi, nice, col = setup_instance(text, g)
-        space = decision_space(phi, nice.width())
+        space = decision_space(phi)
         raw = reachable_states(space, nice, forget_plan(phi, g, nice, col))
         return space, nice, raw, minimize_states(space, nice, raw)
 
@@ -392,12 +397,20 @@ class TestMinimize:
             space, nice, raw, quo = self.quotient(text, g)
             rep = quo.representative
             assert quo.count == raw.count
+            # a state is first made at the first node, in postorder, that
+            # reaches it, and each node's states follow that one global rank
+            rank = {}
+            for nid in nice.postorder():
+                for s in raw.per_node[nid]:
+                    rank.setdefault(s, len(rank))
+            assert len(rank) == raw.count
             for nid, states in raw.per_node.items():
                 reps = quo.per_node[nid]
-                assert list(reps) == sorted(reps, key=space.key)
+                assert list(states) == sorted(states, key=rank.get)
+                assert list(reps) == sorted(reps, key=rank.get)
                 assert set(rep[nid].values()) == set(reps)
                 for s in states:
-                    assert space.key(rep[nid][s]) <= space.key(s)
+                    assert rank[rep[nid][s]] <= rank[s]
             for nid, table in raw.forget_tables.items():
                 child = nice.nodes[nid].children[0]
                 for (s, idx), c in table.items():
@@ -426,7 +439,8 @@ def quantifier_sets(space, state):
         sp, st = stack.pop()
         if isinstance(sp, QuantifierSpace):
             yield sp, st
-            stack.extend((sp.inner, inner) for inner, _ in st)
+            if st != TRUE:
+                stack.extend((sp.inner, inner) for inner, _ in st)
         elif isinstance(sp, ConjunctionSpace):
             stack += [(sp.left, st[0]), (sp.right, st[1])]
         elif isinstance(sp, NegationSpace):
@@ -435,7 +449,7 @@ def quantifier_sets(space, state):
 
 class TestPrune:
     def space(self, text):
-        return build_state_space(desugar(parse_formula(text)).root, 2)
+        return build_state_space(desugar(parse_formula(text)).root)
 
     def test_atom_true_is_sure(self):
         for text in (
@@ -472,19 +486,26 @@ class TestPrune:
     def test_quantifier(self):
         space = self.space("free vset X; exists vertex x. (x in X)")
         assert space.dead(frozenset()) and not space.dead(space.initial)
-        assert space.sure(frozenset([(TRUE, (1,))]))
+        assert space.sure(TRUE) and not space.dead(TRUE) and space.is_accepting(TRUE)
+        # placing x on a vertex in X makes a member with all bits set and a
+        # sure inner state, so the set settles to TRUE, which forget keeps
+        (xs,) = space.reads
+        placed = space.forget(space.initial, fake_info(1, 1), {dv_mem(xs, 1): 1})
+        assert placed == TRUE
+        assert space.forget(placed, fake_info(2, 1), {dv_mem(xs, 2): 0}) == TRUE
+        assert space.join(placed, space.initial) == space.join(space.initial, placed) == TRUE
         assert not space.sure(frozenset([(TRUE, (0,))]))  # x not placed yet
         assert not space.sure(frozenset([(INIT, (1,)), (TRUE, (0,))]))
         assert not space.sure(frozenset())
 
-    def test_collapse_keeps_key_first_member(self):
+    def test_collapse_settles_to_true(self):
         # with Y a set variable every member has all (zero) bits set; on a
         # vertex in X both choices for Y satisfy the disjunction
         g = clique(1)
         phi, nice, col = setup_instance(
             "free vertex x; free vset X; exists vset Y. ((x in Y) | (x in X))", g
         )
-        space = build_state_space(phi.root, nice.width())
+        space = build_state_space(phi.root)
         (nid,) = nice.forget_nodes()
         info = forget_plan(phi, g, nice, col)[nid]
         x, xs = phi.free_vars
@@ -495,9 +516,7 @@ class TestPrune:
             for b in (0, 1)
         }
         assert len(members) == 2 and all(space.inner.sure(m[0]) for m in members)
-        got = space.forget(space.initial, info, delta)
-        first = min(members, key=lambda m: space.key(frozenset([m])))
-        assert got == frozenset([first])
+        assert space.forget(space.initial, info, delta) == TRUE
 
     def test_reachable_sets_hold_no_dead_member(self):
         collapsed = 0
@@ -508,15 +527,18 @@ class TestPrune:
             (nested_chain(4), path_graph(4)),
         ):
             phi, nice, col = setup_instance(text, g)
-            space = decision_space(phi, nice.width())
+            space = decision_space(phi)
             reach = reachable_states(space, nice, forget_plan(phi, g, nice, col))
             for states in reach.per_node.values():
                 for s in states:
                     for q, members in quantifier_sets(space, s):
-                        assert not any(q.inner.dead(inner) for inner, _ in members)
-                        if q.sure(members):
-                            assert len(members) == 1
+                        if members == TRUE:
                             collapsed += 1
+                            continue
+                        assert not any(q.inner.dead(inner) for inner, _ in members)
+                        assert not any(
+                            bits == q._ones and q.inner.sure(inner) for inner, bits in members
+                        )
         assert collapsed > 0
 
     def test_sure_sets_meet_at_join(self):
@@ -539,7 +561,7 @@ class TestPrune:
         phi = desugar(parse_formula(KAPPA_TEXT))
         nice = make_nice(g, path_decomposition(24))
         col = good_coloring(g, nice)
-        space = decision_space(phi, nice.width())
+        space = decision_space(phi)
         raw = reachable_states(space, nice, forget_plan(phi, g, nice, col))
         assert raw.count <= 100  # 1,841 without pruning
         quo = minimize_states(space, nice, raw)
@@ -552,7 +574,7 @@ class TestPrune:
         sizes = {}
         for depth in (4, 10):
             phi, nice, col = setup_instance(nested_chain(depth), g)
-            space = decision_space(phi, nice.width())
+            space = decision_space(phi)
             reachable_states(space, nice, forget_plan(phi, g, nice, col))
             memos = [len(q._forget_memo) for q, _ in quantifier_sets(space, space.initial)]
             assert len(memos) == depth
@@ -569,26 +591,28 @@ class TestPrune:
             g = path_graph(n)
             nice = make_nice(g, path_decomposition(n))
             col = good_coloring(g, nice)
-            space = decision_space(phi, nice.width())
+            space = decision_space(phi)
             reachable_states(space, nice, forget_plan(phi, g, nice, col))
             sizes[n] = [len(q._forget_memo) for q, _ in quantifier_sets(space, space.initial)]
         assert sizes[64] and all(sizes[64])
         assert sizes[64] == sizes[256]
 
-    def test_keys_linear_in_nesting_depth(self):
-        # a key names nested sets by fixed-width digests instead of spelling
-        # out each nested set once per member that holds it
+    def test_quantifier_tables_linear_in_nesting_depth(self):
+        # no block's forget memo or hash-consed sets grow with the depth of
+        # the chain, so their totals grow linearly with it
         g = path_graph(4)
-        longest = {}
-        for depth in (6, 12, 24):
+        memo, sets = {}, {}
+        for depth in (12, 24):
             phi, nice, col = setup_instance(nested_chain(depth), g)
-            space = decision_space(phi, nice.width())
-            reach = reachable_states(space, nice, forget_plan(phi, g, nice, col))
-            longest[depth] = max(
-                len(space.key(s)) for states in reach.per_node.values() for s in states
-            )
-            if depth > 6:
-                assert longest[depth] <= 2 * longest[depth // 2], longest
+            space = decision_space(phi)
+            reachable_states(space, nice, forget_plan(phi, g, nice, col))
+            blocks = [q for q, _ in quantifier_sets(space, space.initial)]
+            assert len(blocks) == depth
+            memo[depth] = [len(q._forget_memo) for q in blocks]
+            sets[depth] = [len(q._sets) for q in blocks]
+        assert max(memo[24]) <= max(memo[12]) and max(sets[24]) <= max(sets[12])
+        assert sum(sets[24]) <= 2 * sum(sets[12])
+        assert sum(memo[24]) <= sum(memo[12]) + 12 * max(memo[12])
 
     @pytest.mark.parametrize("name", ["kappa", "dom"])
     def test_shuffled_path_matches_oracle(self, name):
