@@ -28,7 +28,7 @@ from .decomposition import (
 )
 from .errors import Mso2ddError
 from .graph import Graph, clique, clique_tree, complete_binary_tree, full_product, parse_graph, serialize_graph
-from .mso import Formula, Sort, Var, desugar, formula_size, free_variables, parse_formula
+from .mso import Formula, Sort, Var, desugar, formula_size, parse_formula
 from .obdd import Obdd, compile_obdd, evaluate_obdd, obdd_apply, obdd_size, reduce_obdd
 from .oracle import (
     cnf_of_graph,
@@ -72,7 +72,6 @@ __all__ = [
     "evaluate_sdd",
     "forget_ownership",
     "formula_size",
-    "free_variables",
     "full_product",
     "good_coloring",
     "is_consistent",

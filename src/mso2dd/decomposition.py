@@ -183,9 +183,6 @@ class NiceTreeDecomposition:
         self.nodes = nodes
         self.root = root
 
-    def node(self, node_id: int) -> NiceNode:
-        return self.nodes[node_id]
-
     def width(self) -> int:
         return max(len(n.bag) for n in self.nodes.values()) - 1
 
@@ -408,7 +405,6 @@ class Context:
     variables naming the forgotten vertex (free-variable declaration order), then
     per forgotten edge in edge-id order."""
 
-    node: int
     vertex: int
     edges: tuple[Edge, ...]
     variables: tuple[DecisionVariable, ...]
@@ -435,4 +431,4 @@ def context_of(
                 variables.append(
                     dv_eq(var, e.id) if var.sort.is_object else dv_mem(var, e.id)
                 )
-    return Context(node_id, v, forgotten, tuple(variables))
+    return Context(v, forgotten, tuple(variables))

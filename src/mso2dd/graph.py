@@ -19,9 +19,6 @@ class Edge:
     def endpoints(self) -> tuple[int, int]:
         return (self.u, self.v)
 
-    def incident_to(self, vertex: int) -> bool:
-        return vertex == self.u or vertex == self.v
-
     def other(self, vertex: int) -> int:
         if vertex == self.u:
             return self.v

@@ -439,11 +439,6 @@ def formula_size(f) -> int:
     raise FormulaError(f"unknown expression node {type(expr).__name__}")
 
 
-def free_variables(f: Formula) -> tuple[Var, ...]:
-    """Free variables in declaration order."""
-    return f.free_vars
-
-
 def occurring_variables(expr: Expr) -> set[Var]:
     """All variables appearing in atoms below this node."""
     if isinstance(expr, Adj):

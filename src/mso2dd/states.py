@@ -1,19 +1,24 @@
 """Per-subformula state machines driving the decomposition dynamic program.
 
 Each formula constructor gets a space with an initial state, an acceptance
-predicate, and two transition functions: `forget` consumes the decision bits
-tied to the vertex/edges dropped at a forget node, `join` combines the states
-of the two subtrees below a join node. Spaces are built from the formula
-alone, never from the graph, and a forget depends on its node only through
-the node's local shape (`ForgetInfo.shape`) and the bits in context order.
-So `reachable_states` and the quantifier memos compute a forget once per
-state, shape and context assignment, for every node of that shape.
+predicate, and two transition functions: `forget` consumes the bits of the
+vertex/edges dropped at a forget node, `join` combines the states of the two
+subtrees below a join node. Spaces are built from the formula alone, never
+from the graph. A forget sees its node through two values only: the node's
+local shape (the forgotten vertex's colour and the far-end colours of the
+forgotten edges, in context order) and `bits`, which maps each variable to
+its bits on the forgotten objects: a 1-tuple for a vertex sort, one bit per
+forgotten edge, in context order, for an edge sort. `forgotten_bits` splits
+an assignment into them; no transition reads a vertex id, an edge id or a
+decision variable. So `reachable_states` and the quantifier memos compute a
+forget once per state, shape and context assignment, for every node of that
+shape.
 
 States are plain hashable values: an atom is one of the strings INIT, TRUE
 and BOT, an adjacency colour is an int, consistency bits and conjunction
 pairs are tuples, and a quantifier state is TRUE or a frozenset of (inner
-state, bits) pairs, hash-consed by its space. Equal states compare equal
-wherever they were made, and no table outlives the space that one
+state, placed bits) pairs, hash-consed by its space. Equal states compare
+equal wherever they were made, and no table outlives the space that one
 compilation builds. States carry no names: `reachable_states` orders each
 node's states by when the pass first made them, which depends on no hash, so
 neither does the output.
@@ -24,7 +29,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .assignment import dv_eq, dv_mem
 from .decomposition import (
     FORGET,
     INTRODUCE,
@@ -36,8 +40,8 @@ from .decomposition import (
     forget_ownership,
 )
 from .errors import Mso2ddError
-from .graph import Edge, Graph
-from .mso import Adj, And, Eq, Exists, Formula, In, Not, Sort, Var, occurring_variables
+from .graph import Graph
+from .mso import Adj, And, Eq, Exists, Formula, In, Not, Var, occurring_variables
 
 INIT = "I"
 TRUE = "T"
@@ -45,27 +49,26 @@ BOT = "X"
 
 
 @dataclass(frozen=True)
-class ForgetEdge:
-    edge: Edge
-    other: int
-    other_color: int
-
-
-@dataclass(frozen=True)
 class ForgetInfo:
-    """Everything a forget transition may consult about the node."""
+    """A forget node's plan: the local shape its transitions see, the context
+    whose decision variables it owns, and the formula's free variables, so
+    that `forgotten_bits` gives each of them bits even where the context
+    holds none (an edge variable at a node that forgets no edge)."""
 
-    vertex: int
-    vertex_color: int
-    edges: tuple[ForgetEdge, ...]
+    shape: tuple
     context: Context
+    free_vars: tuple[Var, ...]
 
-    @property
-    def shape(self) -> tuple:
-        """The local shape: the vertex colour and the far-end colours of the
-        forgotten edges in context order. Forget transitions depend on the node
-        through nothing else, and it fixes the context layout."""
-        return (self.vertex_color, tuple(fe.other_color for fe in self.edges))
+
+def forgotten_bits(info: ForgetInfo, delta) -> dict:
+    """Each free variable's bits on the node's forgotten objects, read from an
+    assignment `delta` of (at least) its context variables: a 1-tuple for a
+    vertex sort, one bit per forgotten edge, in context order, for an edge
+    sort. This is the one place the DP reads a decision variable."""
+    bits = {var: () for var in info.free_vars}
+    for d in info.context.variables:
+        bits[d.var] += (delta[d],)
+    return bits
 
 
 class StateSpace:
@@ -88,7 +91,7 @@ class StateSpace:
     def sure(self, s) -> bool:
         return False
 
-    def forget(self, s, info: ForgetInfo, delta):
+    def forget(self, s, shape, bits):
         raise NotImplementedError
 
     def join(self, left, right):
@@ -107,47 +110,17 @@ class AtomSpace(StateSpace):
         return s == TRUE
 
 
-class EqualitySpace(AtomSpace):
+class MeetSpace(AtomSpace):
+    """`x = y` and `x in X`: both variables have a set bit on the same
+    forgotten object."""
+
     def __init__(self, left: Var, right: Var) -> None:
         self.left = left
         self.right = right
-        self.is_vertex = left.sort.is_vertex
 
-    def forget(self, s, info, delta):
-        if s == TRUE:
+    def forget(self, s, shape, bits):
+        if s == TRUE or any(a & b for a, b in zip(bits[self.left], bits[self.right])):
             return TRUE
-        if self.is_vertex:
-            v = info.vertex
-            if delta[dv_eq(self.left, v)] and delta[dv_eq(self.right, v)]:
-                return TRUE
-            return INIT
-        for fe in info.edges:
-            if delta[dv_eq(self.left, fe.edge.id)] and delta[dv_eq(self.right, fe.edge.id)]:
-                return TRUE
-        return INIT
-
-    def join(self, left, right):
-        return TRUE if TRUE in (left, right) else INIT
-
-
-class MembershipSpace(AtomSpace):
-    def __init__(self, element: Var, container: Var) -> None:
-        self.element = element
-        self.container = container
-        self.is_vertex = element.sort.is_vertex
-
-    def forget(self, s, info, delta):
-        if s == TRUE:
-            return TRUE
-        if self.is_vertex:
-            v = info.vertex
-            if delta[dv_eq(self.element, v)] and delta[dv_mem(self.container, v)]:
-                return TRUE
-            return INIT
-        for fe in info.edges:
-            e = fe.edge.id
-            if delta[dv_eq(self.element, e)] and delta[dv_mem(self.container, e)]:
-                return TRUE
         return INIT
 
     def join(self, left, right):
@@ -165,17 +138,18 @@ class AdjacencySpace(AtomSpace):
         # instrumented so tests can assert that
         self.impossible_join_hits = 0
 
-    def forget(self, s, info, delta):
+    def forget(self, s, shape, bits):
         if s == TRUE:
             return TRUE
+        color, far = shape
+        (here,) = bits[self.vertex]
         if isinstance(s, int):
-            if info.vertex_color == s:
-                return TRUE if delta[dv_eq(self.vertex, info.vertex)] else INIT
+            if color == s:
+                return TRUE if here else INIT
             return s
-        x_here = delta[dv_eq(self.vertex, info.vertex)]
-        for fe in info.edges:
-            if delta[dv_eq(self.edge, fe.edge.id)]:
-                return TRUE if x_here else fe.other_color
+        for hit, other_color in zip(bits[self.edge], far):
+            if hit:
+                return TRUE if here else other_color
         return INIT
 
     def join(self, left, right):
@@ -201,8 +175,8 @@ class NegationSpace(StateSpace):
     def sure(self, s) -> bool:
         return self.inner.dead(s)
 
-    def forget(self, s, info, delta):
-        return self.inner.forget(s, info, delta)
+    def forget(self, s, shape, bits):
+        return self.inner.forget(s, shape, bits)
 
     def join(self, left, right):
         return self.inner.join(left, right)
@@ -226,9 +200,9 @@ class ConjunctionSpace(StateSpace):
     def sure(self, s) -> bool:
         return self.left.sure(s[0]) and self.right.sure(s[1])
 
-    def forget(self, s, info, delta):
+    def forget(self, s, shape, bits):
         l, r = s
-        return (self.left.forget(l, info, delta), self.right.forget(r, info, delta))
+        return (self.left.forget(l, shape, bits), self.right.forget(r, shape, bits))
 
     def join(self, a, b):
         al, ar = a
@@ -236,70 +210,39 @@ class ConjunctionSpace(StateSpace):
         return (self.left.join(al, bl), self.right.join(ar, br))
 
 
-def all_consistent_extensions(bound_vars, delta, bits, info: ForgetInfo):
-    """All ways to extend a context assignment with values for the bound
-    variables at one forget node.
+def all_consistent_extensions(bound_vars, bits, placed, shape):
+    """All ways to extend `bits` with the bound variables' bits on the objects
+    one forget node drops, `shape` fixing how many edges those are.
 
-    Object variables may take the forgotten vertex (or one forgotten edge) if
-    their bit is still clear; set variables branch over membership of every
-    forgotten object. Returns (extended delta, updated bits) pairs.
-    """
-    object_index = {}
+    An object variable skips every forgotten object, or takes one of them if
+    its placed bit is still clear; a set variable takes every membership
+    pattern. Returns (extended bits, updated placed bits) pairs."""
+    out = [(bits, placed)]
+    i = 0  # the next object variable's position in `placed`
     for var in bound_vars:
+        n = 1 if var.sort.is_vertex else len(shape[1])
         if var.sort.is_object:
-            object_index[var] = len(object_index)
-    out = [(delta, bits)]
-    for var in bound_vars:
-        nxt = []
-        if var.sort is Sort.VERTEX_OBJECT:
-            key = dv_eq(var, info.vertex)
-            i = object_index[var]
-            for d, b in out:
-                skip = dict(d)
-                skip[key] = 0
-                nxt.append((skip, b))
-                if b[i] == 0:
-                    take = dict(d)
-                    take[key] = 1
-                    nxt.append((take, b[:i] + (1,) + b[i + 1 :]))
-        elif var.sort is Sort.EDGE_OBJECT:
-            i = object_index[var]
-            for d, b in out:
-                skip = dict(d)
-                for fe in info.edges:
-                    skip[dv_eq(var, fe.edge.id)] = 0
-                nxt.append((skip, b))
-                if b[i] == 0:
-                    for fe in info.edges:
-                        take = dict(d)
-                        for other in info.edges:
-                            take[dv_eq(var, other.edge.id)] = (
-                                1 if other.edge.id == fe.edge.id else 0
-                            )
-                        nxt.append((take, b[:i] + (1,) + b[i + 1 :]))
-        elif var.sort is Sort.VERTEX_SET:
-            key = dv_mem(var, info.vertex)
-            for d, b in out:
-                for bit in (0, 1):
-                    ext = dict(d)
-                    ext[key] = bit
-                    nxt.append((ext, b))
+            skip = (0,) * n
+            takes = [skip[:k] + (1,) + skip[k + 1 :] for k in range(n)]
+            nxt = []
+            for b, p in out:
+                nxt.append(({**b, var: skip}, p))
+                if p[i] == 0:
+                    taken = p[:i] + (1,) + p[i + 1 :]
+                    nxt.extend(({**b, var: take}, taken) for take in takes)
+            i += 1
         else:
-            edge_keys = [dv_mem(var, fe.edge.id) for fe in info.edges]
-            for d, b in out:
-                for pattern in itertools.product((0, 1), repeat=len(edge_keys)):
-                    ext = dict(d)
-                    for key, bit in zip(edge_keys, pattern):
-                        ext[key] = bit
-                    nxt.append((ext, b))
+            patterns = list(itertools.product((0, 1), repeat=n))
+            nxt = [({**b, var: pattern}, p) for b, p in out for pattern in patterns]
         out = nxt
     return out
 
 
 class QuantifierSpace(StateSpace):
     """Existential block: a state is TRUE or a frozenset of (inner state,
-    assigned-bits) pairs, one per way of instantiating the bound variables
-    with already-forgotten objects, less the members that cannot matter.
+    placed bits) pairs, one per way of instantiating the bound variables
+    with already-forgotten objects, less the members that cannot matter. The
+    placed bits say which bound object variables have taken a value.
 
     A set accepts iff it holds a member with all bits set whose inner state
     accepts. Every `forget` and `join` result is settled: members whose inner
@@ -328,9 +271,10 @@ class QuantifierSpace(StateSpace):
       dropped the all-clear member.
 
     `reads` holds the variables free in the block: the body consults no
-    other bits, so `forget` keys its memo on the local shape and on the bits
-    of these variables on the forgotten objects, in a fixed order, and the memo
-    serves every decomposition node of that shape.
+    other bits, so `forget` keys its memo on the local shape and on the
+    forgotten-object bits of these variables, in a fixed order, and the memo
+    serves every decomposition node of that shape. A member's successors are
+    the body's forgets over `all_consistent_extensions` of those bits.
 
     Sets are hash-consed: equal sets made by this space are one object, so
     comparing sets that hold them stops at the first level."""
@@ -349,7 +293,7 @@ class QuantifierSpace(StateSpace):
 
     def is_accepting(self, s) -> bool:
         return s == TRUE or any(
-            bits == self._ones and self.inner.is_accepting(inner) for inner, bits in s
+            placed == self._ones and self.inner.is_accepting(inner) for inner, placed in s
         )
 
     def dead(self, s) -> bool:
@@ -361,34 +305,25 @@ class QuantifierSpace(StateSpace):
     def _settle(self, members):
         """TRUE if a member of the live `members` has all bits set and a sure
         inner state, else their canonical set."""
-        if any(bits == self._ones and self.inner.sure(inner) for inner, bits in members):
+        if any(placed == self._ones and self.inner.sure(inner) for inner, placed in members):
             return TRUE
         s = frozenset(members)
         return self._sets.setdefault(s, s)
 
-    def forget(self, s, info, delta):
+    def forget(self, s, shape, bits):
         if s == TRUE:
             return TRUE
-        # the read bits on the forgotten objects only: delta may be a whole
-        # assignment, as in `node_states`
-        seen = {}
-        for var in self.reads:
-            make = dv_eq if var.sort.is_object else dv_mem
-            objects = [info.vertex] if var.sort.is_vertex else [fe.edge.id for fe in info.edges]
-            for obj in objects:
-                dv = make(var, obj)
-                seen[dv] = delta[dv]
-        delta_key = (info.shape, tuple(seen.values()))
+        read = (shape, tuple(bits[var] for var in self.reads))
         memo, dead = self._forget_memo, self.inner.dead
         result = set()
-        for inner, bits in s:
-            key = (delta_key, inner, bits)
+        for inner, placed in s:
+            key = (read, inner, placed)
             got = memo.get(key)
             if got is None:
                 successors = (
-                    (self.inner.forget(inner, info, ext), new_bits)
-                    for ext, new_bits in all_consistent_extensions(
-                        self.bound_vars, seen, bits, info
+                    (self.inner.forget(inner, shape, ext), new_placed)
+                    for ext, new_placed in all_consistent_extensions(
+                        self.bound_vars, bits, placed, shape
                     )
                 )
                 got = memo[key] = tuple(m for m in successors if not dead(m[0]))
@@ -429,19 +364,11 @@ class ConsistencySpace(StateSpace):
     def dead(self, s) -> bool:
         return s == BOT
 
-    def forget(self, s, info, delta):
+    def forget(self, s, shape, bits):
         if s == BOT:
             return BOT
-        counts = list(s)
-        for i, var in enumerate(self.object_vars):
-            if var.sort is Sort.VERTEX_OBJECT:
-                hits = delta[dv_eq(var, info.vertex)]
-            else:
-                hits = sum(delta[dv_eq(var, fe.edge.id)] for fe in info.edges)
-            counts[i] += hits
-            if counts[i] > 1:
-                return BOT
-        return tuple(counts)
+        counts = tuple(c + sum(bits[var]) for c, var in zip(s, self.object_vars))
+        return BOT if any(c > 1 for c in counts) else counts
 
     def join(self, left, right):
         if left == BOT or right == BOT:
@@ -454,9 +381,9 @@ class ConsistencySpace(StateSpace):
 def build_state_space(expr) -> StateSpace:
     """Recursive state-space construction over the core connectives."""
     if isinstance(expr, Eq):
-        return EqualitySpace(expr.left, expr.right)
+        return MeetSpace(expr.left, expr.right)
     if isinstance(expr, In):
-        return MembershipSpace(expr.element, expr.container)
+        return MeetSpace(expr.element, expr.container)
     if isinstance(expr, Adj):
         return AdjacencySpace(expr.vertex, expr.edge)
     if isinstance(expr, Not):
@@ -487,23 +414,21 @@ def decision_space(phi: Formula) -> ConjunctionSpace:
 def forget_plan(
     phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
 ) -> dict[int, ForgetInfo]:
-    """Precompute per-forget-node transition data (colors, edges, contexts)."""
+    """Precompute per-forget-node plans: local shapes and contexts."""
     forget_ownership(g, t)  # validates uniqueness
     plan = {}
     for nid in t.forget_nodes():
         ctx = context_of(phi, g, t, nid)
-        edges = tuple(
-            ForgetEdge(e, e.other(ctx.vertex), coloring[e.other(ctx.vertex)])
-            for e in ctx.edges
-        )
-        plan[nid] = ForgetInfo(ctx.vertex, coloring[ctx.vertex], edges, ctx)
+        far = tuple(coloring[e.other(ctx.vertex)] for e in ctx.edges)
+        plan[nid] = ForgetInfo((coloring[ctx.vertex], far), ctx, phi.free_vars)
     return plan
 
 
 def node_states(
     space: StateSpace, t: NiceTreeDecomposition, plan: dict[int, ForgetInfo], delta
 ) -> dict:
-    """Run the procedure once, recording the state assigned to every node."""
+    """Run the procedure once on a whole assignment `delta`, recording the
+    state assigned to every node."""
     states: dict = {}
     for nid in t.postorder():
         n = t.nodes[nid]
@@ -512,7 +437,10 @@ def node_states(
         elif n.kind == INTRODUCE:
             states[nid] = states[n.children[0]]
         elif n.kind == FORGET:
-            states[nid] = space.forget(states[n.children[0]], plan[nid], delta)
+            info = plan[nid]
+            states[nid] = space.forget(
+                states[n.children[0]], info.shape, forgotten_bits(info, delta)
+            )
         elif n.kind == JOIN:
             states[nid] = space.join(states[n.children[0]], states[n.children[1]])
         else:
@@ -530,23 +458,16 @@ def run_decision_procedure(
     return space.is_accepting(states[t.root])
 
 
-def context_assignments(context: Context):
-    """All assignments of the context's variables, in binary-counter order."""
-    out = []
-    for pattern in itertools.product((0, 1), repeat=len(context.variables)):
-        out.append(dict(zip(context.variables, pattern)))
-    return out
-
-
 @dataclass
 class ReachableSets:
     """Per-node reachable states plus the transition tables restricted to them.
 
     Each node's states are ordered by their rank in the order the pass first
     made them, one order over the whole decomposition. Forget tables are keyed
-    by (child state, context assignment index) with assignment indices
-    following `context_assignments` order; join tables by the pair of child
-    states. `count` is the number of distinct reachable states over all nodes.
+    by (child state, context assignment index), the index counting the
+    context variables' assignments in binary, the first variable the most
+    significant bit; join tables by the pair of child states. `count` is the
+    number of distinct reachable states over all nodes.
 
     After `minimize_states` the states and tables are class representatives,
     `count` still counts the raw states, and `representative[nid]` maps each
@@ -600,13 +521,16 @@ def reachable_states(
         table = {}
         if n.kind == FORGET:
             info = plan[nid]
-            shape, deltas = info.shape, None
+            shape, variables, rows = info.shape, info.context.variables, None
             for s in per_node[n.children[0]]:
-                for idx in range(1 << len(info.context.variables)):
+                for idx in range(1 << len(variables)):
                     c = memo.get((s, shape, idx))
                     if c is None:
-                        deltas = deltas or context_assignments(info.context)
-                        c = memo[(s, shape, idx)] = intern(space.forget(s, info, deltas[idx]))
+                        rows = rows or [
+                            forgotten_bits(info, dict(zip(variables, pattern)))
+                            for pattern in itertools.product((0, 1), repeat=len(variables))
+                        ]
+                        c = memo[(s, shape, idx)] = intern(space.forget(s, shape, rows[idx]))
                     table[(s, idx)] = c
             forget_tables[nid] = table
         else:

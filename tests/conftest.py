@@ -74,6 +74,10 @@ FORMULA_TEXTS = {
     "taut": "exists vset X. ~ exists vertex v. (~(v in X) & (v in X))",
     "kappa": KAPPA_TEXT,
     "dom": "free vset S; forall vertex u. exists vertex v. (((u = v) | nbr(u, v)) & (v in S))",
+    # the only corpus formula binding an edge set
+    "cover": "free vset S; exists eset M. (forall vertex v. ((v in S) -> exists edge e. "
+    "(adj(v, e) & (e in M))) & forall edge f. ((f in M) -> forall vertex u. "
+    "(adj(u, f) -> (u in S))))",
 }
 
 

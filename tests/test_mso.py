@@ -1,6 +1,6 @@
 import pytest
 
-from mso2dd import desugar, formula_size, free_variables, parse_formula
+from mso2dd import desugar, formula_size, parse_formula
 from mso2dd.errors import FormulaError
 from mso2dd.mso import (
     Adj,
@@ -157,21 +157,21 @@ class TestSize:
     def test_free_count_below_size(self):
         for text in FORMULA_TEXTS.values():
             f = desugar(parse_formula(text))
-            assert len(free_variables(f)) <= formula_size(f)
+            assert len(f.free_vars) <= formula_size(f)
 
 
 class TestFreeVariables:
     def test_kappa_signature(self):
         f = kappa_formula()
-        assert [(v.name, v.sort) for v in free_variables(f)] == [
+        assert [(v.name, v.sort) for v in f.free_vars] == [
             ("X_V", Sort.VERTEX_SET),
             ("X_E", Sort.EDGE_SET),
         ]
 
     def test_closed_sentence(self):
         f = parse_formula(FORMULA_TEXTS["taut"])
-        assert free_variables(f) == ()
+        assert f.free_vars == ()
 
     def test_declaration_order(self):
         f = parse_formula("free vertex x; free vertex y; (x = y)")
-        assert [v.name for v in free_variables(f)] == ["x", "y"]
+        assert [v.name for v in f.free_vars] == ["x", "y"]

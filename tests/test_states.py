@@ -21,6 +21,7 @@ from mso2dd import (
     with_consistency,
 )
 from mso2dd.assignment import all_mso_assignments, dv_eq, dv_mem
+from mso2dd.decomposition import Context
 from mso2dd.oracle import KAPPA_TEXT, oracle_eval, truth_table, truth_table_oracle
 from mso2dd.states import (
     BOT,
@@ -29,13 +30,13 @@ from mso2dd.states import (
     AdjacencySpace,
     ConjunctionSpace,
     ConsistencySpace,
-    ForgetEdge,
     ForgetInfo,
     NegationSpace,
     QuantifierSpace,
     all_consistent_extensions,
     decision_space,
     forget_plan,
+    forgotten_bits,
     minimize_states,
     node_states,
     reachable_states,
@@ -51,10 +52,6 @@ def setup_instance(formula_text, g):
     nice = make_nice(g, min_fill_decomposition(g))
     coloring = good_coloring(g, nice)
     return phi, nice, coloring
-
-
-def fake_info(vertex, vertex_color, edges=()):
-    return ForgetInfo(vertex, vertex_color, tuple(edges), None)
 
 
 class TestSpaceShapes:
@@ -85,12 +82,16 @@ class TestSpaceShapes:
         assert type(a) is type(b) is AdjacencySpace
         assert a.initial == b.initial
         x, p = phi.free_vars
-        # the same transitions on two different graphs' forget nodes
+        # the same transitions on two different graphs' forget nodes: the
+        # bits read off either graph's ids are the same
         for g, vertex in ((path_graph(2), 1), (star_graph(3), 2)):
-            edge = ForgetEdge(g.edges[0], other=g.edges[0].other(vertex), other_color=3)
-            info = fake_info(vertex, 1, [edge])
-            delta = {dv_eq(x, vertex): 0, dv_eq(p, g.edges[0].id): 1}
-            assert a.forget(INIT, info, delta) == b.forget(INIT, info, delta) == 3
+            edge = g.edges[0]
+            context = Context(vertex, (edge,), (dv_eq(x, vertex), dv_eq(p, edge.id)))
+            info = ForgetInfo((1, (3,)), context, phi.free_vars)
+            delta = {dv_eq(x, vertex): 0, dv_eq(p, edge.id): 1}
+            bits = forgotten_bits(info, delta)
+            assert bits == {x: (0,), p: (1,)}
+            assert a.forget(INIT, info.shape, bits) == b.forget(INIT, info.shape, bits) == 3
         assert a.join(INIT, 2) == b.join(INIT, 2) == 2
 
 
@@ -99,64 +100,53 @@ class TestForgetRules:
         phi = desugar(parse_formula("free vertex x; free vertex y; (x = y)"))
         space = build_state_space(phi.root)
         x, y = phi.free_vars
-        delta = {dv_eq(x, 3): 1, dv_eq(y, 3): 1}
-        assert space.forget(INIT, fake_info(3, 1), delta) == TRUE
-        delta = {dv_eq(x, 3): 1, dv_eq(y, 3): 0}
-        assert space.forget(INIT, fake_info(3, 1), delta) == INIT
-        assert space.forget(TRUE, fake_info(3, 1), delta) == TRUE
+        assert space.forget(INIT, (1, ()), {x: (1,), y: (1,)}) == TRUE
+        bits = {x: (1,), y: (0,)}
+        assert space.forget(INIT, (1, ()), bits) == INIT
+        assert space.forget(TRUE, (1, ()), bits) == TRUE
 
     def test_membership_hit(self):
         phi = desugar(parse_formula("free vertex x; free vset X; (x in X)"))
         space = build_state_space(phi.root)
         x, xs = phi.free_vars
-        delta = {dv_eq(x, 2): 1, dv_mem(xs, 2): 1}
-        assert space.forget(INIT, fake_info(2, 1), delta) == TRUE
-        delta = {dv_eq(x, 2): 1, dv_mem(xs, 2): 0}
-        assert space.forget(INIT, fake_info(2, 1), delta) == INIT
+        assert space.forget(INIT, (1, ()), {x: (1,), xs: (1,)}) == TRUE
+        assert space.forget(INIT, (1, ()), {x: (1,), xs: (0,)}) == INIT
 
     def test_adjacency_delayed_endpoint(self):
         phi = desugar(parse_formula("free vertex x; free edge y; adj(x, y)"))
         space = build_state_space(phi.root)
         x, y = phi.free_vars
-        g = path_graph(2)
-        edge = ForgetEdge(g.edges[0], other=2, other_color=3)
+        # one forgotten edge whose far end has color 3
+        with_edge = (1, (3,))
         # rule for a matched edge with the tracked vertex elsewhere: park its color
-        delta = {dv_eq(x, 1): 0, dv_eq(y, 1): 1}
-        out = space.forget(INIT, fake_info(1, 1, [edge]), delta)
+        out = space.forget(INIT, with_edge, {x: (0,), y: (1,)})
         assert out == 3
         # color matches the forgotten vertex but the vertex bit is off
-        delta2 = {dv_eq(x, 2): 0, dv_eq(y, 1): 0}
-        assert space.forget(3, fake_info(2, 3, []), delta2) == INIT
+        assert space.forget(3, (3, ()), {x: (0,), y: ()}) == INIT
         # color matches and the vertex bit is on
-        delta3 = {dv_eq(x, 2): 1, dv_eq(y, 1): 0}
-        assert space.forget(3, fake_info(2, 3, []), delta3) == TRUE
+        assert space.forget(3, (3, ()), {x: (1,), y: ()}) == TRUE
         # immediate hit: edge and its endpoint forgotten together
-        delta4 = {dv_eq(x, 1): 1, dv_eq(y, 1): 1}
-        assert space.forget(INIT, fake_info(1, 1, [edge]), delta4) == TRUE
+        assert space.forget(INIT, with_edge, {x: (1,), y: (1,)}) == TRUE
         # unrelated color passes through
-        delta5 = {dv_eq(x, 2): 1, dv_eq(y, 1): 0}
-        assert space.forget(3, fake_info(2, 1, []), delta5) == 3
+        assert space.forget(3, (1, ()), {x: (1,), y: ()}) == 3
 
     def test_consistency_counts(self):
         phi = desugar(parse_formula("free vertex x; free vertex y; (x = y)"))
         space = ConsistencySpace(phi.free_object_vars)
         x, y = phi.free_vars
-        delta = {dv_eq(x, 1): 1, dv_eq(y, 1): 0}
-        s1 = space.forget(space.initial, fake_info(1, 1), delta)
+        bits = {x: (1,), y: (0,)}
+        s1 = space.forget(space.initial, (1, ()), bits)
         assert s1 == (1, 0)
         # same variable assigned again
-        delta2 = {dv_eq(x, 2): 1, dv_eq(y, 2): 0}
-        assert space.forget(s1, fake_info(2, 1), delta2) == BOT
-        assert space.forget(BOT, fake_info(2, 1), delta2) == BOT
+        assert space.forget(s1, (1, ()), bits) == BOT
+        assert space.forget(BOT, (1, ()), bits) == BOT
 
     def test_consistency_two_edges_at_once(self):
         phi = desugar(parse_formula("free edge p; exists vertex v. adj(v, p)"))
         space = ConsistencySpace(phi.free_object_vars)
         p = phi.free_vars[0]
-        g = path_graph(3)
-        edges = [ForgetEdge(g.edges[0], 1, 1), ForgetEdge(g.edges[1], 3, 1)]
-        delta = {dv_eq(p, 1): 1, dv_eq(p, 2): 1}
-        assert space.forget(space.initial, fake_info(2, 2, edges), delta) == BOT
+        # the middle of a 3-vertex path, both edges forgotten with it
+        assert space.forget(space.initial, (2, (1, 1)), {p: (1, 1)}) == BOT
 
 
 class TestJoinRules:
@@ -187,30 +177,43 @@ class TestExtensions:
         phi = desugar(parse_formula("exists vset X. exists vertex v. (v in X)"))
         xvar = phi.root.variables[0]
         assert xvar.sort.value == "vset"
-        out = all_consistent_extensions((xvar,), {}, (), fake_info(4, 1))
+        out = all_consistent_extensions((xvar,), {}, (), (1, ()))
         assert len(out) == 2
-        values = sorted(d[dv_mem(xvar, 4)] for d, _ in out)
-        assert values == [0, 1]
+        values = sorted(bits[xvar] for bits, _ in out)
+        assert values == [(0,), (1,)]
 
     def test_assigned_vertex_object_only_skips(self):
         phi = desugar(parse_formula("free vset X; exists vertex v. (v in X)"))
         v = phi.root.variables[0]
-        out = all_consistent_extensions((v,), {}, (1,), fake_info(4, 1))
+        out = all_consistent_extensions((v,), {}, (1,), (1, ()))
         assert len(out) == 1
-        delta, bits = out[0]
-        assert delta[dv_eq(v, 4)] == 0 and bits == (1,)
+        bits, placed = out[0]
+        assert bits[v] == (0,) and placed == (1,)
 
     def test_edge_object_skip_or_each_edge(self):
         phi = desugar(parse_formula("free vertex u; exists edge x. adj(u, x)"))
         xvar = phi.root.variables[0]
-        g = path_graph(3)
-        info = fake_info(2, 1, [ForgetEdge(g.edges[0], 1, 2), ForgetEdge(g.edges[1], 3, 2)])
-        out = all_consistent_extensions((xvar,), {}, (0,), info)
+        # the middle of a 3-vertex path, both edges forgotten with it
+        out = all_consistent_extensions((xvar,), {}, (0,), (1, (2, 2)))
         assert len(out) == 3
-        patterns = sorted(
-            (d[dv_eq(xvar, 1)], d[dv_eq(xvar, 2)], b[0]) for d, b in out
-        )
+        patterns = sorted(bits[xvar] + placed for bits, placed in out)
         assert patterns == [(0, 0, 0), (0, 1, 1), (1, 0, 1)]
+
+    def test_edge_set_every_pattern(self):
+        # a bound edge set at a node forgetting two edges takes all four
+        # membership patterns; the placed edge object only skips, and the
+        # placed bits stay as they were
+        phi = desugar(
+            parse_formula("free vertex u; exists eset M. exists edge e. (adj(u, e) & (e in M))")
+        )
+        m, e = phi.root.variables
+        u = phi.free_vars[0]
+        assert m.sort.value == "eset" and e.sort.value == "edge"
+        out = all_consistent_extensions((m, e), {u: (1,)}, (1,), (1, (2, 2)))
+        assert len(out) == 4
+        assert sorted(bits[m] for bits, _ in out) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for bits, placed in out:
+            assert placed == (1,) and bits[e] == (0, 0) and bits[u] == (1,)
 
 
 class TestRuns:
@@ -333,7 +336,6 @@ class TestQuantifierSemantics:
         inner_space = build_state_space(inner.root)
         inner_plan = forget_plan(inner, g, nice, col)
 
-        own_forgets = {phi_plan[nid].vertex: nid for nid in nice.forget_nodes()}
         below = {}
         for nid in nice.postorder():
             node = nice.nodes[nid]
@@ -490,9 +492,9 @@ class TestPrune:
         # placing x on a vertex in X makes a member with all bits set and a
         # sure inner state, so the set settles to TRUE, which forget keeps
         (xs,) = space.reads
-        placed = space.forget(space.initial, fake_info(1, 1), {dv_mem(xs, 1): 1})
+        placed = space.forget(space.initial, (1, ()), {xs: (1,)})
         assert placed == TRUE
-        assert space.forget(placed, fake_info(2, 1), {dv_mem(xs, 2): 0}) == TRUE
+        assert space.forget(placed, (1, ()), {xs: (0,)}) == TRUE
         assert space.join(placed, space.initial) == space.join(space.initial, placed) == TRUE
         assert not space.sure(frozenset([(TRUE, (0,))]))  # x not placed yet
         assert not space.sure(frozenset([(INIT, (1,)), (TRUE, (0,))]))
@@ -509,14 +511,15 @@ class TestPrune:
         (nid,) = nice.forget_nodes()
         info = forget_plan(phi, g, nice, col)[nid]
         x, xs = phi.free_vars
-        delta = {dv_eq(x, 1): 1, dv_mem(xs, 1): 1}
+        bits = forgotten_bits(info, {dv_eq(x, 1): 1, dv_mem(xs, 1): 1})
+        assert bits == {x: (1,), xs: (1,)}
         (y,) = phi.root.variables
         members = {
-            (space.inner.forget(space.inner.initial, info, {**delta, dv_mem(y, 1): b}), ())
+            (space.inner.forget(space.inner.initial, info.shape, {**bits, y: (b,)}), ())
             for b in (0, 1)
         }
         assert len(members) == 2 and all(space.inner.sure(m[0]) for m in members)
-        assert space.forget(space.initial, info, delta) == TRUE
+        assert space.forget(space.initial, info.shape, bits) == TRUE
 
     def test_reachable_sets_hold_no_dead_member(self):
         collapsed = 0
