@@ -15,13 +15,13 @@ forget once per state, shape and context assignment, for every node of that
 shape.
 
 States are plain hashable values: an atom is one of the strings INIT, TRUE
-and BOT, an adjacency colour is an int, consistency bits and conjunction
-pairs are tuples, and a quantifier state is TRUE or a frozenset of (inner
-state, placed bits) pairs, hash-consed by its space. Equal states compare
-equal wherever they were made, and no table outlives the space that one
-compilation builds. States carry no names: `reachable_states` orders each
-node's states by when the pass first made them, which depends on no hash, so
-neither does the output.
+and BOT (undecided, true, false for good), an adjacency colour is an int,
+consistency bits and conjunction pairs are tuples, and a quantifier state is
+TRUE or a frozenset of (inner state, placed bits) pairs, hash-consed by its
+space. Equal states compare equal wherever they were made, and no table
+outlives the space that one compilation builds. States carry no names:
+`reachable_states` orders each node's states by when the pass first made
+them, which depends on no hash, so neither does the output.
 """
 
 from __future__ import annotations
@@ -99,12 +99,19 @@ class StateSpace:
 
 
 class AtomSpace(StateSpace):
-    """An atom starts at INIT and accepts once TRUE, which it keeps."""
+    """An atom starts at INIT and is decided by the first forget that can
+    decide it: TRUE once its variables meet, BOT once a forget proves that
+    they never will on a consistent run. Both are final under forget; a join
+    keeps TRUE over BOT, because pairing them needs a variable placed on both
+    sides, and otherwise lets BOT win."""
 
     initial = INIT
 
     def is_accepting(self, s) -> bool:
         return s == TRUE
+
+    def dead(self, s) -> bool:
+        return s == BOT
 
     def sure(self, s) -> bool:
         return s == TRUE
@@ -112,51 +119,68 @@ class AtomSpace(StateSpace):
 
 class MeetSpace(AtomSpace):
     """`x = y` and `x in X`: both variables have a set bit on the same
-    forgotten object."""
+    forgotten object. Each object is forgotten once, so the atom is BOT as
+    soon as `x` is placed on a forgotten object that the right-hand variable
+    misses, and, for an object `y`, as soon as `y` is placed on one that `x`
+    misses."""
 
     def __init__(self, left: Var, right: Var) -> None:
         self.left = left
         self.right = right
+        self.right_is_object = right.sort.is_object
 
     def forget(self, s, shape, bits):
-        if s == TRUE or any(a & b for a, b in zip(bits[self.left], bits[self.right])):
+        if s != INIT:
+            return s
+        mine, theirs = bits[self.left], bits[self.right]
+        if any(a & b for a, b in zip(mine, theirs)):
             return TRUE
+        if any(mine) or self.right_is_object and any(theirs):
+            return BOT
         return INIT
 
     def join(self, left, right):
-        return TRUE if TRUE in (left, right) else INIT
+        if TRUE in (left, right):
+            return TRUE
+        return BOT if BOT in (left, right) else INIT
 
 
 class AdjacencySpace(AtomSpace):
     """Endpoint checks may have to wait until the other endpoint is forgotten;
-    its color (an int) is parked in the state meanwhile."""
+    its color (an int) is parked in the state meanwhile. Every edge of a
+    vertex is forgotten at or below that vertex's forget node
+    (`forget_ownership`), so the atom is BOT once the vertex variable is
+    placed on a forgotten vertex with no matched edge, or once the parked
+    color's vertex is forgotten without it."""
 
     def __init__(self, vertex: Var, edge: Var) -> None:
         self.vertex = vertex
         self.edge = edge
-        # joins pairing two non-INIT states are unreachable on consistent runs;
-        # instrumented so tests can assert that
+        # joins pairing two states that are neither INIT nor BOT are
+        # unreachable on consistent runs; instrumented so tests can assert that
         self.impossible_join_hits = 0
 
     def forget(self, s, shape, bits):
-        if s == TRUE:
-            return TRUE
+        if s == TRUE or s == BOT:
+            return s
         color, far = shape
         (here,) = bits[self.vertex]
         if isinstance(s, int):
             if color == s:
-                return TRUE if here else INIT
+                return TRUE if here else BOT
             return s
         for hit, other_color in zip(bits[self.edge], far):
             if hit:
                 return TRUE if here else other_color
-        return INIT
+        return BOT if here else INIT
 
     def join(self, left, right):
         if left == INIT:
             return right
         if right == INIT:
             return left
+        if BOT in (left, right):
+            return TRUE if TRUE in (left, right) else BOT
         self.impossible_join_hits += 1
         return INIT  # unconstrained cell, any value works
 
@@ -260,7 +284,19 @@ class QuantifierSpace(StateSpace):
       which needs the edge variable matched on both sides, that is, given two
       values; `test_adjacency_impossible_join_cells_untouched` checks that
       consistent runs never reach it;
-    - negation and conjunction follow from their acceptance, and BOT stays;
+    - an atom at BOT rejects on every consistent continuation. Each object
+      is forgotten at exactly one node, so once `x = y` or `x in X` has seen
+      an object variable placed on a forgotten object that its partner
+      misses, no later forget sets both bits on one object without giving
+      that variable a second value. For `adj(x, e)`, every
+      edge of a vertex is forgotten at or below that vertex's forget node
+      (`forget_ownership`), so once `x`'s vertex, or the vertex whose colour
+      is parked, is forgotten without a match, the edge `e` takes does not
+      end at `x`. Forget keeps BOT, and a join lets it win over INIT and a
+      colour; the one cell it does not win, TRUE ⋈ BOT, needs a variable
+      placed on both sides;
+    - negation and conjunction follow from their acceptance, and the
+      consistency space's BOT stays;
     - a dead member has only dead successors, so it never makes a set accept;
     - a member with all bits set and a sure inner state has such a successor
       after every forget (an assigned object variable skips the forgotten

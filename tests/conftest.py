@@ -81,6 +81,21 @@ FORMULA_TEXTS = {
 }
 
 
+# Textbook MSO2 properties outside the corpus (Courcelle & Engelfriet, 2012).
+# `nbr(u, v)` also holds for u = v on a vertex with an edge, so both spell
+# adjacency with an explicit `u != v`.
+INDEPENDENT_SET_TEXT = (
+    "free vset S; forall vertex u. forall vertex v. "
+    "((((u != v) & nbr(u, v)) & (u in S)) -> ~(v in S))"
+)
+THREE_COLORING_TEXT = (
+    "exists vset R. exists vset G. exists vset B. ("
+    "forall vertex v. (((v in R) | (v in G)) | (v in B)) & "
+    "forall vertex u. forall vertex v. (((u != v) & nbr(u, v)) -> "
+    "~((((u in R) & (v in R)) | ((u in G) & (v in G))) | ((u in B) & (v in B)))))"
+)
+
+
 def corpus_graphs() -> dict[str, Graph]:
     return {
         "K1": clique(1),

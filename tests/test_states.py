@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mso2dd import (
     Graph,
@@ -43,7 +45,8 @@ from mso2dd.states import (
 )
 
 from conftest import (
-    FORMULA_TEXTS, all_deltas, nested_chain, path_decomposition, path_graph, star_graph,
+    FORMULA_TEXTS, INDEPENDENT_SET_TEXT, all_deltas, nested_chain, path_decomposition,
+    path_graph, star_graph,
 )
 
 
@@ -101,8 +104,9 @@ class TestForgetRules:
         space = build_state_space(phi.root)
         x, y = phi.free_vars
         assert space.forget(INIT, (1, ()), {x: (1,), y: (1,)}) == TRUE
+        # x placed on a forgotten vertex that y misses: the atom is decided
         bits = {x: (1,), y: (0,)}
-        assert space.forget(INIT, (1, ()), bits) == INIT
+        assert space.forget(INIT, (1, ()), bits) == BOT
         assert space.forget(TRUE, (1, ()), bits) == TRUE
 
     def test_membership_hit(self):
@@ -110,7 +114,8 @@ class TestForgetRules:
         space = build_state_space(phi.root)
         x, xs = phi.free_vars
         assert space.forget(INIT, (1, ()), {x: (1,), xs: (1,)}) == TRUE
-        assert space.forget(INIT, (1, ()), {x: (1,), xs: (0,)}) == INIT
+        # x placed on a forgotten vertex outside X: the atom is decided
+        assert space.forget(INIT, (1, ()), {x: (1,), xs: (0,)}) == BOT
 
     def test_adjacency_delayed_endpoint(self):
         phi = desugar(parse_formula("free vertex x; free edge y; adj(x, y)"))
@@ -121,8 +126,9 @@ class TestForgetRules:
         # rule for a matched edge with the tracked vertex elsewhere: park its color
         out = space.forget(INIT, with_edge, {x: (0,), y: (1,)})
         assert out == 3
-        # color matches the forgotten vertex but the vertex bit is off
-        assert space.forget(3, (3, ()), {x: (0,), y: ()}) == INIT
+        # color matches the forgotten vertex but the vertex bit is off: the
+        # edge's far end is gone without x, so the atom is decided
+        assert space.forget(3, (3, ()), {x: (0,), y: ()}) == BOT
         # color matches and the vertex bit is on
         assert space.forget(3, (3, ()), {x: (1,), y: ()}) == TRUE
         # immediate hit: edge and its endpoint forgotten together
@@ -162,6 +168,32 @@ class TestJoinRules:
         assert space.join(2, INIT) == 2
         assert space.join(INIT, 1) == 1
         assert space.join(TRUE, INIT) == TRUE
+
+    @pytest.mark.parametrize("text", [
+        "free vertex x; free vertex y; (x = y)",
+        "free vertex x; free vset X; (x in X)",
+        "free vertex x; free edge y; adj(x, y)",
+    ])
+    def test_decided_atom_join(self, text):
+        # BOT wins over INIT; TRUE beside BOT needs a variable placed on both
+        # sides, so TRUE is kept
+        space = build_state_space(desugar(parse_formula(text)).root)
+        for a, b, out in ((TRUE, BOT, TRUE), (BOT, INIT, BOT), (BOT, BOT, BOT)):
+            assert space.join(a, b) == space.join(b, a) == out
+
+    def test_adjacency_bot_beats_color(self):
+        # x placed on a vertex with no matched edge on one side, the edge
+        # matched with its far end pending on the other: a consistent run
+        phi = desugar(parse_formula("free vertex x; free edge y; adj(x, y)"))
+        space = build_state_space(phi.root)
+        assert space.join(BOT, 2) == space.join(2, BOT) == BOT
+        for a, b in ((TRUE, BOT), (BOT, INIT), (BOT, BOT)):
+            space.join(a, b)
+            space.join(b, a)
+        assert space.impossible_join_hits == 0
+        # the edge matched on both sides is the cell consistent runs never reach
+        space.join(TRUE, 2)
+        assert space.impossible_join_hits == 1
 
     def test_consistency_join(self):
         space = ConsistencySpace(
@@ -300,22 +332,75 @@ class TestOracleEquivalence:
                     assert got == expected, (text, g, delta)
 
     def test_adjacency_impossible_join_cells_untouched(self):
-        # on consistent assignments the join table never pairs two non-initial states
+        # on consistent assignments no adjacency join pairs two states that
+        # are neither INIT nor BOT, also inside negations and quantifiers
         g = star_graph(4)  # branching decomposition, so joins occur
-        phi, nice, col = setup_instance("free vertex x; free edge p; adj(x, p)", g)
-        dvars = decision_variables(phi, g)
-        space = decision_space(phi)
-        plan = forget_plan(phi, g, nice, col)
-        adjacency = space.left
-        assert isinstance(adjacency, AdjacencySpace)
-        checked = 0
-        for _, delta in all_deltas(dvars):
-            if not is_consistent(delta, phi, g):
-                continue
-            node_states(space, nice, plan, delta)
-            checked += 1
-        assert checked > 0
-        assert adjacency.impossible_join_hits == 0
+        for name in ("adj", "nadj", "kappa"):
+            phi, nice, col = setup_instance(FORMULA_TEXTS[name], g)
+            dvars = decision_variables(phi, g)
+            space = decision_space(phi)
+            plan = forget_plan(phi, g, nice, col)
+            adjacencies = adjacency_spaces(space)
+            assert adjacencies
+            checked = 0
+            for _, delta in all_deltas(dvars):
+                if not is_consistent(delta, phi, g):
+                    continue
+                node_states(space, nice, plan, delta)
+                checked += 1
+            assert checked > 0
+            assert [a.impossible_join_hits for a in adjacencies] == [0] * len(adjacencies), name
+
+
+@st.composite
+def bounded_width_graphs(draw, max_vertices=6):
+    """A random tree on at most `max_vertices` vertices, where each vertex may
+    also see its parent's parent (so the width is at most 2), with shuffled
+    vertex ids and edge order."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    parent = [None] + [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
+    edges = []
+    for i in range(1, n):
+        edges.append((i, parent[i]))
+        if parent[parent[i]] is not None and draw(st.booleans()):
+            edges.append((i, parent[parent[i]]))
+    label = draw(st.permutations(range(1, n + 1)))
+    return Graph(n, draw(st.permutations([(label[u], label[v]) for u, v in edges])))
+
+
+DIFFERENTIAL_TEXTS = [
+    *(FORMULA_TEXTS[name] for name in ("eq", "mem", "adj", "nadj", "kappa")),
+    INDEPENDENT_SET_TEXT,
+]
+
+
+class TestDifferential:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(g=bounded_width_graphs())
+    def test_sdd_matches_oracle(self, g):
+        # min-fill branches on about a quarter of these graphs, which
+        # exercises the decided atoms' join cells (BOT beside INIT, a parked
+        # color or TRUE)
+        for text in DIFFERENTIAL_TEXTS:
+            phi, nice, col = setup_instance(text, g)
+            dvars = decision_variables(phi, g)
+            assert truth_table(compile_sdd(phi, g, nice, col), dvars) == truth_table_oracle(
+                phi, g, dvars
+            ), text
+
+
+def adjacency_spaces(space) -> list:
+    """Every adjacency atom's space inside a formula's space."""
+    stack, found = [space], []
+    while stack:
+        sp = stack.pop()
+        if isinstance(sp, AdjacencySpace):
+            found.append(sp)
+        elif isinstance(sp, ConjunctionSpace):
+            stack += [sp.left, sp.right]
+        elif isinstance(sp, (NegationSpace, QuantifierSpace)):
+            stack.append(sp.inner)
+    return found
 
 
 class TestQuantifierSemantics:
