@@ -18,7 +18,6 @@ from .decomposition import (
     NiceTreeDecomposition,
     TreeDecomposition,
     context_of,
-    forget_ownership,
     good_coloring,
     is_path_decomposition,
     make_nice,
@@ -70,7 +69,6 @@ __all__ = [
     "enumerate_models",
     "evaluate_obdd",
     "evaluate_sdd",
-    "forget_ownership",
     "formula_size",
     "full_product",
     "good_coloring",

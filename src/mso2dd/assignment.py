@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import AssignmentError, QueryError
 from .graph import Graph
@@ -39,18 +38,14 @@ class DecisionVariable:
         return f"[{self.name}]"
 
 
-# interned: transition code constructs the same keys over and over
-@lru_cache(maxsize=None)
 def dv_eq(var: Var, obj: int) -> DecisionVariable:
     return DecisionVariable(EQ, var, obj)
 
 
-@lru_cache(maxsize=None)
 def dv_mem(var: Var, obj: int) -> DecisionVariable:
     return DecisionVariable(MEM, var, obj)
 
 
-@lru_cache(maxsize=None)
 def dv_dummy(tag: str) -> DecisionVariable:
     return DecisionVariable(DUMMY, None, tag)
 

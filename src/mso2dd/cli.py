@@ -16,7 +16,6 @@ from .decomposition import (
     make_nice,
     min_fill_decomposition,
     parse_tree_decomposition,
-    validate_decomposition,
 )
 from .errors import Mso2ddError
 from .graph import Graph, clique_tree, parse_graph
@@ -35,11 +34,6 @@ def _load_inputs(args: argparse.Namespace):
     phi = desugar(parse_formula(_read(args.formula)))
     if args.td:
         td = parse_tree_decomposition(_read(args.td))
-        report = validate_decomposition(g, td)
-        if not report.valid:
-            raise Mso2ddError(
-                "supplied decomposition invalid: " + "; ".join(report.violations)
-            )
     else:
         td = min_fill_decomposition(g)
     nice = make_nice(g, td)

@@ -1,5 +1,5 @@
 """Tree decompositions: validation, the .td format, min-fill, nice normalization,
-good vertex colorings, forget ownership and forget-node contexts."""
+good vertex colorings and forget-node contexts."""
 
 from __future__ import annotations
 
@@ -53,7 +53,10 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
                 raise DecompositionError(f"line {lineno}: duplicate header")
             if len(parts) != 5 or parts[1] != "td":
                 raise DecompositionError(f"line {lineno}: malformed header")
-            header = tuple(int(x) for x in parts[2:])
+            try:
+                header = tuple(int(x) for x in parts[2:])
+            except ValueError:
+                raise DecompositionError(f"line {lineno}: malformed header") from None
         elif parts[0] == "b":
             try:
                 bag_id = int(parts[1])
@@ -66,7 +69,10 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
         else:
             if len(parts) != 2:
                 raise DecompositionError(f"line {lineno}: malformed tree edge line")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise DecompositionError(f"line {lineno}: malformed tree edge line") from None
     if header is None:
         raise DecompositionError("missing header line")
     if len(bags) != header[0]:
@@ -82,7 +88,8 @@ class ValidationReport:
 
 
 def validate_decomposition(g: Graph, t: TreeDecomposition) -> ValidationReport:
-    """Check tree-ness, edge coverage and connected vertex occurrence."""
+    """Check tree-ness, bag vertices, edge coverage and connected vertex
+    occurrence."""
     violations = []
     nodes = t.nodes
     if not nodes:
@@ -101,9 +108,14 @@ def validate_decomposition(g: Graph, t: TreeDecomposition) -> ValidationReport:
     tree_ok = not violations
     # the nodes whose bags hold each vertex, in node order
     occurrences = {v: [] for v in g.vertices()}
+    strangers = set()
     for n in nodes:
         for v in t.bags[n]:
-            occurrences.setdefault(v, []).append(n)
+            if v in occurrences:
+                occurrences[v].append(n)
+            else:
+                strangers.add(v)
+    violations.extend(f"bag vertex {v} is not in the graph" for v in sorted(strangers))
     for e in g.edges:
         a, b = sorted((e.u, e.v), key=lambda v: len(occurrences[v]))
         if not any(b in t.bags[n] for n in occurrences[a]):
@@ -171,11 +183,15 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
 
 @dataclass(frozen=True)
 class NiceNode:
+    """A forget node's `edges` are the edges it drops, from its vertex into its
+    child's bag, in `Graph.incident_edges` order; other kinds have none."""
+
     id: int
     kind: str
     vertex: int | None
     bag: frozenset
     children: tuple[int, ...]
+    edges: tuple[Edge, ...]
 
 
 class NiceTreeDecomposition:
@@ -246,9 +262,14 @@ def _reduce_bags(t: TreeDecomposition):
     return bags, nbrs
 
 
+def _dropped_edges(g: Graph, v: int, bag) -> tuple[Edge, ...]:
+    """The edges a forget of `v` drops, leaving `bag`: those from `v` into it."""
+    return tuple(e for e in g.incident_edges(v) if e.other(v) in bag)
+
+
 def make_nice(g: Graph, t: TreeDecomposition) -> NiceTreeDecomposition:
     """Normalize to a rooted binary decomposition of identical width with typed
-    nodes and an empty root bag."""
+    nodes and an empty root bag; each forget node records the edges it drops."""
     report = validate_decomposition(g, t)
     if not report.valid:
         raise DecompositionError(
@@ -262,7 +283,8 @@ def make_nice(g: Graph, t: TreeDecomposition) -> NiceTreeDecomposition:
 
     def new_node(kind, vertex, bag, children=()) -> int:
         nid = len(nodes) + 1
-        nodes[nid] = NiceNode(nid, kind, vertex, frozenset(bag), tuple(children))
+        edges = _dropped_edges(g, vertex, bag) if kind == FORGET else ()
+        nodes[nid] = NiceNode(nid, kind, vertex, frozenset(bag), tuple(children), edges)
         return nid
 
     def lift(top_id: int, from_bag: frozenset, to_bag: frozenset) -> int:
@@ -310,13 +332,19 @@ def is_path_decomposition(t: NiceTreeDecomposition) -> bool:
 
 
 def validate_nice(g: Graph, t: NiceTreeDecomposition) -> ValidationReport:
-    """Check the nice-form conditions on top of ordinary validity."""
+    """Check the nice-form conditions on top of ordinary validity, and that
+    each forget node's `edges` are the edges it drops, every edge once."""
     base = validate_decomposition(g, t.as_tree_decomposition())
     violations = list(base.violations)
     if t.nodes[t.root].bag:
         violations.append("root bag is not empty")
+    drops = dict.fromkeys(g.edges, 0)
     for n in t.nodes.values():
         kids = [t.nodes[c] for c in n.children]
+        for e in n.edges:
+            drops[e] = drops.get(e, 0) + 1
+        if n.kind != FORGET and n.edges:
+            violations.append(f"node {n.id}: only a forget node drops edges")
         if n.kind == LEAF:
             if kids:
                 violations.append(f"leaf node {n.id} has children")
@@ -333,11 +361,17 @@ def validate_nice(g: Graph, t: NiceTreeDecomposition) -> ValidationReport:
             )
             if n.bag != expect or n.vertex is None:
                 violations.append(f"node {n.id}: bag does not match its {n.kind} vertex")
+            elif n.kind == FORGET and n.vertex in g.vertices():
+                if n.edges != _dropped_edges(g, n.vertex, n.bag):
+                    violations.append(f"node {n.id}: edges are not the ones it drops")
         elif n.kind == JOIN:
             if len(kids) != 2 or any(k.bag != n.bag for k in kids):
                 violations.append(f"join node {n.id}: children must copy its bag")
         else:
             violations.append(f"node {n.id}: unknown kind {n.kind!r}")
+    for e, times in drops.items():
+        if times != 1:
+            violations.append(f"edge ({e.u}, {e.v}) dropped {times} times")
     return ValidationReport(not violations, base.width, tuple(violations))
 
 
@@ -347,11 +381,11 @@ def good_coloring(g: Graph, t: NiceTreeDecomposition) -> dict[int, int]:
     Vertices are processed by increasing depth of their forget node; each takes
     the smallest color unused in that node's bag.
     """
-    own = forget_ownership(g, t)
+    forgets = {t.nodes[nid].vertex: nid for nid in t.forget_nodes()}
     depth = t.depths()
     color: dict[int, int] = {}
-    for v in sorted(g.vertices(), key=lambda v: (depth[own.vertex_owner[v]], v)):
-        bag = t.nodes[own.vertex_owner[v]].bag
+    for v in sorted(g.vertices(), key=lambda v: (depth[forgets[v]], v)):
+        bag = t.nodes[forgets[v]].bag
         used = {color[u] for u in bag if u in color}
         c = 1
         while c in used:
@@ -368,67 +402,23 @@ def is_good_coloring(g: Graph, t: NiceTreeDecomposition, color: dict[int, int]) 
     return True
 
 
-@dataclass(frozen=True)
-class ForgetOwnership:
-    vertex_owner: dict[int, int]
-    edge_owner: dict[int, int]
-
-
-def forget_ownership(g: Graph, t: NiceTreeDecomposition) -> ForgetOwnership:
-    """Map every vertex and every edge to the unique node forgetting it."""
-    vertex_owner: dict[int, int] = {}
-    edge_owner: dict[int, int] = {}
-    for nid in t.forget_nodes():
-        n = t.nodes[nid]
-        child_bag = t.nodes[n.children[0]].bag
-        v = n.vertex
-        if v in vertex_owner:
-            raise DecompositionError(f"vertex {v} forgotten twice")
-        vertex_owner[v] = nid
-        for e in g.incident_edges(v):
-            if e.other(v) in child_bag:
-                if e.id in edge_owner:
-                    raise DecompositionError(f"edge {e.id} forgotten twice")
-                edge_owner[e.id] = nid
-    for v in g.vertices():
-        if v not in vertex_owner:
-            raise DecompositionError(f"vertex {v} never forgotten")
-    for e in g.edges:
-        if e.id not in edge_owner:
-            raise DecompositionError(f"edge {e.id} never forgotten")
-    return ForgetOwnership(vertex_owner, edge_owner)
-
-
-@dataclass(frozen=True)
-class Context:
-    """Decision variables owned by one forget node, canonically ordered: first the
-    variables naming the forgotten vertex (free-variable declaration order), then
-    per forgotten edge in edge-id order."""
-
-    vertex: int
-    edges: tuple[Edge, ...]
-    variables: tuple[DecisionVariable, ...]
-
-
 def context_of(
-    phi: Formula, g: Graph, t: NiceTreeDecomposition, node_id: int
-) -> Context:
+    phi: Formula, t: NiceTreeDecomposition, node_id: int
+) -> tuple[DecisionVariable, ...]:
+    """The decision variables on the objects a forget node drops, canonically
+    ordered: first the variables naming its vertex (free-variable declaration
+    order), then per dropped edge, in `edges` order, the edge variables."""
     n = t.nodes[node_id]
     if n.kind != FORGET:
         raise DecompositionError(f"node {node_id} is not a forget node")
-    child_bag = t.nodes[n.children[0]].bag
-    v = n.vertex
-    forgotten = tuple(
-        e for e in g.incident_edges(v) if e.other(v) in child_bag
-    )
     variables = []
     for var in phi.free_vars:
         if var.sort.is_vertex:
-            variables.append(dv_eq(var, v) if var.sort.is_object else dv_mem(var, v))
-    for e in forgotten:
+            variables.append(dv_eq(var, n.vertex) if var.sort.is_object else dv_mem(var, n.vertex))
+    for e in n.edges:
         for var in phi.free_vars:
             if not var.sort.is_vertex:
                 variables.append(
                     dv_eq(var, e.id) if var.sort.is_object else dv_mem(var, e.id)
                 )
-    return Context(v, forgotten, tuple(variables))
+    return tuple(variables)

@@ -271,7 +271,7 @@ def compile_obdd(
         if n.kind == JOIN:
             raise DiagramError("path decomposition required: join node present")
     space_dp = decision_space(phi)
-    plan = forget_plan(phi, g, t, coloring)
+    plan = forget_plan(phi, t, coloring)
     reach = minimize_states(space_dp, t, reachable_states(space_dp, t, plan))
 
     chain = [
@@ -281,7 +281,7 @@ def compile_obdd(
     bases = []
     for nid in chain:
         bases.append(len(order))
-        order.extend(plan[nid].context.variables)
+        order.extend(plan[nid].variables)
     space = ObddSpace(tuple(order))
 
     below = {
@@ -290,7 +290,7 @@ def compile_obdd(
     }
     for step in reversed(range(len(chain))):
         nid = chain[step]
-        k = len(plan[nid].context.variables)
+        k = len(plan[nid].variables)
         table = reach.forget_tables[nid]
         entering = {}
         for state in reach.per_node[t.nodes[nid].children[0]]:

@@ -401,7 +401,7 @@ def compile_sdd(
     if not phi.is_core:
         raise DiagramError("formula must be desugared before compilation")
     space = decision_space(phi)
-    plan = forget_plan(phi, g, t, coloring)
+    plan = forget_plan(phi, t, coloring)
     reach = minimize_states(space, t, reachable_states(space, t, plan))
     builder = SddBuilder()
     mappings: dict[int, StateSddMapping] = {}
@@ -414,7 +414,7 @@ def compile_sdd(
         elif node.kind == INTRODUCE:
             mappings[nid] = mappings[node.children[0]]
         elif node.kind == FORGET:
-            ctx_vars = plan[nid].context.variables
+            ctx_vars = plan[nid].variables
             if ctx_vars:
                 g_b = context_assignment_mapping(builder, ctx_vars)
             else:

@@ -191,6 +191,13 @@ def _load_sdd(variables, body, root_id) -> SddCompilation:
     legend = tuple(
         variables[i] for i in sorted(variables) if variables[i].kind != "dummy"
     )
+    # the queries fold scopes up to vtree_root, so everything must lie under it
+    first, end = span or builder.vtree.intervals()
+    under = [builder.vtree.leaf_of(var) for var in legend]
+    if nodes[root_id].vtree_id is not None:
+        under.append(nodes[root_id].vtree_id)
+    if any(not first[vtree_root] <= first[vid] < end[vtree_root] for vid in under):
+        raise DiagramError("the root or a legend variable lies outside vtreeroot")
     return SddCompilation(builder, nodes[root_id], legend, vtree_root)
 
 

@@ -29,15 +29,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .assignment import DecisionVariable
 from .decomposition import (
     FORGET,
     INTRODUCE,
     JOIN,
     LEAF,
-    Context,
     NiceTreeDecomposition,
     context_of,
-    forget_ownership,
 )
 from .errors import Mso2ddError
 from .graph import Graph
@@ -50,13 +49,13 @@ BOT = "X"
 
 @dataclass(frozen=True)
 class ForgetInfo:
-    """A forget node's plan: the local shape its transitions see, the context
-    whose decision variables it owns, and the formula's free variables, so
-    that `forgotten_bits` gives each of them bits even where the context
-    holds none (an edge variable at a node that forgets no edge)."""
+    """A forget node's plan: the local shape its transitions see, the decision
+    variables on the objects it drops (`context_of`), and the formula's free
+    variables, so that `forgotten_bits` gives each of them bits even where
+    the node holds none (an edge variable at a node that forgets no edge)."""
 
     shape: tuple
-    context: Context
+    variables: tuple[DecisionVariable, ...]
     free_vars: tuple[Var, ...]
 
 
@@ -66,7 +65,7 @@ def forgotten_bits(info: ForgetInfo, delta) -> dict:
     vertex sort, one bit per forgotten edge, in context order, for an edge
     sort. This is the one place the DP reads a decision variable."""
     bits = {var: () for var in info.free_vars}
-    for d in info.context.variables:
+    for d in info.variables:
         bits[d.var] += (delta[d],)
     return bits
 
@@ -149,7 +148,7 @@ class AdjacencySpace(AtomSpace):
     """Endpoint checks may have to wait until the other endpoint is forgotten;
     its color (an int) is parked in the state meanwhile. Every edge of a
     vertex is forgotten at or below that vertex's forget node
-    (`forget_ownership`), so the atom is BOT once the vertex variable is
+    (`NiceNode.edges`), so the atom is BOT once the vertex variable is
     placed on a forgotten vertex with no matched edge, or once the parked
     color's vertex is forgotten without it."""
 
@@ -290,7 +289,7 @@ class QuantifierSpace(StateSpace):
       misses, no later forget sets both bits on one object without giving
       that variable a second value. For `adj(x, e)`, every
       edge of a vertex is forgotten at or below that vertex's forget node
-      (`forget_ownership`), so once `x`'s vertex, or the vertex whose colour
+      (`NiceNode.edges`), so once `x`'s vertex, or the vertex whose colour
       is parked, is forgotten without a match, the edge `e` takes does not
       end at `x`. Forget keeps BOT, and a join lets it win over INIT and a
       colour; the one cell it does not win, TRUE ⋈ BOT, needs a variable
@@ -448,15 +447,14 @@ def decision_space(phi: Formula) -> ConjunctionSpace:
 
 
 def forget_plan(
-    phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
+    phi: Formula, t: NiceTreeDecomposition, coloring: dict[int, int]
 ) -> dict[int, ForgetInfo]:
-    """Precompute per-forget-node plans: local shapes and contexts."""
-    forget_ownership(g, t)  # validates uniqueness
+    """Precompute per-forget-node plans: local shapes and decision variables."""
     plan = {}
     for nid in t.forget_nodes():
-        ctx = context_of(phi, g, t, nid)
-        far = tuple(coloring[e.other(ctx.vertex)] for e in ctx.edges)
-        plan[nid] = ForgetInfo((coloring[ctx.vertex], far), ctx, phi.free_vars)
+        n = t.nodes[nid]
+        far = tuple(coloring[e.other(n.vertex)] for e in n.edges)
+        plan[nid] = ForgetInfo((coloring[n.vertex], far), context_of(phi, t, nid), phi.free_vars)
     return plan
 
 
@@ -489,7 +487,7 @@ def run_decision_procedure(
 ) -> bool:
     """Accept iff delta is consistent and encodes a model of phi on g."""
     space = decision_space(phi)
-    plan = forget_plan(phi, g, t, coloring)
+    plan = forget_plan(phi, t, coloring)
     states = node_states(space, t, plan, delta)
     return space.is_accepting(states[t.root])
 
@@ -557,7 +555,7 @@ def reachable_states(
         table = {}
         if n.kind == FORGET:
             info = plan[nid]
-            shape, variables, rows = info.shape, info.context.variables, None
+            shape, variables, rows = info.shape, info.variables, None
             for s in per_node[n.children[0]]:
                 for idx in range(1 << len(variables)):
                     c = memo.get((s, shape, idx))

@@ -198,7 +198,7 @@ def test_criterion_6_structural_invariants(corpus):
             assert coloring[e.u] != coloring[e.v]
         seen = []
         for nid in nice.forget_nodes():
-            seen.extend(context_of(partition_formula, g, nice, nid).variables)
+            seen.extend(context_of(partition_formula, nice, nid))
         assert len(seen) == len(set(seen))
         assert set(seen) == set(decision_variables(partition_formula, g))
 

@@ -87,6 +87,27 @@ class TestCompile:
         assert code == 2
         assert "path decomposition required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "td, message",
+        [
+            (P4_TD.replace("b 1 1 2", "b 1 1 2 9"), "bag vertex 9 is not in the graph"),
+            (P4_TD.replace("s td 3", "s td a"), "line 1: malformed header"),
+            (P4_TD + "3 x\n", "line 7: malformed tree edge line"),
+            (P4_TD.replace("b 3 3 4", "b 3 4"), "edge (3, 4) not covered by any bag"),
+        ],
+        ids=["bag-vertex-not-in-graph", "header-field", "tree-edge-endpoint", "uncovered-edge"],
+    )
+    def test_malformed_td_rejected(self, workdir, tmp_path, capsys, td, message):
+        bad = tmp_path / "bad.td"
+        bad.write_text(td)
+        code = run(
+            ["compile", "--graph", workdir / "p4.gr", "--formula", workdir / "eq.mso",
+             "--td", bad]
+        )
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and message in line
+
     def test_deterministic_output(self, workdir, capsys):
         out1, out2 = workdir / "a.sdd", workdir / "b.sdd"
         for out in (out1, out2):

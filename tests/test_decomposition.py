@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from mso2dd import (
     clique,
     context_of,
     desugar,
-    forget_ownership,
     good_coloring,
     is_path_decomposition,
     make_nice,
@@ -206,26 +206,34 @@ class TestForgetOwnership:
     def test_single_vertex(self):
         g = clique(1)
         nice = make_nice(g, min_fill_decomposition(g))
-        own = forget_ownership(g, nice)
-        assert set(own.vertex_owner) == {1}
-        assert nice.nodes[own.vertex_owner[1]].kind == FORGET
+        (nid,) = nice.forget_nodes()
+        assert nice.nodes[nid].kind == FORGET
+        assert nice.nodes[nid].vertex == 1 and nice.nodes[nid].edges == ()
 
     def test_matches_definition_scan(self):
         for g in (path_graph(2), clique(3), star_graph(3)):
             nice = make_nice(g, min_fill_decomposition(g))
-            own = forget_ownership(g, nice)
             for nid in nice.forget_nodes():
                 expect = scan_forgotten_edges(g, nice, nid)
-                got = {e for e, owner in own.edge_owner.items() if owner == nid}
-                assert got == expect
+                assert {e.id for e in nice.nodes[nid].edges} == expect
 
     def test_triangle_edges_split_over_first_two_forgets(self):
         g = clique(3)
         nice = make_nice(g, TreeDecomposition({1: {1, 2, 3}}, []))
-        own = forget_ownership(g, nice)
         forgets = nice.forget_nodes()  # postorder: lowest first
-        counts = [sum(1 for n in own.edge_owner.values() if n == f) for f in forgets]
+        counts = [len(nice.nodes[f].edges) for f in forgets]
         assert counts == [2, 1, 0]
+
+    def test_validate_nice_rejects_wrong_edges(self):
+        g = clique(3)
+        nice = make_nice(g, TreeDecomposition({1: {1, 2, 3}}, []))
+        first = nice.nodes[nice.forget_nodes()[0]]
+        nice.nodes[first.id] = dataclasses.replace(first, edges=first.edges[:1])
+        report = validate_nice(g, nice)
+        assert not report.valid
+        assert f"node {first.id}: edges are not the ones it drops" in report.violations
+        dropped = first.edges[1]
+        assert f"edge ({dropped.u}, {dropped.v}) dropped 0 times" in report.violations
 
 
 class TestContext:
@@ -234,8 +242,7 @@ class TestContext:
         phi = desugar(parse_formula("free vertex x; (x = x)"))
         nice = make_nice(g, min_fill_decomposition(g))
         nid = nice.forget_nodes()[0]
-        ctx = context_of(phi, g, nice, nid)
-        assert [d.name for d in ctx.variables] == ["x=v1"]
+        assert [d.name for d in context_of(phi, nice, nid)] == ["x=v1"]
 
     def test_full_sort_spread_sixteen_variables(self):
         # vertex 1 with three incident edges all dropped at its forget node
@@ -251,14 +258,14 @@ class TestContext:
             )
         )
         nice = make_nice(g, t)
-        own = forget_ownership(g, nice)
-        nid = own.vertex_owner[1]
-        ctx = context_of(phi, g, nice, nid)
-        assert len(ctx.variables) == 16
-        names = [d.name for d in ctx.variables]
+        (nid,) = [nid for nid in nice.forget_nodes() if nice.nodes[nid].vertex == 1]
+        variables = context_of(phi, nice, nid)
+        assert len(variables) == 16
+        names = [d.name for d in variables]
         assert names[:4] == ["x=v1", "y=v1", "v1inX", "v1inY"]
         # per forgotten edge in id order, object then set variables
-        for i, e in enumerate(ctx.edges):
+        edges = nice.nodes[nid].edges
+        for i, e in enumerate(edges):
             chunk = names[4 + 4 * i : 8 + 4 * i]
             assert chunk == [
                 f"p=e{e.id}",
@@ -266,7 +273,7 @@ class TestContext:
                 f"e{e.id}inP",
                 f"e{e.id}inQ",
             ]
-        assert len(ctx.edges) == 3
+        assert len(edges) == 3
 
     def test_not_a_forget_node(self):
         g = clique(1)
@@ -274,7 +281,7 @@ class TestContext:
         nice = make_nice(g, min_fill_decomposition(g))
         leaf = [n.id for n in nice.nodes.values() if n.kind == "leaf"][0]
         with pytest.raises(DecompositionError):
-            context_of(phi, g, nice, leaf)
+            context_of(phi, nice, leaf)
 
     def test_size_bound_and_partition(self):
         from mso2dd import formula_size
@@ -292,9 +299,9 @@ class TestContext:
             width = nice.width()
             seen = []
             for nid in nice.forget_nodes():
-                ctx = context_of(phi, g, nice, nid)
-                assert len(ctx.variables) <= formula_size(phi) * (width + 1)
-                seen.extend(ctx.variables)
+                variables = context_of(phi, nice, nid)
+                assert len(variables) <= formula_size(phi) * (width + 1)
+                seen.extend(variables)
             assert len(seen) == len(set(seen))  # pairwise disjoint
             assert set(seen) == set(decision_variables(phi, g))
 

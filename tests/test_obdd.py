@@ -207,11 +207,11 @@ class TestCompile:
         phi, comp = self.compile("free vertex x; free vset X; (x in X)", g)
         from mso2dd.states import forget_plan
 
-        plan = forget_plan(phi, g, comp.nice, comp.coloring)
+        plan = forget_plan(phi, comp.nice, comp.coloring)
         expected = []
         for nid in comp.nice.postorder():
             if comp.nice.nodes[nid].kind == "forget":
-                expected.extend(plan[nid].context.variables)
+                expected.extend(plan[nid].variables)
         assert list(comp.obdd.order) == expected
 
 

@@ -319,7 +319,7 @@ class TestCompile:
         phi, comp = self.compile("free vertex x; free vset X; (x in X)", g)
         dvars = decision_variables(phi, g)
         space = decision_space(phi)
-        plan = forget_plan(phi, g, comp.nice, comp.coloring)
+        plan = forget_plan(phi, comp.nice, comp.coloring)
         representative = comp.reachable.representative
         for _, delta in all_deltas(dvars):
             states = node_states(space, comp.nice, plan, delta)

@@ -174,6 +174,10 @@ MALFORMED = {
     "vtree-node-with-two-parents": SDD_TEXT.format(vtree=2).replace(
         "vtree 2 inner 0 1", "vtree 2 inner 0 0"
     ),
+    "vtreeroot-below-root-node": SDD_TEXT.format(vtree=2).replace("vtreeroot 2", "vtreeroot 0"),
+    "legend-leaf-outside-vtreeroot": SDD_TEXT.format(vtree=2).replace(
+        "vtreeroot 2", "vtreeroot 1"
+    ).replace("root 4", "root 1"),
     "var-missing-from-order": OBDD_TEXT.format(child=1, root=0).replace(
         "order 0 1", "var 2 vmem X 3\norder 0 1"
     ),

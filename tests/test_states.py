@@ -23,7 +23,6 @@ from mso2dd import (
     with_consistency,
 )
 from mso2dd.assignment import all_mso_assignments, dv_eq, dv_mem
-from mso2dd.decomposition import Context
 from mso2dd.oracle import KAPPA_TEXT, oracle_eval, truth_table, truth_table_oracle
 from mso2dd.states import (
     BOT,
@@ -89,8 +88,8 @@ class TestSpaceShapes:
         # bits read off either graph's ids are the same
         for g, vertex in ((path_graph(2), 1), (star_graph(3), 2)):
             edge = g.edges[0]
-            context = Context(vertex, (edge,), (dv_eq(x, vertex), dv_eq(p, edge.id)))
-            info = ForgetInfo((1, (3,)), context, phi.free_vars)
+            variables = (dv_eq(x, vertex), dv_eq(p, edge.id))
+            info = ForgetInfo((1, (3,)), variables, phi.free_vars)
             delta = {dv_eq(x, vertex): 0, dv_eq(p, edge.id): 1}
             bits = forgotten_bits(info, delta)
             assert bits == {x: (0,), p: (1,)}
@@ -267,7 +266,7 @@ class TestRuns:
         g = path_graph(2)
         phi, nice, col = setup_instance("free vertex x; free vertex y; (x = y)", g)
         space = decision_space(phi)
-        plan = forget_plan(phi, g, nice, col)
+        plan = forget_plan(phi, nice, col)
         delta = encode_assignment({phi.free_vars[0]: 2, phi.free_vars[1]: 2}, phi, g)
         root = node_states(space, nice, plan, delta)[nice.root]
         assert root == (TRUE, (1, 1))
@@ -294,7 +293,7 @@ class TestRuns:
         dvars = decision_variables(phi, g)
         for _, delta in all_deltas(dvars):
             space = decision_space(phi)
-            plan = forget_plan(phi, g, nice, col)
+            plan = forget_plan(phi, nice, col)
             a = node_states(space, nice, plan, delta)[nice.root]
             b = node_states(space, nice, plan, delta)[nice.root]
             assert a == b
@@ -320,7 +319,7 @@ class TestOracleEquivalence:
                 if len(dvars) > 14:
                     continue
                 space = decision_space(phi)
-                plan = forget_plan(phi, g, nice, col)
+                plan = forget_plan(phi, nice, col)
                 for _, delta in all_deltas(dvars):
                     got = space.is_accepting(node_states(space, nice, plan, delta)[nice.root])
                     if is_consistent(delta, phi, g):
@@ -339,7 +338,7 @@ class TestOracleEquivalence:
             phi, nice, col = setup_instance(FORMULA_TEXTS[name], g)
             dvars = decision_variables(phi, g)
             space = decision_space(phi)
-            plan = forget_plan(phi, g, nice, col)
+            plan = forget_plan(phi, nice, col)
             adjacencies = adjacency_spaces(space)
             assert adjacencies
             checked = 0
@@ -417,9 +416,9 @@ class TestQuantifierSemantics:
         col = good_coloring(g, nice)
 
         phi_space = build_state_space(phi.root)
-        phi_plan = forget_plan(phi, g, nice, col)
+        phi_plan = forget_plan(phi, nice, col)
         inner_space = build_state_space(inner.root)
-        inner_plan = forget_plan(inner, g, nice, col)
+        inner_plan = forget_plan(inner, nice, col)
 
         below = {}
         for nid in nice.postorder():
@@ -462,7 +461,7 @@ class TestQuantifierSemantics:
             nice = make_nice(g, min_fill_decomposition(g))
             col = good_coloring(g, nice)
             space = decision_space(phi)
-            plan = forget_plan(phi, g, nice, col)
+            plan = forget_plan(phi, nice, col)
             reach = reachable_states(space, nice, plan)
             counts.append(max(len(v) for v in reach.per_node.values()))
         assert counts[1] == counts[2]  # per-node reachable width saturates
@@ -472,7 +471,7 @@ class TestMinimize:
     def quotient(self, text, g):
         phi, nice, col = setup_instance(text, g)
         space = decision_space(phi)
-        raw = reachable_states(space, nice, forget_plan(phi, g, nice, col))
+        raw = reachable_states(space, nice, forget_plan(phi, nice, col))
         return space, nice, raw, minimize_states(space, nice, raw)
 
     def test_classes_respect_transitions(self):
@@ -594,7 +593,7 @@ class TestPrune:
         )
         space = build_state_space(phi.root)
         (nid,) = nice.forget_nodes()
-        info = forget_plan(phi, g, nice, col)[nid]
+        info = forget_plan(phi, nice, col)[nid]
         x, xs = phi.free_vars
         bits = forgotten_bits(info, {dv_eq(x, 1): 1, dv_mem(xs, 1): 1})
         assert bits == {x: (1,), xs: (1,)}
@@ -616,7 +615,7 @@ class TestPrune:
         ):
             phi, nice, col = setup_instance(text, g)
             space = decision_space(phi)
-            reach = reachable_states(space, nice, forget_plan(phi, g, nice, col))
+            reach = reachable_states(space, nice, forget_plan(phi, nice, col))
             for states in reach.per_node.values():
                 for s in states:
                     for q, members in quantifier_sets(space, s):
@@ -650,7 +649,7 @@ class TestPrune:
         nice = make_nice(g, path_decomposition(24))
         col = good_coloring(g, nice)
         space = decision_space(phi)
-        raw = reachable_states(space, nice, forget_plan(phi, g, nice, col))
+        raw = reachable_states(space, nice, forget_plan(phi, nice, col))
         assert raw.count <= 100  # 1,841 without pruning
         quo = minimize_states(space, nice, raw)
         assert max(map(len, quo.per_node.values())) <= 3
@@ -663,7 +662,7 @@ class TestPrune:
         for depth in (4, 10):
             phi, nice, col = setup_instance(nested_chain(depth), g)
             space = decision_space(phi)
-            reachable_states(space, nice, forget_plan(phi, g, nice, col))
+            reachable_states(space, nice, forget_plan(phi, nice, col))
             memos = [len(q._forget_memo) for q, _ in quantifier_sets(space, space.initial)]
             assert len(memos) == depth
             sizes[depth] = memos
@@ -680,7 +679,7 @@ class TestPrune:
             nice = make_nice(g, path_decomposition(n))
             col = good_coloring(g, nice)
             space = decision_space(phi)
-            reachable_states(space, nice, forget_plan(phi, g, nice, col))
+            reachable_states(space, nice, forget_plan(phi, nice, col))
             sizes[n] = [len(q._forget_memo) for q, _ in quantifier_sets(space, space.initial)]
         assert sizes[64] and all(sizes[64])
         assert sizes[64] == sizes[256]
@@ -693,7 +692,7 @@ class TestPrune:
         for depth in (12, 24):
             phi, nice, col = setup_instance(nested_chain(depth), g)
             space = decision_space(phi)
-            reachable_states(space, nice, forget_plan(phi, g, nice, col))
+            reachable_states(space, nice, forget_plan(phi, nice, col))
             blocks = [q for q, _ in quantifier_sets(space, space.initial)]
             assert len(blocks) == depth
             memo[depth] = [len(q._forget_memo) for q in blocks]
