@@ -28,7 +28,7 @@ from .decomposition import (
 from .errors import Mso2ddError
 from .graph import Graph, clique, clique_tree, complete_binary_tree, full_product, parse_graph, serialize_graph
 from .mso import Formula, Sort, Var, desugar, formula_size, parse_formula
-from .obdd import Obdd, compile_obdd, evaluate_obdd, obdd_apply, obdd_size, reduce_obdd
+from .obdd import Obdd, compile_obdd, evaluate_obdd, obdd_size, reduce_obdd
 from .oracle import (
     cnf_of_graph,
     enumerate_models,
@@ -80,7 +80,6 @@ __all__ = [
     "min_cardinality_model",
     "min_fill_decomposition",
     "model_count",
-    "obdd_apply",
     "obdd_size",
     "oracle_eval",
     "oracle_models",

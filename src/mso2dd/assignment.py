@@ -8,7 +8,7 @@ variable X), or a dummy used only as structural padding in v-trees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AssignmentError, QueryError
 from .graph import Graph
@@ -19,8 +19,7 @@ MEM = "mem"
 DUMMY = "dummy"
 
 
-@dataclass(frozen=True)
-class DecisionVariable:
+class DecisionVariable(NamedTuple):
     kind: str
     var: Var | None
     obj: int | str

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormulaError
 
@@ -33,8 +34,7 @@ class Sort(enum.Enum):
         return self in (Sort.VERTEX_OBJECT, Sort.VERTEX_SET)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
     sort: Sort
 
@@ -130,9 +130,6 @@ class EdgePred(Expr):
 class Nbr(Expr):
     left: Var
     right: Var
-
-
-_CORE_TYPES = (Adj, Eq, In, Not, And, Exists)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
-"""Ordered binary decision diagrams and the path-decomposition compiler.
+"""Ordered binary decision diagrams and the layered builder.
 
-The compiler reads the reachable transition tables, quotiented to state
-classes, from the root down to the leaf: each class entering a forget node
-becomes a tree over the node's context variables whose leaves are the diagrams
-of the successor classes, built reduced and shared by hash-consing, and the
-root's classes are terminals by the accepting test.
+`build_layers` builds a reduced, hash-consed diagram from a state machine read
+layer by layer. The path-decomposition compiler feeds it one layer per forget
+node, over the reachable transition tables quotiented to state classes;
+`oracle.cnf_to_obdd` feeds it one level per CNF variable.
 """
 
 from __future__ import annotations
@@ -69,14 +68,6 @@ class ObddSpace:
 
     def reduced(self, level: int, lo: ObddNode, hi: ObddNode) -> ObddNode:
         return lo if lo is hi else self.decision(level, lo, hi)
-
-    def constant(self, bit: int) -> "Obdd":
-        return Obdd(self, self.leaf(int(bit)))
-
-    def literal(self, var: DecisionVariable, polarity: bool = True) -> "Obdd":
-        zero, one = self.leaf(0), self.leaf(1)
-        lo, hi = (zero, one) if polarity else (one, zero)
-        return Obdd(self, self.decision(self.level_of[var], lo, hi))
 
 
 class Obdd:
@@ -175,50 +166,29 @@ def reduce_obdd(b: Obdd) -> Obdd:
     return Obdd(space, memo[b.root.uid])
 
 
-def obdd_apply(a: Obdd, b: Obdd, op) -> Obdd:
-    """Combine two diagrams pointwise with a binary boolean operator; the result
-    is reduced. Both inputs must share one variable order."""
-    if a.order != b.order:
-        raise DiagramError("operands respect different variable orders")
-    space = a.space
-    if b.space is not space:
-        b = _import_into(space, b)
-    memo: dict[tuple[int, int], ObddNode] = {}
-    stack = [(a.root, b.root)]
-    while stack:
-        x, y = stack[-1]
-        key = (x.uid, y.uid)
-        if key in memo:
-            stack.pop()
-            continue
-        if x.is_leaf and y.is_leaf:
-            memo[key] = space.leaf(int(op(bool(x.label), bool(y.label))))
-            stack.pop()
-            continue
-        level = min(n.level for n in (x, y) if not n.is_leaf)
-        x0, x1 = (x.lo, x.hi) if (not x.is_leaf and x.level == level) else (x, x)
-        y0, y1 = (y.lo, y.hi) if (not y.is_leaf and y.level == level) else (y, y)
-        lo, hi = memo.get((x0.uid, y0.uid)), memo.get((x1.uid, y1.uid))
-        if lo is not None and hi is not None:
-            memo[key] = space.reduced(level, lo, hi)
-            stack.pop()
-            continue
-        # the low branch is pushed last so it is built first
-        if hi is None:
-            stack.append((x1, y1))
-        if lo is None:
-            stack.append((x0, y0))
-    return Obdd(space, memo[(a.root.uid, b.root.uid)])
+def build_layers(space: ObddSpace, steps, below: dict) -> dict:
+    """Build a layered diagram from its terminals up.
 
-
-def _import_into(space: ObddSpace, b: Obdd) -> Obdd:
-    memo: dict[int, ObddNode] = {}
-    for node in b.nodes():  # children first
-        if node.is_leaf:
-            memo[node.uid] = space.leaf(node.label)
-        else:
-            memo[node.uid] = space.decision(node.level, memo[node.lo.uid], memo[node.hi.uid])
-    return Obdd(space, memo[b.root.uid])
+    `steps` lists the layers from the top: each is `(base, k, states, table)`,
+    covering levels base .. base + k - 1, with the states entering it and a
+    table from (state, assignment index) to the state leaving it; the top
+    level is the index's most significant bit. `below` maps every state
+    leaving the last step to its node. Each state entering a step becomes a
+    reduced tree over the step's levels whose leaves are the nodes of its
+    successors; returns those nodes for the states entering the first step.
+    """
+    for base, k, states, table in reversed(steps):
+        entering = {}
+        for state in states:
+            layer = [below[table[(state, idx)]] for idx in range(1 << k)]
+            for level in reversed(range(base, base + k)):
+                layer = [
+                    space.reduced(level, layer[i], layer[i + 1])
+                    for i in range(0, len(layer), 2)
+                ]
+            entering[state] = layer[0]
+        below = entering
+    return below
 
 
 class ObddCompilation:
@@ -257,13 +227,8 @@ def compile_obdd(
     phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
 ) -> ObddCompilation:
     """Compile along a nice path decomposition; the variable order concatenates
-    the forget-node contexts from the leaf up to the root.
-
-    The diagram grows from its terminals up while the forget chain is walked
-    from the root back to the leaf: the root's states become terminals by the
-    accepting test, and at every forget step each state entering it becomes a
-    reduced tree over the step's context variables whose leaves are the
-    diagrams of its successors.
+    the forget-node contexts from the leaf up to the root, and each forget node
+    is one layer of `build_layers` over its context variables.
     """
     if not phi.is_core:
         raise DiagramError("formula must be desugared before compilation")
@@ -278,32 +243,18 @@ def compile_obdd(
         nid for nid in t.postorder() if t.nodes[nid].kind == FORGET
     ]  # a path decomposition's postorder runs leaf upward
     order: list[DecisionVariable] = []
-    bases = []
+    steps = []
     for nid in chain:
-        bases.append(len(order))
-        order.extend(plan[nid].variables)
+        variables = plan[nid].variables
+        entering = reach.per_node[t.nodes[nid].children[0]]
+        steps.append((len(order), len(variables), entering, reach.forget_tables[nid]))
+        order.extend(variables)
     space = ObddSpace(tuple(order))
-
-    below = {
+    terminals = {
         s: space.leaf(1 if space_dp.is_accepting(s) else 0)
         for s in reach.per_node[t.root]
     }
-    for step in reversed(range(len(chain))):
-        nid = chain[step]
-        k = len(plan[nid].variables)
-        table = reach.forget_tables[nid]
-        entering = {}
-        for state in reach.per_node[t.nodes[nid].children[0]]:
-            layer = [below[table[(state, idx)]] for idx in range(1 << k)]
-            for level in reversed(range(bases[step], bases[step] + k)):
-                layer = [
-                    space.reduced(level, layer[i], layer[i + 1])
-                    for i in range(0, len(layer), 2)
-                ]
-            entering[state] = layer[0]
-        below = entering
-
-    obdd = Obdd(space, below[space_dp.initial])
+    obdd = Obdd(space, build_layers(space, steps, terminals)[space_dp.initial])
     legend = decision_variables(phi, g)
     if set(order) != set(legend):
         raise DiagramError("context variables do not cover the decision universe")

@@ -40,7 +40,7 @@ from .mso import (
     Sort,
     parse_formula,
 )
-from .obdd import Obdd, ObddSpace, obdd_apply
+from .obdd import Obdd, ObddSpace, build_layers
 from .sdd import DECOMP, LITERAL, TRUE, iter_sdd_nodes
 
 DEFAULT_VARIABLE_CAP = 20
@@ -452,7 +452,6 @@ COUNT = Fold(
     0, 1, lambda var, value: 1, lambda pairs: sum(p * s for p, s in pairs),
     lambda value, extra: value << extra, lambda var: int(var.kind != "dummy"),
 )
-SAT = Fold(False, True, lambda var, value: True, lambda pairs: any(p and s for p, s in pairs))
 
 
 def model_count(diagram) -> int:
@@ -461,7 +460,7 @@ def model_count(diagram) -> int:
 
 
 def is_satisfiable(diagram) -> bool:
-    return fold(diagram, SAT)[0]
+    return diagram.satisfiable({})
 
 
 def enumerate_models(diagram, limit: int):
@@ -646,13 +645,32 @@ def cnf_truth_table(cnf: Cnf) -> int:
 
 
 def cnf_to_obdd(cnf: Cnf, order=None) -> Obdd:
-    """Clause-by-clause conjunction under the given (default: legend) order."""
+    """The reduced diagram of the CNF under the given (default: legend) order,
+    one `build_layers` level per variable. A state is the set of clauses whose
+    first variable is decided but which are still unsatisfied; it turns None
+    once such a clause has its last variable decided 0."""
     order = tuple(order) if order is not None else cnf.variables
     space = ObddSpace(order)
-    result = space.constant(1)
-    for clause in cnf.clauses:
-        clause_dd = space.constant(0)
-        for i in clause:
-            clause_dd = obdd_apply(clause_dd, space.literal(cnf.variables[i]), lambda a, b: a or b)
-        result = obdd_apply(result, clause_dd, lambda a, b: a and b)
-    return result
+    if not all(cnf.clauses):
+        return Obdd(space, space.leaf(0))
+    opens, closes, touches = ([set() for _ in order] for _ in range(3))
+    for c, clause in enumerate(cnf.clauses):
+        levels = [space.level_of[cnf.variables[i]] for i in clause]
+        opens[min(levels)].add(c)
+        closes[max(levels)].add(c)
+        for level in levels:
+            touches[level].add(c)
+    steps, states = [], [frozenset()]
+    for level in range(len(order)):
+        table = {}
+        for s in states:
+            if s is None:
+                table[(s, 0)] = table[(s, 1)] = None
+            else:
+                unsatisfied = s | opens[level]
+                table[(s, 0)] = None if unsatisfied & closes[level] else unsatisfied
+                table[(s, 1)] = s - touches[level]
+        steps.append((level, 1, states, table))
+        states = list(dict.fromkeys(table.values()))
+    terminals = {frozenset(): space.leaf(1), None: space.leaf(0)}
+    return Obdd(space, build_layers(space, steps, terminals)[frozenset()])

@@ -65,6 +65,14 @@ def nested_chain(depth: int) -> str:
     return "free vertex x; " + body
 
 
+# Textbook MSO2 properties (Courcelle & Engelfriet, 2012). `nbr(u, v)` also
+# holds for u = v on a vertex with an edge, so independent set spells adjacency
+# with an explicit `u != v`.
+INDEPENDENT_SET_TEXT = (
+    "free vset S; forall vertex u. forall vertex v. "
+    "((((u != v) & nbr(u, v)) & (u in S)) -> ~(v in S))"
+)
+
 FORMULA_TEXTS = {
     "eq": "free vertex x; free vertex y; (x = y)",
     "mem": "free vertex x; free vset X; (x in X)",
@@ -78,16 +86,16 @@ FORMULA_TEXTS = {
     "cover": "free vset S; exists eset M. (forall vertex v. ((v in S) -> exists edge e. "
     "(adj(v, e) & (e in M))) & forall edge f. ((f in M) -> forall vertex u. "
     "(adj(u, f) -> (u in S))))",
+    "indep": INDEPENDENT_SET_TEXT,
+    # perfect matching: "exactly one" is spelled with a universal over edges
+    "matching": "free eset M; forall vertex v. exists edge e. ((adj(v, e) & (e in M)) & "
+    "forall edge f. ((adj(v, f) & (f in M)) -> (f = e)))",
 }
 
 
-# Textbook MSO2 properties outside the corpus (Courcelle & Engelfriet, 2012).
-# `nbr(u, v)` also holds for u = v on a vertex with an edge, so both spell
-# adjacency with an explicit `u != v`.
-INDEPENDENT_SET_TEXT = (
-    "free vset S; forall vertex u. forall vertex v. "
-    "((((u != v) & nbr(u, v)) & (u in S)) -> ~(v in S))"
-)
+# 3-colourability stays outside the corpus: its exhaustive oracle check is slow
+# on the larger corpus graphs. Like independent set, it spells adjacency with
+# an explicit `u != v`.
 THREE_COLORING_TEXT = (
     "exists vset R. exists vset G. exists vset B. ("
     "forall vertex v. (((v in R) | (v in G)) | (v in B)) & "

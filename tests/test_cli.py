@@ -366,6 +366,18 @@ class TestBench:
         assert all(s >= f for s, f in zip(sizes, floors))
         assert "min_fill_width:" in text and "width_bound: 3" in text
 
+    @pytest.mark.parametrize("k, r_max, sizes", [
+        (2, 4, [5, 59, 329, 1679]),
+        (3, 3, [13, 365, 3576]),
+    ])
+    def test_sizes_pinned(self, capsys, k, r_max, sizes):
+        # a reduced OBDD is canonical for its order, so these sizes are
+        # those of any correct builder
+        assert run(["bench-kt", "--k", str(k), "--r-max", str(r_max)]) == 0
+        rows = [l.split() for l in capsys.readouterr().out.splitlines() if l and l[0].isdigit()]
+        assert [int(r[3]) for r in rows] == sizes
+        assert all(r[-1] == "yes" for r in rows)
+
     def test_degenerate_row_marked(self, capsys):
         assert run(["bench-kt", "--k", "1", "--r-max", "1"]) == 0
         assert "degenerate" in capsys.readouterr().out

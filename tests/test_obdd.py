@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,18 +13,19 @@ from mso2dd import (
     good_coloring,
     make_nice,
     min_fill_decomposition,
-    obdd_apply,
     obdd_size,
     parse_formula,
     reduce_obdd,
 )
-from mso2dd.assignment import dv_eq
+from mso2dd.assignment import dv_eq, dv_mem
 from mso2dd.errors import DiagramError
 from mso2dd.mso import Sort, Var
 from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace
 from mso2dd.oracle import (
+    Cnf,
     cnf_of_graph,
     cnf_to_obdd,
+    cnf_truth_table,
     kappa_formula,
     min_cardinality_model,
     model_count,
@@ -66,7 +68,7 @@ class TestEvaluate:
     def test_constant_false(self):
         order = fig_order()
         space = ObddSpace(order)
-        dd = space.constant(0)
+        dd = Obdd(space, space.leaf(0))
         for _, delta in all_deltas(order):
             assert not evaluate_obdd(dd, delta)
 
@@ -106,25 +108,6 @@ class TestReduce:
 
 
 class TestApply:
-    def test_and_with_true(self):
-        obdd, order = build_example_obdd()
-        true_dd = obdd.space.constant(1)
-        combined = obdd_apply(obdd, true_dd, lambda a, b: a and b)
-        assert truth_table(combined, order) == truth_table(obdd, order)
-        assert combined.root is reduce_obdd(obdd).root
-
-    def test_contradiction(self):
-        obdd, order = build_example_obdd()
-        negated = obdd_apply(obdd, obdd.space.constant(1), lambda a, b: not a)
-        zero = obdd_apply(obdd, negated, lambda a, b: a and b)
-        assert zero.root.is_leaf and zero.root.label == 0
-
-    def test_incompatible_orders(self):
-        obdd, _ = build_example_obdd()
-        other = ObddSpace(fig_order()[:2]).constant(1)
-        with pytest.raises(DiagramError):
-            obdd_apply(obdd, other, lambda a, b: a and b)
-
     def test_cnf_conjunction_on_triangle(self):
         cnf = cnf_of_graph(clique(3))
         dd = cnf_to_obdd(cnf)
@@ -137,17 +120,40 @@ class TestApply:
         assert model_count(ObddCompilation(dd, dd.order)) == 45
         assert dd.is_ordered()
 
-    def test_truth_table_matches_pointwise_ops(self):
-        order = fig_order()
-        space = ObddSpace(order)
-        a_dd = space.literal(order[0])
-        b_dd = space.literal(order[1])
-        for name, op in (("and", lambda x, y: x and y), ("or", lambda x, y: x or y), ("xor", lambda x, y: x != y)):
-            combined = obdd_apply(a_dd, b_dd, op)
-            for _, delta in all_deltas(order):
-                assert evaluate_obdd(combined, delta) == bool(
-                    op(delta[order[0]], delta[order[1]])
-                ), name
+
+def assert_reduced(dd):
+    decisions = [n for n in dd.nodes() if not n.is_leaf]
+    assert all(n.lo is not n.hi for n in decisions)
+    assert len({(n.level, n.lo.uid, n.hi.uid) for n in decisions}) == len(decisions)
+
+
+class TestCnfBuilder:
+    @staticmethod
+    def variables(n):
+        return tuple(dv_mem(Var("X", Sort.VERTEX_SET), i) for i in range(1, n + 1))
+
+    def test_random_cnfs_match_truth_table(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            variables = self.variables(rng.randint(1, 8))
+            clauses = tuple(
+                tuple(rng.randrange(len(variables)) for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 6))
+            )
+            order = list(variables)
+            rng.shuffle(order)
+            cnf = Cnf(variables, clauses)
+            dd = cnf_to_obdd(cnf, order)
+            assert dd.order == tuple(order)
+            assert truth_table(dd, variables) == cnf_truth_table(cnf), (clauses, order)
+            assert_reduced(dd)
+
+    def test_no_clause_is_true_and_empty_clause_false(self):
+        variables = self.variables(3)
+        for clauses, label in (((), 1), (((0, 1), ()), 0)):
+            dd = cnf_to_obdd(Cnf(variables, clauses))
+            assert dd.root.is_leaf and dd.root.label == label
+            assert truth_table(dd, variables) == cnf_truth_table(Cnf(variables, clauses))
 
 
 class TestCompile:
@@ -217,10 +223,12 @@ class TestCompile:
 
 class TestSizes:
     def test_constant(self):
-        assert obdd_size(ObddSpace(fig_order()).constant(1)) == 1
+        space = ObddSpace(fig_order())
+        assert obdd_size(Obdd(space, space.leaf(1))) == 1
 
     def test_single_literal(self):
-        assert obdd_size(ObddSpace(fig_order()).literal(fig_order()[0])) == 3
+        space = ObddSpace(fig_order())
+        assert obdd_size(Obdd(space, space.decision(0, space.leaf(0), space.leaf(1)))) == 3
 
     def test_ordered_invariant(self):
         obdd, _ = build_example_obdd()

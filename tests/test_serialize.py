@@ -17,7 +17,6 @@ from mso2dd.cli import main
 from mso2dd.errors import DiagramError
 from mso2dd.obdd import ObddCompilation
 from mso2dd.oracle import (
-    Cnf,
     cnf_of_graph,
     cnf_to_obdd,
     cnf_truth_table,
@@ -28,7 +27,7 @@ from mso2dd.oracle import (
 )
 from mso2dd.serialize import diagram_to_dot
 
-from conftest import path_graph
+from conftest import path_decomposition, path_graph
 
 
 def compile_both(g):
@@ -91,11 +90,13 @@ class TestRoundtrip:
         assert checked > 100
 
     def test_equal_obdds_interned_in_different_orders(self):
-        # the cover CNF conjoined clause by clause, forwards and backwards:
+        # kappa compiled along the path and its cover CNF under the same order:
         # one reduced diagram, whose nodes the two spaces intern in other orders
-        cnf = cnf_of_graph(path_graph(5))
-        backwards = Cnf(cnf.variables, cnf.clauses[::-1])
-        a, b = cnf_to_obdd(cnf), cnf_to_obdd(backwards)
+        g = path_graph(5)
+        nice = make_nice(g, path_decomposition(5))
+        comp = compile_obdd(desugar(kappa_formula()), g, nice, good_coloring(g, nice))
+        cnf = cnf_of_graph(g)
+        a, b = comp.obdd, cnf_to_obdd(cnf, comp.order)
         assert [n.uid for n in a.nodes()] != [n.uid for n in b.nodes()]
         texts = [serialize_diagram(ObddCompilation(dd, cnf.variables)) for dd in (a, b)]
         assert texts[0] == texts[1]
