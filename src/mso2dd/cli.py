@@ -12,7 +12,6 @@ from . import oracle as q
 from .assignment import decision_variables
 from .decomposition import (
     good_coloring,
-    is_path_decomposition,
     make_nice,
     min_fill_decomposition,
     parse_tree_decomposition,
@@ -67,8 +66,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     g, phi, nice = _load_inputs(args)
     width = nice.width()
     coloring = good_coloring(g, nice)
-    if args.target == "obdd" and not is_path_decomposition(nice):
-        raise Mso2ddError("path decomposition required for the obdd target")
     if args.target == "sdd":
         comp = compile_sdd(phi, g, nice, coloring)
         size = sdd_size(comp.root)

@@ -9,7 +9,7 @@ node, over the reachable transition tables quotiented to state classes;
 from __future__ import annotations
 
 from .assignment import DecisionVariable, decision_variables
-from .decomposition import FORGET, JOIN, NiceTreeDecomposition
+from .decomposition import FORGET, NiceTreeDecomposition, is_path_decomposition
 from .errors import DiagramError
 from .graph import Graph
 from .mso import Formula
@@ -123,12 +123,6 @@ def evaluate_obdd(b: Obdd, delta) -> bool:
     return _walk_obdd(b, delta, False)
 
 
-def satisfiable_obdd(b: Obdd, delta) -> bool:
-    """Whether the diagram conditioned on a partial assignment is satisfiable;
-    a variable delta leaves out is free."""
-    return _walk_obdd(b, delta, True)
-
-
 def _walk_obdd(b: Obdd, delta, partial: bool) -> bool:
     """Search for a true leaf along the edges delta allows. A total
     assignment allows one path; with `partial`, a decision on a variable
@@ -220,7 +214,7 @@ class ObddCompilation:
         return evaluate_obdd(self.obdd, delta)
 
     def satisfiable(self, delta) -> bool:
-        return satisfiable_obdd(self.obdd, delta)
+        return _walk_obdd(self.obdd, delta, True)
 
 
 def compile_obdd(
@@ -232,9 +226,8 @@ def compile_obdd(
     """
     if not phi.is_core:
         raise DiagramError("formula must be desugared before compilation")
-    for n in t.nodes.values():
-        if n.kind == JOIN:
-            raise DiagramError("path decomposition required: join node present")
+    if not is_path_decomposition(t):
+        raise DiagramError("path decomposition required: join node present")
     space_dp = decision_space(phi)
     plan = forget_plan(phi, t, coloring)
     reach = minimize_states(space_dp, t, reachable_states(space_dp, t, plan))

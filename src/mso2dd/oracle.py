@@ -41,7 +41,7 @@ from .mso import (
     parse_formula,
 )
 from .obdd import Obdd, ObddSpace, build_layers
-from .sdd import DECOMP, LITERAL, TRUE, iter_sdd_nodes
+from .sdd import DECOMP, LITERAL, TRUE
 
 DEFAULT_VARIABLE_CAP = 20
 QUANTIFIER_BRANCH_CAP = 10**7
@@ -382,7 +382,7 @@ def _fold_sdd(diagram, q: Fold):
             for p, s in node.pairs
         ]
 
-    for node in iter_sdd_nodes(diagram.root):
+    for node in diagram.nodes():
         if node.kind == DECOMP:
             values[node.uid] = q.combine(pairs(node))
         elif node.kind == LITERAL:

@@ -193,59 +193,34 @@ def sdd_size(root: SddNode) -> int:
 
 def evaluate_sdd(root: SddNode, delta) -> bool:
     """The diagram's value under a total assignment of its literals' variables."""
-    return _walk_sdd(root, delta, False)
+    return _decide(iter_sdd_nodes(root), delta, False)
 
 
-def satisfiable_sdd(root: SddNode, delta) -> bool:
-    """Whether the diagram conditioned on a partial assignment is satisfiable;
-    a variable delta leaves out is free."""
-    return _walk_sdd(root, delta, True)
-
-
-def _walk_sdd(root: SddNode, delta, partial: bool) -> bool:
-    """Short-circuit walk from the root with an explicit stack: a decomposition
-    is true at its first pair, in pair order, whose prime and sub are both
-    true; shared nodes are evaluated once. With `partial`, a literal on a
-    variable delta leaves out is true, so the walk decides satisfiability:
-    a prime and its sub mention disjoint variables, so the pair is
-    satisfiable exactly when both are."""
-    memo: dict[int, bool] = {}
-    stack = [[root, 0]]  # node, index of the pair it waits on
-    while stack:
-        frame = stack[-1]
-        node = frame[0]
-        if node.kind == LITERAL:
+def _decide(nodes, delta, partial: bool) -> bool:
+    """One pass over children-first `nodes`; returns the last one's value. A
+    decomposition holds when some pair's prime and sub both hold. With
+    `partial`, a literal on a variable delta leaves out holds, so the pass
+    decides satisfiability under delta: a prime and its sub mention disjoint
+    variables, so a pair is satisfiable exactly when both are."""
+    value: dict[int, bool] = {}
+    for node in nodes:
+        if node.kind == DECOMP:
+            for p, s in node.pairs:
+                if value[p.uid] and value[s.uid]:
+                    value[node.uid] = True
+                    break
+            else:
+                value[node.uid] = False
+        elif node.kind == LITERAL:
             if node.var in delta:
-                memo[node.uid] = bool(delta[node.var]) == node.polarity
+                value[node.uid] = bool(delta[node.var]) == node.polarity
             elif partial:
-                memo[node.uid] = True
+                value[node.uid] = True
             else:
                 raise DiagramError(f"assignment missing variable {node.var!r}")
-        elif node.kind != DECOMP:
-            memo[node.uid] = node.kind == TRUE
         else:
-            result, pending = False, None
-            for i in range(frame[1], len(node.pairs)):
-                prime, sub = node.pairs[i]
-                got = memo.get(prime.uid)
-                if got is None:
-                    pending = prime
-                elif got:
-                    got = memo.get(sub.uid)
-                    if got is None:
-                        pending = sub
-                    result = bool(got)
-                if pending is not None:
-                    frame[1] = i
-                    stack.append([pending, 0])
-                    break
-                if result:
-                    break
-            if pending is not None:
-                continue
-            memo[node.uid] = result
-        stack.pop()
-    return memo[root.uid]
+            value[node.uid] = node.kind == TRUE
+    return value[nodes[-1].uid]
 
 
 @dataclass
@@ -380,24 +355,31 @@ class SddCompilation:
         self.coloring = coloring
         self.node_mappings: dict[int, StateSddMapping] | None = mappings
         self.reachable: ReachableSets | None = reachable
+        self._nodes: list[SddNode] | None = None
 
     @property
     def vtree(self) -> VTree:
         return self.builder.vtree
 
+    def nodes(self) -> list[SddNode]:
+        """`iter_sdd_nodes(root)`, walked once and kept: every query reads it."""
+        if self._nodes is None:
+            self._nodes = iter_sdd_nodes(self.root)
+        return self._nodes
+
     def evaluate(self, delta) -> bool:
-        return evaluate_sdd(self.root, delta)
+        return _decide(self.nodes(), delta, False)
 
     def satisfiable(self, delta) -> bool:
-        return satisfiable_sdd(self.root, delta)
+        return _decide(self.nodes(), delta, True)
 
 
 def compile_sdd(
     phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
 ) -> SddCompilation:
     """Bottom-up construction over the nice decomposition: every node gets a
-    mapping from its state classes to diagrams; the root mapping collapses to
-    one diagram that is true exactly on the accepted assignments."""
+    mapping from its state classes to diagrams, and the root's accepting
+    class's diagram is true exactly on the accepted assignments."""
     if not phi.is_core:
         raise DiagramError("formula must be desugared before compilation")
     space = decision_space(phi)
@@ -438,17 +420,15 @@ def compile_sdd(
                 f"join{nid}",
             )
 
+    # the root's classes are its accepting and rejecting states, so the
+    # accepting class's image is the diagram
     g_root = mappings[t.root]
-    pad = builder.vtree.leaf(dv_dummy("root"))
-    top_vid = builder.vtree.inner(g_root.vtree_id, pad)
-    pairs = [
-        (g_root.images[s], builder.true if space.is_accepting(s) else builder.false)
-        for s in g_root.states()
-    ]
-    root = builder.decomposition(top_vid, pairs)
+    root = next(
+        (g_root.images[s] for s in g_root.states() if space.is_accepting(s)), builder.false
+    )
     legend = decision_variables(phi, g)
     return SddCompilation(
-        builder, root, legend, top_vid, phi, g, t, coloring, mappings, reach
+        builder, root, legend, g_root.vtree_id, phi, g, t, coloring, mappings, reach
     )
 
 

@@ -35,7 +35,7 @@ from .assignment import DecisionVariable, dv_dummy, dv_eq, dv_mem
 from .errors import DiagramError
 from .mso import Sort, Var
 from .obdd import Obdd, ObddCompilation, ObddSpace
-from .sdd import DECOMP, FALSE, LITERAL, TRUE, SddBuilder, SddCompilation, SddNode, iter_sdd_nodes
+from .sdd import DECOMP, FALSE, LITERAL, TRUE, SddBuilder, SddCompilation, SddNode
 
 _VAR_KIND = {
     ("eq", True): "veq",
@@ -71,6 +71,8 @@ def _parse_var(parts) -> DecisionVariable:
 
 def serialize_diagram(diagram) -> str:
     lines = ["mso2dd-diagram 1", f"kind {diagram.kind}"]
+    nodes = diagram.nodes()
+    nid = {node.uid: i for i, node in enumerate(nodes)}
     if diagram.kind == "sdd":
         vtree = diagram.vtree
         variables = list(diagram.legend) + [
@@ -84,8 +86,6 @@ def serialize_diagram(diagram) -> str:
             else:
                 lines.append(f"vtree {vid} inner {vtree.left[vid]} {vtree.right[vid]}")
         lines.append(f"vtreeroot {diagram.vtree_root}")
-        nodes = iter_sdd_nodes(diagram.root)
-        nid = {node.uid: i for i, node in enumerate(nodes)}
         for i, node in enumerate(nodes):
             if node.kind in (FALSE, TRUE):
                 lines.append(f"node {i} {node.kind}")
@@ -98,8 +98,6 @@ def serialize_diagram(diagram) -> str:
         index = {v: i for i, v in enumerate(diagram.legend)}
         lines.extend(_var_line(i, v) for i, v in enumerate(diagram.legend))
         lines.append("order " + " ".join(str(index[v]) for v in diagram.order))
-        nodes = diagram.nodes()
-        nid = {node.uid: i for i, node in enumerate(nodes)}
         for i, node in enumerate(nodes):
             if node.is_leaf:
                 lines.append(f"node {i} leaf {int(node.label)}")
@@ -260,7 +258,7 @@ def _sdd_dot(diagram) -> str:
             return ("" if node.polarity else "~") + node.var.name
         return ""
 
-    for node in iter_sdd_nodes(diagram.root):
+    for node in diagram.nodes():
         if node.kind != DECOMP:
             continue
         out.append(f"  n{node.uid} [shape=circle label={_dot_quote(str(node.uid))}];")

@@ -440,9 +440,8 @@ def with_consistency(space: StateSpace, phi: Formula) -> ConjunctionSpace:
 
 
 def decision_space(phi: Formula) -> ConjunctionSpace:
-    """The consistency-checked space the compilers and the runner operate on."""
-    if not phi.is_core:
-        raise Mso2ddError("formula must be desugared first")
+    """The consistency-checked space the compilers and the runner operate on;
+    raises on the first node that is not in core form."""
     return with_consistency(build_state_space(phi.root), phi)
 
 

@@ -49,6 +49,16 @@ def kappa_count_path(n: int) -> int:
     return sum(ways)
 
 
+def grid_graph(cols: int) -> Graph:
+    """The 3 x cols grid, vertex ids column by column."""
+    vid = lambda r, c: 3 * c + r + 1  # noqa: E731
+    return Graph(
+        3 * cols,
+        [(vid(r, c), vid(r + 1, c)) for c in range(cols) for r in range(2)]
+        + [(vid(r, c), vid(r, c + 1)) for c in range(cols - 1) for r in range(3)],
+    )
+
+
 def path_decomposition(n: int):
     """Width-1 decomposition of the n-vertex path: bags {i, i+1} in a chain."""
     from mso2dd import TreeDecomposition
@@ -90,6 +100,11 @@ FORMULA_TEXTS = {
     # perfect matching: "exactly one" is spelled with a universal over edges
     "matching": "free eset M; forall vertex v. exists edge e. ((adj(v, e) & (e in M)) & "
     "forall edge f. ((adj(v, f) & (f in M)) -> (f = e)))",
+    # connectivity of a vertex set: every split of S into a part in Y and a
+    # part outside Y has an edge across
+    "connected": "free vset S; forall vset Y. ((exists vertex a. ((a in S) & (a in Y)) & "
+    "exists vertex b. ((b in S) & (b notin Y))) -> exists vertex u. exists vertex w. "
+    "((((u in S) & (u in Y)) & ((w in S) & (w notin Y))) & ((u != w) & nbr(u, w))))",
 }
 
 

@@ -45,6 +45,7 @@ from mso2dd.sdd import DECOMP, iter_sdd_nodes, vtree_respected
 from conftest import (
     FORMULA_TEXTS,
     corpus_graphs,
+    grid_graph,
     path_decomposition,
     path_graph,
 )
@@ -162,22 +163,16 @@ def test_criterion_5_cover_formula_matches_cnf():
     # beyond the oracle's reach: a reduced OBDD is canonical for its order, so
     # kappa's compiled diagram and its CNF's diagram give the same file
     started = time.time()
-    rows, cols = 3, 32
-    vid = lambda r, c: c * rows + r + 1  # ids column by column
-    grid = Graph(
-        rows * cols,
-        [(vid(r, c), vid(r + 1, c)) for c in range(cols) for r in range(rows - 1)]
-        + [(vid(r, c), vid(r, c + 1)) for c in range(cols - 1) for r in range(rows)],
-    )
+    n = 3 * 32
     chain = TreeDecomposition(
-        {i: frozenset(range(i, i + 4)) for i in range(1, rows * cols - 2)},
-        [(i, i + 1) for i in range(1, rows * cols - 3)],
+        {i: frozenset(range(i, i + 4)) for i in range(1, n - 2)},
+        [(i, i + 1) for i in range(1, n - 3)],
     )
     identical = []
     for name, g, td in (
         ("P64", path_graph(64), path_decomposition(64)),
         ("P256", path_graph(256), path_decomposition(256)),
-        ("3x32", grid, chain),
+        ("3x32", grid_graph(32), chain),
     ):
         nice = make_nice(g, td)
         comp = compile_obdd(phi, g, nice, good_coloring(g, nice))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from mso2dd import (
     serialize_diagram,
 )
 from mso2dd.assignment import all_mso_assignments, dv_mem
-from mso2dd.errors import QueryError
+from mso2dd.errors import DiagramError, QueryError
 from mso2dd.mso import Sort, Var
 from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace, reduce_obdd
 from mso2dd.oracle import (
@@ -39,6 +40,7 @@ from mso2dd.oracle import (
     truth_table_oracle,
     variable_masks,
 )
+from mso2dd.sdd import LITERAL
 
 from conftest import (
     FORMULA_TEXTS, corpus_graphs, nested_chain, path_decomposition, path_graph,
@@ -275,6 +277,53 @@ class TestEnumerate:
         phi = parse_formula(FORMULA_TEXTS[name])
         for comp in compile_both(phi, g):
             assert enumerate_models(comp, 10**6) == oracle_listing(comp.formula, g, comp.legend)
+
+
+class TestConditioning:
+    """`satisfiable` and `evaluate` on both targets against the oracle's table."""
+
+    def test_matches_oracle_on_corpus(self, corpus):
+        rng = random.Random(15)
+        checked = 0
+        for inst in corpus:
+            dvars, n = inst.dvars, len(inst.dvars)
+            table = truth_table_oracle(inst.phi, inst.graph, dvars)
+            masks, ones = variable_masks(n), (1 << (1 << n)) - 1
+            models = [idx for idx in range(1 << n) if table >> idx & 1]
+            for diagram in (inst.sdd, inst.obdd):
+                if diagram is None:
+                    continue
+                assert diagram.legend == dvars
+                for _ in range(40):
+                    # half the draws restrict a model, so both answers occur
+                    idx = rng.randrange(1 << n)
+                    if models and rng.random() < 0.5:
+                        idx = rng.choice(models)
+                    delta = {d: idx >> i & 1 for i, d in enumerate(dvars) if rng.random() < 0.5}
+                    agree = table
+                    for i, d in enumerate(dvars):
+                        if d in delta:
+                            agree &= masks[i] if delta[d] else ones ^ masks[i]
+                    assert diagram.satisfiable(delta) == (agree != 0), (
+                        inst.formula_name, inst.graph_name, diagram.kind, delta,
+                    )
+                    total = {d: idx >> i & 1 for i, d in enumerate(dvars)}
+                    assert diagram.evaluate(total) == bool(table >> idx & 1)
+                # a literal's variable left out: the SDD reads every literal,
+                # the OBDD walk reads at least the root's variable
+                if diagram.kind == "sdd":
+                    read = [x.var for x in diagram.nodes() if x.kind == LITERAL]
+                elif not diagram.root.is_leaf:
+                    read = [diagram.order[diagram.root.level]]
+                else:
+                    read = []
+                if read:
+                    missing = rng.choice(read)
+                    total = {d: rng.randrange(2) for d in dvars if d != missing}
+                    with pytest.raises(DiagramError):
+                        diagram.evaluate(total)
+                checked += 1
+        assert checked > 200
 
 
 def compile_both(raw, g, td=None):

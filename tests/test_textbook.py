@@ -1,5 +1,8 @@
-"""Textbook MSO2 properties outside the corpus: 3-colourability and
-independent set, at path scale and on graphs with known answers."""
+"""Textbook MSO2 properties at path and grid scale: 3-colourability,
+independent set, perfect matching and connectivity, on graphs with known
+answers, and the linear growth of their diagrams."""
+
+import pytest
 
 from mso2dd import (
     clique,
@@ -9,12 +12,15 @@ from mso2dd import (
     good_coloring,
     make_nice,
     min_fill_decomposition,
+    obdd_size,
     parse_formula,
+    sdd_size,
 )
 from mso2dd.oracle import is_satisfiable, model_count
 
 from conftest import (
-    INDEPENDENT_SET_TEXT, THREE_COLORING_TEXT, path_decomposition, path_graph,
+    FORMULA_TEXTS, INDEPENDENT_SET_TEXT, THREE_COLORING_TEXT, grid_graph, path_decomposition,
+    path_graph,
 )
 
 
@@ -54,3 +60,36 @@ class TestIndependentSet:
     def test_reachable_states_flat_in_path_length(self):
         counts = [path_obdd(INDEPENDENT_SET_TEXT, n).reachable.count for n in (64, 256)]
         assert counts[0] == counts[1]
+
+
+class TestConnectivity:
+    def test_count_on_path(self):
+        # the connected vertex sets of a path are its n(n+1)/2 intervals and
+        # the empty set
+        for n in (4, 64):
+            assert model_count(path_obdd(FORMULA_TEXTS["connected"], n)) == n * (n + 1) // 2 + 1
+
+
+def grid_sdd(text, cols):
+    g = grid_graph(cols)
+    nice = make_nice(g, min_fill_decomposition(g))
+    return compile_sdd(desugar(parse_formula(text)), g, nice, good_coloring(g, nice))
+
+
+def extrapolation_ratio(xs, sizes) -> float:
+    """The last size over the line through the first two points."""
+    (x1, s1), (x2, s2), (x3, s3) = zip(xs, sizes)
+    return s3 / (s1 + (s2 - s1) * (x3 - x1) / (x2 - x1))
+
+
+@pytest.mark.parametrize("name", ["indep", "matching", "connected"])
+def test_size_linear_in_graph(name):
+    # fixed formula and width: the OBDD over width-1 paths and the SDD over
+    # min-fill 3 x n grids grow linearly with the graph
+    text = FORMULA_TEXTS[name]
+    paths = (64, 256, 1024)
+    obdd = [obdd_size(path_obdd(text, n).obdd) for n in paths]
+    assert 1 / 1.1 <= extrapolation_ratio(paths, obdd) <= 1.1, obdd
+    grids = (16, 32, 64)
+    sdd = [sdd_size(grid_sdd(text, cols).root) for cols in grids]
+    assert 1 / 1.1 <= extrapolation_ratio(grids, sdd) <= 1.1, sdd
