@@ -4,7 +4,8 @@ decomposition dynamic program.
 Nodes are hash-consed: structurally identical terminals, literals and
 decompositions are shared. A decomposition's primes always respect the left
 subtree of its v-tree node and form a boolean partition; subs respect the right
-subtree.
+subtree. The compiler trims every decomposition it builds (`trimmed`); a loaded
+file keeps its nodes as written.
 """
 
 from __future__ import annotations
@@ -149,17 +150,13 @@ class SddBuilder:
         )
 
     def decomposition(self, vtree_id: int, pairs) -> SddNode:
-        """Prime-sub pairs; constant-false primes are dropped, pairs are stored in
-        canonical (prime uid, sub uid) order so sharing is maximal."""
-        kept = tuple(
-            sorted(
-                ((p, s) for p, s in pairs if p.kind != FALSE),
-                key=lambda ps: (ps[0].uid, ps[1].uid),
-            )
-        )
+        """Prime-sub pairs, stored in the order given; constant-false primes are
+        dropped. Interned on the set of pairs, so sharing does not depend on
+        their order, and a loaded file keeps the order it was written in."""
+        kept = tuple((p, s) for p, s in pairs if p.kind != FALSE)
         if not kept:
             raise DiagramError("decomposition with no non-false primes")
-        key = (DECOMP, vtree_id, tuple((p.uid, s.uid) for p, s in kept))
+        key = (DECOMP, vtree_id, frozenset((p.uid, s.uid) for p, s in kept))
         return self._intern(key, DECOMP, pairs=kept, vtree_id=vtree_id)
 
 
@@ -223,14 +220,25 @@ def _decide(nodes, delta, partial: bool) -> bool:
     return value[nodes[-1].uid]
 
 
+def trimmed(builder: SddBuilder, vtree_id: int, pairs) -> SddNode:
+    """The decomposition of `pairs`, whose primes form a boolean partition,
+    under Darwiche's trimming rules: pairs that all share one sub are that
+    sub, and a single true sub among false ones is its pair's prime."""
+    pairs = [(p, s) for p, s in pairs if p.kind != FALSE]
+    subs = {s.uid for _, s in pairs}
+    if len(subs) == 1:
+        return pairs[0][1]
+    tops = [p for p, s in pairs if s.kind == TRUE]
+    if len(tops) == 1 and subs == {builder.true.uid, builder.false.uid}:
+        return tops[0]
+    return builder.decomposition(vtree_id, pairs)
+
+
 @dataclass
 class StateSddMapping:
-    """For one decomposition node: each procedure state to the diagram deciding
-    `the run lands in this state`; exactly one image is true per assignment.
-
-    Keys are procedure states, except for context mappings where they are
-    context-assignment indices in binary-counter order. The images' insertion
-    order is the mapping's deterministic iteration order.
+    """For one decomposition node: each state class to the diagram deciding
+    `the run lands in this class`; exactly one image is true per assignment.
+    The images' insertion order is the mapping's deterministic iteration order.
     """
 
     images: dict
@@ -240,100 +248,97 @@ class StateSddMapping:
         return tuple(self.images)
 
 
+class ContextSets:
+    """The assignments of a forget node's context variables, and the diagram of
+    any set of them. Assignment idx sets variable i to bit k-1-i of idx; with
+    no variables there is one assignment, 0."""
+
+    def __init__(self, builder: SddBuilder, variables, suffix_vids) -> None:
+        self.builder = builder
+        self.variables = variables
+        self.suffix_vids = suffix_vids  # the v-tree node of variables i, i+1, ...
+        self.vtree_id = suffix_vids[0]
+
+    def states(self):
+        return range(1 << len(self.variables))
+
+    def diagram(self, members) -> SddNode:
+        """True exactly on the assignments in `members`: the reduced diagram
+        over the right-linear v-tree, built from the last variable up like
+        `obdd.build_layers`. Each level pairs the halves that differ in its
+        variable x as (~x, lo), (x, hi), trimmed."""
+        b = self.builder
+        layer = [b.true if idx in members else b.false for idx in self.states()]
+        for i in reversed(range(len(self.variables))):
+            neg = b.literal(self.variables[i], False)
+            pos = b.literal(self.variables[i], True)
+            layer = [
+                trimmed(b, self.suffix_vids[i], [(neg, lo), (pos, hi)])
+                for lo, hi in zip(layer[::2], layer[1::2])
+            ]
+        return layer[0]
+
+
 def context_assignment_mapping(
-    builder: SddBuilder, ctx_vars: tuple[DecisionVariable, ...]
-) -> StateSddMapping:
-    """One diagram per context assignment, true exactly on that assignment,
-    over a right-linear v-tree of the context variables. Assignment idx sets
-    variable i to bit k-1-i of idx."""
-    if not ctx_vars:
-        raise DiagramError("context mapping needs at least one variable")
+    builder: SddBuilder, ctx_vars: tuple[DecisionVariable, ...], dummy_tag: str = "ctx"
+) -> ContextSets:
+    """A forget node's context: its variables' leaves under a right-linear
+    v-tree, or a dummy leaf named `dummy_tag` when it has no variables."""
     leaves = [builder.vtree.leaf(v) for v in ctx_vars]
-    spine = leaves[-1]
+    suffix_vids = leaves[-1:] or [builder.vtree.leaf(dv_dummy(dummy_tag))]
     for vid in reversed(leaves[:-1]):
-        spine = builder.vtree.inner(vid, spine)
-
-    # vtree node respected by the suffix starting at position i
-    suffix_vid = [spine]
-    for _ in range(len(ctx_vars) - 1):
-        suffix_vid.append(builder.vtree.right[suffix_vid[-1]])
-
-    k = len(ctx_vars)
-    cache: dict[tuple, SddNode] = {}
-
-    def build(i: int, bits: tuple) -> SddNode:
-        got = cache.get((i, bits[i:]))
-        if got is not None:
-            return got
-        var = ctx_vars[i]
-        pos = builder.literal(var, True)
-        neg = builder.literal(var, False)
-        if i == k - 1:
-            node = pos if bits[i] else neg
-        else:
-            rest = build(i + 1, bits)
-            if bits[i]:
-                pairs = [(pos, rest), (neg, builder.false)]
-            else:
-                pairs = [(pos, builder.false), (neg, rest)]
-            node = builder.decomposition(suffix_vid[i], pairs)
-        cache[(i, bits[i:])] = node
-        return node
-
-    images = {
-        idx: build(0, bits)
-        for idx, bits in enumerate(itertools.product((0, 1), repeat=k))
-    }
-    return StateSddMapping(images, spine)
+        suffix_vids.insert(0, builder.vtree.inner(vid, suffix_vids[0]))
+    return ContextSets(builder, tuple(ctx_vars), suffix_vids)
 
 
 def state_table_mapping(
-    builder: SddBuilder,
-    g_a: StateSddMapping,
-    g_b: StateSddMapping,
-    table: dict,
-    out_states,
-    dummy_tag: str,
+    builder: SddBuilder, g_a: StateSddMapping, g_b, table: dict, out_states,
+    dummy_tag: str | None = None,
 ) -> StateSddMapping:
-    """Combine two mappings through a transition table.
+    """Combine a mapping with a forget node's context, or at a join with the
+    right child's mapping, through a transition table.
 
     `table[(a, b)]` is the state reached from a-state and b-state; the result
     maps each output state c, in `out_states` order, to a diagram true exactly
-    when the combination lands in c. Respects node(t_a, node(t_b, dummy)).
+    when the combination lands in c: a's image paired with the diagram of the
+    b-states that take a to c. A context (`ContextSets`) builds that diagram
+    itself. A mapping's b-states, given `dummy_tag`, are unioned by one
+    decomposition over node(t_b, dummy). Respects node(t_a, right side), and
+    every diagram is trimmed.
     """
-    pad = builder.vtree.leaf(dv_dummy(dummy_tag))
-    right_vid = builder.vtree.inner(g_b.vtree_id, pad)
+    if dummy_tag is None:
+        right_vid, union = g_b.vtree_id, g_b.diagram
+    else:
+        pad = builder.vtree.leaf(dv_dummy(dummy_tag))
+        right_vid = builder.vtree.inner(g_b.vtree_id, pad)
+
+        def union(members) -> SddNode:
+            return trimmed(builder, right_vid, [
+                (image, builder.true if b in members else builder.false)
+                for b, image in g_b.images.items()
+            ])
+
     out_vid = builder.vtree.inner(g_a.vtree_id, right_vid)
-
-    a_states = g_a.states()
-    b_states = g_b.states()
-    hits: dict[object, dict[object, set]] = {}
-    for a in a_states:
-        for b in b_states:
-            hits.setdefault(table[(a, b)], {}).setdefault(a, set()).add(b)
-    unknown = set(hits) - set(out_states)
-    if unknown:
-        raise DiagramError(f"transition image outside declared states: {unknown}")
-
-    beta_cache: dict[tuple, SddNode] = {}
-
-    def beta(selected: set) -> SddNode:
-        key = tuple(b in selected for b in b_states)
-        node = beta_cache.get(key)
-        if node is None:
-            pairs = [
-                (g_b.images[b], builder.true if b in selected else builder.false)
-                for b in b_states
-            ]
-            node = builder.decomposition(right_vid, pairs)
-            beta_cache[key] = node
-        return node
-
-    images = {}
-    for c in out_states:
-        selected_by_a = hits.get(c, {})
-        pairs = [(g_a.images[a], beta(selected_by_a.get(a, set()))) for a in a_states]
-        images[c] = builder.decomposition(out_vid, pairs)
+    declared = set(out_states)
+    subs: dict[tuple, SddNode] = {}  # (a, c) -> the diagram of b-states taking a to c
+    unions: dict[frozenset, SddNode] = {}
+    for a in g_a.states():
+        lands: dict[object, list] = {}
+        for b in g_b.states():
+            lands.setdefault(table[(a, b)], []).append(b)
+        for c, members in lands.items():
+            if c not in declared:
+                raise DiagramError(f"transition image outside declared states: {c!r}")
+            key = frozenset(members)
+            if key not in unions:
+                unions[key] = union(key)
+            subs[a, c] = unions[key]
+    images = {
+        c: trimmed(builder, out_vid, [
+            (g_a.images[a], subs.get((a, c), builder.false)) for a in g_a.states()
+        ])
+        for c in out_states
+    }
     return StateSddMapping(images, out_vid)
 
 
@@ -396,19 +401,12 @@ def compile_sdd(
         elif node.kind == INTRODUCE:
             mappings[nid] = mappings[node.children[0]]
         elif node.kind == FORGET:
-            ctx_vars = plan[nid].variables
-            if ctx_vars:
-                g_b = context_assignment_mapping(builder, ctx_vars)
-            else:
-                vid = builder.vtree.leaf(dv_dummy(f"ctx{nid}"))
-                g_b = StateSddMapping({0: builder.true}, vid)
             mappings[nid] = state_table_mapping(
                 builder,
                 mappings[node.children[0]],
-                g_b,
+                context_assignment_mapping(builder, plan[nid].variables, f"ctx{nid}"),
                 reach.forget_tables[nid],
                 reach.per_node[nid],
-                f"forget{nid}",
             )
         else:
             mappings[nid] = state_table_mapping(

@@ -5,6 +5,7 @@ import pytest
 from mso2dd import (
     clique,
     compile_sdd,
+    complete_binary_tree,
     decision_variables,
     desugar,
     evaluate_sdd,
@@ -29,6 +30,7 @@ from mso2dd.oracle import (
 )
 from mso2dd.sdd import (
     DECOMP,
+    TRUE,
     SddBuilder,
     StateSddMapping,
     context_assignment_mapping,
@@ -38,7 +40,14 @@ from mso2dd.sdd import (
 )
 from mso2dd.states import decision_space, forget_plan, node_states
 
-from conftest import all_deltas, kappa_count_path, path_decomposition, path_graph
+from conftest import (
+    FORMULA_TEXTS,
+    all_deltas,
+    corpus_graphs,
+    kappa_count_path,
+    path_decomposition,
+    path_graph,
+)
 
 
 def build_example_sdd():
@@ -142,11 +151,16 @@ class TestSize:
         assert sdd_size(node) == 5
 
 
+def minterms(ctx):
+    """A context's one-assignment diagrams, as a mapping from each index."""
+    return StateSddMapping({idx: ctx.diagram({idx}) for idx in ctx.states()}, ctx.vtree_id)
+
+
 class TestContextMapping:
     def test_single_variable(self):
         builder = SddBuilder()
         d1 = dv_eq(Var("x", Sort.VERTEX_OBJECT), 1)
-        mapping = context_assignment_mapping(builder, (d1,))
+        mapping = minterms(context_assignment_mapping(builder, (d1,)))
         assert mapping.images[1].kind == "lit"
         assert mapping.images[1].polarity is True
         assert mapping.images[0].polarity is False
@@ -155,7 +169,7 @@ class TestContextMapping:
         builder = SddBuilder()
         x = Var("x", Sort.VERTEX_OBJECT)
         d1, d2 = dv_eq(x, 1), dv_eq(x, 2)
-        mapping = context_assignment_mapping(builder, (d1, d2))
+        mapping = minterms(context_assignment_mapping(builder, (d1, d2)))
         node = mapping.images[0b10]  # x=v1 set, x=v2 clear
         assert node.kind == DECOMP
         rendered = {
@@ -172,7 +186,7 @@ class TestContextMapping:
             builder = SddBuilder()
             var = Var("x", Sort.VERTEX_OBJECT)
             ctx = tuple(dv_eq(var, i + 1) for i in range(k))
-            mapping = context_assignment_mapping(builder, ctx)
+            mapping = minterms(context_assignment_mapping(builder, ctx))
             for _, delta in all_deltas(ctx):
                 hits = [
                     idx
@@ -185,7 +199,7 @@ class TestContextMapping:
         builder = SddBuilder()
         var = Var("x", Sort.VERTEX_OBJECT)
         ctx = tuple(dv_eq(var, i + 1) for i in range(4))
-        mapping = context_assignment_mapping(builder, ctx)
+        mapping = minterms(context_assignment_mapping(builder, ctx))
         total = 0
         seen = set()
         for node in mapping.images.values():
@@ -196,6 +210,25 @@ class TestContextMapping:
                 total += len(sub.pairs) if sub.kind == DECOMP else 1
         assert total <= 2 * len(ctx) * 2 ** len(ctx)
 
+    def test_every_index_set_is_its_reduced_diagram(self):
+        # each set of assignments gets a diagram true exactly on it, and no
+        # decomposition in it pairs both halves with the same sub
+        var = Var("x", Sort.VERTEX_OBJECT)
+        for k in range(4):
+            builder = SddBuilder()
+            ctx_vars = tuple(dv_eq(var, i + 1) for i in range(k))
+            ctx = context_assignment_mapping(builder, ctx_vars)
+            for bits in itertools.product((False, True), repeat=1 << k):
+                members = {idx for idx in ctx.states() if bits[idx]}
+                node = ctx.diagram(members)
+                for _, delta in all_deltas(ctx_vars):
+                    idx = sum(delta[d] << (k - 1 - i) for i, d in enumerate(ctx_vars))
+                    assert evaluate_sdd(node, delta) == (idx in members)
+                for sub in iter_sdd_nodes(node):
+                    subs = [s.uid for _, s in sub.pairs]
+                    assert len(subs) == len(set(subs))
+                assert vtree_respected(node, builder.vtree)
+
 
 class TestStateTableMapping:
     def setup_mappings(self):
@@ -203,8 +236,8 @@ class TestStateTableMapping:
         var = Var("x", Sort.VERTEX_OBJECT)
         a_vars = (dv_eq(var, 1),)
         b_vars = (dv_eq(var, 2),)
-        g_a = context_assignment_mapping(builder, a_vars)
-        g_b = context_assignment_mapping(builder, b_vars)
+        g_a = minterms(context_assignment_mapping(builder, a_vars))
+        g_b = minterms(context_assignment_mapping(builder, b_vars))
         return builder, g_a, g_b, a_vars + b_vars
 
     @staticmethod
@@ -341,6 +374,44 @@ class TestCompile:
         assert sdd_size(comp.root) <= 1000
         assert model_count(comp) == kappa_count_path(n)
         assert comp.reachable.classes < comp.reachable.count
+
+
+class TestTrimmed:
+    """Forget subs are the reduced diagrams of their context sets, and every
+    image is trimmed, so no v-tree carries a forget pad."""
+
+    @staticmethod
+    def compile(phi, g, td):
+        nice = make_nice(g, td)
+        return compile_sdd(phi, g, nice, good_coloring(g, nice))
+
+    def test_closed_tautology_is_the_true_node(self):
+        phi = desugar(parse_formula(FORMULA_TEXTS["taut"]))
+        for name, g in corpus_graphs().items():
+            comp = self.compile(phi, g, min_fill_decomposition(g))
+            assert comp.root.kind == TRUE and sdd_size(comp.root) == 1, name
+
+    def test_kappa_on_one_vertex_is_true(self):
+        g = clique(1)
+        comp = self.compile(desugar(kappa_formula()), g, min_fill_decomposition(g))
+        assert comp.root.kind == TRUE
+
+    def test_no_forget_pads(self, corpus):
+        for inst in corpus:
+            tags = [v.obj for v in inst.sdd.vtree.all_variables() if v.kind == "dummy"]
+            assert not any(tag.startswith("forget") for tag in tags), inst.graph_name
+
+    def test_kappa_size_on_path_and_tree(self):
+        phi = desugar(kappa_formula())
+        g = path_graph(64)
+        for td in (path_decomposition(64), min_fill_decomposition(g)):
+            comp = self.compile(phi, g, td)
+            assert sdd_size(comp.root) <= 1100
+            assert model_count(comp) == kappa_count_path(64)
+        g = complete_binary_tree(3)
+        comp = self.compile(phi, g, min_fill_decomposition(g))
+        assert sdd_size(comp.root) <= 110
+        assert vtree_respected(comp.root, comp.vtree)
 
 
 class TestDeepEvaluation:

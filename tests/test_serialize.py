@@ -30,6 +30,50 @@ from mso2dd.serialize import diagram_to_dot
 from conftest import path_decomposition, path_graph
 
 
+OLD_KAPPA_P2_SDD = """\
+mso2dd-diagram 1
+kind sdd
+var 0 vmem X_V 1
+var 1 vmem X_V 2
+var 2 emem X_E 1
+var 3 dummy leaf1 0
+var 4 dummy forget2 0
+var 5 dummy forget3 0
+vtree 0 leaf 3
+vtree 1 leaf 0
+vtree 2 leaf 2
+vtree 3 inner 1 2
+vtree 4 leaf 4
+vtree 5 inner 3 4
+vtree 6 inner 0 5
+vtree 7 leaf 1
+vtree 8 leaf 5
+vtree 9 inner 7 8
+vtree 10 inner 6 9
+vtreeroot 10
+node 0 true
+node 1 lit 0 1
+node 2 false
+node 3 lit 0 0
+node 4 lit 2 0
+node 5 decomp 3 1:2 3:4
+node 6 lit 2 1
+node 7 decomp 3 1:2 3:6
+node 8 decomp 3 1:4 3:2
+node 9 decomp 3 1:6 3:2
+node 10 decomp 5 5:2 7:0 8:0 9:0
+node 11 decomp 6 0:10
+node 12 lit 1 1
+node 13 lit 1 0
+node 14 decomp 9 12:0 13:0
+node 15 decomp 5 5:0 7:2 8:2 9:2
+node 16 decomp 6 0:15
+node 17 decomp 9 12:0 13:2
+node 18 decomp 10 11:14 16:17
+root 18
+"""
+
+
 def compile_both(g):
     phi = desugar(kappa_formula())
     nice = make_nice(g, min_fill_decomposition(g))
@@ -88,6 +132,20 @@ class TestRoundtrip:
                     )
                     checked += 1
         assert checked > 100
+
+    def test_file_with_forget_pads_still_loads(self):
+        # kappa on P2 as written when every forget node had a dummy pad leaf
+        # and its subs were untrimmed: 19 node lines, where trimming gives 10
+        text = OLD_KAPPA_P2_SDD
+        loaded = load_diagram(text)
+        assert model_count(loaded) == 7
+        x_v, x_e = (var.var for var in loaded.legend[::2])
+        assert enumerate_models(loaded, 3) == [
+            {x_v: frozenset(), x_e: frozenset({1})},
+            {x_v: frozenset({2}), x_e: frozenset()},
+            {x_v: frozenset({2}), x_e: frozenset({1})},
+        ]
+        assert serialize_diagram(loaded) == text
 
     def test_equal_obdds_interned_in_different_orders(self):
         # kappa compiled along the path and its cover CNF under the same order:
