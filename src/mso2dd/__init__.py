@@ -26,7 +26,9 @@ from .decomposition import (
     validate_decomposition,
 )
 from .errors import Mso2ddError
-from .graph import Graph, clique, clique_tree, complete_binary_tree, full_product, parse_graph, serialize_graph
+from .graph import (
+    Graph, clique, clique_tree, complete_binary_tree, full_product, parse_graph, serialize_graph,
+)
 from .mso import Formula, Sort, Var, desugar, formula_size, parse_formula
 from .obdd import Obdd, compile_obdd, evaluate_obdd, obdd_size, reduce_obdd
 from .oracle import (

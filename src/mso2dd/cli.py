@@ -182,6 +182,8 @@ def cmd_bench_kt(args: argparse.Namespace) -> int:
     """Reduced diagrams for the edge-cover CNF of clique-tree products; sizes are
     checked against the 2^(rk/2) floor, which any variable order must obey."""
     k = args.k
+    if args.r_max < 1:
+        raise Mso2ddError("--r-max must be at least 1")
     if k * (2**args.r_max - 1) > args.cap:
         raise Mso2ddError(
             f"largest instance has {k * (2 ** args.r_max - 1)} vertices, cap is {args.cap}"

@@ -143,10 +143,6 @@ class Formula:
     def free_object_vars(self) -> tuple[Var, ...]:
         return tuple(v for v in self.free_vars if v.sort.is_object)
 
-    @property
-    def is_core(self) -> bool:
-        return is_core(self.root)
-
 
 def is_core(expr: Expr) -> bool:
     if isinstance(expr, (Adj, Eq, In)):

@@ -224,8 +224,6 @@ def compile_obdd(
     the forget-node contexts from the leaf up to the root, and each forget node
     is one layer of `build_layers` over its context variables.
     """
-    if not phi.is_core:
-        raise DiagramError("formula must be desugared before compilation")
     if not is_path_decomposition(t):
         raise DiagramError("path decomposition required: join node present")
     space_dp = decision_space(phi)

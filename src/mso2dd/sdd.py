@@ -385,8 +385,6 @@ def compile_sdd(
     """Bottom-up construction over the nice decomposition: every node gets a
     mapping from its state classes to diagrams, and the root's accepting
     class's diagram is true exactly on the accepted assignments."""
-    if not phi.is_core:
-        raise DiagramError("formula must be desugared before compilation")
     space = decision_space(phi)
     plan = forget_plan(phi, t, coloring)
     reach = minimize_states(space, t, reachable_states(space, t, plan))

@@ -10,9 +10,10 @@ forgotten edges, in context order) and `bits`, which maps each variable to
 its bits on the forgotten objects: a 1-tuple for a vertex sort, one bit per
 forgotten edge, in context order, for an edge sort. `forgotten_bits` splits
 an assignment into them; no transition reads a vertex id, an edge id or a
-decision variable. So `reachable_states` and the quantifier memos compute a
-forget once per state, shape and context assignment, for every node of that
-shape.
+decision variable. So a node's table depends only on its input (a forget's
+child states and shape, a join's child states), and `reachable_states` and
+`minimize_states` compute one table per distinct input, shared by every node
+that repeats it; the quantifier memos share single transitions across inputs.
 
 States are plain hashable values: an atom is one of the strings INIT, TRUE
 and BOT (undecided, true, false for good), an adjacency colour is an int,
@@ -38,7 +39,7 @@ from .decomposition import (
     NiceTreeDecomposition,
     context_of,
 )
-from .errors import Mso2ddError
+from .errors import FormulaError, Mso2ddError
 from .graph import Graph
 from .mso import Adj, And, Eq, Exists, Formula, In, Not, Var, occurring_variables
 
@@ -431,7 +432,7 @@ def build_state_space(expr) -> StateSpace:
             build_state_space(expr.body),
             frozenset(occurring_variables(expr)),  # free in the block
         )
-    raise Mso2ddError(f"formula is not in core form: {type(expr).__name__}")
+    raise FormulaError(f"formula is not in core form: {type(expr).__name__}")
 
 
 def with_consistency(space: StateSpace, phi: Formula) -> ConjunctionSpace:
@@ -500,7 +501,9 @@ class ReachableSets:
     by (child state, context assignment index), the index counting the
     context variables' assignments in binary, the first variable the most
     significant bit; join tables by the pair of child states. `count` is the
-    number of distinct reachable states over all nodes.
+    number of distinct reachable states over all nodes. Nodes with equal
+    inputs share one table object, and once minimized one class map, so
+    neither may be changed.
 
     After `minimize_states` the states and tables are class representatives,
     `count` still counts the raw states, and `representative[nid]` maps each
@@ -524,11 +527,13 @@ def reachable_states(
     space: StateSpace, t: NiceTreeDecomposition, plan: dict[int, ForgetInfo]
 ) -> ReachableSets:
     """Per-node reachable state sets: the closure over every context assignment
-    of every forget node, computed in one bottom-up pass. A forget transition
-    is computed once per (state, local shape, context assignment index) and
-    shared by every node of that shape. Each node's states are ordered by
-    their rank in the order the pass first made them; the postorder, the
-    child-state order and the context-index order fix that order."""
+    of every forget node, computed in one bottom-up pass. A node's table
+    depends only on its input: a forget's on its child's states and its local
+    shape, which fixes the context layout, a join's on its children's states.
+    So each distinct input's table and states are computed once and shared by
+    every node with that input. Each node's states are ordered by their rank
+    in the order the pass first made them; the postorder, the child-state
+    order and the context-index order fix that order."""
     # each distinct state to its first-made object, so table keys and values
     # share it, and to its rank
     distinct = {space.initial: (space.initial, 0)}
@@ -539,10 +544,9 @@ def reachable_states(
             got = distinct[c] = (c, len(distinct))
         return got[0]
 
-    memo: dict = {}
+    memo: dict = {}  # (kind, node input) to (table, states)
     per_node: dict[int, tuple] = {}
-    forget_tables: dict[int, dict] = {}
-    join_tables: dict[int, dict] = {}
+    tables: dict = {FORGET: {}, JOIN: {}}
     for nid in t.postorder():
         n = t.nodes[nid]
         if n.kind == LEAF:
@@ -551,28 +555,28 @@ def reachable_states(
         if n.kind == INTRODUCE:
             per_node[nid] = per_node[n.children[0]]
             continue
-        table = {}
+        left = per_node[n.children[0]]
         if n.kind == FORGET:
             info = plan[nid]
-            shape, variables, rows = info.shape, info.variables, None
-            for s in per_node[n.children[0]]:
-                for idx in range(1 << len(variables)):
-                    c = memo.get((s, shape, idx))
-                    if c is None:
-                        rows = rows or [
-                            forgotten_bits(info, dict(zip(variables, pattern)))
-                            for pattern in itertools.product((0, 1), repeat=len(variables))
-                        ]
-                        c = memo[(s, shape, idx)] = intern(space.forget(s, shape, rows[idx]))
-                    table[(s, idx)] = c
-            forget_tables[nid] = table
+            key = (FORGET, left, info.shape)
         else:
-            for a in per_node[n.children[0]]:
-                for b in per_node[n.children[1]]:
-                    table[(a, b)] = intern(space.join(a, b))
-            join_tables[nid] = table
-        per_node[nid] = tuple(sorted(set(table.values()), key=lambda c: distinct[c][1]))
-    return ReachableSets(per_node, len(distinct), forget_tables, join_tables)
+            key = (JOIN, left, per_node[n.children[1]])
+        if key not in memo:
+            if n.kind == FORGET:
+                rows = [
+                    forgotten_bits(info, dict(zip(info.variables, pattern)))
+                    for pattern in itertools.product((0, 1), repeat=len(info.variables))
+                ]
+                table = {
+                    (s, idx): intern(space.forget(s, info.shape, bits))
+                    for s in left
+                    for idx, bits in enumerate(rows)
+                }
+            else:
+                table = {(a, b): intern(space.join(a, b)) for a in left for b in key[2]}
+            memo[key] = table, tuple(sorted(set(table.values()), key=lambda c: distinct[c][1]))
+        tables[n.kind][nid], per_node[nid] = memo[key]
+    return ReachableSets(per_node, len(distinct), tables[FORGET], tables[JOIN])
 
 
 def _classes(states, row) -> dict:
@@ -582,6 +586,11 @@ def _classes(states, row) -> dict:
     return {s: first.setdefault(row(s), s) for s in states}
 
 
+def _firsts(classes: dict) -> tuple:
+    """A class map's representatives, in order of first appearance."""
+    return tuple(dict.fromkeys(classes.values()))
+
+
 def minimize_states(
     space: StateSpace, t: NiceTreeDecomposition, reach: ReachableSets
 ) -> ReachableSets:
@@ -589,50 +598,40 @@ def minimize_states(
     fixed decomposition: two states at a node are equivalent when every way of
     completing the run from there accepts for both or for neither.
 
-    One top-down refinement finds the classes. At the root they are the
-    accepting and the rejecting states; an introduce node's child inherits
-    them; a forget node's child state is classed by its row of parent classes
-    over the context assignments; a join node's left state by its row over
-    the right child's states, then a right state by its row over the left
-    classes' representatives. A class is represented by its first member in
-    `per_node` order, the earliest made, so the quotient tables are as
-    deterministic as the raw ones.
+    One top-down refinement finds the classes and the quotient tables. At the
+    root the classes are the accepting and the rejecting states; an introduce
+    node's child inherits them; a forget node's child state is classed by its
+    row of parent classes over the context assignments; a join node's left
+    state by its row over the right child's states, then a right state by its
+    row over the left classes' representatives. A class is represented by its
+    first member in `per_node` order, the earliest made, so the quotient
+    tables are as deterministic as the raw ones. A node's child classes and
+    quotient table depend only on its table and its own classes, so they are
+    computed once per distinct pair and shared.
     """
     per_node, nodes = reach.per_node, t.nodes
     rep = {t.root: _classes(per_node[t.root], space.is_accepting)}
+    memo: dict = {}  # (table identity, node classes) to (child classes, quotient)
+    tables: dict = {FORGET: {}, JOIN: {}}
     for nid in reversed(t.postorder()):
         n, up = nodes[nid], rep[nid]
         if n.kind == INTRODUCE:
             rep[n.children[0]] = up
-        elif n.kind == FORGET:
-            child = n.children[0]
-            table = reach.forget_tables[nid]
-            width = range(len(table) // len(per_node[child]))
-            rep[child] = _classes(
-                per_node[child], lambda s: tuple(up[table[(s, i)]] for i in width)
-            )
-        elif n.kind == JOIN:
-            left, right = n.children
-            table = reach.join_tables[nid]
-            rep[left] = _classes(
-                per_node[left], lambda a: tuple(up[table[(a, b)]] for b in per_node[right])
-            )
-            firsts = tuple(dict.fromkeys(rep[left].values()))
-            rep[right] = _classes(
-                per_node[right], lambda b: tuple(up[table[(a, b)]] for a in firsts)
-            )
-
-    reps = {nid: tuple(dict.fromkeys(rep[nid].values())) for nid in per_node}
-    forget_tables, join_tables = {}, {}
-    for nid, table in reach.forget_tables.items():
-        child = nodes[nid].children[0]
-        width = range(len(table) // len(per_node[child]))
-        forget_tables[nid] = {
-            (s, i): rep[nid][table[(s, i)]] for s in reps[child] for i in width
-        }
-    for nid, table in reach.join_tables.items():
-        left, right = nodes[nid].children
-        join_tables[nid] = {
-            (a, b): rep[nid][table[(a, b)]] for a in reps[left] for b in reps[right]
-        }
-    return ReachableSets(reps, reach.count, forget_tables, join_tables, rep)
+        if n.kind not in (FORGET, JOIN):
+            continue
+        table = (reach.forget_tables if n.kind == FORGET else reach.join_tables)[nid]
+        key = (id(table), tuple(up.values()))
+        if key not in memo:
+            # a forget table is read as a join with the context indices
+            left = per_node[n.children[0]]
+            right = per_node[n.children[1]] if n.kind == JOIN else range(len(table) // len(left))
+            downs = (_classes(left, lambda a: tuple(up[table[(a, b)]] for b in right)),)
+            firsts = _firsts(downs[0])
+            if n.kind == JOIN:
+                downs += (_classes(right, lambda b: tuple(up[table[(a, b)]] for a in firsts)),)
+                right = _firsts(downs[1])
+            memo[key] = downs, {(a, b): up[table[(a, b)]] for a in firsts for b in right}
+        downs, tables[n.kind][nid] = memo[key]
+        rep.update(zip(n.children, downs))
+    reps = {nid: _firsts(rep[nid]) for nid in per_node}
+    return ReachableSets(reps, reach.count, tables[FORGET], tables[JOIN], rep)

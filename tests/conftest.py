@@ -67,6 +67,15 @@ def path_decomposition(n: int):
     return TreeDecomposition(bags, [(i, i + 1) for i in range(1, n - 1)])
 
 
+def grid_chain_decomposition(cols: int):
+    """Width-3 decomposition of `grid_graph(cols)`: bags {i, ..., i+3} in a chain."""
+    from mso2dd import TreeDecomposition
+
+    n = 3 * cols
+    bags = {i: frozenset(range(i, i + 4)) for i in range(1, n - 2)}
+    return TreeDecomposition(bags, [(i, i + 1) for i in range(1, n - 3)])
+
+
 def nested_chain(depth: int) -> str:
     """`exists vset Y0. ~((x in Y0) & exists vset Y1. ~(... (x = x)))`."""
     body = "(x = x)"

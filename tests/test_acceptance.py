@@ -10,7 +10,6 @@ import time
 
 from mso2dd import (
     Graph,
-    TreeDecomposition,
     clique,
     clique_tree,
     compile_obdd,
@@ -45,6 +44,7 @@ from mso2dd.sdd import DECOMP, iter_sdd_nodes, vtree_respected
 from conftest import (
     FORMULA_TEXTS,
     corpus_graphs,
+    grid_chain_decomposition,
     grid_graph,
     path_decomposition,
     path_graph,
@@ -163,16 +163,11 @@ def test_criterion_5_cover_formula_matches_cnf():
     # beyond the oracle's reach: a reduced OBDD is canonical for its order, so
     # kappa's compiled diagram and its CNF's diagram give the same file
     started = time.time()
-    n = 3 * 32
-    chain = TreeDecomposition(
-        {i: frozenset(range(i, i + 4)) for i in range(1, n - 2)},
-        [(i, i + 1) for i in range(1, n - 3)],
-    )
     identical = []
     for name, g, td in (
         ("P64", path_graph(64), path_decomposition(64)),
         ("P256", path_graph(256), path_decomposition(256)),
-        ("3x32", grid_graph(32), chain),
+        ("3x32", grid_graph(32), grid_chain_decomposition(32)),
     ):
         nice = make_nice(g, td)
         comp = compile_obdd(phi, g, nice, good_coloring(g, nice))

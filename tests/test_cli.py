@@ -378,6 +378,12 @@ class TestBench:
         assert [int(r[3]) for r in rows] == sizes
         assert all(r[-1] == "yes" for r in rows)
 
+    @pytest.mark.parametrize("r_max", [0, -1])
+    def test_r_max_below_one_rejected_before_output(self, capsys, r_max):
+        assert run(["bench-kt", "--r-max", r_max]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--r-max" in out.err
+
     def test_degenerate_row_marked(self, capsys):
         assert run(["bench-kt", "--k", "1", "--r-max", "1"]) == 0
         assert "degenerate" in capsys.readouterr().out

@@ -18,7 +18,7 @@ from mso2dd import (
     serialize_diagram,
 )
 from mso2dd.assignment import dv_eq, dv_mem
-from mso2dd.errors import DiagramError
+from mso2dd.errors import DiagramError, FormulaError
 from mso2dd.mso import Sort, Var
 from mso2dd.oracle import (
     enumerate_models,
@@ -327,7 +327,7 @@ class TestCompile:
         g = clique(1)
         phi = parse_formula("free vset X; forall vertex v. (v in X)")
         nice = make_nice(g, min_fill_decomposition(g))
-        with pytest.raises(DiagramError):
+        with pytest.raises(FormulaError):
             compile_sdd(phi, g, nice, good_coloring(g, nice))
 
     def test_matches_decision_procedure_directly(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from mso2dd import (
     with_consistency,
 )
 from mso2dd.assignment import all_mso_assignments, dv_eq, dv_mem
+from mso2dd.errors import FormulaError
 from mso2dd.oracle import KAPPA_TEXT, oracle_eval, truth_table, truth_table_oracle
 from mso2dd.states import (
     BOT,
@@ -44,8 +46,8 @@ from mso2dd.states import (
 )
 
 from conftest import (
-    FORMULA_TEXTS, INDEPENDENT_SET_TEXT, all_deltas, nested_chain, path_decomposition,
-    path_graph, star_graph,
+    FORMULA_TEXTS, INDEPENDENT_SET_TEXT, all_deltas, grid_chain_decomposition, grid_graph,
+    nested_chain, path_decomposition, path_graph, star_graph,
 )
 
 
@@ -95,6 +97,16 @@ class TestSpaceShapes:
             assert bits == {x: (0,), p: (1,)}
             assert a.forget(INIT, info.shape, bits) == b.forget(INIT, info.shape, bits) == 3
         assert a.join(INIT, 2) == b.join(INIT, 2) == 2
+
+    def test_compilers_reject_sugared_formula(self):
+        # the core-form check is the state space's, and both compilers build one
+        g = path_graph(4)
+        phi = parse_formula(FORMULA_TEXTS["dom"])
+        nice = make_nice(g, path_decomposition(4))
+        col = good_coloring(g, nice)
+        for compile_ in (compile_obdd, compile_sdd):
+            with pytest.raises(FormulaError):
+                compile_(phi, g, nice, col)
 
 
 class TestForgetRules:
@@ -516,6 +528,69 @@ class TestMinimize:
         _, _, raw, quo = self.quotient(KAPPA_TEXT, path_graph(8))
         assert max(map(len, quo.per_node.values())) <= 3
         assert quo.classes < raw.count == raw.classes
+
+
+def check_shared_tables(phi, nice, coloring):
+    """Every node's raw table, shared or not, equals the one computed afresh
+    for that node, and its quotient table agrees with it through the node's
+    own class maps."""
+    space = decision_space(phi)
+    plan = forget_plan(phi, nice, coloring)
+    raw = reachable_states(space, nice, plan)
+    quo = minimize_states(space, nice, raw)
+    rep = quo.representative
+    for nid, table in raw.forget_tables.items():
+        (child,) = nice.nodes[nid].children
+        info = plan[nid]
+        rows = [
+            forgotten_bits(info, dict(zip(info.variables, pattern)))
+            for pattern in itertools.product((0, 1), repeat=len(info.variables))
+        ]
+        assert table == {
+            (s, idx): space.forget(s, info.shape, bits)
+            for s in raw.per_node[child]
+            for idx, bits in enumerate(rows)
+        }, nid
+        for (s, idx), c in table.items():
+            assert quo.forget_tables[nid][(rep[child][s], idx)] == rep[nid][c]
+    for nid, table in raw.join_tables.items():
+        left, right = nice.nodes[nid].children
+        assert table == {
+            (a, b): space.join(a, b) for a in raw.per_node[left] for b in raw.per_node[right]
+        }, nid
+        for (a, b), c in table.items():
+            assert quo.join_tables[nid][(rep[left][a], rep[right][b])] == rep[nid][c]
+    for nid, states in raw.per_node.items():
+        assert set(rep[nid]) == set(states)
+
+
+class TestSharedTables:
+    """Nodes that repeat an input, a forget's child states and shape or a
+    join's child states, share one table object."""
+
+    @pytest.mark.parametrize("g, td", [
+        (grid_graph(300), grid_chain_decomposition(300)),
+        (path_graph(1000), path_decomposition(1000)),
+    ], ids=["3x300", "P1000"])
+    def test_kappa_forget_tables_few(self, g, td):
+        phi = desugar(parse_formula(KAPPA_TEXT))
+        nice = make_nice(g, td)
+        space = decision_space(phi)
+        raw = reachable_states(space, nice, forget_plan(phi, nice, good_coloring(g, nice)))
+        quo = minimize_states(space, nice, raw)
+        for reach in (raw, quo):
+            assert len(reach.forget_tables) == len(nice.forget_nodes())
+            assert len({id(table) for table in reach.forget_tables.values()}) <= 30
+
+    def test_shared_tables_equal_fresh_ones_on_corpus(self, corpus):
+        for inst in corpus:
+            check_shared_tables(inst.phi, inst.nice, inst.coloring)
+
+    @pytest.mark.parametrize("name", sorted(FORMULA_TEXTS))
+    def test_shared_tables_equal_fresh_ones_on_3x16_grid(self, name):
+        phi, nice, col = setup_instance(FORMULA_TEXTS[name], grid_graph(16))
+        assert any(n.kind == "join" for n in nice.nodes.values())
+        check_shared_tables(phi, nice, col)
 
 
 def quantifier_sets(space, state):
