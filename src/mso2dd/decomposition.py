@@ -320,11 +320,7 @@ def make_nice(g: Graph, t: TreeDecomposition) -> NiceTreeDecomposition:
         if not stack:
             break
         stack[-1][3].append(lift(top, bags[x], bags[stack[-1][0]]))
-    bag = set(bags[root_in])
-    for v in sorted(bags[root_in]):
-        bag.discard(v)
-        top = new_node(FORGET, v, bag, (top,))
-    return NiceTreeDecomposition(nodes, top)
+    return NiceTreeDecomposition(nodes, lift(top, bags[root_in], frozenset()))
 
 
 def is_path_decomposition(t: NiceTreeDecomposition) -> bool:

@@ -1,9 +1,11 @@
-"""Ordered binary decision diagrams and the layered builder.
+"""Ordered binary decision diagrams, the layered builder and the node walk.
 
 `build_layers` builds a reduced, hash-consed diagram from a state machine read
 layer by layer. The path-decomposition compiler feeds it one layer per forget
 node, over the reachable transition tables quotiented to state classes;
-`oracle.cnf_to_obdd` feeds it one level per CNF variable.
+`oracle.cnf_to_obdd` feeds it one level per CNF variable; an SDD forget node's
+context sets (`sdd.ContextSets`) are one step each. `children_first` lists the
+nodes of an OBDD and of an SDD alike.
 """
 
 from __future__ import annotations
@@ -36,34 +38,48 @@ class ObddNode:
         return f"<dec v{self.level} uid={self.uid}>"
 
 
+def children_first(root, children) -> list:
+    """Distinct nodes reachable from `root`, each after its children: a
+    depth-first postorder that visits `children(node)` in the order given,
+    without recursion. Nodes are told apart by identity; the order depends on
+    the diagram's shape only, not on how its nodes were interned."""
+    seen, order, stack = {root}, [], [(root, iter(children(root)))]
+    while stack:
+        node, pending = stack[-1]
+        for child in pending:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(children(child))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
 class ObddSpace:
-    """Node store for one variable order; all diagrams built here share nodes."""
+    """Node store for one variable order; all diagrams built here share nodes.
+    A leaf is interned on its label, a decision on its level and children."""
 
     def __init__(self, order: tuple[DecisionVariable, ...]) -> None:
         self.order = tuple(order)
         self.level_of = {v: i for i, v in enumerate(self.order)}
         if len(self.level_of) != len(self.order):
             raise DiagramError("variable order contains duplicates")
-        self._nodes: list[ObddNode] = []
-        self._leaves: dict[object, ObddNode] = {}
-        self._decisions: dict[tuple, ObddNode] = {}
+        self._table: dict[object, ObddNode] = {}
 
     def leaf(self, label) -> ObddNode:
-        node = self._leaves.get(label)
+        node = self._table.get(label)
         if node is None:
-            node = ObddNode(len(self._nodes), label=label)
-            self._nodes.append(node)
-            self._leaves[label] = node
+            node = self._table[label] = ObddNode(len(self._table), label=label)
         return node
 
     def decision(self, level: int, lo: ObddNode, hi: ObddNode) -> ObddNode:
         """Interned decision node; keeps redundant (lo == hi) nodes."""
-        key = (level, lo.uid, hi.uid)
-        node = self._decisions.get(key)
+        key = (level, lo, hi)
+        node = self._table.get(key)
         if node is None:
-            node = ObddNode(len(self._nodes), level=level, lo=lo, hi=hi)
-            self._nodes.append(node)
-            self._decisions[key] = node
+            node = self._table[key] = ObddNode(len(self._table), level=level, lo=lo, hi=hi)
         return node
 
     def reduced(self, level: int, lo: ObddNode, hi: ObddNode) -> ObddNode:
@@ -81,20 +97,8 @@ class Obdd:
         return self.space.order
 
     def nodes(self) -> list[ObddNode]:
-        """Distinct reachable nodes, children first: a depth-first walk from
-        the root lists each node after its lo and then its hi subtree. The
-        order depends on the diagram's shape only, not on interning order."""
-        seen, order, stack = set(), [], [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-            elif node.uid not in seen:
-                seen.add(node.uid)
-                stack.append((node, True))
-                if not node.is_leaf:
-                    stack.extend(((node.hi, False), (node.lo, False)))
-        return order
+        """Distinct reachable nodes, each after its lo and then its hi subtree."""
+        return children_first(self.root, lambda n: () if n.level is None else (n.lo, n.hi))
 
     def level_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -160,7 +164,7 @@ def reduce_obdd(b: Obdd) -> Obdd:
     return Obdd(space, memo[b.root.uid])
 
 
-def build_layers(space: ObddSpace, steps, below: dict) -> dict:
+def build_layers(space, steps, below: dict) -> dict:
     """Build a layered diagram from its terminals up.
 
     `steps` lists the layers from the top: each is `(base, k, states, table)`,
@@ -170,6 +174,11 @@ def build_layers(space: ObddSpace, steps, below: dict) -> dict:
     leaving the last step to its node. Each state entering a step becomes a
     reduced tree over the step's levels whose leaves are the nodes of its
     successors; returns those nodes for the states entering the first step.
+
+    `space` makes the trees' inner nodes: `space.reduced(level, lo, hi)` is the
+    node deciding `level`, with `lo` where it is 0 and `hi` where it is 1. An
+    `ObddSpace` (the path compiler, `cnf_to_obdd`) makes a decision node; an
+    SDD's `ContextSets` makes a trimmed decomposition over its literals.
     """
     for base, k, states, table in reversed(steps):
         entering = {}

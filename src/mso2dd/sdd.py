@@ -1,23 +1,25 @@
 """Structured decision diagrams over v-trees, and their construction from the
 decomposition dynamic program.
 
-Nodes are hash-consed: structurally identical terminals, literals and
-decompositions are shared. A decomposition's primes always respect the left
-subtree of its v-tree node and form a boolean partition; subs respect the right
-subtree. The compiler trims every decomposition it builds (`trimmed`); a loaded
-file keeps its nodes as written.
+Nodes are hash-consed: equal terminals and literals, and decompositions that
+list the same pairs in the same order at one v-tree node, are shared. A
+decomposition's primes always respect the left subtree of its v-tree node and
+form a boolean partition; subs respect the right subtree. The compiler trims
+every decomposition it builds (`trimmed`); a loaded file keeps its nodes as
+written.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import chain
 
 from .assignment import DecisionVariable, decision_variables, dv_dummy
 from .decomposition import FORGET, INTRODUCE, LEAF, NiceTreeDecomposition
 from .errors import DiagramError
 from .graph import Graph
 from .mso import Formula
+from .obdd import build_layers, children_first
 from .states import (
     ReachableSets,
     decision_space,
@@ -126,21 +128,19 @@ class SddNode:
 
 
 class SddBuilder:
-    """Hash-consing factory; owns the v-tree being grown alongside the diagram."""
+    """Hash-consing factory; owns the v-tree being grown alongside the diagram.
+    Nodes are interned on their children as given, which hash by identity."""
 
     def __init__(self) -> None:
         self.vtree = VTree()
         self._table: dict[tuple, SddNode] = {}
-        self._nodes: list[SddNode] = []
         self.false = self._intern((FALSE,), FALSE)
         self.true = self._intern((TRUE,), TRUE)
 
     def _intern(self, key, kind, **fields) -> SddNode:
         node = self._table.get(key)
         if node is None:
-            node = SddNode(len(self._nodes), kind, **fields)
-            self._nodes.append(node)
-            self._table[key] = node
+            node = self._table[key] = SddNode(len(self._table), kind, **fields)
         return node
 
     def literal(self, var: DecisionVariable, polarity: bool) -> SddNode:
@@ -151,32 +151,20 @@ class SddBuilder:
 
     def decomposition(self, vtree_id: int, pairs) -> SddNode:
         """Prime-sub pairs, stored in the order given; constant-false primes are
-        dropped. Interned on the set of pairs, so sharing does not depend on
-        their order, and a loaded file keeps the order it was written in."""
+        dropped. Interned on that sequence of pairs: the compiler lists a
+        v-tree node's pairs in one fixed order, so it loses no sharing, while a
+        loaded file whose decompositions at one v-tree node list the same pairs
+        in different orders keeps them as separate nodes."""
         kept = tuple((p, s) for p, s in pairs if p.kind != FALSE)
         if not kept:
             raise DiagramError("decomposition with no non-false primes")
-        key = (DECOMP, vtree_id, frozenset((p.uid, s.uid) for p, s in kept))
-        return self._intern(key, DECOMP, pairs=kept, vtree_id=vtree_id)
+        return self._intern((DECOMP, vtree_id, kept), DECOMP, pairs=kept, vtree_id=vtree_id)
 
 
 def iter_sdd_nodes(root: SddNode):
     """Distinct nodes reachable from the root, children first: each node's
     primes and subs in pair order, then the node."""
-    seen = {root.uid}
-    order = []
-    stack = [(root, itertools.chain.from_iterable(root.pairs))]
-    while stack:
-        node, children = stack[-1]
-        for child in children:
-            if child.uid not in seen:
-                seen.add(child.uid)
-                stack.append((child, itertools.chain.from_iterable(child.pairs)))
-                break
-        else:
-            stack.pop()
-            order.append(node)
-    return order
+    return children_first(root, lambda n: chain.from_iterable(n.pairs))
 
 
 def sdd_size(root: SddNode) -> int:
@@ -251,32 +239,29 @@ class StateSddMapping:
 class ContextSets:
     """The assignments of a forget node's context variables, and the diagram of
     any set of them. Assignment idx sets variable i to bit k-1-i of idx; with
-    no variables there is one assignment, 0."""
+    no variables there is one assignment, 0. Over the right-linear v-tree an
+    SDD is an OBDD, so a diagram is one `build_layers` step whose level i
+    decides variable i under v-tree node `suffix_vids[i]`."""
 
     def __init__(self, builder: SddBuilder, variables, suffix_vids) -> None:
         self.builder = builder
-        self.variables = variables
         self.suffix_vids = suffix_vids  # the v-tree node of variables i, i+1, ...
         self.vtree_id = suffix_vids[0]
+        self.literals = [(builder.literal(v, False), builder.literal(v, True)) for v in variables]
 
     def states(self):
-        return range(1 << len(self.variables))
+        return range(1 << len(self.literals))
+
+    def reduced(self, i: int, lo: SddNode, hi: SddNode) -> SddNode:
+        """The trimmed decomposition (~x_i, lo), (x_i, hi)."""
+        neg, pos = self.literals[i]
+        return trimmed(self.builder, self.suffix_vids[i], [(neg, lo), (pos, hi)])
 
     def diagram(self, members) -> SddNode:
-        """True exactly on the assignments in `members`: the reduced diagram
-        over the right-linear v-tree, built from the last variable up like
-        `obdd.build_layers`. Each level pairs the halves that differ in its
-        variable x as (~x, lo), (x, hi), trimmed."""
-        b = self.builder
-        layer = [b.true if idx in members else b.false for idx in self.states()]
-        for i in reversed(range(len(self.variables))):
-            neg = b.literal(self.variables[i], False)
-            pos = b.literal(self.variables[i], True)
-            layer = [
-                trimmed(b, self.suffix_vids[i], [(neg, lo), (pos, hi)])
-                for lo, hi in zip(layer[::2], layer[1::2])
-            ]
-        return layer[0]
+        """The reduced diagram true exactly on the assignments in `members`."""
+        table = {(0, idx): idx in members for idx in self.states()}
+        below = {True: self.builder.true, False: self.builder.false}
+        return build_layers(self, [(0, len(self.literals), (0,), table)], below)[0]
 
 
 def context_assignment_mapping(
@@ -288,7 +273,7 @@ def context_assignment_mapping(
     suffix_vids = leaves[-1:] or [builder.vtree.leaf(dv_dummy(dummy_tag))]
     for vid in reversed(leaves[:-1]):
         suffix_vids.insert(0, builder.vtree.inner(vid, suffix_vids[0]))
-    return ContextSets(builder, tuple(ctx_vars), suffix_vids)
+    return ContextSets(builder, ctx_vars, suffix_vids)
 
 
 def state_table_mapping(

@@ -20,7 +20,8 @@ The `var` lines list the legend in order (then, for an SDD, the dummy
 variables of its v-tree), so a loaded diagram enumerates models in the order
 of the compiled one. An OBDD's `order` line is a permutation of the var
 indices: the variable decided at each level, from the root down. A node's
-children come before it. Lines starting with `c` are comments.
+children come before it, and no var, vtree or node id is defined twice.
+Lines starting with `c` are comments.
 
 Node ids are positions in the children-first walk (`iter_sdd_nodes`,
 `Obdd.nodes`), not interning uids. The OBDD walk depends on the diagram's
@@ -49,6 +50,7 @@ _SORT_OF = {
     "vmem": Sort.VERTEX_SET,
     "emem": Sort.EDGE_SET,
 }
+_BIT = {"0": 0, "1": 1}  # a leaf's label or a literal's polarity
 
 
 def _var_line(idx: int, var: DecisionVariable) -> str:
@@ -67,6 +69,13 @@ def _parse_var(parts) -> DecisionVariable:
         raise DiagramError(f"unknown variable kind {tag!r}")
     var = Var(name, sort)
     return dv_eq(var, int(obj)) if tag in ("veq", "eeq") else dv_mem(var, int(obj))
+
+
+def _new_id(token: str, taken: dict, what: str) -> int:
+    """`token` as an id that no earlier `what` line defined."""
+    if int(token) in taken:
+        raise DiagramError(f"{what} id {token} is defined twice")
+    return int(token)
 
 
 def serialize_diagram(diagram) -> str:
@@ -128,7 +137,7 @@ def load_diagram(text: str):
             tag = line.split(None, 1)[0]
             if tag == "var":
                 parts = line.split()
-                variables[int(parts[1])] = _parse_var(parts[2:])
+                variables[_new_id(parts[1], variables, "var")] = _parse_var(parts[2:])
             elif tag == "root":
                 root_id = int(line.split()[1])
             else:
@@ -150,7 +159,7 @@ def _load_sdd(variables, body, root_id) -> SddCompilation:
         if parts[0] == "vtree":
             if span is not None:
                 raise DiagramError("v-tree line after a decomposition")
-            fid = int(parts[1])
+            fid = _new_id(parts[1], vtree_ids, "vtree")
             if parts[2] == "leaf":
                 vtree_ids[fid] = builder.vtree.leaf(variables[int(parts[3])])
             else:
@@ -160,13 +169,13 @@ def _load_sdd(variables, body, root_id) -> SddCompilation:
         elif parts[0] == "vtreeroot":
             vtree_root = vtree_ids[int(parts[1])]
         elif parts[0] == "node":
-            nid = int(parts[1])
+            nid = _new_id(parts[1], nodes, "node")
             if parts[2] == "false":
                 nodes[nid] = builder.false
             elif parts[2] == "true":
                 nodes[nid] = builder.true
             elif parts[2] == "lit":
-                nodes[nid] = builder.literal(variables[int(parts[3])], parts[4] == "1")
+                nodes[nid] = builder.literal(variables[int(parts[3])], _BIT[parts[4]] == 1)
             elif parts[2] == "decomp":
                 vid = vtree_ids[int(parts[3])]
                 if builder.vtree.kind[vid] != "inner":
@@ -215,9 +224,9 @@ def _load_obdd(variables, body, root_id) -> ObddCompilation:
             continue
         if parts[0] != "node":
             raise DiagramError(f"unknown line {line!r}")
-        nid = int(parts[1])
+        nid = _new_id(parts[1], nodes, "node")
         if parts[2] == "leaf":
-            nodes[nid] = space.leaf(int(parts[3]))
+            nodes[nid] = space.leaf(_BIT[parts[3]])
         elif parts[2] == "dec":
             level, lo, hi = int(parts[3]), nodes[int(parts[4])], nodes[int(parts[5])]
             if level not in range(len(order)) or any(

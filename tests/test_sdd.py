@@ -32,6 +32,7 @@ from mso2dd.sdd import (
     DECOMP,
     TRUE,
     SddBuilder,
+    SddNode,
     StateSddMapping,
     context_assignment_mapping,
     iter_sdd_nodes,
@@ -44,6 +45,7 @@ from conftest import (
     FORMULA_TEXTS,
     all_deltas,
     corpus_graphs,
+    grid_graph,
     kappa_count_path,
     path_decomposition,
     path_graph,
@@ -412,6 +414,34 @@ class TestTrimmed:
         comp = self.compile(phi, g, min_fill_decomposition(g))
         assert sdd_size(comp.root) <= 110
         assert vtree_respected(comp.root, comp.vtree)
+
+
+class TestInterning:
+    """A decomposition is interned on its pairs in the order given. The
+    compiler lists a v-tree node's pairs in one fixed order, so interning on
+    the set of pairs would share no more nodes."""
+
+    @staticmethod
+    def assert_one_node_per_pair_set(comp):
+        # one walk below a stand-in node whose pairs hold every mapping image
+        images = [i for m in comp.node_mappings.values() for i in m.images.values()]
+        top = SddNode(-1, DECOMP, pairs=[(i, i) for i in images])
+        groups: dict[tuple, list] = {}
+        for node in iter_sdd_nodes(top)[:-1]:
+            if node.kind == DECOMP:
+                groups.setdefault((node.vtree_id, frozenset(node.pairs)), []).append(node)
+        assert all(len(nodes) == 1 for nodes in groups.values())
+
+    def test_corpus(self, corpus):
+        for inst in corpus:
+            self.assert_one_node_per_pair_set(inst.sdd)
+
+    @pytest.mark.parametrize("name", ["kappa", "dom", "connected"])
+    def test_3x16_grid(self, name):
+        g = grid_graph(16)
+        nice = make_nice(g, min_fill_decomposition(g))
+        phi = desugar(parse_formula(FORMULA_TEXTS[name]))
+        self.assert_one_node_per_pair_set(compile_sdd(phi, g, nice, good_coloring(g, nice)))
 
 
 class TestDeepEvaluation:

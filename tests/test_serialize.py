@@ -147,6 +147,15 @@ class TestRoundtrip:
         ]
         assert serialize_diagram(loaded) == text
 
+    def test_pair_order_kept_apart(self):
+        # a decomposition is interned on its pairs in the order given, so the
+        # loader keeps both nodes and writes the file back as it was
+        loaded = load_diagram(PAIR_ORDER_TEXT)  # defined with the malformed texts below
+        (_, a), (_, b) = loaded.root.pairs
+        assert a is not b and a.pairs == b.pairs[::-1]
+        assert serialize_diagram(loaded) == PAIR_ORDER_TEXT
+        assert model_count(loaded) == 2
+
     def test_equal_obdds_interned_in_different_orders(self):
         # kappa compiled along the path and its cover CNF under the same order:
         # one reduced diagram, whose nodes the two spaces intern in other orders
@@ -240,7 +249,47 @@ MALFORMED = {
     "var-missing-from-order": OBDD_TEXT.format(child=1, root=0).replace(
         "order 0 1", "var 2 vmem X 3\norder 0 1"
     ),
+    "leaf-label-outside-0-1": OBDD_TEXT.format(child=1, root=0).replace(
+        "node 1 leaf 1", "node 1 leaf 7"
+    ),
+    "literal-polarity-outside-0-1": SDD_TEXT.format(vtree=2).replace(
+        "node 3 lit 0 0", "node 3 lit 0 7"
+    ),
+    "repeated-node-id": OBDD_TEXT.format(child=1, root=0).replace(
+        "node 2 dec", "node 1 leaf 0\nnode 2 dec"
+    ),
+    "repeated-var-id": OBDD_TEXT.format(child=1, root=0).replace(
+        "order 0 1", "var 1 vmem X 3\norder 0 1"
+    ),
+    "repeated-vtree-id": SDD_TEXT.format(vtree=2).replace(
+        "var 1 dummy root 0", "var 1 dummy root 0\nvar 2 dummy spare 0"
+    ).replace("vtree 2 inner", "vtree 2 leaf 2\nvtree 2 inner"),
 }
+
+# two decompositions at v-tree node 2 that list the same pairs in different
+# orders, both reachable from the root; the file is in children-first order
+PAIR_ORDER_TEXT = """mso2dd-diagram 1
+kind sdd
+var 0 vmem X 1
+var 1 vmem X 2
+var 2 vmem X 3
+vtree 0 leaf 0
+vtree 1 leaf 1
+vtree 2 inner 0 1
+vtree 3 leaf 2
+vtree 4 inner 3 2
+vtreeroot 4
+node 0 lit 2 1
+node 1 lit 0 1
+node 2 lit 1 1
+node 3 lit 0 0
+node 4 false
+node 5 decomp 2 1:2 3:4
+node 6 lit 2 0
+node 7 decomp 2 3:4 1:2
+node 8 decomp 4 0:5 6:7
+root 8
+"""
 
 
 class TestErrors:
