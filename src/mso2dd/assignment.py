@@ -121,22 +121,20 @@ def decode_assignment(delta, phi: Formula, g: Graph) -> dict[Var, object]:
     return {var: alpha.get(var, frozenset()) for var in phi.free_vars}
 
 
-def all_mso_assignments(phi: Formula, g: Graph):
-    """Iterate every assignment to the free variables, in a fixed order: object
-    variables run over ids ascending, set variables over subsets in binary-counter
-    order by object id."""
-    domains = []
-    for var in phi.free_vars:
-        objs = list(_objects(g, var.sort))
-        if var.sort.is_object:
-            domains.append(objs)
-        else:
-            domains.append(
-                [
-                    frozenset(o for i, o in enumerate(objs) if mask >> i & 1)
-                    for mask in range(1 << len(objs))
-                ]
-            )
-    for values in itertools.product(*domains):
-        yield dict(zip(phi.free_vars, values))
+def domain(g: Graph, sort: Sort) -> list:
+    """The values of `sort` on g: the objects in id order, or for a set sort
+    every subset of them in binary-counter order by object id."""
+    objs = list(_objects(g, sort))
+    if sort.is_object:
+        return objs
+    return [
+        frozenset(o for i, o in enumerate(objs) if mask >> i & 1)
+        for mask in range(1 << len(objs))
+    ]
 
+
+def all_mso_assignments(phi: Formula, g: Graph):
+    """Iterate every assignment to the free variables, in a fixed order: each
+    variable runs over `domain` of its sort, the last one fastest."""
+    for values in itertools.product(*(domain(g, var.sort) for var in phi.free_vars)):
+        yield dict(zip(phi.free_vars, values))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .assignment import DecisionVariable, dv_eq, dv_mem
 from .errors import DecompositionError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, children_first
 from .mso import Formula
 
 LEAF = "leaf"
@@ -198,34 +198,17 @@ class NiceTreeDecomposition:
     def __init__(self, nodes: dict[int, NiceNode], root: int) -> None:
         self.nodes = nodes
         self.root = root
+        self._postorder = tuple(children_first(root, lambda nid: nodes[nid].children))
 
     def width(self) -> int:
         return max(len(n.bag) for n in self.nodes.values()) - 1
 
-    def postorder(self) -> list[int]:
-        out, stack = [], [(self.root, False)]
-        while stack:
-            nid, expanded = stack.pop()
-            if expanded:
-                out.append(nid)
-            else:
-                stack.append((nid, True))
-                for child in reversed(self.nodes[nid].children):
-                    stack.append((child, False))
-        return out
+    def postorder(self) -> tuple[int, ...]:
+        """Node ids, each after its children in `children` order."""
+        return self._postorder
 
     def forget_nodes(self) -> list[int]:
-        return [nid for nid in self.postorder() if self.nodes[nid].kind == FORGET]
-
-    def depths(self) -> dict[int, int]:
-        depth = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            for child in self.nodes[nid].children:
-                depth[child] = depth[nid] + 1
-                stack.append(child)
-        return depth
+        return [nid for nid in self._postorder if self.nodes[nid].kind == FORGET]
 
     def as_tree_decomposition(self) -> TreeDecomposition:
         bags = {nid: n.bag for nid, n in self.nodes.items()}
@@ -378,7 +361,10 @@ def good_coloring(g: Graph, t: NiceTreeDecomposition) -> dict[int, int]:
     the smallest color unused in that node's bag.
     """
     forgets = {t.nodes[nid].vertex: nid for nid in t.forget_nodes()}
-    depth = t.depths()
+    depth = {t.root: 0}
+    for nid in reversed(t.postorder()):  # each node before its children
+        for child in t.nodes[nid].children:
+            depth[child] = depth[nid] + 1
     color: dict[int, int] = {}
     for v in sorted(g.vertices(), key=lambda v: (depth[forgets[v]], v)):
         bag = t.nodes[forgets[v]].bag

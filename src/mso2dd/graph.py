@@ -1,4 +1,5 @@
-"""Undirected simple graphs, the .gr text format, and benchmark generators."""
+"""Undirected simple graphs, the .gr text format, benchmark generators, and the
+children-first walk that lists the nodes of trees and diagrams."""
 
 from __future__ import annotations
 
@@ -25,6 +26,26 @@ class Edge:
         if vertex == self.v:
             return self.u
         raise GraphError(f"vertex {vertex} is not an endpoint of edge {self.id}")
+
+
+def children_first(root, children) -> list:
+    """Distinct nodes reachable from `root`, each after its children: a
+    depth-first postorder that visits `children(node)` in the order given,
+    without recursion. Nodes are hashable and told apart as a set tells them;
+    the order depends on the graph's shape only, not on how its nodes were
+    numbered or interned."""
+    seen, order, stack = {root}, [], [(root, iter(children(root)))]
+    while stack:
+        node, pending = stack[-1]
+        for child in pending:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(children(child))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
 
 
 class Graph:

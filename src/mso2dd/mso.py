@@ -144,18 +144,6 @@ class Formula:
         return tuple(v for v in self.free_vars if v.sort.is_object)
 
 
-def is_core(expr: Expr) -> bool:
-    if isinstance(expr, (Adj, Eq, In)):
-        return True
-    if isinstance(expr, Not):
-        return is_core(expr.body)
-    if isinstance(expr, And):
-        return is_core(expr.left) and is_core(expr.right)
-    if isinstance(expr, Exists):
-        return is_core(expr.body)
-    return False
-
-
 # -- parsing ------------------------------------------------------------------
 
 _SORT_KEYWORDS = frozenset(s.value for s in Sort)

@@ -1,19 +1,20 @@
-"""Ordered binary decision diagrams, the layered builder and the node walk.
+"""Ordered binary decision diagrams and the layered builder.
 
 `build_layers` builds a reduced, hash-consed diagram from a state machine read
 layer by layer. The path-decomposition compiler feeds it one layer per forget
 node, over the reachable transition tables quotiented to state classes;
 `oracle.cnf_to_obdd` feeds it one level per CNF variable; an SDD forget node's
-context sets (`sdd.ContextSets`) are one step each. `children_first` lists the
-nodes of an OBDD and of an SDD alike.
+context sets (`sdd.ContextSets`) are one step each. `Obdd.nodes` lists a
+diagram's nodes through `graph.children_first`, the walk SDDs and nice tree
+decompositions share.
 """
 
 from __future__ import annotations
 
 from .assignment import DecisionVariable, decision_variables
-from .decomposition import FORGET, NiceTreeDecomposition, is_path_decomposition
+from .decomposition import NiceTreeDecomposition, is_path_decomposition
 from .errors import DiagramError
-from .graph import Graph
+from .graph import Graph, children_first
 from .mso import Formula
 from .states import decision_space, forget_plan, minimize_states, reachable_states
 
@@ -36,25 +37,6 @@ class ObddNode:
         if self.is_leaf:
             return f"<leaf {self.label!r}>"
         return f"<dec v{self.level} uid={self.uid}>"
-
-
-def children_first(root, children) -> list:
-    """Distinct nodes reachable from `root`, each after its children: a
-    depth-first postorder that visits `children(node)` in the order given,
-    without recursion. Nodes are told apart by identity; the order depends on
-    the diagram's shape only, not on how its nodes were interned."""
-    seen, order, stack = {root}, [], [(root, iter(children(root)))]
-    while stack:
-        node, pending = stack[-1]
-        for child in pending:
-            if child not in seen:
-                seen.add(child)
-                stack.append((child, iter(children(child))))
-                break
-        else:
-            stack.pop()
-            order.append(node)
-    return order
 
 
 class ObddSpace:
@@ -239,9 +221,7 @@ def compile_obdd(
     plan = forget_plan(phi, t, coloring)
     reach = minimize_states(space_dp, t, reachable_states(space_dp, t, plan))
 
-    chain = [
-        nid for nid in t.postorder() if t.nodes[nid].kind == FORGET
-    ]  # a path decomposition's postorder runs leaf upward
+    chain = t.forget_nodes()  # a path decomposition's postorder runs leaf upward
     order: list[DecisionVariable] = []
     steps = []
     for nid in chain:

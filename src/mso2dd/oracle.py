@@ -19,7 +19,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .assignment import DecisionVariable, decision_variables, decode_bits, dv_mem
+from .assignment import DecisionVariable, decision_variables, decode_bits, domain, dv_mem
 from .errors import QueryError
 from .graph import Graph
 from .mso import (
@@ -48,21 +48,6 @@ QUANTIFIER_BRANCH_CAP = 10**7
 
 
 # -- brute-force semantics over all free-variable assignments at once -----------
-
-
-def _domain(g: Graph, sort: Sort):
-    if sort is Sort.VERTEX_OBJECT:
-        return list(g.vertices())
-    if sort is Sort.EDGE_OBJECT:
-        return list(range(1, g.n_edges + 1))
-    if sort is Sort.VERTEX_SET:
-        base = list(g.vertices())
-    else:
-        base = list(range(1, g.n_edges + 1))
-    return [
-        frozenset(o for i, o in enumerate(base) if mask >> i & 1)
-        for mask in range(1 << len(base))
-    ]
 
 
 def _domain_size(g: Graph, sort: Sort) -> int:
@@ -231,7 +216,7 @@ class _Bitsets:
 
     def domain(self, sort: Sort) -> list:
         if sort not in self.domains:
-            self.domains[sort] = _domain(self.g, sort)
+            self.domains[sort] = domain(self.g, sort)
         return self.domains[sort]
 
     def quantify(self, expr, existential: bool):

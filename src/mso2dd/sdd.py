@@ -17,9 +17,9 @@ from itertools import chain
 from .assignment import DecisionVariable, decision_variables, dv_dummy
 from .decomposition import FORGET, INTRODUCE, LEAF, NiceTreeDecomposition
 from .errors import DiagramError
-from .graph import Graph
+from .graph import Graph, children_first
 from .mso import Formula
-from .obdd import build_layers, children_first
+from .obdd import build_layers
 from .states import (
     ReachableSets,
     decision_space,

@@ -19,15 +19,17 @@ One format covers both diagram kinds. Lines:
 The `var` lines list the legend in order (then, for an SDD, the dummy
 variables of its v-tree), so a loaded diagram enumerates models in the order
 of the compiled one. An OBDD's `order` line is a permutation of the var
-indices: the variable decided at each level, from the root down. A node's
-children come before it, and no var, vtree or node id is defined twice.
-Lines starting with `c` are comments.
+indices: the variable decided at each level, from the root down; an OBDD
+has no dummy variable. A node's children come before it, no var, vtree or
+node id is defined twice, and no `root`, `order` or `vtreeroot` line appears
+twice. Lines starting with `c` are comments.
 
 Node ids are positions in the children-first walk (`iter_sdd_nodes`,
 `Obdd.nodes`), not interning uids. The OBDD walk depends on the diagram's
 shape only, so equal OBDDs give equal text however their nodes were
 interned. Loading a compiled diagram's file and writing it again gives the
-same text.
+same text. DOT export names nodes by the same file ids, so a diagram and
+its loaded file give the same DOT text.
 """
 
 from __future__ import annotations
@@ -38,26 +40,20 @@ from .mso import Sort, Var
 from .obdd import Obdd, ObddCompilation, ObddSpace
 from .sdd import DECOMP, FALSE, LITERAL, TRUE, SddBuilder, SddCompilation, SddNode
 
-_VAR_KIND = {
-    ("eq", True): "veq",
-    ("eq", False): "eeq",
-    ("mem", True): "vmem",
-    ("mem", False): "emem",
-}
 _SORT_OF = {
     "veq": Sort.VERTEX_OBJECT,
     "eeq": Sort.EDGE_OBJECT,
     "vmem": Sort.VERTEX_SET,
     "emem": Sort.EDGE_SET,
 }
+_TAG_OF = {sort: tag for tag, sort in _SORT_OF.items()}  # a variable's sort fixes its kind
 _BIT = {"0": 0, "1": 1}  # a leaf's label or a literal's polarity
 
 
 def _var_line(idx: int, var: DecisionVariable) -> str:
     if var.kind == "dummy":
         return f"var {idx} dummy {var.obj} 0"
-    tag = _VAR_KIND[(var.kind, var.var.sort.is_vertex)]
-    return f"var {idx} {tag} {var.var.name} {var.obj}"
+    return f"var {idx} {_TAG_OF[var.var.sort]} {var.var.name} {var.obj}"
 
 
 def _parse_var(parts) -> DecisionVariable:
@@ -68,7 +64,7 @@ def _parse_var(parts) -> DecisionVariable:
     if sort is None:
         raise DiagramError(f"unknown variable kind {tag!r}")
     var = Var(name, sort)
-    return dv_eq(var, int(obj)) if tag in ("veq", "eeq") else dv_mem(var, int(obj))
+    return dv_eq(var, int(obj)) if sort.is_object else dv_mem(var, int(obj))
 
 
 def _new_id(token: str, taken: dict, what: str) -> int:
@@ -78,10 +74,15 @@ def _new_id(token: str, taken: dict, what: str) -> int:
     return int(token)
 
 
+def _numbered(diagram):
+    """The diagram's nodes in file order, and each node's file id by uid."""
+    nodes = diagram.nodes()
+    return nodes, {node.uid: i for i, node in enumerate(nodes)}
+
+
 def serialize_diagram(diagram) -> str:
     lines = ["mso2dd-diagram 1", f"kind {diagram.kind}"]
-    nodes = diagram.nodes()
-    nid = {node.uid: i for i, node in enumerate(nodes)}
+    nodes, nid = _numbered(diagram)
     if diagram.kind == "sdd":
         vtree = diagram.vtree
         variables = list(diagram.legend) + [
@@ -139,6 +140,8 @@ def load_diagram(text: str):
                 parts = line.split()
                 variables[_new_id(parts[1], variables, "var")] = _parse_var(parts[2:])
             elif tag == "root":
+                if root_id is not None:
+                    raise DiagramError("root line repeated")
                 root_id = int(line.split()[1])
             else:
                 body.append(line)
@@ -167,6 +170,8 @@ def _load_sdd(variables, body, root_id) -> SddCompilation:
                     vtree_ids[int(parts[3])], vtree_ids[int(parts[4])]
                 )
         elif parts[0] == "vtreeroot":
+            if vtree_root is not None:
+                raise DiagramError("vtreeroot line repeated")
             vtree_root = vtree_ids[int(parts[1])]
         elif parts[0] == "node":
             nid = _new_id(parts[1], nodes, "node")
@@ -210,10 +215,12 @@ def _load_sdd(variables, body, root_id) -> SddCompilation:
 
 def _load_obdd(variables, body, root_id) -> ObddCompilation:
     orders = [parts[1:] for parts in map(str.split, body) if parts[0] == "order"]
-    if not orders:
-        raise DiagramError("missing order line")
-    order = tuple(variables[int(i)] for i in orders[-1])
+    if len(orders) != 1:
+        raise DiagramError("an OBDD file needs exactly one order line")
+    order = tuple(variables[int(i)] for i in orders[0])
     legend = tuple(variables[i] for i in sorted(variables))
+    if any(v.kind == "dummy" for v in legend):
+        raise DiagramError("an OBDD file declares a dummy variable")
     if set(order) != set(legend):
         raise DiagramError("order does not list every variable")
     space = ObddSpace(order)
@@ -257,6 +264,7 @@ def diagram_to_dot(diagram) -> str:
 def _sdd_dot(diagram) -> str:
     # decompositions are circles feeding rows of paired prime|sub boxes
     out = ["digraph sdd {", "  node [fontname=monospace];"]
+    nodes, nid = _numbered(diagram)
 
     def label(node) -> str:
         if node.kind == FALSE:
@@ -267,24 +275,26 @@ def _sdd_dot(diagram) -> str:
             return ("" if node.polarity else "~") + node.var.name
         return ""
 
-    for node in diagram.nodes():
+    for fid, node in enumerate(nodes):
         if node.kind != DECOMP:
             continue
-        out.append(f"  n{node.uid} [shape=circle label={_dot_quote(str(node.uid))}];")
+        out.append(f"  n{fid} [shape=circle label={_dot_quote(str(fid))}];")
         for i, (p, s) in enumerate(node.pairs):
-            box = f"n{node.uid}p{i}"
+            box = f"n{fid}p{i}"
             left = label(p) if p.kind != DECOMP else "*"
             right = label(s) if s.kind != DECOMP else "*"
             out.append(
                 f"  {box} [shape=record label={_dot_quote(f'{left}|{right}')}];"
             )
-            out.append(f"  n{node.uid} -> {box};")
+            out.append(f"  n{fid} -> {box};")
             if p.kind == DECOMP:
-                out.append(f"  {box} -> n{p.uid} [style=dashed];")
+                out.append(f"  {box} -> n{nid[p.uid]} [style=dashed];")
             if s.kind == DECOMP:
-                out.append(f"  {box} -> n{s.uid};")
+                out.append(f"  {box} -> n{nid[s.uid]};")
     if diagram.root.kind != DECOMP:
-        out.append(f"  n{diagram.root.uid} [shape=box label={_dot_quote(label(diagram.root))}];")
+        out.append(
+            f"  n{nid[diagram.root.uid]} [shape=box label={_dot_quote(label(diagram.root))}];"
+        )
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -292,15 +302,14 @@ def _sdd_dot(diagram) -> str:
 def _obdd_dot(diagram) -> str:
     # dotted edges are 0-branches, solid edges 1-branches
     out = ["digraph obdd {", "  node [fontname=monospace];"]
-    for node in diagram.nodes():
+    nodes, nid = _numbered(diagram)
+    for i, node in enumerate(nodes):
         if node.is_leaf:
-            out.append(
-                f"  n{node.uid} [shape=box label={_dot_quote(str(int(node.label)))}];"
-            )
+            out.append(f"  n{i} [shape=box label={_dot_quote(str(int(node.label)))}];")
         else:
             name = diagram.order[node.level].name
-            out.append(f"  n{node.uid} [shape=ellipse label={_dot_quote(name)}];")
-            out.append(f"  n{node.uid} -> n{node.lo.uid} [style=dotted];")
-            out.append(f"  n{node.uid} -> n{node.hi.uid};")
+            out.append(f"  n{i} [shape=ellipse label={_dot_quote(name)}];")
+            out.append(f"  n{i} -> n{nid[node.lo.uid]} [style=dotted];")
+            out.append(f"  n{i} -> n{nid[node.hi.uid]};")
     out.append("}")
     return "\n".join(out) + "\n"

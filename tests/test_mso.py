@@ -11,10 +11,10 @@ from mso2dd.mso import (
     In,
     Not,
     Sort,
-    is_core,
     occurring_variables,
 )
 from mso2dd.oracle import kappa_formula, oracle_eval, oracle_models
+from mso2dd.states import build_state_space
 
 from conftest import FORMULA_TEXTS, corpus_graphs
 
@@ -122,7 +122,7 @@ class TestDesugar:
     def test_idempotent(self):
         for text in FORMULA_TEXTS.values():
             once = desugar(parse_formula(text))
-            assert is_core(once.root)
+            build_state_space(once.root)  # raises FormulaError on a sugar node
             assert desugar(once) == once
 
     def test_preserves_oracle_semantics(self):

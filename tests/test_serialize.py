@@ -14,14 +14,16 @@ from mso2dd import (
     serialize_diagram,
 )
 from mso2dd.cli import main
-from mso2dd.errors import DiagramError
+from mso2dd.errors import DiagramError, Mso2ddError
 from mso2dd.obdd import ObddCompilation
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_to_obdd,
     cnf_truth_table,
     enumerate_models,
+    is_satisfiable,
     kappa_formula,
+    min_cardinality_model,
     model_count,
     truth_table,
 )
@@ -170,8 +172,6 @@ class TestRoundtrip:
         assert model_count(load_diagram(texts[0])) == bin(cnf_truth_table(cnf)).count("1")
 
     def test_queries_on_loaded_sdd(self):
-        from mso2dd.oracle import min_cardinality_model
-
         g = clique(3)
         phi, sdd, _ = compile_both(g)
         loaded = load_diagram(serialize_diagram(sdd))
@@ -264,6 +264,17 @@ MALFORMED = {
     "repeated-vtree-id": SDD_TEXT.format(vtree=2).replace(
         "var 1 dummy root 0", "var 1 dummy root 0\nvar 2 dummy spare 0"
     ).replace("vtree 2 inner", "vtree 2 leaf 2\nvtree 2 inner"),
+    # a second single line must not replace the first
+    "repeated-root": OBDD_TEXT.format(child=1, root=0) + "root 0\n",
+    "repeated-order": OBDD_TEXT.format(child=1, root=0).replace(
+        "order 0 1", "order 0 1\norder 1 0"
+    ),
+    "repeated-vtreeroot": SDD_TEXT.format(vtree=2).replace(
+        "vtreeroot 2", "vtreeroot 0\nvtreeroot 2"
+    ),
+    "dummy-var-in-obdd": OBDD_TEXT.format(child=1, root=0).replace(
+        "var 1 vmem X 2", "var 1 dummy pad 0"
+    ),
 }
 
 # two decompositions at v-tree node 2 that list the same pairs in different
@@ -332,7 +343,59 @@ class TestErrors:
             load_diagram(broken)
 
 
+# every text one token away from a compiled file, the token replaced by one of
+# these: ids, labels, node forms and variable kinds in and out of place
+SWEEP_TOKENS = "0 1 -1 7 x 0:0 leaf inner dec decomp lit true false dummy vmem veq eeq".split()
+
+
+def one_token_mutants(text: str):
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        for j, token in enumerate(tokens):
+            for new in SWEEP_TOKENS:
+                if new != token:
+                    mutated = " ".join(tokens[:j] + [new] + tokens[j + 1:])
+                    yield "\n".join(lines[:i] + [mutated] + lines[i + 1:]) + "\n"
+
+
+class TestMutationSweep:
+    def test_every_one_token_mutant_loads_and_answers_or_is_rejected(self):
+        _, sdd, obdd = compile_both(path_graph(3))
+        texts = [t for comp in (sdd, obdd) for t in one_token_mutants(serialize_diagram(comp))]
+        assert len(texts) == 4244
+        answered, crashes = 0, []
+        for text in texts:
+            try:
+                d = load_diagram(text)
+                model_count(d)
+                is_satisfiable(d)
+                enumerate_models(d, 3)
+                min_cardinality_model(d, d.legend[:2])
+                diagram_to_dot(d)
+                answered += 1
+            except Mso2ddError:
+                pass
+            except Exception as exc:  # anything but Mso2ddError is a crash
+                crashes.append((repr(exc), text))
+        assert not crashes, crashes[:3]
+        assert answered > 0
+
+
 class TestDot:
+    def test_loaded_file_gives_the_same_dot(self, corpus):
+        # DOT names nodes by file id, so the interning uids do not show
+        checked = 0
+        for inst in corpus:
+            for comp in (inst.sdd, inst.obdd):
+                if comp is not None:
+                    loaded = load_diagram(serialize_diagram(comp))
+                    assert diagram_to_dot(loaded) == diagram_to_dot(comp), (
+                        inst.formula_name, inst.graph_name, comp.kind,
+                    )
+                    checked += 1
+        assert checked > 100
+
     def test_obdd_dot_edge_styles(self):
         g = path_graph(3)
         _, _, obdd = compile_both(g)
