@@ -3,6 +3,7 @@ good vertex colorings and forget-node contexts."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .assignment import DecisionVariable, dv_eq, dv_mem
@@ -89,21 +90,16 @@ class ValidationReport:
 
 def validate_decomposition(g: Graph, t: TreeDecomposition) -> ValidationReport:
     """Check tree-ness, bag vertices, edge coverage and connected vertex
-    occurrence."""
+    occurrence. The tree check counts the edges and the nodes one walk from the
+    first node reaches; a vertex's bags are connected when one fewer tree edge
+    than there are such bags has the vertex in both its end bags."""
     violations = []
     nodes = t.nodes
     if not nodes:
         return ValidationReport(False, -1, ("decomposition has no nodes",))
     if len(t.tree_edges) != len(nodes) - 1:
         violations.append("underlying graph is not a tree (wrong edge count)")
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        for m in t.neighbors[stack.pop()]:
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    if len(seen) != len(nodes):
+    if len(children_first(nodes[0], lambda n: t.neighbors[n])) != len(nodes):
         violations.append("underlying graph is not a tree (disconnected)")
     tree_ok = not violations
     # the nodes whose bags hold each vertex, in node order
@@ -121,20 +117,12 @@ def validate_decomposition(g: Graph, t: TreeDecomposition) -> ValidationReport:
         if not any(b in t.bags[n] for n in occurrences[a]):
             violations.append(f"edge ({e.u}, {e.v}) not covered by any bag")
     if tree_ok:  # occurrence connectivity is only meaningful on a tree
+        # k tree nodes span a subtree exactly when k - 1 tree edges join two of them
+        shared = Counter(v for a, b in t.tree_edges for v in t.bags[a] & t.bags[b])
         for v in g.vertices():
-            occ = occurrences[v]
-            if not occ:
+            if not occurrences[v]:
                 violations.append(f"vertex {v} appears in no bag")
-                continue
-            reach = {occ[0]}
-            stack = [occ[0]]
-            occ_set = set(occ)
-            while stack:
-                for m in t.neighbors[stack.pop()]:
-                    if m in occ_set and m not in reach:
-                        reach.add(m)
-                        stack.append(m)
-            if len(reach) != len(occ):
+            elif shared[v] != len(occurrences[v]) - 1:
                 violations.append(f"occurrence of vertex {v} is disconnected")
     width = max(len(b) for b in t.bags.values()) - 1
     return ValidationReport(not violations, width, tuple(violations))
@@ -144,24 +132,17 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
     """Heuristic decomposition from a min-fill elimination order (ties by vertex id)."""
     if g.n_vertices == 0:
         raise DecompositionError("graph has no vertices")
+    # the vertices not yet eliminated, in id order: built in that order, only popped
     adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-    order = []
-    saved_nbrs = []
-    remaining = set(g.vertices())
-    while remaining:
+    order, saved_nbrs = [], []
+    while adj:
         best = None
-        for v in sorted(remaining):
-            nbrs = adj[v]
-            fill = sum(
-                1
-                for a in nbrs
-                for b in nbrs
-                if a < b and b not in adj[a]
-            )
+        for v, nbrs in adj.items():
+            fill = sum(1 for a in nbrs for b in nbrs if a < b and b not in adj[a])
             if best is None or fill < best[0]:
                 best = (fill, v)
         v = best[1]
-        nbrs = set(adj[v])
+        nbrs = adj.pop(v)
         order.append(v)
         saved_nbrs.append(nbrs)
         for a in nbrs:
@@ -169,15 +150,13 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
                 if a != b:
                     adj[a].add(b)
             adj[a].discard(v)
-        del adj[v]
-        remaining.discard(v)
-    position = {v: i for i, v in enumerate(order)}
+    position = {v: i for i, v in enumerate(order, start=1)}
     bags = {i + 1: frozenset({order[i]} | saved_nbrs[i]) for i in range(len(order))}
-    edges = []
-    for i in range(len(order) - 1):
-        later = [position[w] for w in saved_nbrs[i]]
-        parent = min(later) if later else i + 1
-        edges.append((i + 1, parent + 1))
+    # each bag hangs off the bag of its earliest-eliminated neighbour, else the next bag
+    edges = [
+        (i, min((position[w] for w in nbrs), default=i + 1))
+        for i, nbrs in enumerate(saved_nbrs[:-1], start=1)
+    ]
     return TreeDecomposition(bags, edges)
 
 
@@ -222,26 +201,27 @@ class NiceTreeDecomposition:
 
 
 def _reduce_bags(t: TreeDecomposition):
-    """Contract tree edges where one bag contains the other."""
+    """Contract tree edges where one bag contains the other, in one sweep: each
+    node, in id order, merges into its first neighbour, in id order, whose bag
+    holds its own.
+
+    No merge lets an earlier node merge. `make_nice` validates first, so the
+    running intersection property holds, and contractions keep it. If merging
+    `a` into `b` let an earlier `x` merge into a new neighbour `y`, then `a`
+    lies on the tree path between them, so `bags[x] = bags[x] & bags[y]` is
+    within `bags[a]`, and `x` could already have merged into `a`."""
     bags = dict(t.bags)
     nbrs = {n: set(ns) for n, ns in t.neighbors.items()}
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(bags):
-            for b in sorted(nbrs[a]):
-                if bags[a] <= bags[b]:
-                    for m in nbrs[a]:
-                        if m != b:
-                            nbrs[m].discard(a)
-                            nbrs[m].add(b)
-                            nbrs[b].add(m)
-                    nbrs[b].discard(a)
-                    del nbrs[a], bags[a]
-                    changed = True
-                    break
-            if changed:
-                break
+    for a in sorted(bags):
+        b = next((b for b in sorted(nbrs[a]) if bags[a] <= bags[b]), None)
+        if b is None:
+            continue
+        for m in nbrs.pop(a) - {b}:
+            nbrs[m].discard(a)
+            nbrs[m].add(b)
+            nbrs[b].add(m)
+        nbrs[b].discard(a)
+        del bags[a]
     return bags, nbrs
 
 
@@ -255,12 +235,9 @@ def make_nice(g: Graph, t: TreeDecomposition) -> NiceTreeDecomposition:
     nodes and an empty root bag; each forget node records the edges it drops."""
     report = validate_decomposition(g, t)
     if not report.valid:
-        raise DecompositionError(
-            "input decomposition invalid: " + "; ".join(report.violations)
-        )
+        raise DecompositionError("input decomposition invalid: " + "; ".join(report.violations))
     bags, nbrs = _reduce_bags(t)
-    leafish = [n for n in sorted(bags) if len(nbrs[n]) <= 1]
-    root_in = leafish[0]
+    root_in = min(n for n in bags if len(nbrs[n]) <= 1)
 
     nodes: dict[int, NiceNode] = {}
 
@@ -280,29 +257,19 @@ def make_nice(g: Graph, t: TreeDecomposition) -> NiceTreeDecomposition:
             cur = new_node(INTRODUCE, v, bag, (cur,))
         return cur
 
-    def finish(x: int, lifted: list[int]) -> int:
-        if not lifted:
-            return new_node(LEAF, None, bags[x])
-        acc = lifted[0]
-        for nxt in lifted[1:]:
-            acc = new_node(JOIN, None, bags[x], (acc, nxt))
-        return acc
-
-    # Depth-first over the input tree with one frame per open bag: each
-    # child's subtree is numbered, then its lift, then the next child's, and
-    # a bag's joins come last.
-    stack = [(root_in, None, iter(sorted(nbrs[root_in])), [])]
-    while True:
-        x, parent, kids, lifted = stack[-1]
-        k = next((k for k in kids if k != parent), None)
-        if k is not None:
-            stack.append((k, x, iter(sorted(nbrs[k])), []))
-            continue
-        stack.pop()
-        top = finish(x, lifted)
-        if not stack:
-            break
-        stack[-1][3].append(lift(top, bags[x], bags[stack[-1][0]]))
+    # The input tree children first, neighbours in id order: each child's
+    # subtree is numbered, then its lift, then the next child's, and a bag's
+    # joins come last. A bag's parent is its one neighbour still open.
+    walk = children_first(root_in, lambda x: sorted(nbrs[x]))
+    lifted = {x: [] for x in walk}
+    for x in walk:
+        kids = lifted.pop(x)
+        top = kids[0] if kids else new_node(LEAF, None, bags[x])
+        for nxt in kids[1:]:
+            top = new_node(JOIN, None, bags[x], (top, nxt))
+        for parent in nbrs[x]:
+            if parent in lifted:
+                lifted[parent].append(lift(top, bags[x], bags[parent]))
     return NiceTreeDecomposition(nodes, lift(top, bags[root_in], frozenset()))
 
 

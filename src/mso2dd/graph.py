@@ -48,6 +48,9 @@ def children_first(root, children) -> list:
     return order
 
 
+MAX_VERTICES = 10**6  # most vertices a `.gr` header may declare; a graph keeps a list for each
+
+
 class Graph:
     """Simple undirected graph with 1-based contiguous vertex and edge ids.
 
@@ -148,6 +151,8 @@ def parse_graph(text: str) -> Graph:
     if header is None:
         raise GraphError("missing header line")
     n_vertices, n_edges = header
+    if n_vertices > MAX_VERTICES:
+        raise GraphError(f"header declares {n_vertices} vertices, more than {MAX_VERTICES}")
     if len(pairs) != n_edges:
         raise GraphError(f"header declares {n_edges} edges, found {len(pairs)}")
     return Graph(n_vertices, pairs)

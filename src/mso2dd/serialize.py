@@ -48,6 +48,9 @@ _SORT_OF = {
 }
 _TAG_OF = {sort: tag for tag, sort in _SORT_OF.items()}  # a variable's sort fixes its kind
 _BIT = {"0": 0, "1": 1}  # a leaf's label or a literal's polarity
+# tokens on a line, by its tag or a vtree or node line's form; `order` and `decomp` run on
+_LENGTH = {"kind": 2, "var": 5, "root": 2, "vtreeroot": 2, "inner": 5, "leaf": 4,
+           "false": 3, "true": 3, "lit": 5, "dec": 6}
 
 
 def _var_line(idx: int, var: DecisionVariable) -> str:
@@ -65,6 +68,15 @@ def _parse_var(parts) -> DecisionVariable:
         raise DiagramError(f"unknown variable kind {tag!r}")
     var = Var(name, sort)
     return dv_eq(var, int(obj)) if sort.is_object else dv_mem(var, int(obj))
+
+
+def _split(line: str) -> list[str]:
+    """The line's tokens, as many as its form takes if that is fixed."""
+    parts = line.split()
+    form = parts[2] if parts[0] in ("vtree", "node") and len(parts) > 2 else parts[0]
+    if len(parts) != _LENGTH.get(form, len(parts)):
+        raise DiagramError(f"wrong number of tokens in line {line!r}")
+    return parts
 
 
 def _new_id(token: str, taken: dict, what: str) -> int:
@@ -118,16 +130,12 @@ def serialize_diagram(diagram) -> str:
 
 
 def load_diagram(text: str):
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("c ") and line.strip() != "c"
-    ]
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s != "c" and s[:2] != "c "]
     if not lines or lines[0].split() != ["mso2dd-diagram", "1"]:
         raise DiagramError("not a diagram file (bad magic line)")
     if len(lines) < 2 or not lines[1].startswith("kind "):
         raise DiagramError("missing kind line")
-    kind = lines[1].split()[1]
+    kind = _split(lines[1])[1]
     if kind not in ("sdd", "obdd"):
         raise DiagramError(f"unknown diagram kind {kind!r}")
     variables: dict[int, DecisionVariable] = {}
@@ -137,12 +145,12 @@ def load_diagram(text: str):
         for line in lines[2:]:
             tag = line.split(None, 1)[0]
             if tag == "var":
-                parts = line.split()
+                parts = _split(line)
                 variables[_new_id(parts[1], variables, "var")] = _parse_var(parts[2:])
             elif tag == "root":
                 if root_id is not None:
                     raise DiagramError("root line repeated")
-                root_id = int(line.split()[1])
+                root_id = int(_split(line)[1])
             else:
                 body.append(line)
         load = _load_sdd if kind == "sdd" else _load_obdd
@@ -158,7 +166,7 @@ def _load_sdd(variables, body, root_id) -> SddCompilation:
     vtree_root = None
     span = None  # the v-tree's preorder intervals, fixed at the first decomposition
     for line in body:
-        parts = line.split()
+        parts = _split(line)
         if parts[0] == "vtree":
             if span is not None:
                 raise DiagramError("v-tree line after a decomposition")
@@ -226,7 +234,7 @@ def _load_obdd(variables, body, root_id) -> ObddCompilation:
     space = ObddSpace(order)
     nodes = {}
     for line in body:
-        parts = line.split()
+        parts = _split(line)
         if parts[0] == "order":
             continue
         if parts[0] != "node":

@@ -208,6 +208,12 @@ class TestCompile:
         assert run(["compile", "--graph", workdir / "p4.gr", "--formula", deeper]) == 2
         assert "nested deeper" in capsys.readouterr().err
 
+    def test_huge_vertex_count_rejected_before_allocating(self, workdir, tmp_path, capsys):
+        huge = tmp_path / "huge.gr"
+        huge.write_text("p gr 100000000 0\n")  # 17 bytes declaring 10^8 vertices
+        assert run(["compile", "--graph", huge, "--formula", workdir / "eq.mso"]) == 2
+        assert "more than 1000000" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.gr"
         bad.write_text("p gr 2 1\n1 1\n")

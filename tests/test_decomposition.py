@@ -26,7 +26,13 @@ from mso2dd.decomposition import (
 )
 from mso2dd.errors import DecompositionError
 
-from conftest import path_graph, star_graph
+from conftest import (
+    grid_chain_decomposition,
+    grid_graph,
+    path_decomposition,
+    path_graph,
+    star_graph,
+)
 
 
 def random_graph(rng, max_n=12):
@@ -38,6 +44,58 @@ def random_graph(rng, max_n=12):
         if rng.random() < rng.choice((0.15, 0.3, 0.5))
     ]
     return Graph(n, pairs)
+
+
+def walk_validate(g, t):
+    """Reference validator: a stack walk for the tree check, and a walk over
+    each vertex's bags from its first one for occurrence connectivity."""
+    violations = []
+    nodes = t.nodes
+    if not nodes:
+        return (False, -1, ("decomposition has no nodes",))
+    if len(t.tree_edges) != len(nodes) - 1:
+        violations.append("underlying graph is not a tree (wrong edge count)")
+    seen, stack = {nodes[0]}, [nodes[0]]
+    while stack:
+        for m in t.neighbors[stack.pop()]:
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    if len(seen) != len(nodes):
+        violations.append("underlying graph is not a tree (disconnected)")
+    tree_ok = not violations
+    occurrences = {v: [n for n in nodes if v in t.bags[n]] for v in g.vertices()}
+    strangers = {v for b in t.bags.values() for v in b if v not in occurrences}
+    violations.extend(f"bag vertex {v} is not in the graph" for v in sorted(strangers))
+    for e in g.edges:
+        if not any({e.u, e.v} <= t.bags[n] for n in nodes):
+            violations.append(f"edge ({e.u}, {e.v}) not covered by any bag")
+    if tree_ok:
+        for v in g.vertices():
+            occ = occurrences[v]
+            if not occ:
+                violations.append(f"vertex {v} appears in no bag")
+                continue
+            reach, stack = {occ[0]}, [occ[0]]
+            while stack:
+                for m in t.neighbors[stack.pop()]:
+                    if m in occ and m not in reach:
+                        reach.add(m)
+                        stack.append(m)
+            if len(reach) != len(occ):
+                violations.append(f"occurrence of vertex {v} is disconnected")
+    width = max(len(b) for b in t.bags.values()) - 1
+    return (not violations, width, tuple(violations))
+
+
+def with_intersection_bags(t):
+    """`t` with one bag on every tree edge holding the intersection of its end
+    bags, numbered after all others."""
+    bags, edges = dict(t.bags), []
+    for i, (a, b) in enumerate(t.tree_edges, start=max(t.bags) + 1):
+        bags[i] = t.bags[a] & t.bags[b]
+        edges += [(a, i), (i, b)]
+    return TreeDecomposition(bags, edges)
 
 
 class TestValidate:
@@ -72,6 +130,24 @@ class TestValidate:
         report = validate_decomposition(g, t)
         assert any("edge (1, 3)" in v for v in report.violations)
         assert any("vertex 1" in v for v in report.violations)
+
+    def test_matches_the_walk_on_perturbed_min_fill(self):
+        rng = random.Random(20)
+        invalid = 0
+        for _ in range(1000):
+            g = random_graph(rng, max_n=14)
+            t = min_fill_decomposition(g)
+            bags = {n: set(b) for n, b in t.bags.items()}
+            n = rng.choice(sorted(bags))
+            if bags[n] and rng.random() < 0.5:
+                bags[n].discard(rng.choice(sorted(bags[n])))
+            else:
+                bags[n].add(rng.randint(1, g.n_vertices + 1))  # maybe a stranger
+            t = TreeDecomposition(bags, t.tree_edges)
+            report = validate_decomposition(g, t)
+            assert (report.valid, report.width, report.violations) == walk_validate(g, t)
+            invalid += not report.valid
+        assert 100 < invalid < 900  # both outcomes are exercised
 
 
 class TestMinFill:
@@ -140,6 +216,24 @@ class TestMakeNice:
             assert report.valid, report.violations
             assert nice.width() == validate_decomposition(g, t).width
             assert len(nice) <= 5 * g.n_vertices
+            # a nice form's bags sit inside their neighbours'; fed back, they merge
+            again = make_nice(g, nice.as_tree_decomposition())
+            assert validate_nice(g, again).valid
+            assert again.width() == nice.width()
+
+    @pytest.mark.parametrize(
+        "g, t",
+        [(path_graph(n), path_decomposition(n)) for n in (3, 10, 64)]
+        + [(grid_graph(n), grid_chain_decomposition(n)) for n in (4, 16, 64)],
+        ids=["P3", "P10", "P64", "3x4", "3x16", "3x64"],
+    )
+    def test_contained_bags_merge_away(self, g, t):
+        plain = make_nice(g, t)
+        merged = make_nice(g, with_intersection_bags(t))
+        assert merged.nodes == plain.nodes
+        assert merged.root == plain.root
+        assert merged.postorder() == plain.postorder()
+        assert good_coloring(g, merged) == good_coloring(g, plain)
 
 
 class TestPathShape:

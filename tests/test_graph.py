@@ -65,6 +65,12 @@ class TestParse:
         with pytest.raises(GraphError):
             parse_graph("1 2\n")
 
+    def test_header_over_the_vertex_cap_rejected(self):
+        # one more than graph.MAX_VERTICES: a graph keeps a list per vertex, so
+        # the header alone must not size it
+        with pytest.raises(GraphError, match="more than"):
+            parse_graph("p gr 1000001 0\n")
+
     def test_count_mismatch(self):
         with pytest.raises(GraphError):
             parse_graph("p gr 3 2\n1 2\n")

@@ -275,6 +275,20 @@ MALFORMED = {
     "dummy-var-in-obdd": OBDD_TEXT.format(child=1, root=0).replace(
         "var 1 vmem X 2", "var 1 dummy pad 0"
     ),
+    # a line of fixed length takes no token after its last field
+    "trailing-token-on-kind": OBDD_TEXT.format(child=1, root=0).replace(
+        "kind obdd", "kind obdd 5"
+    ),
+    "trailing-token-on-root": OBDD_TEXT.format(child=1, root=0).replace("root 3", "root 3 5"),
+    "trailing-token-on-var": OBDD_TEXT.format(child=1, root=0).replace(
+        "var 1 vmem X 2", "var 1 vmem X 2 5"
+    ),
+    "trailing-token-on-vtree-leaf": SDD_TEXT.format(vtree=2).replace(
+        "vtree 1 leaf 1", "vtree 1 leaf 1 5"
+    ),
+    "trailing-token-on-node-dec": OBDD_TEXT.format(child=1, root=0).replace(
+        "node 3 dec 0 2 1", "node 3 dec 0 2 1 5"
+    ),
 }
 
 # two decompositions at v-tree node 2 that list the same pairs in different
@@ -380,6 +394,20 @@ class TestMutationSweep:
                 crashes.append((repr(exc), text))
         assert not crashes, crashes[:3]
         assert answered > 0
+
+    def test_a_token_appended_to_any_line_is_rejected(self):
+        _, sdd, obdd = compile_both(path_graph(3))
+        texts = []
+        for comp in (sdd, obdd):
+            lines = serialize_diagram(comp).splitlines()
+            texts.extend(
+                "\n".join(lines[:i] + [line + " 5"] + lines[i + 1:]) + "\n"
+                for i, line in enumerate(lines)
+            )
+        assert len(texts) == 55
+        for text in texts:
+            with pytest.raises(Mso2ddError):
+                load_diagram(text)
 
 
 class TestDot:
