@@ -7,13 +7,7 @@ decompositions). A brute-force evaluator serves as the correctness oracle, and
 the diagrams support counting, enumeration and minimum-cardinality queries.
 """
 
-from .assignment import (
-    DecisionVariable,
-    decision_variables,
-    decode_assignment,
-    encode_assignment,
-    is_consistent,
-)
+from .assignment import DecisionVariable, decision_variables
 from .decomposition import (
     NiceTreeDecomposition,
     TreeDecomposition,
@@ -26,11 +20,9 @@ from .decomposition import (
     validate_decomposition,
 )
 from .errors import Mso2ddError
-from .graph import (
-    Graph, clique, clique_tree, complete_binary_tree, full_product, parse_graph, serialize_graph,
-)
+from .graph import Graph, clique, clique_tree, complete_binary_tree, full_product, parse_graph
 from .mso import Formula, Sort, Var, desugar, formula_size, parse_formula
-from .obdd import Obdd, compile_obdd, evaluate_obdd, obdd_size, reduce_obdd
+from .obdd import Obdd, compile_obdd, obdd_size, reduce_obdd
 from .oracle import (
     cnf_of_graph,
     enumerate_models,
@@ -38,11 +30,10 @@ from .oracle import (
     min_cardinality_model,
     model_count,
     oracle_eval,
-    oracle_models,
 )
-from .sdd import compile_sdd, evaluate_sdd, sdd_size
+from .sdd import compile_sdd, sdd_size
 from .serialize import load_diagram, serialize_diagram
-from .states import build_state_space, run_decision_procedure, with_consistency
+from .states import build_state_space, with_consistency
 
 __version__ = "0.1.0"
 
@@ -65,16 +56,11 @@ __all__ = [
     "complete_binary_tree",
     "context_of",
     "decision_variables",
-    "decode_assignment",
     "desugar",
-    "encode_assignment",
     "enumerate_models",
-    "evaluate_obdd",
-    "evaluate_sdd",
     "formula_size",
     "full_product",
     "good_coloring",
-    "is_consistent",
     "is_path_decomposition",
     "kappa_formula",
     "load_diagram",
@@ -84,15 +70,12 @@ __all__ = [
     "model_count",
     "obdd_size",
     "oracle_eval",
-    "oracle_models",
     "parse_formula",
     "parse_graph",
     "parse_tree_decomposition",
     "reduce_obdd",
-    "run_decision_procedure",
     "sdd_size",
     "serialize_diagram",
-    "serialize_graph",
     "validate_decomposition",
     "with_consistency",
 ]

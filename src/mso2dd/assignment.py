@@ -1,16 +1,17 @@
-"""Boolean decision variables encoding MSO2 assignments, and the consistency predicate.
+"""Boolean decision variables encoding MSO2 assignments.
 
 A decision variable is either an object-equality variable (an object variable x
 takes value v or e), a set-membership variable (object v or e belongs to set
-variable X), or a dummy used only as structural padding in v-trees.
+variable X), or a dummy used only as structural padding in v-trees. Besides
+the canonical universe of them, this module reads a model back from its bits
+(`decode_bits`) and lists each sort's values in a fixed order (`domain`).
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
-from .errors import AssignmentError, QueryError
+from .errors import QueryError
 from .graph import Graph
 from .mso import Formula, Sort, Var
 
@@ -63,37 +64,6 @@ def decision_variables(phi: Formula, g: Graph) -> tuple[DecisionVariable, ...]:
     return tuple(out)
 
 
-def is_consistent(delta, phi: Formula, g: Graph) -> bool:
-    """True iff every free object variable has exactly one satisfied equality bit."""
-    for var in phi.free_object_vars:
-        count = sum(delta[dv_eq(var, obj)] for obj in _objects(g, var.sort))
-        if count != 1:
-            return False
-    return True
-
-
-def encode_assignment(alpha, phi: Formula, g: Graph) -> dict[DecisionVariable, int]:
-    """The unique consistent boolean assignment representing alpha."""
-    delta = {}
-    for var in phi.free_vars:
-        if var not in alpha:
-            raise AssignmentError(f"no value for free variable {var.name!r}")
-        value = alpha[var]
-        universe = set(_objects(g, var.sort))
-        if var.sort.is_object:
-            if value not in universe:
-                raise AssignmentError(f"value {value!r} for {var.name!r} outside universe")
-            for obj in _objects(g, var.sort):
-                delta[dv_eq(var, obj)] = 1 if obj == value else 0
-        else:
-            members = set(value)
-            if not members <= universe:
-                raise AssignmentError(f"value for {var.name!r} outside universe")
-            for obj in _objects(g, var.sort):
-                delta[dv_mem(var, obj)] = 1 if obj in members else 0
-    return delta
-
-
 def decode_bits(legend, delta) -> dict[Var, object]:
     """Recover the variable assignment a consistent bit assignment encodes;
     works from the legend alone, so it applies to loaded diagrams too."""
@@ -112,15 +82,6 @@ def decode_bits(legend, delta) -> dict[Var, object]:
     return alpha
 
 
-def decode_assignment(delta, phi: Formula, g: Graph) -> dict[Var, object]:
-    """Inverse of encode_assignment; rejects inconsistent input."""
-    if not is_consistent(delta, phi, g):
-        raise AssignmentError("assignment is not consistent")
-    alpha = decode_bits(decision_variables(phi, g), delta)
-    # a set variable over an empty universe has no decision variable
-    return {var: alpha.get(var, frozenset()) for var in phi.free_vars}
-
-
 def domain(g: Graph, sort: Sort) -> list:
     """The values of `sort` on g: the objects in id order, or for a set sort
     every subset of them in binary-counter order by object id."""
@@ -131,10 +92,3 @@ def domain(g: Graph, sort: Sort) -> list:
         frozenset(o for i, o in enumerate(objs) if mask >> i & 1)
         for mask in range(1 << len(objs))
     ]
-
-
-def all_mso_assignments(phi: Formula, g: Graph):
-    """Iterate every assignment to the free variables, in a fixed order: each
-    variable runs over `domain` of its sort, the last one fastest."""
-    for values in itertools.product(*(domain(g, var.sort) for var in phi.free_vars)):
-        yield dict(zip(phi.free_vars, values))

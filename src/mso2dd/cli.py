@@ -253,12 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_inputs:
             p.add_argument("--graph", required=True, help=".gr graph file")
             p.add_argument("--formula", required=True, help=".mso formula file")
-            p.add_argument("--td", help=".td decomposition file (default: min-fill)")
         if needs_diagram:
             p.add_argument("--diagram", required=True, help="serialized diagram file")
 
     p = sub.add_parser("compile", help="compile a formula/graph pair into a diagram")
     common(p, needs_inputs=True)
+    p.add_argument("--td", help=".td decomposition file (default: min-fill)")
     p.add_argument("--target", choices=("sdd", "obdd"), default="sdd")
     p.add_argument("--out", help="where to write the serialized diagram")
 

@@ -189,13 +189,6 @@ class NiceTreeDecomposition:
     def forget_nodes(self) -> list[int]:
         return [nid for nid in self._postorder if self.nodes[nid].kind == FORGET]
 
-    def as_tree_decomposition(self) -> TreeDecomposition:
-        bags = {nid: n.bag for nid, n in self.nodes.items()}
-        edges = [
-            (nid, c) for nid, n in self.nodes.items() for c in n.children
-        ]
-        return TreeDecomposition(bags, edges)
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -277,50 +270,6 @@ def is_path_decomposition(t: NiceTreeDecomposition) -> bool:
     return all(n.kind != JOIN for n in t.nodes.values())
 
 
-def validate_nice(g: Graph, t: NiceTreeDecomposition) -> ValidationReport:
-    """Check the nice-form conditions on top of ordinary validity, and that
-    each forget node's `edges` are the edges it drops, every edge once."""
-    base = validate_decomposition(g, t.as_tree_decomposition())
-    violations = list(base.violations)
-    if t.nodes[t.root].bag:
-        violations.append("root bag is not empty")
-    drops = dict.fromkeys(g.edges, 0)
-    for n in t.nodes.values():
-        kids = [t.nodes[c] for c in n.children]
-        for e in n.edges:
-            drops[e] = drops.get(e, 0) + 1
-        if n.kind != FORGET and n.edges:
-            violations.append(f"node {n.id}: only a forget node drops edges")
-        if n.kind == LEAF:
-            if kids:
-                violations.append(f"leaf node {n.id} has children")
-        elif n.kind in (INTRODUCE, FORGET):
-            if len(kids) != 1:
-                violations.append(f"node {n.id} needs exactly one child")
-                continue
-            child = kids[0]
-            diff = n.bag ^ child.bag
-            if len(diff) != 1:
-                violations.append(f"node {n.id}: symmetric difference is not one vertex")
-            expect = (
-                child.bag | {n.vertex} if n.kind == INTRODUCE else child.bag - {n.vertex}
-            )
-            if n.bag != expect or n.vertex is None:
-                violations.append(f"node {n.id}: bag does not match its {n.kind} vertex")
-            elif n.kind == FORGET and n.vertex in g.vertices():
-                if n.edges != _dropped_edges(g, n.vertex, n.bag):
-                    violations.append(f"node {n.id}: edges are not the ones it drops")
-        elif n.kind == JOIN:
-            if len(kids) != 2 or any(k.bag != n.bag for k in kids):
-                violations.append(f"join node {n.id}: children must copy its bag")
-        else:
-            violations.append(f"node {n.id}: unknown kind {n.kind!r}")
-    for e, times in drops.items():
-        if times != 1:
-            violations.append(f"edge ({e.u}, {e.v}) dropped {times} times")
-    return ValidationReport(not violations, base.width, tuple(violations))
-
-
 def good_coloring(g: Graph, t: NiceTreeDecomposition) -> dict[int, int]:
     """Color vertices with at most width+1 colors so that every bag is rainbow.
 
@@ -341,14 +290,6 @@ def good_coloring(g: Graph, t: NiceTreeDecomposition) -> dict[int, int]:
             c += 1
         color[v] = c
     return color
-
-
-def is_good_coloring(g: Graph, t: NiceTreeDecomposition, color: dict[int, int]) -> bool:
-    for n in t.nodes.values():
-        seen = [color[v] for v in n.bag]
-        if len(set(seen)) != len(seen):
-            return False
-    return True
 
 
 def context_of(

@@ -158,12 +158,6 @@ def parse_graph(text: str) -> Graph:
     return Graph(n_vertices, pairs)
 
 
-def serialize_graph(g: Graph) -> str:
-    lines = [f"p gr {g.n_vertices} {g.n_edges}"]
-    lines.extend(f"{e.u} {e.v}" for e in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def clique(k: int) -> Graph:
     """Complete graph on k >= 1 vertices."""
     if k < 1:

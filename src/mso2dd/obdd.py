@@ -6,7 +6,9 @@ node, over the reachable transition tables quotiented to state classes;
 `oracle.cnf_to_obdd` feeds it one level per CNF variable; an SDD forget node's
 context sets (`sdd.ContextSets`) are one step each. `Obdd.nodes` lists a
 diagram's nodes through `graph.children_first`, the walk SDDs and nice tree
-decompositions share.
+decompositions share. `ObddCompilation.satisfiable` searches depth first for
+a true leaf along the edges a partial assignment allows; on a total
+assignment that is the diagram's value.
 """
 
 from __future__ import annotations
@@ -82,37 +84,17 @@ class Obdd:
         """Distinct reachable nodes, each after its lo and then its hi subtree."""
         return children_first(self.root, lambda n: () if n.level is None else (n.lo, n.hi))
 
-    def level_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for n in self.nodes():
-            if not n.is_leaf:
-                counts[n.level] = counts.get(n.level, 0) + 1
-        return counts
-
-    def is_ordered(self) -> bool:
-        for n in self.nodes():
-            if n.is_leaf:
-                continue
-            for child in (n.lo, n.hi):
-                if not child.is_leaf and child.level <= n.level:
-                    return False
-        return True
-
 
 def obdd_size(b: Obdd) -> int:
     """Distinct reachable nodes, decisions and terminals alike."""
     return len(b.nodes())
 
 
-def evaluate_obdd(b: Obdd, delta) -> bool:
-    """The diagram's value under a total assignment of its order."""
-    return _walk_obdd(b, delta, False)
-
-
-def _walk_obdd(b: Obdd, delta, partial: bool) -> bool:
-    """Search for a true leaf along the edges delta allows. A total
-    assignment allows one path; with `partial`, a decision on a variable
-    delta leaves out allows both edges."""
+def _walk_obdd(b: Obdd, delta) -> bool:
+    """Search for a true leaf along the edges delta allows: one edge of a
+    decision on a variable delta assigns, both edges otherwise. So it decides
+    satisfiability under delta, and on a total assignment the diagram's
+    value."""
     order, seen, stack = b.order, {b.root.uid}, [b.root]
     while stack:
         node = stack.pop()
@@ -121,12 +103,7 @@ def _walk_obdd(b: Obdd, delta, partial: bool) -> bool:
                 return True
             continue
         var = order[node.level]
-        if var in delta:
-            children = (node.hi if delta[var] else node.lo,)
-        elif partial:
-            children = (node.lo, node.hi)
-        else:
-            raise DiagramError(f"assignment missing variable {var!r}")
+        children = (node.hi if delta[var] else node.lo,) if var in delta else (node.lo, node.hi)
         for child in children:
             if child.uid not in seen:
                 seen.add(child.uid)
@@ -201,11 +178,8 @@ class ObddCompilation:
     def nodes(self) -> list[ObddNode]:
         return self.obdd.nodes()
 
-    def evaluate(self, delta) -> bool:
-        return evaluate_obdd(self.obdd, delta)
-
     def satisfiable(self, delta) -> bool:
-        return _walk_obdd(self.obdd, delta, True)
+        return _walk_obdd(self.obdd, delta)
 
 
 def compile_obdd(

@@ -4,7 +4,7 @@ CNF family used by the lower-bound benchmark.
 The truth-table helpers represent the set of satisfying assignments over an
 ordered variable list as a single big integer: bit i gives the value on the
 assignment whose j-th variable equals bit j of i. That makes exhaustive
-diagram/oracle comparisons and partition checks cheap at desk scale.
+diagram/oracle comparisons cheap at desk scale.
 
 The oracle evaluates a formula on all assignments to its free variables at
 once: every subformula evaluates to such a bitset, a free variable is read off
@@ -43,7 +43,6 @@ from .mso import (
 from .obdd import Obdd, ObddSpace, build_layers
 from .sdd import DECOMP, LITERAL, TRUE
 
-DEFAULT_VARIABLE_CAP = 20
 QUANTIFIER_BRANCH_CAP = 10**7
 
 
@@ -252,37 +251,6 @@ def oracle_eval(phi: Formula, g: Graph, alpha) -> bool:
     return bool(_Bitsets(g, phi).table((), alpha))
 
 
-# -- explicit model sets -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModelSet:
-    """Explicit desk-scale model listing: bit tuples over the canonical
-    decision-variable order."""
-
-    variables: tuple[DecisionVariable, ...]
-    assignments: frozenset
-
-    @property
-    def count(self) -> int:
-        return len(self.assignments)
-
-
-def oracle_models(phi: Formula, g: Graph, cap: int = DEFAULT_VARIABLE_CAP) -> ModelSet:
-    """Every model, read off the oracle's truth table as a consistent bit
-    tuple."""
-    dvars = decision_variables(phi, g)
-    if len(dvars) > cap:
-        raise QueryError(f"{len(dvars)} decision variables exceed the cap of {cap}")
-    digits = bin(_Bitsets(g, phi).table(dvars, {}))[:1:-1]  # bit i at index i
-    found = frozenset(
-        tuple((idx >> i) & 1 for i in range(len(dvars)))
-        for idx, digit in enumerate(digits)
-        if digit == "1"
-    )
-    return ModelSet(dvars, found)
-
-
 # -- truth tables as big-integer bitsets ----------------------------------------
 
 
@@ -426,11 +394,6 @@ def _truth_fold(dvars) -> Fold:
 
 def truth_table(diagram, dvars) -> int:
     return fold(diagram, _truth_fold(dvars))[0]
-
-
-def node_truth_tables(diagram, dvars) -> dict[int, int]:
-    """The truth table of every node, by uid."""
-    return fold(diagram, _truth_fold(dvars))[1]
 
 
 COUNT = Fold(
@@ -615,18 +578,6 @@ def cnf_of_graph(g: Graph) -> Cnf:
         for e in g.edges
     )
     return Cnf(variables, clauses)
-
-
-def cnf_truth_table(cnf: Cnf) -> int:
-    masks = variable_masks(len(cnf.variables))
-    ones = (1 << (1 << len(cnf.variables))) - 1
-    table = ones
-    for clause in cnf.clauses:
-        clause_bits = 0
-        for i in clause:
-            clause_bits |= masks[i]
-        table &= clause_bits
-    return table
 
 
 def cnf_to_obdd(cnf: Cnf, order=None) -> Obdd:

@@ -6,7 +6,9 @@ list the same pairs in the same order at one v-tree node, are shared. A
 decomposition's primes always respect the left subtree of its v-tree node and
 form a boolean partition; subs respect the right subtree. The compiler trims
 every decomposition it builds (`trimmed`); a loaded file keeps its nodes as
-written.
+written. `SddCompilation.satisfiable` decides in one pass over the kept
+children-first node list whether a model extends a partial assignment; on a
+total assignment that is the diagram's value.
 """
 
 from __future__ import annotations
@@ -176,17 +178,13 @@ def sdd_size(root: SddNode) -> int:
     return total
 
 
-def evaluate_sdd(root: SddNode, delta) -> bool:
-    """The diagram's value under a total assignment of its literals' variables."""
-    return _decide(iter_sdd_nodes(root), delta, False)
-
-
-def _decide(nodes, delta, partial: bool) -> bool:
+def _decide(nodes, delta) -> bool:
     """One pass over children-first `nodes`; returns the last one's value. A
-    decomposition holds when some pair's prime and sub both hold. With
-    `partial`, a literal on a variable delta leaves out holds, so the pass
-    decides satisfiability under delta: a prime and its sub mention disjoint
-    variables, so a pair is satisfiable exactly when both are."""
+    decomposition holds when some pair's prime and sub both hold, and a
+    literal on a variable delta leaves out holds. So the pass decides
+    satisfiability under delta: a prime and its sub mention disjoint
+    variables, so a pair is satisfiable exactly when both are. On a total
+    assignment that is the diagram's value."""
     value: dict[int, bool] = {}
     for node in nodes:
         if node.kind == DECOMP:
@@ -197,12 +195,8 @@ def _decide(nodes, delta, partial: bool) -> bool:
             else:
                 value[node.uid] = False
         elif node.kind == LITERAL:
-            if node.var in delta:
-                value[node.uid] = bool(delta[node.var]) == node.polarity
-            elif partial:
-                value[node.uid] = True
-            else:
-                raise DiagramError(f"assignment missing variable {node.var!r}")
+            var = node.var
+            value[node.uid] = var not in delta or bool(delta[var]) == node.polarity
         else:
             value[node.uid] = node.kind == TRUE
     return value[nodes[-1].uid]
@@ -357,11 +351,8 @@ class SddCompilation:
             self._nodes = iter_sdd_nodes(self.root)
         return self._nodes
 
-    def evaluate(self, delta) -> bool:
-        return _decide(self.nodes(), delta, False)
-
     def satisfiable(self, delta) -> bool:
-        return _decide(self.nodes(), delta, True)
+        return _decide(self.nodes(), delta)
 
 
 def compile_sdd(
@@ -410,15 +401,4 @@ def compile_sdd(
     legend = decision_variables(phi, g)
     return SddCompilation(
         builder, root, legend, g_root.vtree_id, phi, g, t, coloring, mappings, reach
-    )
-
-
-def vtree_respected(root: SddNode, vtree: VTree) -> bool:
-    """Structural check: primes live in the left subtree of their decomposition's
-    v-tree node, subs in the right subtree."""
-    span = vtree.intervals()
-    return all(
-        vtree.respects(span, node.vtree_id, node.pairs)
-        for node in iter_sdd_nodes(root)
-        if node.kind == DECOMP
     )

@@ -39,8 +39,7 @@ from .decomposition import (
     NiceTreeDecomposition,
     context_of,
 )
-from .errors import FormulaError, Mso2ddError
-from .graph import Graph
+from .errors import FormulaError
 from .mso import Adj, And, Eq, Exists, Formula, In, Not, Var, occurring_variables
 
 INIT = "I"
@@ -441,7 +440,7 @@ def with_consistency(space: StateSpace, phi: Formula) -> ConjunctionSpace:
 
 
 def decision_space(phi: Formula) -> ConjunctionSpace:
-    """The consistency-checked space the compilers and the runner operate on;
+    """The consistency-checked space the compilers operate on;
     raises on the first node that is not in core form."""
     return with_consistency(build_state_space(phi.root), phi)
 
@@ -456,40 +455,6 @@ def forget_plan(
         far = tuple(coloring[e.other(n.vertex)] for e in n.edges)
         plan[nid] = ForgetInfo((coloring[n.vertex], far), context_of(phi, t, nid), phi.free_vars)
     return plan
-
-
-def node_states(
-    space: StateSpace, t: NiceTreeDecomposition, plan: dict[int, ForgetInfo], delta
-) -> dict:
-    """Run the procedure once on a whole assignment `delta`, recording the
-    state assigned to every node."""
-    states: dict = {}
-    for nid in t.postorder():
-        n = t.nodes[nid]
-        if n.kind == LEAF:
-            states[nid] = space.initial
-        elif n.kind == INTRODUCE:
-            states[nid] = states[n.children[0]]
-        elif n.kind == FORGET:
-            info = plan[nid]
-            states[nid] = space.forget(
-                states[n.children[0]], info.shape, forgotten_bits(info, delta)
-            )
-        elif n.kind == JOIN:
-            states[nid] = space.join(states[n.children[0]], states[n.children[1]])
-        else:
-            raise Mso2ddError(f"unknown node kind {n.kind!r}")
-    return states
-
-
-def run_decision_procedure(
-    phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int], delta
-) -> bool:
-    """Accept iff delta is consistent and encodes a model of phi on g."""
-    space = decision_space(phi)
-    plan = forget_plan(phi, t, coloring)
-    states = node_states(space, t, plan, delta)
-    return space.is_accepting(states[t.root])
 
 
 @dataclass

@@ -1,0 +1,265 @@
+"""Reference checkers the tests share.
+
+None of these is on a path the command line, the compilers or the queries
+take: structural invariants of nice decompositions and diagrams, the
+decision procedure run on one whole assignment, the explicit encoding of
+variable assignments as decision bits, truth tables computed without a
+diagram, and brute-force model listings.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from mso2dd.assignment import (
+    DecisionVariable, _objects, decision_variables, decode_bits, domain, dv_eq, dv_mem,
+)
+from mso2dd.decomposition import (
+    FORGET,
+    INTRODUCE,
+    JOIN,
+    LEAF,
+    NiceTreeDecomposition,
+    TreeDecomposition,
+    ValidationReport,
+    _dropped_edges,
+    validate_decomposition,
+)
+from mso2dd.errors import AssignmentError, Mso2ddError
+from mso2dd.graph import Graph
+from mso2dd.mso import Formula, Var
+from mso2dd.obdd import Obdd, _walk_obdd
+from mso2dd.oracle import Cnf, _truth_fold, fold, truth_table_oracle, variable_masks
+from mso2dd.sdd import DECOMP, SddNode, VTree, _decide, iter_sdd_nodes
+from mso2dd.states import ForgetInfo, StateSpace, decision_space, forget_plan, forgotten_bits
+
+# -- decompositions ------------------------------------------------------------
+
+
+def as_tree_decomposition(t: NiceTreeDecomposition) -> TreeDecomposition:
+    bags = {nid: n.bag for nid, n in t.nodes.items()}
+    edges = [
+        (nid, c) for nid, n in t.nodes.items() for c in n.children
+    ]
+    return TreeDecomposition(bags, edges)
+
+
+def validate_nice(g: Graph, t: NiceTreeDecomposition) -> ValidationReport:
+    """Check the nice-form conditions on top of ordinary validity, and that
+    each forget node's `edges` are the edges it drops, every edge once."""
+    base = validate_decomposition(g, as_tree_decomposition(t))
+    violations = list(base.violations)
+    if t.nodes[t.root].bag:
+        violations.append("root bag is not empty")
+    drops = dict.fromkeys(g.edges, 0)
+    for n in t.nodes.values():
+        kids = [t.nodes[c] for c in n.children]
+        for e in n.edges:
+            drops[e] = drops.get(e, 0) + 1
+        if n.kind != FORGET and n.edges:
+            violations.append(f"node {n.id}: only a forget node drops edges")
+        if n.kind == LEAF:
+            if kids:
+                violations.append(f"leaf node {n.id} has children")
+        elif n.kind in (INTRODUCE, FORGET):
+            if len(kids) != 1:
+                violations.append(f"node {n.id} needs exactly one child")
+                continue
+            child = kids[0]
+            diff = n.bag ^ child.bag
+            if len(diff) != 1:
+                violations.append(f"node {n.id}: symmetric difference is not one vertex")
+            expect = (
+                child.bag | {n.vertex} if n.kind == INTRODUCE else child.bag - {n.vertex}
+            )
+            if n.bag != expect or n.vertex is None:
+                violations.append(f"node {n.id}: bag does not match its {n.kind} vertex")
+            elif n.kind == FORGET and n.vertex in g.vertices():
+                if n.edges != _dropped_edges(g, n.vertex, n.bag):
+                    violations.append(f"node {n.id}: edges are not the ones it drops")
+        elif n.kind == JOIN:
+            if len(kids) != 2 or any(k.bag != n.bag for k in kids):
+                violations.append(f"join node {n.id}: children must copy its bag")
+        else:
+            violations.append(f"node {n.id}: unknown kind {n.kind!r}")
+    for e, times in drops.items():
+        if times != 1:
+            violations.append(f"edge ({e.u}, {e.v}) dropped {times} times")
+    return ValidationReport(not violations, base.width, tuple(violations))
+
+
+def is_good_coloring(g: Graph, t: NiceTreeDecomposition, color: dict[int, int]) -> bool:
+    for n in t.nodes.values():
+        seen = [color[v] for v in n.bag]
+        if len(set(seen)) != len(seen):
+            return False
+    return True
+
+
+# -- the decision procedure on one assignment ----------------------------------
+
+
+def node_states(
+    space: StateSpace, t: NiceTreeDecomposition, plan: dict[int, ForgetInfo], delta
+) -> dict:
+    """Run the procedure once on a whole assignment `delta`, recording the
+    state assigned to every node."""
+    states: dict = {}
+    for nid in t.postorder():
+        n = t.nodes[nid]
+        if n.kind == LEAF:
+            states[nid] = space.initial
+        elif n.kind == INTRODUCE:
+            states[nid] = states[n.children[0]]
+        elif n.kind == FORGET:
+            info = plan[nid]
+            states[nid] = space.forget(
+                states[n.children[0]], info.shape, forgotten_bits(info, delta)
+            )
+        elif n.kind == JOIN:
+            states[nid] = space.join(states[n.children[0]], states[n.children[1]])
+        else:
+            raise Mso2ddError(f"unknown node kind {n.kind!r}")
+    return states
+
+
+def run_decision_procedure(
+    phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int], delta
+) -> bool:
+    """Accept iff delta is consistent and encodes a model of phi on g."""
+    space = decision_space(phi)
+    plan = forget_plan(phi, t, coloring)
+    states = node_states(space, t, plan, delta)
+    return space.is_accepting(states[t.root])
+
+
+# -- diagrams ------------------------------------------------------------------
+
+
+def satisfiable(diagram, delta) -> bool:
+    """Whether a bare SDD node or an `Obdd` has a model extending `delta`; on
+    a total assignment, the diagram's value there."""
+    if isinstance(diagram, Obdd):
+        return _walk_obdd(diagram, delta)
+    return _decide(iter_sdd_nodes(diagram), delta)
+
+
+def vtree_respected(root: SddNode, vtree: VTree) -> bool:
+    """Structural check: primes live in the left subtree of their decomposition's
+    v-tree node, subs in the right subtree."""
+    span = vtree.intervals()
+    return all(
+        vtree.respects(span, node.vtree_id, node.pairs)
+        for node in iter_sdd_nodes(root)
+        if node.kind == DECOMP
+    )
+
+
+def level_counts(b: Obdd) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for n in b.nodes():
+        if not n.is_leaf:
+            counts[n.level] = counts.get(n.level, 0) + 1
+    return counts
+
+
+def is_ordered(b: Obdd) -> bool:
+    for n in b.nodes():
+        if n.is_leaf:
+            continue
+        for child in (n.lo, n.hi):
+            if not child.is_leaf and child.level <= n.level:
+                return False
+    return True
+
+
+# -- truth tables and model listings -------------------------------------------
+
+
+def node_truth_tables(diagram, dvars) -> dict[int, int]:
+    """The truth table of every node, by uid."""
+    return fold(diagram, _truth_fold(dvars))[1]
+
+
+def cnf_truth_table(cnf: Cnf) -> int:
+    masks = variable_masks(len(cnf.variables))
+    ones = (1 << (1 << len(cnf.variables))) - 1
+    table = ones
+    for clause in cnf.clauses:
+        clause_bits = 0
+        for i in clause:
+            clause_bits |= masks[i]
+        table &= clause_bits
+    return table
+
+
+def oracle_listing(phi, g, legend):
+    """The oracle's models in ascending order of the legend bit string, the
+    first legend variable most significant."""
+    legend = tuple(legend)
+    digits = bin(truth_table_oracle(phi, g, legend))[:1:-1]  # bit i at index i
+    rows = sorted(
+        tuple((idx >> i) & 1 for i in range(len(legend)))
+        for idx, digit in enumerate(digits)
+        if digit == "1"
+    )
+    return [decode_bits(legend, dict(zip(legend, bits))) for bits in rows]
+
+
+# -- assignments as decision bits ----------------------------------------------
+
+
+def is_consistent(delta, phi: Formula, g: Graph) -> bool:
+    """True iff every free object variable has exactly one satisfied equality bit."""
+    for var in phi.free_object_vars:
+        count = sum(delta[dv_eq(var, obj)] for obj in _objects(g, var.sort))
+        if count != 1:
+            return False
+    return True
+
+
+def encode_assignment(alpha, phi: Formula, g: Graph) -> dict[DecisionVariable, int]:
+    """The unique consistent boolean assignment representing alpha."""
+    delta = {}
+    for var in phi.free_vars:
+        if var not in alpha:
+            raise AssignmentError(f"no value for free variable {var.name!r}")
+        value = alpha[var]
+        universe = set(_objects(g, var.sort))
+        if var.sort.is_object:
+            if value not in universe:
+                raise AssignmentError(f"value {value!r} for {var.name!r} outside universe")
+            for obj in _objects(g, var.sort):
+                delta[dv_eq(var, obj)] = 1 if obj == value else 0
+        else:
+            members = set(value)
+            if not members <= universe:
+                raise AssignmentError(f"value for {var.name!r} outside universe")
+            for obj in _objects(g, var.sort):
+                delta[dv_mem(var, obj)] = 1 if obj in members else 0
+    return delta
+
+
+def decode_assignment(delta, phi: Formula, g: Graph) -> dict[Var, object]:
+    """Inverse of encode_assignment; rejects inconsistent input."""
+    if not is_consistent(delta, phi, g):
+        raise AssignmentError("assignment is not consistent")
+    alpha = decode_bits(decision_variables(phi, g), delta)
+    # a set variable over an empty universe has no decision variable
+    return {var: alpha.get(var, frozenset()) for var in phi.free_vars}
+
+
+def all_mso_assignments(phi: Formula, g: Graph):
+    """Iterate every assignment to the free variables, in a fixed order: each
+    variable runs over `domain` of its sort, the last one fastest."""
+    for values in itertools.product(*(domain(g, var.sort) for var in phi.free_vars)):
+        yield dict(zip(phi.free_vars, values))
+
+
+# -- graphs --------------------------------------------------------------------
+
+
+def serialize_graph(g: Graph) -> str:
+    lines = [f"p gr {g.n_vertices} {g.n_edges}"]
+    lines.extend(f"{e.u} {e.v}" for e in g.edges)
+    return "\n".join(lines) + "\n"

@@ -2,20 +2,12 @@ import random
 
 import pytest
 
-from mso2dd import (
-    Graph,
-    clique,
-    decision_variables,
-    decode_assignment,
-    desugar,
-    encode_assignment,
-    is_consistent,
-    parse_formula,
-)
-from mso2dd.assignment import all_mso_assignments, dv_eq, dv_mem
+from mso2dd import Graph, clique, decision_variables, desugar, parse_formula
+from mso2dd.assignment import dv_eq, dv_mem
 from mso2dd.errors import AssignmentError
 from mso2dd.oracle import kappa_formula
 
+from checks import all_mso_assignments, decode_assignment, encode_assignment, is_consistent
 from conftest import all_deltas, path_graph
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from mso2dd import Graph, clique_tree, load_diagram, serialize_graph
+import mso2dd
+from mso2dd import Graph, clique_tree, load_diagram
 from mso2dd.cli import main
 from mso2dd.mso import MAX_NESTING
 from mso2dd.obdd import ObddCompilation
@@ -14,6 +15,7 @@ from mso2dd.oracle import (
     KAPPA_TEXT, cnf_of_graph, cnf_to_obdd, kappa_formula, model_count, oracle_eval,
 )
 
+from checks import serialize_graph
 from conftest import FORMULA_TEXTS
 
 K3_GR = "p gr 3 3\n1 2\n2 3\n1 3\n"
@@ -55,6 +57,23 @@ def test_python_m_help():
     proc = python_m(["--help"])
     assert proc.returncode == 0
     assert "compile" in proc.stdout
+
+
+def test_package_surface():
+    # what the command line, the compilers and the benchmark use; the
+    # reference checkers live in tests/checks.py
+    assert sorted(mso2dd.__all__) == [
+        "DecisionVariable", "Formula", "Graph", "Mso2ddError", "NiceTreeDecomposition", "Obdd",
+        "Sort", "TreeDecomposition", "Var", "build_state_space", "clique", "clique_tree",
+        "cnf_of_graph", "compile_obdd", "compile_sdd", "complete_binary_tree", "context_of",
+        "decision_variables", "desugar", "enumerate_models", "formula_size", "full_product",
+        "good_coloring", "is_path_decomposition", "kappa_formula", "load_diagram", "make_nice",
+        "min_cardinality_model", "min_fill_decomposition", "model_count", "obdd_size",
+        "oracle_eval", "parse_formula", "parse_graph", "parse_tree_decomposition", "reduce_obdd",
+        "sdd_size", "serialize_diagram", "validate_decomposition", "with_consistency",
+    ]
+    for name in mso2dd.__all__:
+        getattr(mso2dd, name)
 
 
 class TestCompile:
@@ -263,6 +282,20 @@ class TestVerify:
         code = run(["verify", "--graph", workdir / "k3.gr", "--formula", workdir / "kappa.mso",
                     "--diagram", out, "--cap", "3"])
         assert code == 2
+
+    def test_td_is_a_usage_error(self, workdir, capsys):
+        # verify reads no decomposition, so it takes no --td
+        out = workdir / "p4.sdd"
+        run(["compile", "--graph", workdir / "p4.gr", "--formula", workdir / "kappa.mso",
+             "--td", workdir / "p4.td", "--out", out])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--graph", workdir / "p4.gr", "--formula", workdir / "kappa.mso",
+                 "--diagram", out, "--td", workdir / "p4.td"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mso2dd ")
+        assert "unrecognized arguments: --td" in err
 
 
 class TestQuery:

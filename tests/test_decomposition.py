@@ -18,14 +18,10 @@ from mso2dd import (
     validate_decomposition,
 )
 from mso2dd.assignment import decision_variables
-from mso2dd.decomposition import (
-    FORGET,
-    JOIN,
-    is_good_coloring,
-    validate_nice,
-)
+from mso2dd.decomposition import FORGET, JOIN
 from mso2dd.errors import DecompositionError
 
+from checks import as_tree_decomposition, is_good_coloring, validate_nice
 from conftest import (
     grid_chain_decomposition,
     grid_graph,
@@ -217,7 +213,7 @@ class TestMakeNice:
             assert nice.width() == validate_decomposition(g, t).width
             assert len(nice) <= 5 * g.n_vertices
             # a nice form's bags sit inside their neighbours'; fed back, they merge
-            again = make_nice(g, nice.as_tree_decomposition())
+            again = make_nice(g, as_tree_decomposition(nice))
             assert validate_nice(g, again).valid
             assert again.width() == nice.width()
 

@@ -9,9 +9,10 @@ from mso2dd import (
     complete_binary_tree,
     full_product,
     parse_graph,
-    serialize_graph,
 )
 from mso2dd.errors import GraphError
+
+from checks import serialize_graph
 
 
 def brute_product_edges(g, h):

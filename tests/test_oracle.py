@@ -13,7 +13,6 @@ from mso2dd import (
     compile_sdd,
     decision_variables,
     desugar,
-    encode_assignment,
     good_coloring,
     is_path_decomposition,
     load_diagram,
@@ -23,25 +22,22 @@ from mso2dd import (
     parse_tree_decomposition,
     serialize_diagram,
 )
-from mso2dd.assignment import all_mso_assignments, dv_mem
-from mso2dd.errors import DiagramError, QueryError
+from mso2dd.assignment import dv_mem
+from mso2dd.errors import QueryError
 from mso2dd.mso import Sort, Var
 from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace, reduce_obdd
 from mso2dd.oracle import (
     cnf_of_graph,
-    cnf_truth_table,
-    decode_bits,
     enumerate_models,
     kappa_formula,
     min_cardinality_model,
     model_count,
     oracle_eval,
-    oracle_models,
     truth_table_oracle,
     variable_masks,
 )
-from mso2dd.sdd import LITERAL
 
+from checks import all_mso_assignments, cnf_truth_table, encode_assignment, oracle_listing
 from conftest import (
     FORMULA_TEXTS, corpus_graphs, nested_chain, path_decomposition, path_graph,
 )
@@ -132,11 +128,11 @@ class TestBitsets:
         inner = "(x = x)"
         for _ in range(100):
             inner = f"~((x = x) & {inner})"
-        x_is = {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
+        x_is = [{Var("x", Sort.VERTEX_OBJECT): v} for v in (4, 3, 2, 1)]
         tables = set()
         for text in ("free vertex x; " + inner, nested_chain(66)):
             phi = parse_formula(text)
-            assert oracle_models(phi, g).assignments == x_is
+            assert oracle_listing(phi, g, decision_variables(phi, g)) == x_is
             tables.add(truth_table_oracle(phi, g))
         assert tables == {(1 << 1) | (1 << 2) | (1 << 4) | (1 << 8)}
 
@@ -145,28 +141,21 @@ class TestModels:
     def test_equality_two_models(self):
         g = path_graph(2)
         phi = desugar(parse_formula("free vertex x; free vertex y; (x = y)"))
-        assert oracle_models(phi, g).count == 2
+        assert truth_table_oracle(phi, g).bit_count() == 2
 
     def test_unsatisfiable(self):
         g = path_graph(2)
         phi = desugar(parse_formula("free vertex x; ~(x = x)"))
-        assert oracle_models(phi, g).count == 0
+        assert truth_table_oracle(phi, g).bit_count() == 0
 
     def test_kappa_triangle_matches_cnf(self):
         g = clique(3)
         phi = desugar(kappa_formula())
-        models = oracle_models(phi, g)
-        assert models.count == 45
+        assert truth_table_oracle(phi, g).bit_count() == 45
         cnf = cnf_of_graph(g)
         table = cnf_truth_table(cnf)
         count = bin(table).count("1")
         assert count == 45
-
-    def test_cap(self):
-        g = clique_tree(2, 2)
-        phi = desugar(kappa_formula())
-        with pytest.raises(QueryError):
-            oracle_models(phi, g, cap=14)
 
 
 class TestMasks:
@@ -184,7 +173,7 @@ class TestCounting:
         nice = make_nice(g, min_fill_decomposition(g))
         comp = compile_sdd(phi, g, nice, good_coloring(g, nice))
         assert model_count(comp) == 0
-        assert not comp.evaluate({})
+        assert not comp.satisfiable({})
 
     def test_constant_true_counts_full_space(self):
         g = path_graph(2)
@@ -280,7 +269,8 @@ class TestEnumerate:
 
 
 class TestConditioning:
-    """`satisfiable` and `evaluate` on both targets against the oracle's table."""
+    """`satisfiable` on both targets against the oracle's table, on partial
+    and on total assignments."""
 
     def test_matches_oracle_on_corpus(self, corpus):
         rng = random.Random(15)
@@ -308,20 +298,7 @@ class TestConditioning:
                         inst.formula_name, inst.graph_name, diagram.kind, delta,
                     )
                     total = {d: idx >> i & 1 for i, d in enumerate(dvars)}
-                    assert diagram.evaluate(total) == bool(table >> idx & 1)
-                # a literal's variable left out: the SDD reads every literal,
-                # the OBDD walk reads at least the root's variable
-                if diagram.kind == "sdd":
-                    read = [x.var for x in diagram.nodes() if x.kind == LITERAL]
-                elif not diagram.root.is_leaf:
-                    read = [diagram.order[diagram.root.level]]
-                else:
-                    read = []
-                if read:
-                    missing = rng.choice(read)
-                    total = {d: rng.randrange(2) for d in dvars if d != missing}
-                    with pytest.raises(DiagramError):
-                        diagram.evaluate(total)
+                    assert diagram.satisfiable(total) == bool(table >> idx & 1)
                 checked += 1
         assert checked > 200
 
@@ -335,19 +312,6 @@ def compile_both(raw, g, td=None):
     if is_path_decomposition(nice):
         comps.append(compile_obdd(phi, g, nice, coloring))
     return comps
-
-
-def oracle_listing(phi, g, legend):
-    """The oracle's models in ascending order of the legend bit string, the
-    first legend variable most significant."""
-    legend = tuple(legend)
-    digits = bin(truth_table_oracle(phi, g, legend))[:1:-1]  # bit i at index i
-    rows = sorted(
-        tuple((idx >> i) & 1 for i in range(len(legend)))
-        for idx, digit in enumerate(digits)
-        if digit == "1"
-    )
-    return [decode_bits(legend, dict(zip(legend, bits))) for bits in rows]
 
 
 class TestMinCardinality:
@@ -468,7 +432,7 @@ class TestCountAgreement:
     def test_sdd_obdd_oracle_counts_match(self, corpus):
         checked = 0
         for inst in corpus:
-            expected = oracle_models(inst.phi, inst.graph).count
+            expected = truth_table_oracle(inst.phi, inst.graph).bit_count()
             assert model_count(inst.sdd) == expected, (
                 inst.formula_name,
                 inst.graph_name,
@@ -504,14 +468,7 @@ class TestCnf:
             phi = desugar(kappa_formula())
             cnf = cnf_of_graph(g)
             assert cnf.variables == decision_variables(phi, g)
-            models = oracle_models(phi, g)
-            table = cnf_truth_table(cnf)
-            sat = {
-                tuple((idx >> i) & 1 for i in range(len(cnf.variables)))
-                for idx in range(1 << len(cnf.variables))
-                if (table >> idx) & 1
-            }
-            assert sat == set(models.assignments)
+            assert cnf_truth_table(cnf) == truth_table_oracle(phi, g)
 
     def test_identified_model_sets_product_graph(self):
         # the 17-variable product-graph instance, checked by exhaustive enumeration
@@ -519,10 +476,4 @@ class TestCnf:
         phi = desugar(kappa_formula())
         cnf = cnf_of_graph(g)
         table = cnf_truth_table(cnf)
-        models = oracle_models(phi, g, cap=len(cnf.variables))
-        sat_count = bin(table).count("1")
-        assert sat_count == models.count
-        index = {d: i for i, d in enumerate(cnf.variables)}
-        for bits in models.assignments:
-            idx = sum(b << index[d] for d, b in zip(models.variables, bits))
-            assert (table >> idx) & 1
+        assert truth_table_oracle(phi, g, cnf.variables) == table

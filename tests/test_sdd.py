@@ -8,7 +8,6 @@ from mso2dd import (
     complete_binary_tree,
     decision_variables,
     desugar,
-    evaluate_sdd,
     good_coloring,
     load_diagram,
     make_nice,
@@ -37,10 +36,10 @@ from mso2dd.sdd import (
     context_assignment_mapping,
     iter_sdd_nodes,
     state_table_mapping,
-    vtree_respected,
 )
-from mso2dd.states import decision_space, forget_plan, node_states
+from mso2dd.states import decision_space, forget_plan
 
+from checks import node_states, run_decision_procedure, satisfiable, vtree_respected
 from conftest import (
     FORMULA_TEXTS,
     all_deltas,
@@ -89,28 +88,26 @@ def build_example_sdd():
 class TestEvaluate:
     def test_terminals(self):
         builder = SddBuilder()
-        assert evaluate_sdd(builder.true, {})
-        assert not evaluate_sdd(builder.false, {})
+        assert satisfiable(builder.true, {})
+        assert not satisfiable(builder.false, {})
 
     def test_literal(self):
         builder = SddBuilder()
         x = dv_eq(Var("x", Sort.VERTEX_OBJECT), 1)
         builder.vtree.leaf(x)
         lit = builder.literal(x, True)
-        assert not evaluate_sdd(lit, {x: 0})
-        assert evaluate_sdd(lit, {x: 1})
-        with pytest.raises(DiagramError):
-            evaluate_sdd(lit, {})
+        assert not satisfiable(lit, {x: 0})
+        assert satisfiable(lit, {x: 1})
 
     def test_two_level_example(self):
         _, root, (a, b, c, d) = build_example_sdd()
-        assert evaluate_sdd(root, {a: 1, b: 0, c: 0, d: 1})
+        assert satisfiable(root, {a: 1, b: 0, c: 0, d: 1})
         reference = lambda va, vb, vc, vd: (va and not vb and (vc or vd)) or (
             not va and vc
         )
         for bits in itertools.product((0, 1), repeat=4):
             delta = dict(zip((a, b, c, d), bits))
-            assert evaluate_sdd(root, delta) == bool(reference(*bits))
+            assert satisfiable(root, delta) == bool(reference(*bits))
 
     def test_respects_vtree(self):
         builder, root, _ = build_example_sdd()
@@ -193,7 +190,7 @@ class TestContextMapping:
                 hits = [
                     idx
                     for idx in mapping.states()
-                    if evaluate_sdd(mapping.images[idx], delta)
+                    if satisfiable(mapping.images[idx], delta)
                 ]
                 assert hits == [int("".join(str(delta[d]) for d in ctx), 2)]
 
@@ -225,7 +222,7 @@ class TestContextMapping:
                 node = ctx.diagram(members)
                 for _, delta in all_deltas(ctx_vars):
                     idx = sum(delta[d] << (k - 1 - i) for i, d in enumerate(ctx_vars))
-                    assert evaluate_sdd(node, delta) == (idx in members)
+                    assert satisfiable(node, delta) == (idx in members)
                 for sub in iter_sdd_nodes(node):
                     subs = [s.uid for _, s in sub.pairs]
                     assert len(subs) == len(set(subs))
@@ -252,7 +249,7 @@ class TestStateTableMapping:
             builder, g_a, g_b, self.table(g_a, g_b, lambda a, b: "c0"), ("c0",), "t"
         )
         for _, delta in all_deltas(dvars):
-            assert evaluate_sdd(out.images["c0"], delta)
+            assert satisfiable(out.images["c0"], delta)
 
     def test_projection_table(self):
         builder, g_a, g_b, dvars = self.setup_mappings()
@@ -260,7 +257,7 @@ class TestStateTableMapping:
         out = state_table_mapping(builder, g_a, g_b, table, g_a.states(), "t")
         for _, delta in all_deltas(dvars):
             for a in g_a.states():
-                assert evaluate_sdd(out.images[a], delta) == evaluate_sdd(
+                assert satisfiable(out.images[a], delta) == satisfiable(
                     g_a.images[a], delta
                 )
 
@@ -270,7 +267,7 @@ class TestStateTableMapping:
         states = [(i, j) for i in (0, 1) for j in (0, 1)]
         out = state_table_mapping(builder, g_a, g_b, table, states, "t")
         for _, delta in all_deltas(dvars):
-            hits = [s for s in out.states() if evaluate_sdd(out.images[s], delta)]
+            hits = [s for s in out.states() if satisfiable(out.images[s], delta)]
             assert len(hits) == 1
 
     def test_image_outside_declared_states(self):
@@ -296,20 +293,20 @@ class TestCompile:
         assert model_count(comp) == 1
 
     def test_kappa_on_triangle_counts(self):
-        from mso2dd.oracle import kappa_formula, oracle_models
+        from mso2dd.oracle import kappa_formula
 
         g = clique(3)
         phi = desugar(kappa_formula())
         nice = make_nice(g, min_fill_decomposition(g))
         comp = compile_sdd(phi, g, nice, good_coloring(g, nice))
-        assert model_count(comp) == oracle_models(phi, g).count == 45
+        assert model_count(comp) == truth_table_oracle(phi, g).bit_count() == 45
 
     def test_closed_tautology_is_constant_true(self):
         g = path_graph(3)
         phi, comp = self.compile(
             "exists vset X. ~ exists vertex v. (~(v in X) & (v in X))", g
         )
-        assert comp.evaluate({})
+        assert comp.satisfiable({})
         assert model_count(comp) == 1  # one empty assignment
 
     def test_dummy_variables_are_irrelevant(self):
@@ -318,12 +315,12 @@ class TestCompile:
         dvars = decision_variables(phi, g)
         dummies = [v for v in comp.vtree.all_variables() if v.kind == "dummy"]
         for _, delta in all_deltas(dvars):
-            base = comp.evaluate(delta)
+            base = comp.satisfiable(delta)
             for flip in (0, 1):
                 noisy = dict(delta)
                 for dummy in dummies:
                     noisy[dummy] = flip
-                assert comp.evaluate(noisy) == base
+                assert comp.satisfiable(noisy) == base
 
     def test_rejects_sugared_formula(self):
         g = clique(1)
@@ -333,8 +330,6 @@ class TestCompile:
             compile_sdd(phi, g, nice, good_coloring(g, nice))
 
     def test_matches_decision_procedure_directly(self):
-        from mso2dd import run_decision_procedure
-
         for text, g in (
             ("free vertex x; free vertex y; (x = y)", path_graph(2)),
             ("free vertex x; free edge p; adj(x, p)", clique(3)),
@@ -343,7 +338,7 @@ class TestCompile:
             phi, comp = self.compile(text, g)
             dvars = decision_variables(phi, g)
             for _, delta in all_deltas(dvars):
-                assert comp.evaluate(delta) == run_decision_procedure(
+                assert comp.satisfiable(delta) == run_decision_procedure(
                     phi, g, comp.nice, comp.coloring, delta
                 )
 
@@ -362,7 +357,7 @@ class TestCompile:
                 hits = [
                     s
                     for s in mapping.states()
-                    if evaluate_sdd(mapping.images[s], delta)
+                    if satisfiable(mapping.images[s], delta)
                 ]
                 assert hits == [representative[nid][states[nid]]]
 
@@ -470,4 +465,4 @@ class TestDeepEvaluation:
             for member, expected in ((7, True), (8, False)):
                 delta = {d: 0 for d in diagram.legend}
                 delta[dv_eq(x, 7)] = delta[dv_mem(big_x, member)] = 1
-                assert diagram.evaluate(delta) is expected
+                assert diagram.satisfiable(delta) is expected

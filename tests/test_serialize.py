@@ -19,7 +19,6 @@ from mso2dd.obdd import ObddCompilation
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_to_obdd,
-    cnf_truth_table,
     enumerate_models,
     is_satisfiable,
     kappa_formula,
@@ -29,6 +28,7 @@ from mso2dd.oracle import (
 )
 from mso2dd.serialize import diagram_to_dot
 
+from checks import cnf_truth_table
 from conftest import path_decomposition, path_graph
 
 

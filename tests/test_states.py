@@ -14,16 +14,13 @@ from mso2dd import (
     compile_sdd,
     decision_variables,
     desugar,
-    encode_assignment,
     good_coloring,
-    is_consistent,
     make_nice,
     min_fill_decomposition,
     parse_formula,
-    run_decision_procedure,
     with_consistency,
 )
-from mso2dd.assignment import all_mso_assignments, dv_eq, dv_mem
+from mso2dd.assignment import dv_eq, dv_mem
 from mso2dd.errors import FormulaError
 from mso2dd.oracle import KAPPA_TEXT, oracle_eval, truth_table, truth_table_oracle
 from mso2dd.states import (
@@ -41,10 +38,13 @@ from mso2dd.states import (
     forget_plan,
     forgotten_bits,
     minimize_states,
-    node_states,
     reachable_states,
 )
 
+from checks import (
+    all_mso_assignments, decode_assignment, encode_assignment, is_consistent, node_states,
+    run_decision_procedure,
+)
 from conftest import (
     FORMULA_TEXTS, INDEPENDENT_SET_TEXT, all_deltas, grid_chain_decomposition, grid_graph,
     nested_chain, path_decomposition, path_graph, star_graph,
@@ -335,7 +335,6 @@ class TestOracleEquivalence:
                 for _, delta in all_deltas(dvars):
                     got = space.is_accepting(node_states(space, nice, plan, delta)[nice.root])
                     if is_consistent(delta, phi, g):
-                        from mso2dd import decode_assignment
 
                         expected = oracle_eval(phi, g, decode_assignment(delta, phi, g))
                     else:
