@@ -3,6 +3,7 @@ good vertex colorings and forget-node contexts."""
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -129,27 +130,43 @@ def validate_decomposition(g: Graph, t: TreeDecomposition) -> ValidationReport:
 
 
 def min_fill_decomposition(g: Graph) -> TreeDecomposition:
-    """Heuristic decomposition from a min-fill elimination order (ties by vertex id)."""
+    """Heuristic decomposition from a min-fill elimination order: each step
+    eliminates the vertex of least `(fill, vertex id)`.
+
+    Fills are kept per vertex, with a heap of `(fill, vertex)` entries; an entry
+    whose vertex is gone or whose fill has changed is stale and skipped.
+    Eliminating `v` makes its neighbours a clique, so only they and their
+    neighbours can change fill, and only theirs is recomputed."""
     if g.n_vertices == 0:
         raise DecompositionError("graph has no vertices")
-    # the vertices not yet eliminated, in id order: built in that order, only popped
     adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+
+    def fill_of(v: int) -> int:
+        nbrs = adj[v]
+        return sum(1 for a in nbrs for b in nbrs if a < b and b not in adj[a])
+
+    fill = {v: fill_of(v) for v in adj}
+    heap = [(f, v) for v, f in fill.items()]
+    heapq.heapify(heap)
     order, saved_nbrs = [], []
     while adj:
-        best = None
-        for v, nbrs in adj.items():
-            fill = sum(1 for a in nbrs for b in nbrs if a < b and b not in adj[a])
-            if best is None or fill < best[0]:
-                best = (fill, v)
-        v = best[1]
+        f, v = heapq.heappop(heap)
+        if v not in adj or fill[v] != f:
+            continue
         nbrs = adj.pop(v)
+        del fill[v]
         order.append(v)
         saved_nbrs.append(nbrs)
         for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    adj[a].add(b)
+            adj[a] |= nbrs
+            adj[a].discard(a)
             adj[a].discard(v)
+        touched = set(nbrs).union(*(adj[a] for a in nbrs))
+        for w in touched:
+            f = fill_of(w)
+            if f != fill[w]:
+                fill[w] = f
+                heapq.heappush(heap, (f, w))
     position = {v: i for i, v in enumerate(order, start=1)}
     bags = {i + 1: frozenset({order[i]} | saved_nbrs[i]) for i in range(len(order))}
     # each bag hangs off the bag of its earliest-eliminated neighbour, else the next bag

@@ -14,10 +14,6 @@ class FormulaError(Mso2ddError):
     pass
 
 
-class AssignmentError(Mso2ddError):
-    pass
-
-
 class DiagramError(Mso2ddError):
     pass
 

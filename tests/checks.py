@@ -25,7 +25,7 @@ from mso2dd.decomposition import (
     _dropped_edges,
     validate_decomposition,
 )
-from mso2dd.errors import AssignmentError, Mso2ddError
+from mso2dd.errors import DecompositionError, Mso2ddError
 from mso2dd.graph import Graph
 from mso2dd.mso import Formula, Var
 from mso2dd.obdd import Obdd, _walk_obdd
@@ -34,6 +34,38 @@ from mso2dd.sdd import DECOMP, SddNode, VTree, _decide, iter_sdd_nodes
 from mso2dd.states import ForgetInfo, StateSpace, decision_space, forget_plan, forgotten_bits
 
 # -- decompositions ------------------------------------------------------------
+
+
+def min_fill_reference(g: Graph) -> TreeDecomposition:
+    """The min-fill decomposition by a full scan per step: every remaining
+    vertex's fill is recomputed, and the first least fill in id order wins."""
+    if g.n_vertices == 0:
+        raise DecompositionError("graph has no vertices")
+    # the vertices not yet eliminated, in id order: built in that order, only popped
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    order, saved_nbrs = [], []
+    while adj:
+        best = None
+        for v, nbrs in adj.items():
+            fill = sum(1 for a in nbrs for b in nbrs if a < b and b not in adj[a])
+            if best is None or fill < best[0]:
+                best = (fill, v)
+        v = best[1]
+        nbrs = adj.pop(v)
+        order.append(v)
+        saved_nbrs.append(nbrs)
+        for a in nbrs:
+            for b in nbrs:
+                if a != b:
+                    adj[a].add(b)
+            adj[a].discard(v)
+    position = {v: i for i, v in enumerate(order, start=1)}
+    bags = {i + 1: frozenset({order[i]} | saved_nbrs[i]) for i in range(len(order))}
+    edges = [
+        (i, min((position[w] for w in nbrs), default=i + 1))
+        for i, nbrs in enumerate(saved_nbrs[:-1], start=1)
+    ]
+    return TreeDecomposition(bags, edges)
 
 
 def as_tree_decomposition(t: NiceTreeDecomposition) -> TreeDecomposition:
@@ -207,6 +239,11 @@ def oracle_listing(phi, g, legend):
 
 
 # -- assignments as decision bits ----------------------------------------------
+
+
+class AssignmentError(Mso2ddError):
+    """An assignment that names no value, or a value outside its universe, or
+    decision bits that encode no assignment."""
 
 
 def is_consistent(delta, phi: Formula, g: Graph) -> bool:

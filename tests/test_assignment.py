@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from mso2dd import Graph, clique, decision_variables, desugar, parse_formula
+from mso2dd import clique, decision_variables, desugar, parse_formula
 from mso2dd.assignment import dv_eq, dv_mem
-from mso2dd.errors import AssignmentError
 from mso2dd.oracle import kappa_formula
 
-from checks import all_mso_assignments, decode_assignment, encode_assignment, is_consistent
+from checks import (
+    AssignmentError, all_mso_assignments, decode_assignment, encode_assignment, is_consistent,
+)
 from conftest import all_deltas, path_graph
 
 

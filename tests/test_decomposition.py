@@ -7,6 +7,8 @@ from mso2dd import (
     Graph,
     TreeDecomposition,
     clique,
+    clique_tree,
+    complete_binary_tree,
     context_of,
     desugar,
     good_coloring,
@@ -21,8 +23,9 @@ from mso2dd.assignment import decision_variables
 from mso2dd.decomposition import FORGET, JOIN
 from mso2dd.errors import DecompositionError
 
-from checks import as_tree_decomposition, is_good_coloring, validate_nice
+from checks import as_tree_decomposition, is_good_coloring, min_fill_reference, validate_nice
 from conftest import (
+    cycle_graph,
     grid_chain_decomposition,
     grid_graph,
     path_decomposition,
@@ -168,6 +171,37 @@ class TestMinFill:
         for _ in range(30):
             g = random_graph(rng)
             assert validate_decomposition(g, min_fill_decomposition(g)).valid
+
+    @staticmethod
+    def assert_matches_reference(g):
+        t, ref = min_fill_decomposition(g), min_fill_reference(g)
+        assert (t.bags, t.tree_edges) == (ref.bags, ref.tree_edges)
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = random.Random(22)
+        for _ in range(1000):
+            self.assert_matches_reference(random_graph(rng, max_n=16))
+
+    def test_matches_reference_on_families(self):
+        for n in (1, 2, 3, 10, 57):
+            self.assert_matches_reference(path_graph(n))
+        for n in (3, 4, 10, 57):
+            self.assert_matches_reference(cycle_graph(n))
+        for cols in (1, 2, 5, 30):
+            self.assert_matches_reference(grid_graph(cols))
+        self.assert_matches_reference(complete_binary_tree(6))
+        self.assert_matches_reference(clique_tree(2, 3))
+        # a random recursive tree with shuffled ids, as the benchmark draws them
+        rng = random.Random(7)
+        perm = list(range(1, 201))
+        rng.shuffle(perm)
+        pairs = [(perm[rng.randint(0, i - 1)], perm[i]) for i in range(1, 200)]
+        self.assert_matches_reference(Graph(200, pairs))
+
+    def test_grid_at_scale(self):
+        g = grid_graph(1000)
+        report = validate_decomposition(g, min_fill_decomposition(g))
+        assert report.valid and report.width == 3
 
 
 class TestMakeNice:

@@ -25,7 +25,6 @@ from mso2dd.oracle import (
     model_count,
     truth_table,
     truth_table_oracle,
-    variable_masks,
 )
 from mso2dd.sdd import (
     DECOMP,

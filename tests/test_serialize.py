@@ -10,7 +10,6 @@ from mso2dd import (
     load_diagram,
     make_nice,
     min_fill_decomposition,
-    parse_formula,
     serialize_diagram,
 )
 from mso2dd.cli import main

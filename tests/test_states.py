@@ -18,7 +18,6 @@ from mso2dd import (
     make_nice,
     min_fill_decomposition,
     parse_formula,
-    with_consistency,
 )
 from mso2dd.assignment import dv_eq, dv_mem
 from mso2dd.errors import FormulaError
