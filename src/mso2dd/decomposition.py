@@ -133,19 +133,18 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
     """Heuristic decomposition from a min-fill elimination order: each step
     eliminates the vertex of least `(fill, vertex id)`.
 
-    Fills are kept per vertex, with a heap of `(fill, vertex)` entries; an entry
-    whose vertex is gone or whose fill has changed is stale and skipped.
-    Eliminating `v` makes its neighbours a clique, so only they and their
-    neighbours can change fill, and only theirs is recomputed."""
+    A fill, C(deg, 2) less the edges among the neighbours, is kept per vertex:
+    a fill edge ab adds to a and b the neighbours they do not share and takes
+    one from each common neighbour; dropping v, once its neighbours are a
+    clique, takes deg(a) - deg(v) from each neighbour a. A heap entry
+    `(fill, vertex)` whose vertex is gone or whose fill changed is stale."""
     if g.n_vertices == 0:
         raise DecompositionError("graph has no vertices")
     adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-
-    def fill_of(v: int) -> int:
-        nbrs = adj[v]
-        return sum(1 for a in nbrs for b in nbrs if a < b and b not in adj[a])
-
-    fill = {v: fill_of(v) for v in adj}
+    fill = {
+        v: len(nbrs) * (len(nbrs) - 1) // 2 - sum(len(nbrs & adj[a]) for a in nbrs) // 2
+        for v, nbrs in adj.items()
+    }
     heap = [(f, v) for v, f in fill.items()]
     heapq.heapify(heap)
     order, saved_nbrs = [], []
@@ -154,19 +153,25 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
         if v not in adj or fill[v] != f:
             continue
         nbrs = adj.pop(v)
-        del fill[v]
         order.append(v)
         saved_nbrs.append(nbrs)
+        old = {a: fill[a] for a in nbrs}  # the fills that may change, as they were
         for a in nbrs:
-            adj[a] |= nbrs
-            adj[a].discard(a)
+            for b in nbrs - adj[a] - {a}:  # the fill edges not added yet
+                common = adj[a] & adj[b]
+                for w in common:
+                    old.setdefault(w, fill[w])
+                    fill[w] -= 1
+                fill[a] += len(adj[a]) - len(common)
+                fill[b] += len(adj[b]) - len(common)
+                adj[a].add(b)
+                adj[b].add(a)
+        for a in nbrs:
+            fill[a] -= len(adj[a]) - len(nbrs)
             adj[a].discard(v)
-        touched = set(nbrs).union(*(adj[a] for a in nbrs))
-        for w in touched:
-            f = fill_of(w)
-            if f != fill[w]:
-                fill[w] = f
-                heapq.heappush(heap, (f, w))
+        for w, f in old.items():
+            if w in adj and fill[w] != f:
+                heapq.heappush(heap, (fill[w], w))
     position = {v: i for i, v in enumerate(order, start=1)}
     bags = {i + 1: frozenset({order[i]} | saved_nbrs[i]) for i in range(len(order))}
     # each bag hangs off the bag of its earliest-eliminated neighbour, else the next bag

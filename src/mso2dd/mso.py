@@ -21,6 +21,8 @@ class Sort(enum.Enum):
     VERTEX_SET = "vset"
     EDGE_SET = "eset"
 
+    __hash__ = object.__hash__  # members are singletons; `Enum.__hash__` runs in Python
+
     @property
     def is_object(self) -> bool:
         return self in (Sort.VERTEX_OBJECT, Sort.EDGE_OBJECT)

@@ -2,9 +2,8 @@
 
 `build_layers` builds a reduced, hash-consed diagram from a state machine read
 layer by layer. The path-decomposition compiler feeds it one layer per forget
-node, over the reachable transition tables quotiented to state classes;
-`oracle.cnf_to_obdd` feeds it one level per CNF variable; an SDD forget node's
-context sets (`sdd.ContextSets`) are one step each. `Obdd.nodes` lists a
+node, over the reachable transition tables quotiented to state classes, and
+`oracle.cnf_to_obdd` feeds it one level per CNF variable. `Obdd.nodes` lists a
 diagram's nodes through `graph.children_first`, the walk SDDs and nice tree
 decompositions share. `ObddCompilation.satisfiable` searches depth first for
 a true leaf along the edges a partial assignment allows; on a total
@@ -134,10 +133,9 @@ def build_layers(space, steps, below: dict) -> dict:
     reduced tree over the step's levels whose leaves are the nodes of its
     successors; returns those nodes for the states entering the first step.
 
-    `space` makes the trees' inner nodes: `space.reduced(level, lo, hi)` is the
-    node deciding `level`, with `lo` where it is 0 and `hi` where it is 1. An
-    `ObddSpace` (the path compiler, `cnf_to_obdd`) makes a decision node; an
-    SDD's `ContextSets` makes a trimmed decomposition over its literals.
+    `space.reduced(level, lo, hi)` makes the trees' inner nodes: the node
+    deciding `level`, with `lo` where it is 0 and `hi` where it is 1. Its two
+    callers, the path compiler and `cnf_to_obdd`, pass an `ObddSpace`.
     """
     for base, k, states, table in reversed(steps):
         entering = {}

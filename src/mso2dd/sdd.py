@@ -21,7 +21,6 @@ from .decomposition import FORGET, INTRODUCE, LEAF, NiceTreeDecomposition
 from .errors import DiagramError
 from .graph import Graph, children_first
 from .mso import Formula
-from .obdd import build_layers
 from .states import (
     ReachableSets,
     decision_space,
@@ -130,11 +129,12 @@ class SddNode:
 
 
 class SddBuilder:
-    """Hash-consing factory; owns the v-tree being grown alongside the diagram.
-    Nodes are interned on their children as given, which hash by identity."""
+    """Hash-consing factory; owns the v-tree grown alongside the diagram and the
+    landing plans. Nodes are interned on their children as given, by identity."""
 
     def __init__(self) -> None:
         self.vtree = VTree()
+        self.plans: dict[int, tuple] = {}
         self._table: dict[tuple, SddNode] = {}
         self.false = self._intern((FALSE,), FALSE)
         self.true = self._intern((TRUE,), TRUE)
@@ -203,17 +203,29 @@ def _decide(nodes, delta) -> bool:
 
 
 def trimmed(builder: SddBuilder, vtree_id: int, pairs) -> SddNode:
-    """The decomposition of `pairs`, whose primes form a boolean partition,
-    under Darwiche's trimming rules: pairs that all share one sub are that
-    sub, and a single true sub among false ones is its pair's prime."""
-    pairs = [(p, s) for p, s in pairs if p.kind != FALSE]
-    subs = {s.uid for _, s in pairs}
-    if len(subs) == 1:
-        return pairs[0][1]
-    tops = [p for p, s in pairs if s.kind == TRUE]
-    if len(tops) == 1 and subs == {builder.true.uid, builder.false.uid}:
-        return tops[0]
-    return builder.decomposition(vtree_id, pairs)
+    """The decomposition of `pairs`, whose primes form a boolean partition, less
+    its false primes, under Darwiche's trimming rules, decided in one pass:
+    pairs that all share one sub are that sub, and a single true sub among
+    false ones is its pair's prime."""
+    true, false = builder.true, builder.false
+    kept, sub, top = [], None, None
+    shared = single = True  # all subs are the first one; all but at most one true are false
+    for pair in pairs:
+        p, s = pair
+        if p is not false:
+            kept.append(pair)
+            sub = sub or s
+            shared = shared and s is sub
+            single = single and (s is false or s is true and top is None)
+            top = p if s is true else top
+    if not kept:
+        raise DiagramError("decomposition with no non-false primes")
+    if shared:
+        return sub
+    if single and top is not None:
+        return top
+    kept = tuple(kept)
+    return builder._intern((DECOMP, vtree_id, kept), DECOMP, pairs=kept, vtree_id=vtree_id)
 
 
 @dataclass
@@ -234,28 +246,31 @@ class ContextSets:
     """The assignments of a forget node's context variables, and the diagram of
     any set of them. Assignment idx sets variable i to bit k-1-i of idx; with
     no variables there is one assignment, 0. Over the right-linear v-tree an
-    SDD is an OBDD, so a diagram is one `build_layers` step whose level i
-    decides variable i under v-tree node `suffix_vids[i]`."""
+    SDD is an OBDD: the diagram at level i decides variable i under v-tree node
+    `suffix_vids[i]`, built once per (i, truth vector over variables i, ...)."""
 
     def __init__(self, builder: SddBuilder, variables, suffix_vids) -> None:
         self.builder = builder
         self.suffix_vids = suffix_vids  # the v-tree node of variables i, i+1, ...
         self.vtree_id = suffix_vids[0]
         self.literals = [(builder.literal(v, False), builder.literal(v, True)) for v in variables]
+        self._memo = {(len(variables), 0): builder.false, (len(variables), 1): builder.true}
 
     def states(self):
         return range(1 << len(self.literals))
 
-    def reduced(self, i: int, lo: SddNode, hi: SddNode) -> SddNode:
-        """The trimmed decomposition (~x_i, lo), (x_i, hi)."""
-        neg, pos = self.literals[i]
-        return trimmed(self.builder, self.suffix_vids[i], [(neg, lo), (pos, hi)])
-
-    def diagram(self, members) -> SddNode:
-        """The reduced diagram true exactly on the assignments in `members`."""
-        table = {(0, idx): idx in members for idx in self.states()}
-        below = {True: self.builder.true, False: self.builder.false}
-        return build_layers(self, [(0, len(self.literals), (0,), table)], below)[0]
+    def diagram(self, members: int, i: int = 0) -> SddNode:
+        """The trimmed diagram over variables i, i+1, ... true exactly on the
+        assignments whose index bits are set in `members`; variable i is 0 on
+        the lower half of the bits."""
+        node = self._memo.get((i, members))
+        if node is None:
+            half = 1 << (len(self.literals) - 1 - i)
+            lo = self.diagram(members & ((1 << half) - 1), i + 1)
+            (neg, pos), hi = self.literals[i], self.diagram(members >> half, i + 1)
+            node = trimmed(self.builder, self.suffix_vids[i], [(neg, lo), (pos, hi)])
+            self._memo[i, members] = node
+        return node
 
 
 def context_assignment_mapping(
@@ -280,10 +295,12 @@ def state_table_mapping(
     `table[(a, b)]` is the state reached from a-state and b-state; the result
     maps each output state c, in `out_states` order, to a diagram true exactly
     when the combination lands in c: a's image paired with the diagram of the
-    b-states that take a to c. A context (`ContextSets`) builds that diagram
-    itself. A mapping's b-states, given `dummy_tag`, are unioned by one
-    decomposition over node(t_b, dummy). Respects node(t_a, right side), and
-    every diagram is trimmed.
+    b-states that take a to c, a bitmask over the positions of `g_b.states()`.
+    A context (`ContextSets`) builds that diagram itself. A mapping's b-states,
+    given `dummy_tag`, are unioned by one decomposition over node(t_b, dummy).
+    Respects node(t_a, right side), and every diagram is trimmed. The builder
+    keeps each table's landing plan, with the table so that its id stays its
+    own: nodes share a table by identity, and a table fixes its own states.
     """
     if dummy_tag is None:
         right_vid, union = g_b.vtree_id, g_b.diagram
@@ -291,32 +308,30 @@ def state_table_mapping(
         pad = builder.vtree.leaf(dv_dummy(dummy_tag))
         right_vid = builder.vtree.inner(g_b.vtree_id, pad)
 
-        def union(members) -> SddNode:
+        def union(members: int) -> SddNode:
             return trimmed(builder, right_vid, [
-                (image, builder.true if b in members else builder.false)
-                for b, image in g_b.images.items()
+                (image, builder.true if members >> j & 1 else builder.false)
+                for j, image in enumerate(g_b.images.values())
             ])
 
     out_vid = builder.vtree.inner(g_a.vtree_id, right_vid)
-    declared = set(out_states)
-    subs: dict[tuple, SddNode] = {}  # (a, c) -> the diagram of b-states taking a to c
-    unions: dict[frozenset, SddNode] = {}
-    for a in g_a.states():
-        lands: dict[object, list] = {}
-        for b in g_b.states():
-            lands.setdefault(table[(a, b)], []).append(b)
-        for c, members in lands.items():
-            if c not in declared:
-                raise DiagramError(f"transition image outside declared states: {c!r}")
-            key = frozenset(members)
-            if key not in unions:
-                unions[key] = union(key)
-            subs[a, c] = unions[key]
+    if id(table) not in builder.plans:
+        # per output state c, the b-states taking each a-state to c, as a bitmask
+        rows = {c: [0] * len(g_a.images) for c in out_states}
+        for i, a in enumerate(g_a.images):
+            for j, b in enumerate(g_b.states()):
+                c = table[(a, b)]
+                if c not in rows:
+                    raise DiagramError(f"transition image outside declared states: {c!r}")
+                rows[c][i] |= 1 << j
+        masks = list(dict.fromkeys(chain.from_iterable(rows.values())))
+        builder.plans[id(table)] = table, rows, masks
+    _, rows, masks = builder.plans[id(table)]
+    subs = {members: union(members) for members in masks}  # the empty mask's is false
+    a_images = list(g_a.images.values())
     images = {
-        c: trimmed(builder, out_vid, [
-            (g_a.images[a], subs.get((a, c), builder.false)) for a in g_a.states()
-        ])
-        for c in out_states
+        c: trimmed(builder, out_vid, [(p, subs[m]) for p, m in zip(a_images, row)])
+        for c, row in rows.items()
     }
     return StateSddMapping(images, out_vid)
 

@@ -191,6 +191,8 @@ class TestMinFill:
             self.assert_matches_reference(grid_graph(cols))
         self.assert_matches_reference(complete_binary_tree(6))
         self.assert_matches_reference(clique_tree(2, 3))
+        for leaves in range(1, 61):  # a hub whose fill shrinks by one leaf a step
+            self.assert_matches_reference(star_graph(leaves))
         # a random recursive tree with shuffled ids, as the benchmark draws them
         rng = random.Random(7)
         perm = list(range(1, 201))

@@ -28,10 +28,12 @@ from mso2dd.oracle import (
 )
 from mso2dd.sdd import (
     DECOMP,
+    FALSE,
     TRUE,
     SddBuilder,
     SddNode,
     StateSddMapping,
+    _decide,
     context_assignment_mapping,
     iter_sdd_nodes,
     state_table_mapping,
@@ -151,7 +153,7 @@ class TestSize:
 
 def minterms(ctx):
     """A context's one-assignment diagrams, as a mapping from each index."""
-    return StateSddMapping({idx: ctx.diagram({idx}) for idx in ctx.states()}, ctx.vtree_id)
+    return StateSddMapping({idx: ctx.diagram(1 << idx) for idx in ctx.states()}, ctx.vtree_id)
 
 
 class TestContextMapping:
@@ -209,22 +211,28 @@ class TestContextMapping:
         assert total <= 2 * len(ctx) * 2 ** len(ctx)
 
     def test_every_index_set_is_its_reduced_diagram(self):
-        # each set of assignments gets a diagram true exactly on it, and no
-        # decomposition in it pairs both halves with the same sub
+        # each set of assignments, a bitmask over their indices, gets a trimmed
+        # diagram true exactly on it: no decomposition pairs two primes with
+        # one sub or has one true sub among false ones. Equal sets share a
+        # node, and different sets have different nodes
         var = Var("x", Sort.VERTEX_OBJECT)
         for k in range(4):
             builder = SddBuilder()
             ctx_vars = tuple(dv_eq(var, i + 1) for i in range(k))
             ctx = context_assignment_mapping(builder, ctx_vars)
-            for bits in itertools.product((False, True), repeat=1 << k):
-                members = {idx for idx in ctx.states() if bits[idx]}
-                node = ctx.diagram(members)
+            nodes = [ctx.diagram(members) for members in range(1 << (1 << k))]
+            assert len({id(node) for node in nodes}) == len(nodes)
+            for members, node in enumerate(nodes):
+                assert ctx.diagram(members) is node
+                walk = iter_sdd_nodes(node)
                 for _, delta in all_deltas(ctx_vars):
                     idx = sum(delta[d] << (k - 1 - i) for i, d in enumerate(ctx_vars))
-                    assert satisfiable(node, delta) == (idx in members)
-                for sub in iter_sdd_nodes(node):
+                    assert _decide(walk, delta) == bool(members >> idx & 1)
+                for sub in walk:
                     subs = [s.uid for _, s in sub.pairs]
                     assert len(subs) == len(set(subs))
+                    kinds = sorted(s.kind for _, s in sub.pairs)
+                    assert kinds != [FALSE] * (len(kinds) - 1) + [TRUE]
                 assert vtree_respected(node, builder.vtree)
 
 
