@@ -11,7 +11,6 @@ from .assignment import DecisionVariable, decision_variables
 from .decomposition import (
     NiceTreeDecomposition,
     TreeDecomposition,
-    context_of,
     good_coloring,
     is_path_decomposition,
     make_nice,
@@ -20,20 +19,12 @@ from .decomposition import (
     validate_decomposition,
 )
 from .errors import Mso2ddError
-from .graph import Graph, clique, clique_tree, complete_binary_tree, full_product, parse_graph
+from .graph import Graph, parse_graph
 from .mso import Formula, Sort, Var, desugar, formula_size, parse_formula
-from .obdd import Obdd, compile_obdd, obdd_size, reduce_obdd
-from .oracle import (
-    cnf_of_graph,
-    enumerate_models,
-    kappa_formula,
-    min_cardinality_model,
-    model_count,
-    oracle_eval,
-)
+from .obdd import compile_obdd, obdd_size
+from .oracle import enumerate_models, min_cardinality_model, model_count, oracle_eval
 from .sdd import compile_sdd, sdd_size
 from .serialize import load_diagram, serialize_diagram
-from .states import build_state_space, with_consistency
 
 __version__ = "0.1.0"
 
@@ -43,26 +34,17 @@ __all__ = [
     "Graph",
     "Mso2ddError",
     "NiceTreeDecomposition",
-    "Obdd",
     "Sort",
     "TreeDecomposition",
     "Var",
-    "build_state_space",
-    "clique",
-    "clique_tree",
-    "cnf_of_graph",
     "compile_obdd",
     "compile_sdd",
-    "complete_binary_tree",
-    "context_of",
     "decision_variables",
     "desugar",
     "enumerate_models",
     "formula_size",
-    "full_product",
     "good_coloring",
     "is_path_decomposition",
-    "kappa_formula",
     "load_diagram",
     "make_nice",
     "min_cardinality_model",
@@ -73,9 +55,7 @@ __all__ = [
     "parse_formula",
     "parse_graph",
     "parse_tree_decomposition",
-    "reduce_obdd",
     "sdd_size",
     "serialize_diagram",
     "validate_decomposition",
-    "with_consistency",
 ]

@@ -120,7 +120,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _query_targets(diagram, names):
     wanted = {n.strip() for n in names.split(",") if n.strip()}
-    chosen = [d for d in diagram.legend if d.var is not None and d.var.name in wanted]
+    chosen = [d for d in diagram.legend if d.var.name in wanted]
     unknown = wanted - {d.var.name for d in chosen}
     if unknown:
         raise Mso2ddError(f"unknown target variables: {sorted(unknown)}")
@@ -132,7 +132,7 @@ def _render_assignment(legend, alpha) -> str:
     seen = set()
     for d in legend:
         var = d.var
-        if var is None or var in seen:
+        if var in seen:
             continue
         seen.add(var)
         value = alpha[var]
@@ -182,8 +182,14 @@ def cmd_bench_kt(args: argparse.Namespace) -> int:
     """Reduced diagrams for the edge-cover CNF of clique-tree products; sizes are
     checked against the 2^(rk/2) floor, which any variable order must obey."""
     k = args.k
+    if k < 1:
+        raise Mso2ddError("--k must be at least 1")
     if args.r_max < 1:
         raise Mso2ddError("--r-max must be at least 1")
+    # past the cap's bit length 2^r_max - 1 alone exceeds the cap, and the
+    # vertex count may have too many digits to print
+    if args.r_max > args.cap.bit_length():
+        raise Mso2ddError(f"--r-max {args.r_max} gives more than {args.cap} vertices")
     if k * (2**args.r_max - 1) > args.cap:
         raise Mso2ddError(
             f"largest instance has {k * (2 ** args.r_max - 1)} vertices, cap is {args.cap}"

@@ -1,5 +1,5 @@
-"""Tree decompositions: validation, the .td format, min-fill, nice normalization,
-good vertex colorings and forget-node contexts."""
+"""Tree decompositions: validation, the .td format, min-fill, nice normalization
+and good vertex colorings."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 
-from .assignment import DecisionVariable, dv_eq, dv_mem
 from .errors import DecompositionError
 from .graph import Edge, Graph, children_first
-from .mso import Formula
 
 LEAF = "leaf"
 INTRODUCE = "introduce"
@@ -312,25 +310,3 @@ def good_coloring(g: Graph, t: NiceTreeDecomposition) -> dict[int, int]:
             c += 1
         color[v] = c
     return color
-
-
-def context_of(
-    phi: Formula, t: NiceTreeDecomposition, node_id: int
-) -> tuple[DecisionVariable, ...]:
-    """The decision variables on the objects a forget node drops, canonically
-    ordered: first the variables naming its vertex (free-variable declaration
-    order), then per dropped edge, in `edges` order, the edge variables."""
-    n = t.nodes[node_id]
-    if n.kind != FORGET:
-        raise DecompositionError(f"node {node_id} is not a forget node")
-    variables = []
-    for var in phi.free_vars:
-        if var.sort.is_vertex:
-            variables.append(dv_eq(var, n.vertex) if var.sort.is_object else dv_mem(var, n.vertex))
-    for e in n.edges:
-        for var in phi.free_vars:
-            if not var.sort.is_vertex:
-                variables.append(
-                    dv_eq(var, e.id) if var.sort.is_object else dv_mem(var, e.id)
-                )
-    return tuple(variables)

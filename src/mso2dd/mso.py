@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -150,37 +151,16 @@ class Formula:
 
 _SORT_KEYWORDS = frozenset(s.value for s in Sort)
 _PUNCT = ("->", "!=", "(", ")", ",", ";", ".", "~", "&", "|", "=")
+# whitespace and `#` comments to the end of the line are skipped; a token is a
+# punctuation mark, a run of word characters, or any other single character
+_TOKEN = re.compile(r"\s+|#[^\n]*|(" + "|".join(map(re.escape, _PUNCT)) + r"|\w+|.)")
 
 
 def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(p)
-                i += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        raise FormulaError(f"unexpected character {ch!r}")
+    tokens = [tok for tok in _TOKEN.findall(text) if tok]
+    for tok in tokens:
+        if not (tok in _PUNCT or tok[0].isalpha() or tok[0] == "_"):
+            raise FormulaError(f"unexpected character {tok[0]!r}")
     return tokens
 
 

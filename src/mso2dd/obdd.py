@@ -153,16 +153,13 @@ def build_layers(space, steps, below: dict) -> dict:
 
 class ObddCompilation:
     """An ordered diagram with the legend of its decision variables. A compiled
-    diagram also keeps its inputs; a diagram loaded from text has None there."""
+    diagram also keeps its reachable sets; a diagram loaded from text has None
+    there."""
 
-    def __init__(self, obdd, legend, phi=None, g=None, nice=None, coloring=None, reachable=None):
+    def __init__(self, obdd, legend, reachable=None):
         self.kind = "obdd"
         self.obdd: Obdd = obdd
         self.legend: tuple[DecisionVariable, ...] = legend
-        self.formula = phi
-        self.graph = g
-        self.nice = nice
-        self.coloring = coloring
         self.reachable = reachable
 
     @property
@@ -210,4 +207,4 @@ def compile_obdd(
     legend = decision_variables(phi, g)
     if set(order) != set(legend):
         raise DiagramError("context variables do not cover the decision universe")
-    return ObddCompilation(obdd, legend, phi, g, t, coloring, reach)
+    return ObddCompilation(obdd, legend, reach)

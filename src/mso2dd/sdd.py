@@ -338,20 +338,15 @@ def state_table_mapping(
 
 class SddCompilation:
     """A structured diagram over its builder's v-tree, with the legend of its
-    decision variables. A compiled diagram also keeps its inputs and per-node
-    mappings; a diagram loaded from text has None in those fields."""
+    decision variables. A compiled diagram also keeps its per-node mappings
+    and reachable sets; a diagram loaded from text has None in those fields."""
 
-    def __init__(self, builder, root, legend, vtree_root, phi=None, g=None, nice=None,
-                 coloring=None, mappings=None, reachable=None):
+    def __init__(self, builder, root, legend, vtree_root, mappings=None, reachable=None):
         self.kind = "sdd"
         self.builder = builder
         self.root: SddNode = root
         self.legend: tuple[DecisionVariable, ...] = legend
         self.vtree_root: int = vtree_root
-        self.formula = phi
-        self.graph = g
-        self.nice = nice
-        self.coloring = coloring
         self.node_mappings: dict[int, StateSddMapping] | None = mappings
         self.reachable: ReachableSets | None = reachable
         self._nodes: list[SddNode] | None = None
@@ -414,6 +409,4 @@ def compile_sdd(
         (g_root.images[s] for s in g_root.states() if space.is_accepting(s)), builder.false
     )
     legend = decision_variables(phi, g)
-    return SddCompilation(
-        builder, root, legend, g_root.vtree_id, phi, g, t, coloring, mappings, reach
-    )
+    return SddCompilation(builder, root, legend, g_root.vtree_id, mappings, reach)

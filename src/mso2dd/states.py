@@ -30,16 +30,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .assignment import DecisionVariable
-from .decomposition import (
-    FORGET,
-    INTRODUCE,
-    JOIN,
-    LEAF,
-    NiceTreeDecomposition,
-    context_of,
-)
-from .errors import FormulaError
+from .assignment import DecisionVariable, dv_eq, dv_mem
+from .decomposition import FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDecomposition
+from .errors import DecompositionError, FormulaError
 from .mso import Adj, And, Eq, Exists, Formula, In, Not, Var, occurring_variables
 
 INIT = "I"
@@ -434,15 +427,33 @@ def build_state_space(expr) -> StateSpace:
     raise FormulaError(f"formula is not in core form: {type(expr).__name__}")
 
 
-def with_consistency(space: StateSpace, phi: Formula) -> ConjunctionSpace:
-    """Product with the consistency checker over phi's free object variables."""
-    return ConjunctionSpace(space, ConsistencySpace(phi.free_object_vars))
-
-
 def decision_space(phi: Formula) -> ConjunctionSpace:
-    """The consistency-checked space the compilers operate on;
-    raises on the first node that is not in core form."""
-    return with_consistency(build_state_space(phi.root), phi)
+    """The space the compilers operate on: phi's space times the consistency
+    checker over its free object variables; raises on the first node that is
+    not in core form."""
+    return ConjunctionSpace(build_state_space(phi.root), ConsistencySpace(phi.free_object_vars))
+
+
+def context_of(
+    phi: Formula, t: NiceTreeDecomposition, node_id: int
+) -> tuple[DecisionVariable, ...]:
+    """The decision variables on the objects a forget node drops, canonically
+    ordered: first the variables naming its vertex (free-variable declaration
+    order), then per dropped edge, in `edges` order, the edge variables."""
+    n = t.nodes[node_id]
+    if n.kind != FORGET:
+        raise DecompositionError(f"node {node_id} is not a forget node")
+    variables = []
+    for var in phi.free_vars:
+        if var.sort.is_vertex:
+            variables.append(dv_eq(var, n.vertex) if var.sort.is_object else dv_mem(var, n.vertex))
+    for e in n.edges:
+        for var in phi.free_vars:
+            if not var.sort.is_vertex:
+                variables.append(
+                    dv_eq(var, e.id) if var.sort.is_object else dv_mem(var, e.id)
+                )
+    return tuple(variables)
 
 
 def forget_plan(

@@ -8,8 +8,6 @@ import pytest
 
 from mso2dd import (
     Graph,
-    clique,
-    clique_tree,
     compile_obdd,
     compile_sdd,
     desugar,
@@ -20,6 +18,7 @@ from mso2dd import (
     parse_formula,
 )
 from mso2dd.assignment import decision_variables
+from mso2dd.graph import clique, clique_tree
 from mso2dd.oracle import KAPPA_TEXT
 
 

@@ -10,8 +10,6 @@ import time
 
 from mso2dd import (
     Graph,
-    clique,
-    clique_tree,
     compile_obdd,
     decision_variables,
     desugar,
@@ -21,13 +19,13 @@ from mso2dd import (
     min_fill_decomposition,
     obdd_size,
     parse_formula,
-    reduce_obdd,
     sdd_size,
     serialize_diagram,
 )
 from mso2dd.cli import _bound_obdd, _bound_sdd, _kt_variable_order
 from mso2dd.decomposition import validate_decomposition
-from mso2dd.obdd import ObddCompilation
+from mso2dd.graph import clique, clique_tree
+from mso2dd.obdd import ObddCompilation, reduce_obdd
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_to_obdd,
@@ -197,7 +195,7 @@ def test_criterion_6_structural_invariants(corpus):
             "(((x in X) & (p in P)) & adj(x, p))"
         )
     )
-    from mso2dd import context_of
+    from mso2dd.states import context_of
 
     for _ in range(50):
         g = _random_graph(rng)

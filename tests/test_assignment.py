@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from mso2dd import clique, decision_variables, desugar, parse_formula
+from mso2dd import decision_variables, desugar, parse_formula
 from mso2dd.assignment import dv_eq, dv_mem
+from mso2dd.graph import clique
 from mso2dd.oracle import kappa_formula
 
 from checks import (

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import mso2dd
-from mso2dd import Graph, clique_tree, load_diagram
+from mso2dd import Graph, load_diagram
 from mso2dd.cli import main
+from mso2dd.graph import clique_tree
 from mso2dd.mso import MAX_NESTING
 from mso2dd.obdd import ObddCompilation
 from mso2dd.oracle import (
@@ -24,7 +26,8 @@ P4_TD = "s td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n"
 EQ_MSO = "free vertex x; free vertex y; (x = y)\n"
 C4_GR = "p gr 4 4\n1 2\n2 3\n3 4\n1 4\n"
 P5_GR = "p gr 5 4\n1 2\n2 3\n3 4\n4 5\n"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 @pytest.fixture
@@ -60,20 +63,29 @@ def test_python_m_help():
 
 
 def test_package_surface():
-    # what the command line, the compilers and the benchmark use; the
-    # reference checkers live in tests/checks.py
+    # what the command line, the callers of the compilers and the benchmark
+    # read; everything else is imported from its own module
     assert sorted(mso2dd.__all__) == [
-        "DecisionVariable", "Formula", "Graph", "Mso2ddError", "NiceTreeDecomposition", "Obdd",
-        "Sort", "TreeDecomposition", "Var", "build_state_space", "clique", "clique_tree",
-        "cnf_of_graph", "compile_obdd", "compile_sdd", "complete_binary_tree", "context_of",
-        "decision_variables", "desugar", "enumerate_models", "formula_size", "full_product",
-        "good_coloring", "is_path_decomposition", "kappa_formula", "load_diagram", "make_nice",
-        "min_cardinality_model", "min_fill_decomposition", "model_count", "obdd_size",
-        "oracle_eval", "parse_formula", "parse_graph", "parse_tree_decomposition", "reduce_obdd",
-        "sdd_size", "serialize_diagram", "validate_decomposition", "with_consistency",
+        "DecisionVariable", "Formula", "Graph", "Mso2ddError", "NiceTreeDecomposition", "Sort",
+        "TreeDecomposition", "Var", "compile_obdd", "compile_sdd", "decision_variables",
+        "desugar", "enumerate_models", "formula_size", "good_coloring", "is_path_decomposition",
+        "load_diagram", "make_nice", "min_cardinality_model", "min_fill_decomposition",
+        "model_count", "obdd_size", "oracle_eval", "parse_formula", "parse_graph",
+        "parse_tree_decomposition", "sdd_size", "serialize_diagram", "validate_decomposition",
     ]
     for name in mso2dd.__all__:
         getattr(mso2dd, name)
+
+
+def test_tracer_patch_points_resolve():
+    # bench/tracing.py wraps these functions where the compilers look them up;
+    # a rename there would only show in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.INNER_LAYERS
+    for module_name, attr, _ in tracing.INNER_LAYERS:
+        assert callable(getattr(importlib.import_module(module_name), attr))
 
 
 class TestCompile:
@@ -422,6 +434,18 @@ class TestBench:
         assert run(["bench-kt", "--r-max", r_max]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "--r-max" in out.err
+
+    @pytest.mark.parametrize("r_max", [14_000, 15_000])
+    def test_r_max_past_the_cap_refused_in_one_line(self, capsys, r_max):
+        # the largest instance's vertex count has thousands of digits here,
+        # past what int-to-str prints
+        assert run(["bench-kt", "--r-max", r_max]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: --r-max {r_max} gives more than 500 vertices\n"
+
+    def test_k_below_one_rejected(self, capsys):
+        assert run(["bench-kt", "--k", 0, "--r-max", 20_000]) == 2
+        assert capsys.readouterr().err == "error: --k must be at least 1\n"
 
     def test_degenerate_row_marked(self, capsys):
         assert run(["bench-kt", "--k", "1", "--r-max", "1"]) == 0

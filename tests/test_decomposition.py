@@ -6,10 +6,6 @@ import pytest
 from mso2dd import (
     Graph,
     TreeDecomposition,
-    clique,
-    clique_tree,
-    complete_binary_tree,
-    context_of,
     desugar,
     good_coloring,
     is_path_decomposition,
@@ -22,6 +18,8 @@ from mso2dd import (
 from mso2dd.assignment import decision_variables
 from mso2dd.decomposition import FORGET, JOIN
 from mso2dd.errors import DecompositionError
+from mso2dd.graph import clique, clique_tree, complete_binary_tree
+from mso2dd.states import context_of
 
 from checks import as_tree_decomposition, is_good_coloring, min_fill_reference, validate_nice
 from conftest import (

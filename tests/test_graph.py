@@ -2,15 +2,9 @@ import random
 
 import pytest
 
-from mso2dd import (
-    Graph,
-    clique,
-    clique_tree,
-    complete_binary_tree,
-    full_product,
-    parse_graph,
-)
+from mso2dd import Graph, parse_graph
 from mso2dd.errors import GraphError
+from mso2dd.graph import clique, clique_tree, complete_binary_tree, full_product
 
 from checks import serialize_graph
 

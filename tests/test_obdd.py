@@ -5,7 +5,6 @@ import pytest
 
 from mso2dd import (
     TreeDecomposition,
-    clique,
     compile_obdd,
     decision_variables,
     desugar,
@@ -14,12 +13,12 @@ from mso2dd import (
     min_fill_decomposition,
     obdd_size,
     parse_formula,
-    reduce_obdd,
 )
 from mso2dd.assignment import dv_eq, dv_mem
 from mso2dd.errors import DiagramError
+from mso2dd.graph import clique
 from mso2dd.mso import Sort, Var
-from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace
+from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace, reduce_obdd
 from mso2dd.oracle import (
     Cnf,
     cnf_of_graph,
@@ -202,13 +201,16 @@ class TestCompile:
 
     def test_order_follows_contexts_leaf_to_root(self):
         g = path_graph(3)
-        phi, comp = self.compile("free vertex x; free vset X; (x in X)", g)
+        phi = desugar(parse_formula("free vertex x; free vset X; (x in X)"))
+        nice = make_nice(g, min_fill_decomposition(g))
+        coloring = good_coloring(g, nice)
+        comp = compile_obdd(phi, g, nice, coloring)
         from mso2dd.states import forget_plan
 
-        plan = forget_plan(phi, comp.nice, comp.coloring)
+        plan = forget_plan(phi, nice, coloring)
         expected = []
-        for nid in comp.nice.postorder():
-            if comp.nice.nodes[nid].kind == "forget":
+        for nid in nice.postorder():
+            if nice.nodes[nid].kind == "forget":
                 expected.extend(plan[nid].variables)
         assert list(comp.obdd.order) == expected
 

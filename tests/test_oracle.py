@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from mso2dd import (
     Graph,
-    clique,
-    clique_tree,
     compile_obdd,
     compile_sdd,
     decision_variables,
@@ -24,6 +22,7 @@ from mso2dd import (
 )
 from mso2dd.assignment import dv_mem
 from mso2dd.errors import QueryError
+from mso2dd.graph import clique, clique_tree
 from mso2dd.mso import Sort, Var
 from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace, reduce_obdd
 from mso2dd.oracle import (
@@ -265,7 +264,7 @@ class TestEnumerate:
         g = Graph(len(parents) + 1, edges)
         phi = parse_formula(FORMULA_TEXTS[name])
         for comp in compile_both(phi, g):
-            assert enumerate_models(comp, 10**6) == oracle_listing(comp.formula, g, comp.legend)
+            assert enumerate_models(comp, 10**6) == oracle_listing(desugar(phi), g, comp.legend)
 
 
 class TestConditioning:

@@ -3,9 +3,7 @@ import itertools
 import pytest
 
 from mso2dd import (
-    clique,
     compile_sdd,
-    complete_binary_tree,
     decision_variables,
     desugar,
     good_coloring,
@@ -18,6 +16,7 @@ from mso2dd import (
 )
 from mso2dd.assignment import dv_eq, dv_mem
 from mso2dd.errors import DiagramError, FormulaError
+from mso2dd.graph import clique, complete_binary_tree
 from mso2dd.mso import Sort, Var
 from mso2dd.oracle import (
     enumerate_models,
@@ -286,10 +285,13 @@ class TestStateTableMapping:
 
 
 class TestCompile:
-    def compile(self, text, g):
+    def inputs(self, text, g):
         phi = desugar(parse_formula(text))
         nice = make_nice(g, min_fill_decomposition(g))
-        coloring = good_coloring(g, nice)
+        return phi, nice, good_coloring(g, nice)
+
+    def compile(self, text, g):
+        phi, nice, coloring = self.inputs(text, g)
         return phi, compile_sdd(phi, g, nice, coloring)
 
     def test_equality_on_singleton_models(self):
@@ -342,24 +344,26 @@ class TestCompile:
             ("free vertex x; free edge p; adj(x, p)", clique(3)),
             ("exists vset X. ~ exists vertex v. (~(v in X) & (v in X))", path_graph(2)),
         ):
-            phi, comp = self.compile(text, g)
+            phi, nice, coloring = self.inputs(text, g)
+            comp = compile_sdd(phi, g, nice, coloring)
             dvars = decision_variables(phi, g)
             for _, delta in all_deltas(dvars):
                 assert comp.satisfiable(delta) == run_decision_procedure(
-                    phi, g, comp.nice, comp.coloring, delta
+                    phi, g, nice, coloring, delta
                 )
 
     def test_state_mapping_property(self):
         # at every decomposition node exactly one image is true, and it names
         # the representative of the state the procedure reaches there
         g = path_graph(3)
-        phi, comp = self.compile("free vertex x; free vset X; (x in X)", g)
+        phi, nice, coloring = self.inputs("free vertex x; free vset X; (x in X)", g)
+        comp = compile_sdd(phi, g, nice, coloring)
         dvars = decision_variables(phi, g)
         space = decision_space(phi)
-        plan = forget_plan(phi, comp.nice, comp.coloring)
+        plan = forget_plan(phi, nice, coloring)
         representative = comp.reachable.representative
         for _, delta in all_deltas(dvars):
-            states = node_states(space, comp.nice, plan, delta)
+            states = node_states(space, nice, plan, delta)
             for nid, mapping in comp.node_mappings.items():
                 hits = [
                     s
@@ -466,8 +470,9 @@ class TestDeepEvaluation:
             assert models == [{x: frozenset({self.N})}, {x: frozenset({self.N - 1})}]
 
     def test_evaluate_membership(self):
-        comp = self.deep_sdd("free vertex x; free vset X; (x in X)")
-        x, big_x = comp.formula.free_vars
+        text = "free vertex x; free vset X; (x in X)"
+        comp = self.deep_sdd(text)
+        x, big_x = parse_formula(text).free_vars
         for diagram in (comp, load_diagram(serialize_diagram(comp))):
             for member, expected in ((7, True), (8, False)):
                 delta = {d: 0 for d in diagram.legend}

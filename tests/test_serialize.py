@@ -1,7 +1,6 @@
 import pytest
 
 from mso2dd import (
-    clique,
     compile_obdd,
     compile_sdd,
     decision_variables,
@@ -14,6 +13,7 @@ from mso2dd import (
 )
 from mso2dd.cli import main
 from mso2dd.errors import DiagramError, Mso2ddError
+from mso2dd.graph import clique
 from mso2dd.obdd import ObddCompilation
 from mso2dd.oracle import (
     cnf_of_graph,

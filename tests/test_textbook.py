@@ -5,7 +5,6 @@ answers, and the linear growth of their diagrams."""
 import pytest
 
 from mso2dd import (
-    clique,
     compile_obdd,
     compile_sdd,
     desugar,
@@ -16,6 +15,7 @@ from mso2dd import (
     parse_formula,
     sdd_size,
 )
+from mso2dd.graph import clique
 from mso2dd.oracle import is_satisfiable, model_count
 
 from conftest import (
