@@ -71,7 +71,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         size = sdd_size(comp.root)
     else:
         comp = compile_obdd(phi, g, nice, coloring)
-        size = obdd_size(comp.obdd)
+        size = obdd_size(comp)
     n = g.n_objects
     k = width + formula_size(phi)
     states = comp.reachable.count

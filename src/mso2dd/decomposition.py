@@ -39,7 +39,8 @@ class TreeDecomposition:
 
 def parse_tree_decomposition(text: str) -> TreeDecomposition:
     """Parse the .td format: `s td <bags> <max_bag_size> <n>` header, `b` bag lines,
-    then one tree edge per line."""
+    then one tree edge per line. The header must match the bags read: their
+    number, the size of the largest, and every vertex in 1..n."""
     header = None
     bags: dict[int, frozenset] = {}
     edges = []
@@ -57,6 +58,7 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
                 header = tuple(int(x) for x in parts[2:])
             except ValueError:
                 raise DecompositionError(f"line {lineno}: malformed header") from None
+            header_line = lineno
         elif parts[0] == "b":
             try:
                 bag_id = int(parts[1])
@@ -75,8 +77,20 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
                 raise DecompositionError(f"line {lineno}: malformed tree edge line") from None
     if header is None:
         raise DecompositionError("missing header line")
-    if len(bags) != header[0]:
-        raise DecompositionError(f"header declares {header[0]} bags, found {len(bags)}")
+    n_bags, max_bag, n = header
+    if len(bags) != n_bags:
+        raise DecompositionError(f"header declares {n_bags} bags, found {len(bags)}")
+    outside = [v for bag in bags.values() for v in bag if not 1 <= v <= n]
+    if outside:
+        raise DecompositionError(
+            f"line {header_line}: bag vertex {min(outside)} is not in the graph of {n}"
+            " vertices the header declares"
+        )
+    largest = max(map(len, bags.values()), default=0)
+    if largest != max_bag:
+        raise DecompositionError(
+            f"line {header_line}: header declares largest bag {max_bag}, found {largest}"
+        )
     return TreeDecomposition(bags, edges)
 
 

@@ -403,21 +403,17 @@ def formula_size(f) -> int:
 
 
 def occurring_variables(expr: Expr) -> set[Var]:
-    """All variables appearing in atoms below this node."""
+    """All variables appearing in atoms below this node of a core formula."""
     if isinstance(expr, Adj):
         return {expr.vertex, expr.edge}
-    if isinstance(expr, (Eq, Neq)):
+    if isinstance(expr, Eq):
         return {expr.left, expr.right}
-    if isinstance(expr, (In, NotIn)):
+    if isinstance(expr, In):
         return {expr.element, expr.container}
-    if isinstance(expr, EdgePred):
-        return {expr.edge, expr.left, expr.right}
-    if isinstance(expr, Nbr):
-        return {expr.left, expr.right}
     if isinstance(expr, Not):
         return occurring_variables(expr.body)
-    if isinstance(expr, (And, Or, Implies)):
+    if isinstance(expr, And):
         return occurring_variables(expr.left) | occurring_variables(expr.right)
-    if isinstance(expr, (Exists, Forall)):
+    if isinstance(expr, Exists):
         return occurring_variables(expr.body) - set(expr.variables)
     raise FormulaError(f"unknown expression node {type(expr).__name__}")

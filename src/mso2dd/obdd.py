@@ -5,9 +5,9 @@ layer by layer. The path-decomposition compiler feeds it one layer per forget
 node, over the reachable transition tables quotiented to state classes, and
 `oracle.cnf_to_obdd` feeds it one level per CNF variable. `Obdd.nodes` lists a
 diagram's nodes through `graph.children_first`, the walk SDDs and nice tree
-decompositions share. `ObddCompilation.satisfiable` searches depth first for
-a true leaf along the edges a partial assignment allows; on a total
-assignment that is the diagram's value.
+decompositions share. `Obdd.satisfiable` searches depth first for a true leaf
+along the edges a partial assignment allows; on a total assignment that is the
+diagram's value.
 """
 
 from __future__ import annotations
@@ -70,10 +70,20 @@ class ObddSpace:
 
 
 class Obdd:
-    def __init__(self, space: ObddSpace, root: ObddNode) -> None:
+    """An ordered diagram with the legend of its decision variables. A compiled
+    diagram also keeps its reachable sets; any other has None there."""
+
+    def __init__(self, space: ObddSpace, root: ObddNode, legend, reachable=None) -> None:
         self.kind = "obdd"
         self.space = space
         self.root = root
+        self.legend: tuple[DecisionVariable, ...] = legend
+        self.reachable = reachable
+
+    @property
+    def obdd(self) -> Obdd:
+        # bench/worker.py reads `compile_obdd(...).obdd`; this goes when the benchmark next changes
+        return self
 
     @property
     def order(self) -> tuple[DecisionVariable, ...]:
@@ -83,31 +93,30 @@ class Obdd:
         """Distinct reachable nodes, each after its lo and then its hi subtree."""
         return children_first(self.root, lambda n: () if n.level is None else (n.lo, n.hi))
 
+    def satisfiable(self, delta) -> bool:
+        """Search for a true leaf along the edges delta allows: one edge of a
+        decision on a variable delta assigns, both edges otherwise. So it
+        decides satisfiability under delta, and on a total assignment the
+        diagram's value."""
+        order, seen, stack = self.order, {self.root.uid}, [self.root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                if node.label:
+                    return True
+                continue
+            v = order[node.level]
+            children = (node.hi if delta[v] else node.lo,) if v in delta else (node.lo, node.hi)
+            for child in children:
+                if child.uid not in seen:
+                    seen.add(child.uid)
+                    stack.append(child)
+        return False
+
 
 def obdd_size(b: Obdd) -> int:
     """Distinct reachable nodes, decisions and terminals alike."""
     return len(b.nodes())
-
-
-def _walk_obdd(b: Obdd, delta) -> bool:
-    """Search for a true leaf along the edges delta allows: one edge of a
-    decision on a variable delta assigns, both edges otherwise. So it decides
-    satisfiability under delta, and on a total assignment the diagram's
-    value."""
-    order, seen, stack = b.order, {b.root.uid}, [b.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            if node.label:
-                return True
-            continue
-        var = order[node.level]
-        children = (node.hi if delta[var] else node.lo,) if var in delta else (node.lo, node.hi)
-        for child in children:
-            if child.uid not in seen:
-                seen.add(child.uid)
-                stack.append(child)
-    return False
 
 
 def reduce_obdd(b: Obdd) -> Obdd:
@@ -119,7 +128,7 @@ def reduce_obdd(b: Obdd) -> Obdd:
             memo[node.uid] = space.leaf(node.label)
         else:
             memo[node.uid] = space.reduced(node.level, memo[node.lo.uid], memo[node.hi.uid])
-    return Obdd(space, memo[b.root.uid])
+    return Obdd(space, memo[b.root.uid], b.legend)
 
 
 def build_layers(space, steps, below: dict) -> dict:
@@ -151,35 +160,9 @@ def build_layers(space, steps, below: dict) -> dict:
     return below
 
 
-class ObddCompilation:
-    """An ordered diagram with the legend of its decision variables. A compiled
-    diagram also keeps its reachable sets; a diagram loaded from text has None
-    there."""
-
-    def __init__(self, obdd, legend, reachable=None):
-        self.kind = "obdd"
-        self.obdd: Obdd = obdd
-        self.legend: tuple[DecisionVariable, ...] = legend
-        self.reachable = reachable
-
-    @property
-    def root(self) -> ObddNode:
-        return self.obdd.root
-
-    @property
-    def order(self) -> tuple[DecisionVariable, ...]:
-        return self.obdd.order
-
-    def nodes(self) -> list[ObddNode]:
-        return self.obdd.nodes()
-
-    def satisfiable(self, delta) -> bool:
-        return _walk_obdd(self.obdd, delta)
-
-
 def compile_obdd(
     phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
-) -> ObddCompilation:
+) -> Obdd:
     """Compile along a nice path decomposition; the variable order concatenates
     the forget-node contexts from the leaf up to the root, and each forget node
     is one layer of `build_layers` over its context variables.
@@ -203,8 +186,7 @@ def compile_obdd(
         s: space.leaf(1 if space_dp.is_accepting(s) else 0)
         for s in reach.per_node[t.root]
     }
-    obdd = Obdd(space, build_layers(space, steps, terminals)[space_dp.initial])
     legend = decision_variables(phi, g)
     if set(order) != set(legend):
         raise DiagramError("context variables do not cover the decision universe")
-    return ObddCompilation(obdd, legend, reach)
+    return Obdd(space, build_layers(space, steps, terminals)[space_dp.initial], legend, reach)

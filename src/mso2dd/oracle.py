@@ -564,10 +564,7 @@ def cnf_of_graph(g: Graph) -> Cnf:
     kappa = kappa_formula()
     x_v = next(v for v in kappa.free_vars if v.name == "X_V")
     x_e = next(v for v in kappa.free_vars if v.name == "X_E")
-    variables = tuple(
-        [dv_mem(x_v, v) for v in g.vertices()]
-        + [dv_mem(x_e, e.id) for e in g.edges]
-    )
+    variables = decision_variables(kappa, g)
     index = {d: i for i, d in enumerate(variables)}
     clauses = tuple(
         (
@@ -588,7 +585,7 @@ def cnf_to_obdd(cnf: Cnf, order=None) -> Obdd:
     order = tuple(order) if order is not None else cnf.variables
     space = ObddSpace(order)
     if not all(cnf.clauses):
-        return Obdd(space, space.leaf(0))
+        return Obdd(space, space.leaf(0), cnf.variables)
     opens, closes, touches = ([set() for _ in order] for _ in range(3))
     for c, clause in enumerate(cnf.clauses):
         levels = [space.level_of[cnf.variables[i]] for i in clause]
@@ -609,4 +606,4 @@ def cnf_to_obdd(cnf: Cnf, order=None) -> Obdd:
         steps.append((level, 1, states, table))
         states = list(dict.fromkeys(table.values()))
     terminals = {frozenset(): space.leaf(1), None: space.leaf(0)}
-    return Obdd(space, build_layers(space, steps, terminals)[frozenset()])
+    return Obdd(space, build_layers(space, steps, terminals)[frozenset()], cnf.variables)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from .assignment import DecisionVariable, dv_dummy, dv_eq, dv_mem
 from .errors import DiagramError
 from .mso import Sort, Var
-from .obdd import Obdd, ObddCompilation, ObddSpace
+from .obdd import Obdd, ObddSpace
 from .sdd import DECOMP, FALSE, LITERAL, TRUE, SddBuilder, SddCompilation, SddNode
 
 _SORT_OF = {
@@ -221,7 +221,7 @@ def _load_sdd(variables, body, root_id) -> SddCompilation:
     return SddCompilation(builder, nodes[root_id], legend, vtree_root)
 
 
-def _load_obdd(variables, body, root_id) -> ObddCompilation:
+def _load_obdd(variables, body, root_id) -> Obdd:
     orders = [parts[1:] for parts in map(str.split, body) if parts[0] == "order"]
     if len(orders) != 1:
         raise DiagramError("an OBDD file needs exactly one order line")
@@ -253,7 +253,7 @@ def _load_obdd(variables, body, root_id) -> ObddCompilation:
             raise DiagramError(f"unknown node form {parts[2]!r}")
     if root_id not in nodes:
         raise DiagramError("diagram file missing root")
-    return ObddCompilation(Obdd(space, nodes[root_id]), legend)
+    return Obdd(space, nodes[root_id], legend)
 
 
 # -- DOT export -----------------------------------------------------------------

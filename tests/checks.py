@@ -28,7 +28,7 @@ from mso2dd.decomposition import (
 from mso2dd.errors import DecompositionError, Mso2ddError
 from mso2dd.graph import Graph
 from mso2dd.mso import Formula, Var
-from mso2dd.obdd import Obdd, _walk_obdd
+from mso2dd.obdd import Obdd
 from mso2dd.oracle import Cnf, _truth_fold, fold, truth_table_oracle, variable_masks
 from mso2dd.sdd import DECOMP, SddNode, VTree, _decide, iter_sdd_nodes
 from mso2dd.states import ForgetInfo, StateSpace, decision_space, forget_plan, forgotten_bits
@@ -172,7 +172,7 @@ def satisfiable(diagram, delta) -> bool:
     """Whether a bare SDD node or an `Obdd` has a model extending `delta`; on
     a total assignment, the diagram's value there."""
     if isinstance(diagram, Obdd):
-        return _walk_obdd(diagram, delta)
+        return diagram.satisfiable(delta)
     return _decide(iter_sdd_nodes(diagram), delta)
 
 

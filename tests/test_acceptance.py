@@ -25,10 +25,11 @@ from mso2dd import (
 from mso2dd.cli import _bound_obdd, _bound_sdd, _kt_variable_order
 from mso2dd.decomposition import validate_decomposition
 from mso2dd.graph import clique, clique_tree
-from mso2dd.obdd import ObddCompilation, reduce_obdd
+from mso2dd.obdd import reduce_obdd
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_to_obdd,
+    enumerate_models,
     kappa_formula,
     min_cardinality_model,
     truth_table,
@@ -164,8 +165,9 @@ def test_criterion_5_cover_formula_matches_cnf():
         nice = make_nice(g, td)
         comp = compile_obdd(phi, g, nice, good_coloring(g, nice))
         cnf_dd = cnf_to_obdd(cnf_of_graph(g), comp.order)
-        cnf_text = serialize_diagram(ObddCompilation(cnf_dd, comp.legend))
+        cnf_text = serialize_diagram(cnf_dd)
         assert serialize_diagram(comp) == cnf_text, name
+        assert enumerate_models(cnf_dd, 5) == enumerate_models(comp, 5), name
         identical.append((name, obdd_size(comp.obdd)))
     report(
         "criterion 5 (cover formula = cover CNF)",

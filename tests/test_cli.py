@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,6 @@ from mso2dd import Graph, load_diagram
 from mso2dd.cli import main
 from mso2dd.graph import clique_tree
 from mso2dd.mso import MAX_NESTING
-from mso2dd.obdd import ObddCompilation
 from mso2dd.oracle import (
     KAPPA_TEXT, cnf_of_graph, cnf_to_obdd, kappa_formula, model_count, oracle_eval,
 )
@@ -125,8 +125,13 @@ class TestCompile:
             (P4_TD.replace("s td 3", "s td a"), "line 1: malformed header"),
             (P4_TD + "3 x\n", "line 7: malformed tree edge line"),
             (P4_TD.replace("b 3 3 4", "b 3 4"), "edge (3, 4) not covered by any bag"),
+            (P4_TD.replace("s td 3 2 4", "s td 3 1 99"),
+             "line 1: header declares largest bag 1, found 2"),
+            (P4_TD.replace("s td 3 2 4", "s td 3 2 3"),
+             "line 1: bag vertex 4 is not in the graph of 3 vertices the header declares"),
         ],
-        ids=["bag-vertex-not-in-graph", "header-field", "tree-edge-endpoint", "uncovered-edge"],
+        ids=["bag-vertex-not-in-graph", "header-field", "tree-edge-endpoint", "uncovered-edge",
+             "header-max-bag", "header-vertex-count"],
     )
     def test_malformed_td_rejected(self, workdir, tmp_path, capsys, td, message):
         bad = tmp_path / "bad.td"
@@ -201,7 +206,7 @@ class TestCompile:
             return ((min(e.u, e.v) - 1) % cols, 1, dv.obj)
 
         dd = cnf_to_obdd(cnf, sorted(cnf.variables, key=column))
-        expected = model_count(ObddCompilation(dd, dd.order))
+        expected = model_count(dd)
         assert model_count(load_diagram(out.read_text())) == expected == 92_860_673
 
     def test_stats_report_classes_within_states(self, workdir, capsys):
@@ -460,3 +465,51 @@ class TestExportDot:
         dot = tmp_path / "k3.dot"
         assert run(["export-dot", "--diagram", out, "--out", dot]) == 0
         assert dot.read_text().startswith("digraph sdd")
+
+
+TOKEN = re.compile(r"(\w+)|(->|!=|[^\w\s])")
+
+
+def mutations(text: str, vocabulary: tuple[list[str], list[str]], rng):
+    """Every one-token deletion; at every token, a drawn substitution by a
+    token of its kind (word or symbol) and a drawn insertion of either kind;
+    and every line drop, line duplicate and swap of adjacent lines."""
+    for m in TOKEN.finditer(text):
+        a, b = m.span()
+        yield text[:a] + text[b:]
+        yield text[:a] + rng.choice(vocabulary[m.lastindex - 1]) + text[b:]
+        yield text[:a] + rng.choice(rng.choice(vocabulary)) + " " + text[a:]
+    lines = text.splitlines(keepends=True)
+    for i in range(len(lines)):
+        yield "".join(lines[:i] + lines[i + 1:])
+        yield "".join(lines[:i + 1] + lines[i:])
+        if i + 1 < len(lines):
+            yield "".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:])
+
+
+class TestMutatedInputs:
+    """Small edits of valid inputs either compile or fail with one error line:
+    no traceback and no exit code other than 0 or 2."""
+
+    INPUTS = {
+        "p4.gr": P4_GR,
+        "p4.td": P4_TD,
+        "kappa.mso": KAPPA_TEXT + "\n",
+        "dom.mso": FORMULA_TEXTS["dom"] + "\n",
+    }
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_compile_refuses_or_succeeds(self, workdir, capsys, name):
+        tokens = [m for text in self.INPUTS.values() for m in TOKEN.findall(text)]
+        vocabulary = tuple(sorted({t[kind] for t in tokens} - {""}) for kind in (0, 1))
+        mutated = workdir / f"mutated-{name}"
+        flag = {"p4.gr": "--graph", "p4.td": "--td"}.get(name, "--formula")
+        files = {"--graph": workdir / "p4.gr", "--formula": workdir / "kappa.mso", flag: mutated}
+        flags = [x for pair in files.items() for x in pair]
+        for text in mutations(self.INPUTS[name], vocabulary, random.Random(name)):
+            mutated.write_text(text)
+            for target in ("sdd", "obdd"):
+                code = run(["compile", *flags, "--target", target])
+                err = capsys.readouterr().err.splitlines()
+                assert code in (0, 2), text
+                assert len(err) == (code == 2) and all(e.startswith("error:") for e in err), text

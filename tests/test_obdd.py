@@ -8,27 +8,32 @@ from mso2dd import (
     compile_obdd,
     decision_variables,
     desugar,
+    enumerate_models,
     good_coloring,
+    load_diagram,
     make_nice,
     min_fill_decomposition,
     obdd_size,
     parse_formula,
+    serialize_diagram,
 )
 from mso2dd.assignment import dv_eq, dv_mem
 from mso2dd.errors import DiagramError
 from mso2dd.graph import clique
 from mso2dd.mso import Sort, Var
-from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace, reduce_obdd
+from mso2dd.obdd import Obdd, ObddSpace, reduce_obdd
 from mso2dd.oracle import (
     Cnf,
     cnf_of_graph,
     cnf_to_obdd,
+    is_satisfiable,
     kappa_formula,
     min_cardinality_model,
     model_count,
     truth_table,
     truth_table_oracle,
 )
+from mso2dd.serialize import diagram_to_dot
 
 from checks import cnf_truth_table, is_ordered, satisfiable
 from conftest import all_deltas, kappa_count_path, path_decomposition, path_graph, star_graph
@@ -49,7 +54,7 @@ def build_example_obdd():
     # correction for a=1, b=1: (a & ~b) | (b & c) = c
     b_left = space.decision(1, one, c_node)
     root = space.decision(0, b_right, b_left)
-    return Obdd(space, root), order
+    return Obdd(space, root, order), order
 
 
 class TestEvaluate:
@@ -66,7 +71,7 @@ class TestEvaluate:
     def test_constant_false(self):
         order = fig_order()
         space = ObddSpace(order)
-        dd = Obdd(space, space.leaf(0))
+        dd = Obdd(space, space.leaf(0), order)
         for _, delta in all_deltas(order):
             assert not satisfiable(dd, delta)
 
@@ -77,7 +82,7 @@ class TestReduce:
         space = ObddSpace(order)
         one = space.leaf(1)
         redundant = space.decision(0, one, one)
-        reduced = reduce_obdd(Obdd(space, redundant))
+        reduced = reduce_obdd(Obdd(space, redundant, order))
         assert reduced.root.is_leaf and reduced.root.label == 1
 
     def test_isomorphic_subgraphs_merged(self):
@@ -87,7 +92,7 @@ class TestReduce:
         c1 = space.decision(2, zero, one)
         c2 = space.decision(2, zero, one)
         root = space.decision(1, c1, c2)
-        reduced = reduce_obdd(Obdd(space, root))
+        reduced = reduce_obdd(Obdd(space, root, order))
         assert reduced.root.is_leaf is False and reduced.root.level == 2
         assert obdd_size(reduced) == 3
 
@@ -110,7 +115,7 @@ class TestApply:
             if all(any(bits[i] for i in clause) for clause in cnf.clauses):
                 count += 1
         assert count == 45
-        assert model_count(ObddCompilation(dd, dd.order)) == 45
+        assert model_count(dd) == 45
         assert is_ordered(dd)
 
 
@@ -215,14 +220,44 @@ class TestCompile:
         assert list(comp.obdd.order) == expected
 
 
+class TestQueries:
+    def test_every_obdd_answers_every_query(self):
+        # compiled, loaded from its file, reduced, and built from the cover CNF:
+        # one type, so each answers each query, and alike
+        g = path_graph(4)
+        nice = make_nice(g, path_decomposition(4))
+        comp = compile_obdd(desugar(kappa_formula()), g, nice, good_coloring(g, nice))
+        diagrams = [
+            comp,
+            load_diagram(serialize_diagram(comp)),
+            reduce_obdd(comp),
+            cnf_to_obdd(cnf_of_graph(g), comp.order),
+        ]
+        answers = []
+        for dd in diagrams:
+            assert isinstance(dd, Obdd)
+            assert diagram_to_dot(dd).startswith("digraph obdd {")
+            targets = [d for d in dd.legend if d.var.name == "X_V"]
+            answers.append((
+                is_satisfiable(dd),
+                model_count(dd),
+                enumerate_models(dd, 5),
+                min_cardinality_model(dd, targets)[0],
+                serialize_diagram(dd),
+            ))
+        assert answers[0][1] == kappa_count_path(4) == 89
+        assert answers == [answers[0]] * len(diagrams)
+
+
 class TestSizes:
     def test_constant(self):
         space = ObddSpace(fig_order())
-        assert obdd_size(Obdd(space, space.leaf(1))) == 1
+        assert obdd_size(Obdd(space, space.leaf(1), space.order)) == 1
 
     def test_single_literal(self):
         space = ObddSpace(fig_order())
-        assert obdd_size(Obdd(space, space.decision(0, space.leaf(0), space.leaf(1)))) == 3
+        root = space.decision(0, space.leaf(0), space.leaf(1))
+        assert obdd_size(Obdd(space, root, space.order)) == 3
 
     def test_ordered_invariant(self):
         obdd, _ = build_example_obdd()

@@ -24,7 +24,7 @@ from mso2dd.assignment import dv_mem
 from mso2dd.errors import QueryError
 from mso2dd.graph import clique, clique_tree
 from mso2dd.mso import Sort, Var
-from mso2dd.obdd import Obdd, ObddCompilation, ObddSpace, reduce_obdd
+from mso2dd.obdd import Obdd, ObddSpace, reduce_obdd
 from mso2dd.oracle import (
     cnf_of_graph,
     enumerate_models,
@@ -408,12 +408,11 @@ class TestDeepDiagrams:
         node = space.leaf(0)
         for level in reversed(range(len(order))):
             node = space.decision(level, node, space.leaf(1))
-        return Obdd(space, node)
+        return Obdd(space, node, space.order)
 
     def test_obdd_chain(self):
         chain = self.obdd_chain()
         order = chain.order
-        chain = ObddCompilation(chain, order)
         assert model_count(chain) == 2 ** len(order) - 1
         minimum, alpha = min_cardinality_model(chain, order)
         assert minimum == 1
@@ -424,7 +423,7 @@ class TestDeepDiagrams:
         expected = 2 ** len(chain.order) - 1
         reduced = reduce_obdd(chain)
         assert reduced.root is chain.root  # already reduced
-        assert model_count(ObddCompilation(reduced, chain.order)) == expected
+        assert model_count(reduced) == expected
 
 
 class TestCountAgreement:

@@ -14,7 +14,6 @@ from mso2dd import (
 from mso2dd.cli import main
 from mso2dd.errors import DiagramError, Mso2ddError
 from mso2dd.graph import clique
-from mso2dd.obdd import ObddCompilation
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_to_obdd,
@@ -166,7 +165,7 @@ class TestRoundtrip:
         cnf = cnf_of_graph(g)
         a, b = comp.obdd, cnf_to_obdd(cnf, comp.order)
         assert [n.uid for n in a.nodes()] != [n.uid for n in b.nodes()]
-        texts = [serialize_diagram(ObddCompilation(dd, cnf.variables)) for dd in (a, b)]
+        texts = [serialize_diagram(dd) for dd in (a, b)]
         assert texts[0] == texts[1]
         assert model_count(load_diagram(texts[0])) == bin(cnf_truth_table(cnf)).count("1")
 
