@@ -4,10 +4,10 @@
 layer by layer. The path-decomposition compiler feeds it one layer per forget
 node, over the reachable transition tables quotiented to state classes, and
 `oracle.cnf_to_obdd` feeds it one level per CNF variable. `Obdd.nodes` lists a
-diagram's nodes through `graph.children_first`, the walk SDDs and nice tree
-decompositions share. `Obdd.satisfiable` searches depth first for a true leaf
-along the edges a partial assignment allows; on a total assignment that is the
-diagram's value.
+diagram's nodes once and keeps them, through `graph.children_first`, the walk
+SDDs and nice tree decompositions share. `Obdd.satisfiable` searches depth
+first for a true leaf along the edges a partial assignment allows; on a total
+assignment that is the diagram's value.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class ObddNode:
 
 class ObddSpace:
     """Node store for one variable order; all diagrams built here share nodes.
-    A leaf is interned on its label, a decision on its level and children."""
+    A leaf is interned on its label, a decision on its level and children. It
+    lives while nodes are made: a diagram keeps its order, not its store."""
 
     def __init__(self, order: tuple[DecisionVariable, ...]) -> None:
         self.order = tuple(order)
@@ -70,28 +71,30 @@ class ObddSpace:
 
 
 class Obdd:
-    """An ordered diagram with the legend of its decision variables. A compiled
-    diagram also keeps its reachable sets; any other has None there."""
+    """An ordered diagram over its variable order, with the legend of its
+    decision variables. A compiled diagram also keeps its reachable sets; any
+    other has None there."""
 
-    def __init__(self, space: ObddSpace, root: ObddNode, legend, reachable=None) -> None:
+    def __init__(self, order, root: ObddNode, legend, reachable=None) -> None:
         self.kind = "obdd"
-        self.space = space
+        self.order: tuple[DecisionVariable, ...] = tuple(order)
         self.root = root
         self.legend: tuple[DecisionVariable, ...] = legend
         self.reachable = reachable
+        self._nodes: list[ObddNode] | None = None
 
     @property
     def obdd(self) -> Obdd:
         # bench/worker.py reads `compile_obdd(...).obdd`; this goes when the benchmark next changes
         return self
 
-    @property
-    def order(self) -> tuple[DecisionVariable, ...]:
-        return self.space.order
-
     def nodes(self) -> list[ObddNode]:
-        """Distinct reachable nodes, each after its lo and then its hi subtree."""
-        return children_first(self.root, lambda n: () if n.level is None else (n.lo, n.hi))
+        """Distinct reachable nodes, each after its lo and then its hi subtree; kept."""
+        if self._nodes is None:
+            self._nodes = children_first(
+                self.root, lambda n: () if n.level is None else (n.lo, n.hi)
+            )
+        return self._nodes
 
     def satisfiable(self, delta) -> bool:
         """Search for a true leaf along the edges delta allows: one edge of a
@@ -121,14 +124,14 @@ def obdd_size(b: Obdd) -> int:
 
 def reduce_obdd(b: Obdd) -> Obdd:
     """Canonical form for the given order: no redundant decisions, all shared."""
-    space = b.space
+    space = ObddSpace(b.order)
     memo: dict[int, ObddNode] = {}
     for node in b.nodes():  # children first
         if node.is_leaf:
             memo[node.uid] = space.leaf(node.label)
         else:
             memo[node.uid] = space.reduced(node.level, memo[node.lo.uid], memo[node.hi.uid])
-    return Obdd(space, memo[b.root.uid], b.legend)
+    return Obdd(b.order, memo[b.root.uid], b.legend)
 
 
 def build_layers(space, steps, below: dict) -> dict:
@@ -189,4 +192,4 @@ def compile_obdd(
     legend = decision_variables(phi, g)
     if set(order) != set(legend):
         raise DiagramError("context variables do not cover the decision universe")
-    return Obdd(space, build_layers(space, steps, terminals)[space_dp.initial], legend, reach)
+    return Obdd(order, build_layers(space, steps, terminals)[space_dp.initial], legend, reach)

@@ -585,7 +585,7 @@ def cnf_to_obdd(cnf: Cnf, order=None) -> Obdd:
     order = tuple(order) if order is not None else cnf.variables
     space = ObddSpace(order)
     if not all(cnf.clauses):
-        return Obdd(space, space.leaf(0), cnf.variables)
+        return Obdd(order, space.leaf(0), cnf.variables)
     opens, closes, touches = ([set() for _ in order] for _ in range(3))
     for c, clause in enumerate(cnf.clauses):
         levels = [space.level_of[cnf.variables[i]] for i in clause]
@@ -606,4 +606,4 @@ def cnf_to_obdd(cnf: Cnf, order=None) -> Obdd:
         steps.append((level, 1, states, table))
         states = list(dict.fromkeys(table.values()))
     terminals = {frozenset(): space.leaf(1), None: space.leaf(0)}
-    return Obdd(space, build_layers(space, steps, terminals)[frozenset()], cnf.variables)
+    return Obdd(order, build_layers(space, steps, terminals)[frozenset()], cnf.variables)

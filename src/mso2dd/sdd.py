@@ -6,9 +6,9 @@ list the same pairs in the same order at one v-tree node, are shared. A
 decomposition's primes always respect the left subtree of its v-tree node and
 form a boolean partition; subs respect the right subtree. The compiler trims
 every decomposition it builds (`trimmed`); a loaded file keeps its nodes as
-written. `SddCompilation.satisfiable` decides in one pass over the kept
-children-first node list whether a model extends a partial assignment; on a
-total assignment that is the diagram's value.
+written. `Sdd.satisfiable` decides in one pass over the kept children-first
+node list whether a model extends a partial assignment; on a total assignment
+that is the diagram's value.
 """
 
 from __future__ import annotations
@@ -130,7 +130,8 @@ class SddNode:
 
 class SddBuilder:
     """Hash-consing factory; owns the v-tree grown alongside the diagram and the
-    landing plans. Nodes are interned on their children as given, by identity."""
+    landing plans. Nodes are interned on their children as given, by identity.
+    It lives while nodes are made: a diagram keeps the v-tree, not the builder."""
 
     def __init__(self) -> None:
         self.vtree = VTree()
@@ -336,24 +337,19 @@ def state_table_mapping(
     return StateSddMapping(images, out_vid)
 
 
-class SddCompilation:
-    """A structured diagram over its builder's v-tree, with the legend of its
-    decision variables. A compiled diagram also keeps its per-node mappings
-    and reachable sets; a diagram loaded from text has None in those fields."""
+class Sdd:
+    """A structured diagram over its v-tree, with the legend of its decision
+    variables. A compiled diagram also keeps its reachable sets; a diagram
+    loaded from text has None there."""
 
-    def __init__(self, builder, root, legend, vtree_root, mappings=None, reachable=None):
+    def __init__(self, vtree, root, legend, vtree_root, reachable=None):
         self.kind = "sdd"
-        self.builder = builder
+        self.vtree: VTree = vtree
         self.root: SddNode = root
         self.legend: tuple[DecisionVariable, ...] = legend
         self.vtree_root: int = vtree_root
-        self.node_mappings: dict[int, StateSddMapping] | None = mappings
         self.reachable: ReachableSets | None = reachable
         self._nodes: list[SddNode] | None = None
-
-    @property
-    def vtree(self) -> VTree:
-        return self.builder.vtree
 
     def nodes(self) -> list[SddNode]:
         """`iter_sdd_nodes(root)`, walked once and kept: every query reads it."""
@@ -367,7 +363,7 @@ class SddCompilation:
 
 def compile_sdd(
     phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
-) -> SddCompilation:
+) -> Sdd:
     """Bottom-up construction over the nice decomposition: every node gets a
     mapping from its state classes to diagrams, and the root's accepting
     class's diagram is true exactly on the accepted assignments."""
@@ -409,4 +405,4 @@ def compile_sdd(
         (g_root.images[s] for s in g_root.states() if space.is_accepting(s)), builder.false
     )
     legend = decision_variables(phi, g)
-    return SddCompilation(builder, root, legend, g_root.vtree_id, mappings, reach)
+    return Sdd(builder.vtree, root, legend, g_root.vtree_id, reach)

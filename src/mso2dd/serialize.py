@@ -38,7 +38,7 @@ from .assignment import DecisionVariable, dv_dummy, dv_eq, dv_mem
 from .errors import DiagramError
 from .mso import Sort, Var
 from .obdd import Obdd, ObddSpace
-from .sdd import DECOMP, FALSE, LITERAL, TRUE, SddBuilder, SddCompilation, SddNode
+from .sdd import DECOMP, FALSE, LITERAL, TRUE, Sdd, SddBuilder, SddNode
 
 _SORT_OF = {
     "veq": Sort.VERTEX_OBJECT,
@@ -125,8 +125,8 @@ def serialize_diagram(diagram) -> str:
                 lines.append(f"node {i} leaf {int(node.label)}")
             else:
                 lines.append(f"node {i} dec {node.level} {nid[node.lo.uid]} {nid[node.hi.uid]}")
-    lines.append(f"root {len(nodes) - 1}")  # the walks list the root last
-    return "\n".join(lines) + "\n"
+    lines += [f"root {len(nodes) - 1}", ""]  # the walks list the root last; "" ends the text
+    return "\n".join(lines)
 
 
 def load_diagram(text: str):
@@ -159,7 +159,7 @@ def load_diagram(text: str):
         raise DiagramError(f"malformed diagram file: {exc}") from exc
 
 
-def _load_sdd(variables, body, root_id) -> SddCompilation:
+def _load_sdd(variables, body, root_id) -> Sdd:
     builder = SddBuilder()
     vtree_ids: dict[int, int] = {}
     nodes: dict[int, SddNode] = {}
@@ -218,7 +218,7 @@ def _load_sdd(variables, body, root_id) -> SddCompilation:
         under.append(nodes[root_id].vtree_id)
     if any(not first[vtree_root] <= first[vid] < end[vtree_root] for vid in under):
         raise DiagramError("the root or a legend variable lies outside vtreeroot")
-    return SddCompilation(builder, nodes[root_id], legend, vtree_root)
+    return Sdd(builder.vtree, nodes[root_id], legend, vtree_root)
 
 
 def _load_obdd(variables, body, root_id) -> Obdd:
@@ -253,7 +253,7 @@ def _load_obdd(variables, body, root_id) -> Obdd:
             raise DiagramError(f"unknown node form {parts[2]!r}")
     if root_id not in nodes:
         raise DiagramError("diagram file missing root")
-    return Obdd(space, nodes[root_id], legend)
+    return Obdd(order, nodes[root_id], legend)
 
 
 # -- DOT export -----------------------------------------------------------------

@@ -10,9 +10,12 @@ diagram, and brute-force model listings.
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
+from mso2dd import sdd
 from mso2dd.assignment import (
-    DecisionVariable, _objects, decision_variables, decode_bits, domain, dv_eq, dv_mem,
+    DecisionVariable, _objects, decision_variables, decode_bits, domain, dv_dummy, dv_eq,
+    dv_mem,
 )
 from mso2dd.decomposition import (
     FORGET,
@@ -30,7 +33,7 @@ from mso2dd.graph import Graph
 from mso2dd.mso import Formula, Var
 from mso2dd.obdd import Obdd
 from mso2dd.oracle import Cnf, _truth_fold, fold, truth_table_oracle, variable_masks
-from mso2dd.sdd import DECOMP, SddNode, VTree, _decide, iter_sdd_nodes
+from mso2dd.sdd import DECOMP, Sdd, SddNode, StateSddMapping, VTree, _decide, iter_sdd_nodes
 from mso2dd.states import ForgetInfo, StateSpace, decision_space, forget_plan, forgotten_bits
 
 # -- decompositions ------------------------------------------------------------
@@ -176,6 +179,38 @@ def satisfiable(diagram, delta) -> bool:
     return _decide(iter_sdd_nodes(diagram), delta)
 
 
+def compile_with_mappings(
+    phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
+) -> tuple[Sdd, dict[int, StateSddMapping]]:
+    """`compile_sdd(phi, g, t, coloring)` and every decomposition node's mapping
+    from state classes to diagrams. The forget and join mappings are the
+    results of `compile_sdd`'s calls to `state_table_mapping`, recorded in
+    postorder; a leaf maps the initial state to true and an introduce node
+    takes its child's mapping, as in `compile_sdd`."""
+    calls = []  # (builder, mapping) per call
+    original = sdd.state_table_mapping
+
+    def recorded(*args):
+        calls.append((args[0], original(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(sdd, "state_table_mapping", recorded):
+        comp = sdd.compile_sdd(phi, g, t, coloring)
+    results, initial = iter(calls), decision_space(phi).initial
+    mappings: dict[int, StateSddMapping] = {}
+    for nid in t.postorder():
+        node = t.nodes[nid]
+        if node.kind == LEAF:
+            vid = comp.vtree.leaf_of(dv_dummy(f"leaf{nid}"))
+            mappings[nid] = StateSddMapping({initial: calls[0][0].true}, vid)
+        elif node.kind == INTRODUCE:
+            mappings[nid] = mappings[node.children[0]]
+        else:
+            mappings[nid] = next(results)[1]
+    assert next(results, None) is None, "a state_table_mapping call without its node"
+    return comp, mappings
+
+
 def vtree_respected(root: SddNode, vtree: VTree) -> bool:
     """Structural check: primes live in the left subtree of their decomposition's
     v-tree node, subs in the right subtree."""
@@ -294,6 +329,16 @@ def all_mso_assignments(phi: Formula, g: Graph):
 
 
 # -- graphs --------------------------------------------------------------------
+
+
+def line_mutants(text: str):
+    """Every line drop, line duplicate and swap of adjacent lines of `text`."""
+    lines = text.splitlines(keepends=True)
+    for i in range(len(lines)):
+        yield "".join(lines[:i] + lines[i + 1:])
+        yield "".join(lines[:i + 1] + lines[i:])
+        if i + 1 < len(lines):
+            yield "".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:])
 
 
 def serialize_graph(g: Graph) -> str:

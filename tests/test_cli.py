@@ -17,7 +17,7 @@ from mso2dd.oracle import (
     KAPPA_TEXT, cnf_of_graph, cnf_to_obdd, kappa_formula, model_count, oracle_eval,
 )
 
-from checks import serialize_graph
+from checks import line_mutants, serialize_graph
 from conftest import FORMULA_TEXTS
 
 K3_GR = "p gr 3 3\n1 2\n2 3\n1 3\n"
@@ -479,12 +479,7 @@ def mutations(text: str, vocabulary: tuple[list[str], list[str]], rng):
         yield text[:a] + text[b:]
         yield text[:a] + rng.choice(vocabulary[m.lastindex - 1]) + text[b:]
         yield text[:a] + rng.choice(rng.choice(vocabulary)) + " " + text[a:]
-    lines = text.splitlines(keepends=True)
-    for i in range(len(lines)):
-        yield "".join(lines[:i] + lines[i + 1:])
-        yield "".join(lines[:i + 1] + lines[i:])
-        if i + 1 < len(lines):
-            yield "".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:])
+    yield from line_mutants(text)
 
 
 class TestMutatedInputs:

@@ -39,7 +39,9 @@ from mso2dd.sdd import (
 )
 from mso2dd.states import decision_space, forget_plan
 
-from checks import node_states, run_decision_procedure, satisfiable, vtree_respected
+from checks import (
+    compile_with_mappings, node_states, run_decision_procedure, satisfiable, vtree_respected,
+)
 from conftest import (
     FORMULA_TEXTS,
     all_deltas,
@@ -357,14 +359,14 @@ class TestCompile:
         # the representative of the state the procedure reaches there
         g = path_graph(3)
         phi, nice, coloring = self.inputs("free vertex x; free vset X; (x in X)", g)
-        comp = compile_sdd(phi, g, nice, coloring)
+        comp, mappings = compile_with_mappings(phi, g, nice, coloring)
         dvars = decision_variables(phi, g)
         space = decision_space(phi)
         plan = forget_plan(phi, nice, coloring)
         representative = comp.reachable.representative
         for _, delta in all_deltas(dvars):
             states = node_states(space, nice, plan, delta)
-            for nid, mapping in comp.node_mappings.items():
+            for nid, mapping in mappings.items():
                 hits = [
                     s
                     for s in mapping.states()
@@ -428,9 +430,10 @@ class TestInterning:
     the set of pairs would share no more nodes."""
 
     @staticmethod
-    def assert_one_node_per_pair_set(comp):
+    def assert_one_node_per_pair_set(phi, g, nice, coloring):
         # one walk below a stand-in node whose pairs hold every mapping image
-        images = [i for m in comp.node_mappings.values() for i in m.images.values()]
+        _, mappings = compile_with_mappings(phi, g, nice, coloring)
+        images = [i for m in mappings.values() for i in m.images.values()]
         top = SddNode(-1, DECOMP, pairs=[(i, i) for i in images])
         groups: dict[tuple, list] = {}
         for node in iter_sdd_nodes(top)[:-1]:
@@ -440,14 +443,14 @@ class TestInterning:
 
     def test_corpus(self, corpus):
         for inst in corpus:
-            self.assert_one_node_per_pair_set(inst.sdd)
+            self.assert_one_node_per_pair_set(inst.phi, inst.graph, inst.nice, inst.coloring)
 
     @pytest.mark.parametrize("name", ["kappa", "dom", "connected"])
     def test_3x16_grid(self, name):
         g = grid_graph(16)
         nice = make_nice(g, min_fill_decomposition(g))
         phi = desugar(parse_formula(FORMULA_TEXTS[name]))
-        self.assert_one_node_per_pair_set(compile_sdd(phi, g, nice, good_coloring(g, nice)))
+        self.assert_one_node_per_pair_set(phi, g, nice, good_coloring(g, nice))
 
 
 class TestDeepEvaluation:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from mso2dd import (
@@ -11,9 +14,11 @@ from mso2dd import (
     min_fill_decomposition,
     serialize_diagram,
 )
+from mso2dd import obdd, oracle, sdd, serialize
 from mso2dd.cli import main
 from mso2dd.errors import DiagramError, Mso2ddError
 from mso2dd.graph import clique
+from mso2dd.obdd import reduce_obdd
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_to_obdd,
@@ -26,7 +31,7 @@ from mso2dd.oracle import (
 )
 from mso2dd.serialize import diagram_to_dot
 
-from checks import cnf_truth_table
+from checks import cnf_truth_table, line_mutants
 from conftest import path_decomposition, path_graph
 
 
@@ -315,6 +320,39 @@ root 8
 """
 
 
+class TestNodeStores:
+    def test_no_store_outlives_its_diagram(self, monkeypatch):
+        # a unique table serves while nodes are made: every diagram keeps its
+        # nodes, its v-tree or order and its legend, and drops its store
+        alive = []
+
+        def recording(store):
+            class Recording(store):
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    alive.append(weakref.ref(self))
+
+            return Recording
+
+        builder, space = recording(sdd.SddBuilder), recording(obdd.ObddSpace)
+        for module in (sdd, serialize):
+            monkeypatch.setattr(module, "SddBuilder", builder)
+        for module in (obdd, serialize, oracle):
+            monkeypatch.setattr(module, "ObddSpace", space)
+        g = path_graph(4)
+        nice = make_nice(g, path_decomposition(4))
+        phi, coloring = desugar(kappa_formula()), good_coloring(g, nice)
+        compiled = [compile_sdd(phi, g, nice, coloring), compile_obdd(phi, g, nice, coloring)]
+        diagrams = compiled + [load_diagram(serialize_diagram(d)) for d in compiled] + [
+            reduce_obdd(compiled[1]),
+            cnf_to_obdd(cnf_of_graph(g), compiled[1].order),
+        ]
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) == 0
+        assert len(alive) == len(diagrams) == 6  # each entry point made one store
+        assert [model_count(d) for d in diagrams] == [89] * 6
+
+
 class TestErrors:
     def test_bad_magic(self):
         with pytest.raises(DiagramError):
@@ -372,10 +410,8 @@ def one_token_mutants(text: str):
 
 
 class TestMutationSweep:
-    def test_every_one_token_mutant_loads_and_answers_or_is_rejected(self):
-        _, sdd, obdd = compile_both(path_graph(3))
-        texts = [t for comp in (sdd, obdd) for t in one_token_mutants(serialize_diagram(comp))]
-        assert len(texts) == 4244
+    @staticmethod
+    def assert_each_answers_or_is_rejected(texts):
         answered, crashes = 0, []
         for text in texts:
             try:
@@ -392,6 +428,20 @@ class TestMutationSweep:
                 crashes.append((repr(exc), text))
         assert not crashes, crashes[:3]
         assert answered > 0
+
+    def test_every_one_token_mutant_loads_and_answers_or_is_rejected(self):
+        _, sdd, obdd = compile_both(path_graph(3))
+        texts = [t for comp in (sdd, obdd) for t in one_token_mutants(serialize_diagram(comp))]
+        assert len(texts) == 4244
+        self.assert_each_answers_or_is_rejected(texts)
+
+    def test_every_line_mutant_loads_and_answers_or_is_rejected(self):
+        # every line drop, line duplicate and adjacent swap, the edits the
+        # command-line sweep makes to text inputs
+        _, sdd, obdd = compile_both(path_graph(3))
+        texts = [t for comp in (sdd, obdd) for t in line_mutants(serialize_diagram(comp))]
+        assert len(texts) == 163
+        self.assert_each_answers_or_is_rejected(texts)
 
     def test_a_token_appended_to_any_line_is_rejected(self):
         _, sdd, obdd = compile_both(path_graph(3))
