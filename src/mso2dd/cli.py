@@ -21,7 +21,7 @@ from .graph import Graph, clique_tree, parse_graph
 from .mso import desugar, formula_size, parse_formula
 from .obdd import compile_obdd, obdd_size
 from .sdd import compile_sdd, sdd_size
-from .serialize import diagram_to_dot, load_diagram, serialize_diagram
+from .serialize import diagram_lines, diagram_to_dot, load_diagram
 
 
 def _read(path: str) -> str:
@@ -77,7 +77,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     states = comp.reachable.count
     bound = _bound_sdd(n, k, states) if args.target == "sdd" else _bound_obdd(n, k, states)
     if args.out:
-        Path(args.out).write_text(serialize_diagram(comp))
+        with open(args.out, "w") as f:
+            f.writelines(line + "\n" for line in diagram_lines(comp))
     print(
         _stats_block(
             [

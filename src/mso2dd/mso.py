@@ -172,7 +172,13 @@ MAX_NESTING = 200
 
 _WORD_OPS = frozenset({"in", "notin"})
 _BINDERS = frozenset({"exists", "forall"})
-_ATOM_HEADS = frozenset({"adj", "edge", "nbr"})
+_V, _E = Sort.VERTEX_OBJECT, Sort.EDGE_OBJECT
+# per predicate head: its node, its argument sorts, and how its errors word them
+_PREDICATES = {
+    "adj": (Adj, (_V, _E), "two", "a vertex variable and an edge variable"),
+    "edge": (EdgePred, (_E, _V, _V), "three", "an edge variable and two vertex variables"),
+    "nbr": (Nbr, (_V, _V), "two", "two vertex variables"),
+}
 
 
 class _Parser:
@@ -235,7 +241,7 @@ class _Parser:
             return Not(body), used
         if tok in _BINDERS:
             return self.binder(env, depth)
-        if tok in _ATOM_HEADS and self.peek(1) == "(":
+        if tok in _PREDICATES and self.peek(1) == "(":
             return self.predicate_atom(env)
         if tok == "(":
             # two-token lookahead separates `(x = y)`-style atoms from binary exprs
@@ -286,30 +292,12 @@ class _Parser:
             self.take(",")
             args.append(self.lookup(env, self.ident()))
         self.take(")")
-        if head == "adj":
-            if len(args) != 2:
-                raise FormulaError("adj takes two arguments")
-            x, y = args
-            if x.sort is not Sort.VERTEX_OBJECT or y.sort is not Sort.EDGE_OBJECT:
-                raise FormulaError("adj requires a vertex variable and an edge variable")
-            return Adj(x, y), set(args)
-        if head == "edge":
-            if len(args) != 3:
-                raise FormulaError("edge takes three arguments")
-            e, u, v = args
-            if (
-                e.sort is not Sort.EDGE_OBJECT
-                or u.sort is not Sort.VERTEX_OBJECT
-                or v.sort is not Sort.VERTEX_OBJECT
-            ):
-                raise FormulaError("edge requires an edge variable and two vertex variables")
-            return EdgePred(e, u, v), set(args)
-        if len(args) != 2:
-            raise FormulaError("nbr takes two arguments")
-        u, v = args
-        if u.sort is not Sort.VERTEX_OBJECT or v.sort is not Sort.VERTEX_OBJECT:
-            raise FormulaError("nbr requires two vertex variables")
-        return Nbr(u, v), set(args)
+        node, sorts, count, wording = _PREDICATES[head]
+        if len(args) != len(sorts):
+            raise FormulaError(f"{head} takes {count} arguments")
+        if any(arg.sort is not sort for arg, sort in zip(args, sorts)):
+            raise FormulaError(f"{head} requires {wording}")
+        return node(*args), set(args)
 
     def relation_atom(self, env) -> tuple[Expr, set]:
         self.take("(")

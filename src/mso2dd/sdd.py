@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .assignment import DecisionVariable, decision_variables, dv_dummy
-from .decomposition import FORGET, INTRODUCE, LEAF, NiceTreeDecomposition
+from .decomposition import FORGET, JOIN, LEAF, NiceTreeDecomposition
 from .errors import DiagramError
 from .graph import Graph, children_first
 from .mso import Formula
@@ -366,41 +366,35 @@ def compile_sdd(
 ) -> Sdd:
     """Bottom-up construction over the nice decomposition: every node gets a
     mapping from its state classes to diagrams, and the root's accepting
-    class's diagram is true exactly on the accepted assignments."""
+    class's diagram is true exactly on the accepted assignments. Only a
+    node's parent reads its mapping, so a postorder fold keeps the mappings
+    on a stack and drops each one as its parent pops it."""
     space = decision_space(phi)
     plan = forget_plan(phi, t, coloring)
     reach = minimize_states(space, t, reachable_states(space, t, plan))
     builder = SddBuilder()
-    mappings: dict[int, StateSddMapping] = {}
+    stack: list[StateSddMapping] = []
 
-    for nid in t.postorder():
+    for nid in t.postorder():  # an introduce node keeps its child's mapping
         node = t.nodes[nid]
         if node.kind == LEAF:
             vid = builder.vtree.leaf(dv_dummy(f"leaf{nid}"))
-            mappings[nid] = StateSddMapping({space.initial: builder.true}, vid)
-        elif node.kind == INTRODUCE:
-            mappings[nid] = mappings[node.children[0]]
+            stack.append(StateSddMapping({space.initial: builder.true}, vid))
         elif node.kind == FORGET:
-            mappings[nid] = state_table_mapping(
-                builder,
-                mappings[node.children[0]],
-                context_assignment_mapping(builder, plan[nid].variables, f"ctx{nid}"),
-                reach.forget_tables[nid],
-                reach.per_node[nid],
-            )
-        else:
-            mappings[nid] = state_table_mapping(
-                builder,
-                mappings[node.children[0]],
-                mappings[node.children[1]],
-                reach.join_tables[nid],
-                reach.per_node[nid],
+            context = context_assignment_mapping(builder, plan[nid].variables, f"ctx{nid}")
+            stack.append(state_table_mapping(
+                builder, stack.pop(), context, reach.forget_tables[nid], reach.per_node[nid]
+            ))
+        elif node.kind == JOIN:
+            right = stack.pop()
+            stack.append(state_table_mapping(
+                builder, stack.pop(), right, reach.join_tables[nid], reach.per_node[nid],
                 f"join{nid}",
-            )
+            ))
 
     # the root's classes are its accepting and rejecting states, so the
     # accepting class's image is the diagram
-    g_root = mappings[t.root]
+    (g_root,) = stack
     root = next(
         (g_root.images[s] for s in g_root.states() if space.is_accepting(s)), builder.false
     )

@@ -92,8 +92,10 @@ def _numbered(diagram):
     return nodes, {node.uid: i for i, node in enumerate(nodes)}
 
 
-def serialize_diagram(diagram) -> str:
-    lines = ["mso2dd-diagram 1", f"kind {diagram.kind}"]
+def diagram_lines(diagram):
+    """The diagram's file text, line by line, without newlines."""
+    yield "mso2dd-diagram 1"
+    yield f"kind {diagram.kind}"
     nodes, nid = _numbered(diagram)
     if diagram.kind == "sdd":
         vtree = diagram.vtree
@@ -101,32 +103,35 @@ def serialize_diagram(diagram) -> str:
             v for v in vtree.all_variables() if v.kind == "dummy"
         ]
         index = {v: i for i, v in enumerate(variables)}
-        lines.extend(_var_line(i, v) for i, v in enumerate(variables))
+        yield from (_var_line(i, v) for i, v in enumerate(variables))
         for vid in range(len(vtree)):
             if vtree.kind[vid] == "leaf":
-                lines.append(f"vtree {vid} leaf {index[vtree.var[vid]]}")
+                yield f"vtree {vid} leaf {index[vtree.var[vid]]}"
             else:
-                lines.append(f"vtree {vid} inner {vtree.left[vid]} {vtree.right[vid]}")
-        lines.append(f"vtreeroot {diagram.vtree_root}")
+                yield f"vtree {vid} inner {vtree.left[vid]} {vtree.right[vid]}"
+        yield f"vtreeroot {diagram.vtree_root}"
         for i, node in enumerate(nodes):
             if node.kind in (FALSE, TRUE):
-                lines.append(f"node {i} {node.kind}")
+                yield f"node {i} {node.kind}"
             elif node.kind == LITERAL:
-                lines.append(f"node {i} lit {index[node.var]} {1 if node.polarity else 0}")
+                yield f"node {i} lit {index[node.var]} {1 if node.polarity else 0}"
             else:
                 pairs = " ".join(f"{nid[p.uid]}:{nid[s.uid]}" for p, s in node.pairs)
-                lines.append(f"node {i} decomp {node.vtree_id} {pairs}")
+                yield f"node {i} decomp {node.vtree_id} {pairs}"
     else:
         index = {v: i for i, v in enumerate(diagram.legend)}
-        lines.extend(_var_line(i, v) for i, v in enumerate(diagram.legend))
-        lines.append("order " + " ".join(str(index[v]) for v in diagram.order))
+        yield from (_var_line(i, v) for i, v in enumerate(diagram.legend))
+        yield "order " + " ".join(str(index[v]) for v in diagram.order)
         for i, node in enumerate(nodes):
             if node.is_leaf:
-                lines.append(f"node {i} leaf {int(node.label)}")
+                yield f"node {i} leaf {int(node.label)}"
             else:
-                lines.append(f"node {i} dec {node.level} {nid[node.lo.uid]} {nid[node.hi.uid]}")
-    lines += [f"root {len(nodes) - 1}", ""]  # the walks list the root last; "" ends the text
-    return "\n".join(lines)
+                yield f"node {i} dec {node.level} {nid[node.lo.uid]} {nid[node.hi.uid]}"
+    yield f"root {len(nodes) - 1}"  # the walks list the root last
+
+
+def serialize_diagram(diagram) -> str:
+    return "\n".join([*diagram_lines(diagram), ""])
 
 
 def load_diagram(text: str):

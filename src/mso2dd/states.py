@@ -148,9 +148,6 @@ class AdjacencySpace(AtomSpace):
     def __init__(self, vertex: Var, edge: Var) -> None:
         self.vertex = vertex
         self.edge = edge
-        # joins pairing two states that are neither INIT nor BOT are
-        # unreachable on consistent runs; instrumented so tests can assert that
-        self.impossible_join_hits = 0
 
     def forget(self, s, shape, bits):
         if s == TRUE or s == BOT:
@@ -173,8 +170,7 @@ class AdjacencySpace(AtomSpace):
             return left
         if BOT in (left, right):
             return TRUE if TRUE in (left, right) else BOT
-        self.impossible_join_hits += 1
-        return INIT  # unconstrained cell, any value works
+        return INIT  # unreachable on consistent runs, so any value works
 
 
 class NegationSpace(StateSpace):

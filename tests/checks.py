@@ -186,7 +186,7 @@ def compile_with_mappings(
     from state classes to diagrams. The forget and join mappings are the
     results of `compile_sdd`'s calls to `state_table_mapping`, recorded in
     postorder; a leaf maps the initial state to true and an introduce node
-    takes its child's mapping, as in `compile_sdd`."""
+    maps like its child."""
     calls = []  # (builder, mapping) per call
     original = sdd.state_table_mapping
 

@@ -33,6 +33,20 @@ class TestParser:
         with pytest.raises(FormulaError):
             parse_formula("free vertex x; free edge e; adj(e, x)")
 
+    @pytest.mark.parametrize("text, message", [
+        ("free vertex x; adj(x)", "adj takes two arguments"),
+        ("free vertex x; free edge e; adj(e, x)",
+         "adj requires a vertex variable and an edge variable"),
+        ("free vertex x; free edge e; edge(e, x)", "edge takes three arguments"),
+        ("free vertex x; free vertex y; free edge e; edge(x, e, y)",
+         "edge requires an edge variable and two vertex variables"),
+        ("free vertex x; nbr(x)", "nbr takes two arguments"),
+        ("free vertex x; free edge e; nbr(x, e)", "nbr requires two vertex variables"),
+    ])
+    def test_predicate_error_messages(self, text, message):
+        with pytest.raises(FormulaError, match=f"^{message}$"):
+            parse_formula(text)
+
     def test_eq_sort_error(self):
         with pytest.raises(FormulaError):
             parse_formula("free vertex x; free edge e; (x = e)")

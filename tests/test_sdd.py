@@ -1,4 +1,7 @@
+import gc
 import itertools
+import weakref
+from unittest import mock
 
 import pytest
 
@@ -15,9 +18,11 @@ from mso2dd import (
     serialize_diagram,
 )
 from mso2dd.assignment import dv_eq, dv_mem
+from mso2dd.decomposition import FORGET, JOIN, LEAF
 from mso2dd.errors import DiagramError, FormulaError
 from mso2dd.graph import clique, complete_binary_tree
 from mso2dd.mso import Sort, Var
+from mso2dd import sdd
 from mso2dd.oracle import (
     enumerate_models,
     kappa_formula,
@@ -373,6 +378,46 @@ class TestCompile:
                     if satisfiable(mapping.images[s], delta)
                 ]
                 assert hits == [representative[nid][states[nid]]]
+
+    @pytest.mark.parametrize("name", ["P64-width-1", "T4-min-fill"])
+    def test_mapping_dies_once_its_parent_reads_it(self, name):
+        # only a node's parent reads its mapping, so the mappings alive at a
+        # state_table_mapping call are the ones a postorder stack holds
+        if name == "P64-width-1":
+            g, td = path_graph(64), path_decomposition(64)
+        else:
+            g = complete_binary_tree(4)
+            td = min_fill_decomposition(g)
+        nice = make_nice(g, td)
+        depth = deepest = 0
+        for nid in nice.postorder():  # a leaf pushes, a join pops two and pushes one
+            depth += {LEAF: 1, JOIN: -1}.get(nice.nodes[nid].kind, 0)
+            deepest = max(deepest, depth)
+        live = weakref.WeakSet()
+
+        class Tracked(StateSddMapping):
+            __hash__ = object.__hash__
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                live.add(self)
+
+        counts = []
+        original = sdd.state_table_mapping
+
+        def counted(*args):
+            gc.collect()
+            counts.append(len(live))
+            return original(*args)
+
+        phi = desugar(kappa_formula())
+        with (
+            mock.patch.object(sdd, "StateSddMapping", Tracked),
+            mock.patch.object(sdd, "state_table_mapping", counted),
+        ):
+            compile_sdd(phi, g, nice, good_coloring(g, nice))
+        assert len(counts) == sum(n.kind in (FORGET, JOIN) for n in nice.nodes.values())
+        assert max(counts) <= deepest + 1, (max(counts), deepest)
 
     def test_kappa_on_16_vertex_path_is_small(self):
         # built over state classes; over the raw states it had 2,227,084 nodes
