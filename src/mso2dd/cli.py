@@ -19,8 +19,8 @@ from .decomposition import (
 from .errors import Mso2ddError
 from .graph import Graph, clique_tree, parse_graph
 from .mso import desugar, formula_size, parse_formula
-from .obdd import compile_obdd, obdd_size
-from .sdd import compile_sdd, sdd_size
+from .obdd import compile_obdd
+from .sdd import compile_sdd
 from .serialize import diagram_lines, diagram_to_dot, load_diagram
 
 
@@ -66,12 +66,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
     g, phi, nice = _load_inputs(args)
     width = nice.width()
     coloring = good_coloring(g, nice)
-    if args.target == "sdd":
-        comp = compile_sdd(phi, g, nice, coloring)
-        size = sdd_size(comp.root)
-    else:
-        comp = compile_obdd(phi, g, nice, coloring)
-        size = obdd_size(comp)
+    compile_ = compile_sdd if args.target == "sdd" else compile_obdd
+    comp = compile_(phi, g, nice, coloring)
+    size = comp.size()
     n = g.n_objects
     k = width + formula_size(phi)
     states = comp.reachable.count
@@ -199,9 +196,7 @@ def cmd_bench_kt(args: argparse.Namespace) -> int:
     for r in range(1, args.r_max + 1):
         g = clique_tree(k, r)
         cnf = q.cnf_of_graph(g)
-        order = _kt_variable_order(g, k, r, cnf)
-        dd = q.cnf_to_obdd(cnf, order)
-        size = obdd_size(dd)
+        size = q.cnf_to_obdd(cnf, _kt_variable_order(g, k, r, cnf)).size()
         threshold = 2 ** ((r * k) // 2) if (r * k) % 2 == 0 else None
         degenerate = r * k < 2
         rows.append((r, g.n_vertices, g.n_edges, size, threshold, degenerate))

@@ -1,9 +1,11 @@
-"""Undirected simple graphs, the .gr text format, benchmark generators, and the
-children-first walk that lists the nodes of trees and diagrams."""
+"""Undirected simple graphs, the .gr text format, benchmark generators, the
+children-first walk that lists the nodes of trees and diagrams, and `Dag`,
+the positions and node views both diagram kinds share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GraphError
 
@@ -46,6 +48,36 @@ def children_first(root, children) -> list:
             stack.pop()
             order.append(node)
     return order
+
+
+class Dag:
+    """Nodes numbered 0, 1, ... under the root `_root`, read through
+    `children(i)`, with node views of the class `View`, all three set by a
+    subclass. `positions` lists the nodes the root reaches, children first
+    and root last, and `last_reader[c]` is the last of them to read c."""
+
+    positions = cached_property(lambda self: children_first(self._root, self.children))
+    last_reader = cached_property(lambda self: self.place(self.positions))
+    root = property(lambda self: self.View(self, self._root))
+
+    def nodes(self) -> list:
+        return [self.View(self, i) for i in self.positions]
+
+    def place(self, listing) -> list:
+        """Take as positions the nodes of children-first `listing` that the root
+        reaches, each where first listed, in one sweep back from the root;
+        returns each node's last reader, which is the first met."""
+        last, reached = [None] * (max(listing) + 1), []
+        last[self._root] = self._root
+        for i in reversed(dict.fromkeys(listing)):
+            if last[i] is not None:
+                reached.append(i)
+                for child in self.children(i):
+                    if last[child] is None:
+                        last[child] = i
+        reached.reverse()
+        self.positions = reached
+        return last
 
 
 MAX_VERTICES = 10**6  # most vertices a `.gr` header may declare; a graph keeps a list for each

@@ -3,135 +3,136 @@
 `build_layers` builds a reduced, hash-consed diagram from a state machine read
 layer by layer. The path-decomposition compiler feeds it one layer per forget
 node, over the reachable transition tables quotiented to state classes, and
-`oracle.cnf_to_obdd` feeds it one level per CNF variable. `Obdd.nodes` lists a
-diagram's nodes once and keeps them, through `graph.children_first`, the walk
-SDDs and nice tree decompositions share. `Obdd.satisfiable` searches depth
+`oracle.cnf_to_obdd` feeds it one level per CNF variable. An `ObddSpace`
+numbers nodes as ints and keeps each field in a list; an `Obdd` keeps the
+lists and its positions (`graph.Dag`). `Obdd.satisfiable` searches depth
 first for a true leaf along the edges a partial assignment allows; on a total
 assignment that is the diagram's value.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .assignment import DecisionVariable, decision_variables
 from .decomposition import NiceTreeDecomposition, is_path_decomposition
 from .errors import DiagramError
-from .graph import Graph, children_first
+from .graph import Dag, Graph
 from .mso import Formula
 from .states import decision_space, forget_plan, minimize_states, reachable_states
 
 
-class ObddNode:
-    __slots__ = ("uid", "level", "label", "lo", "hi")
+class ObddNode(NamedTuple):
+    """Read-only view of node `uid` of a store: a space or a diagram."""
 
-    def __init__(self, uid, level=None, label=None, lo=None, hi=None):
-        self.uid = uid
-        self.level = level
-        self.label = label
-        self.lo = lo
-        self.hi = hi
+    store: object
+    uid: int
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.level is None
-
-    def __repr__(self) -> str:
-        if self.is_leaf:
-            return f"<leaf {self.label!r}>"
-        return f"<dec v{self.level} uid={self.uid}>"
+    is_leaf = property(lambda n: n.store.label[n.uid] is not None)
+    level = property(lambda n: None if n.is_leaf else n.store.level[n.uid])
+    label = property(lambda n: n.store.label[n.uid])
+    lo = property(lambda n: None if n.is_leaf else ObddNode(n.store, n.store.lo[n.uid]))
+    hi = property(lambda n: None if n.is_leaf else ObddNode(n.store, n.store.hi[n.uid]))
 
 
 class ObddSpace:
     """Node store for one variable order; all diagrams built here share nodes.
-    A leaf is interned on its label, a decision on its level and children. It
-    lives while nodes are made: a diagram keeps its order, not its store."""
+    Node i's level, children and label are entry i of four lists: a leaf sits
+    past the last level, with no children, and a decision has no label. A leaf
+    is interned on its label, a decision on its level and children, in a table
+    that lives while nodes are made: a diagram keeps the lists, not the table."""
 
     def __init__(self, order: tuple[DecisionVariable, ...]) -> None:
         self.order = tuple(order)
         self.level_of = {v: i for i, v in enumerate(self.order)}
         if len(self.level_of) != len(self.order):
             raise DiagramError("variable order contains duplicates")
-        self._table: dict[object, ObddNode] = {}
+        self.level, self.lo, self.hi, self.label = [], [], [], []
+        self._table: dict[object, int] = {}
 
-    def leaf(self, label) -> ObddNode:
+    def _new(self, key, level: int, lo, hi, label) -> int:
+        node = self._table[key] = len(self.level)
+        self.level.append(level)
+        self.lo.append(lo)
+        self.hi.append(hi)
+        self.label.append(label)
+        return node
+
+    def leaf(self, label) -> int:
         node = self._table.get(label)
-        if node is None:
-            node = self._table[label] = ObddNode(len(self._table), label=label)
-        return node
+        return self._new(label, len(self.order), None, None, label) if node is None else node
 
-    def decision(self, level: int, lo: ObddNode, hi: ObddNode) -> ObddNode:
+    def decision(self, level: int, lo: int, hi: int) -> int:
         """Interned decision node; keeps redundant (lo == hi) nodes."""
-        key = (level, lo, hi)
-        node = self._table.get(key)
-        if node is None:
-            node = self._table[key] = ObddNode(len(self._table), level=level, lo=lo, hi=hi)
-        return node
+        node = self._table.get((level, lo, hi))
+        return self._new((level, lo, hi), level, lo, hi, None) if node is None else node
 
-    def reduced(self, level: int, lo: ObddNode, hi: ObddNode) -> ObddNode:
-        return lo if lo is hi else self.decision(level, lo, hi)
+    def reduced(self, level: int, lo: int, hi: int) -> int:
+        return lo if lo == hi else self.decision(level, lo, hi)
 
 
-class Obdd:
+class Obdd(Dag):
     """An ordered diagram over its variable order, with the legend of its
-    decision variables. A compiled diagram also keeps its reachable sets; any
-    other has None there."""
+    decision variables: its store's lists, and its positions. A compiled
+    diagram also keeps its reachable sets; any other has None there."""
 
-    def __init__(self, order, root: ObddNode, legend, reachable=None) -> None:
+    View = ObddNode
+
+    def __init__(self, store, root: int, legend, reachable=None) -> None:
         self.kind = "obdd"
-        self.order: tuple[DecisionVariable, ...] = tuple(order)
-        self.root = root
+        self.order: tuple[DecisionVariable, ...] = store.order
+        self.level, self.lo, self.hi, self.label = store.level, store.lo, store.hi, store.label
         self.legend: tuple[DecisionVariable, ...] = legend
         self.reachable = reachable
-        self._nodes: list[ObddNode] | None = None
+        self._root = root
 
     @property
     def obdd(self) -> Obdd:
         # bench/worker.py reads `compile_obdd(...).obdd`; this goes when the benchmark next changes
         return self
 
-    def nodes(self) -> list[ObddNode]:
-        """Distinct reachable nodes, each after its lo and then its hi subtree; kept."""
-        if self._nodes is None:
-            self._nodes = children_first(
-                self.root, lambda n: () if n.level is None else (n.lo, n.hi)
-            )
-        return self._nodes
+    def children(self, i: int):  # lo, then hi; none for a leaf
+        return () if self.lo[i] is None else (self.lo[i], self.hi[i])
+
+    def size(self) -> int:
+        """Distinct reachable nodes, decisions and terminals alike."""
+        return len(self.positions)
 
     def satisfiable(self, delta) -> bool:
         """Search for a true leaf along the edges delta allows: one edge of a
         decision on a variable delta assigns, both edges otherwise. So it
         decides satisfiability under delta, and on a total assignment the
         diagram's value."""
-        order, seen, stack = self.order, {self.root.uid}, [self.root]
+        order, level, lo, hi, label = self.order, self.level, self.lo, self.hi, self.label
+        seen, stack = {self._root}, [self._root]
         while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                if node.label:
+            i = stack.pop()
+            if label[i] is not None:
+                if label[i]:
                     return True
                 continue
-            v = order[node.level]
-            children = (node.hi if delta[v] else node.lo,) if v in delta else (node.lo, node.hi)
+            v = order[level[i]]
+            children = (hi[i] if delta[v] else lo[i],) if v in delta else (lo[i], hi[i])
             for child in children:
-                if child.uid not in seen:
-                    seen.add(child.uid)
+                if child not in seen:
+                    seen.add(child)
                     stack.append(child)
         return False
 
 
-def obdd_size(b: Obdd) -> int:
-    """Distinct reachable nodes, decisions and terminals alike."""
-    return len(b.nodes())
+obdd_size = Obdd.size
 
 
 def reduce_obdd(b: Obdd) -> Obdd:
     """Canonical form for the given order: no redundant decisions, all shared."""
     space = ObddSpace(b.order)
-    memo: dict[int, ObddNode] = {}
-    for node in b.nodes():  # children first
-        if node.is_leaf:
-            memo[node.uid] = space.leaf(node.label)
+    memo: dict[int, int] = {}
+    for i in b.positions:  # children first
+        if b.label[i] is not None:
+            memo[i] = space.leaf(b.label[i])
         else:
-            memo[node.uid] = space.reduced(node.level, memo[node.lo.uid], memo[node.hi.uid])
-    return Obdd(b.order, memo[b.root.uid], b.legend)
+            memo[i] = space.reduced(b.level[i], memo[b.lo[i]], memo[b.hi[i]])
+    return Obdd(space, memo[b.positions[-1]], b.legend)
 
 
 def build_layers(space, steps, below: dict) -> dict:
@@ -192,4 +193,4 @@ def compile_obdd(
     legend = decision_variables(phi, g)
     if set(order) != set(legend):
         raise DiagramError("context variables do not cover the decision universe")
-    return Obdd(order, build_layers(space, steps, terminals)[space_dp.initial], legend, reach)
+    return Obdd(space, build_layers(space, steps, terminals)[space_dp.initial], legend, reach)

@@ -279,7 +279,7 @@ def truth_table_oracle(phi: Formula, g: Graph, dvars=None) -> int:
     return _Bitsets(g, phi).table(dvars, {})
 
 
-# -- queries as children-first folds ---------------------------------------------
+# -- queries as sweeps over a diagram's positions ------------------------------
 
 
 @dataclass(frozen=True)
@@ -303,73 +303,84 @@ class Fold:
     weight: Callable = lambda var: 0
 
 
-def fold(diagram, q: Fold):
-    """Run q over an SDD or OBDD, children first and without recursion.
-
-    Returns the value of the whole diagram, every node's value by uid, and
-    `pairs(node)`, the widened (prime, sub) value pairs that a decomposition
-    or decision node combines.
-    """
+def fold(diagram, q: Fold, keep: bool = False):
+    """Run q over an SDD or OBDD in one sweep over its positions. Returns the
+    whole diagram's value, the node values by node number, and `pairs(i)`,
+    the widened (prime, sub) value pairs that node i combines. Unless `keep`
+    is set, a value is dropped once the last node to read it is folded."""
     if diagram.kind == "sdd":
-        return _fold_sdd(diagram, q)
-    return _fold_obdd(diagram, q)
+        return _fold_sdd(diagram, q, keep)
+    return _fold_obdd(diagram, q, keep)
 
 
-def _fold_sdd(diagram, q: Fold):
-    vtree = diagram.vtree
+def _fold_sdd(diagram, q: Fold, keep: bool):
+    vtree, vtree_id, node_pairs, form = diagram.vtree, diagram.vtree_id, diagram.pairs, diagram.form
     scope = []  # summed weight below each v-tree node; ids are children first
     for vid, var in enumerate(vtree.var):
         if vtree.kind[vid] == "leaf":
             scope.append(q.weight(var))
         else:
             scope.append(scope[vtree.left[vid]] + scope[vtree.right[vid]])
-    values, own, lift = {}, {}, q.lift
+    values: list = [None] * len(form)
+    own = [0 if vid is None else scope[vid] for vid in vtree_id]
+    lift, combine, last = q.lift, q.combine, None if keep else diagram.last_reader
 
-    def pairs(node):
-        left, right = scope[vtree.left[node.vtree_id]], scope[vtree.right[node.vtree_id]]
+    def pairs(i):
+        left, right = scope[vtree.left[vtree_id[i]]], scope[vtree.right[vtree_id[i]]]
         return [
             (
-                values[p.uid] if own[p.uid] == left else lift(values[p.uid], left - own[p.uid]),
-                values[s.uid] if own[s.uid] == right else lift(values[s.uid], right - own[s.uid]),
+                values[p] if own[p] == left else lift(values[p], left - own[p]),
+                values[s] if own[s] == right else lift(values[s], right - own[s]),
             )
-            for p, s in node.pairs
+            for p, s in node_pairs[i]
         ]
 
-    for node in diagram.nodes():
-        if node.kind == DECOMP:
-            values[node.uid] = q.combine(pairs(node))
-        elif node.kind == LITERAL:
-            values[node.uid] = q.literal(node.var, int(node.polarity))
+    for i in diagram.positions:
+        if form[i] == DECOMP:
+            values[i] = combine(pairs(i))
+            if last:
+                for p, s in node_pairs[i]:
+                    if last[p] == i:
+                        values[p] = None
+                    if last[s] == i:
+                        values[s] = None
+        elif form[i] == LITERAL:
+            values[i] = q.literal(vtree.var[vtree_id[i]], int(diagram.polarity[i]))
         else:
-            values[node.uid] = q.true if node.kind == TRUE else q.false
-        own[node.uid] = 0 if node.vtree_id is None else scope[node.vtree_id]
-    root = diagram.root.uid
+            values[i] = q.true if form[i] == TRUE else q.false
+    root = diagram.positions[-1]
     return lift(values[root], scope[diagram.vtree_root] - own[root]), values, pairs
 
 
-def _fold_obdd(diagram, q: Fold):
-    order = diagram.order
-    scope = [0]  # summed weight of the levels above each level
+def _fold_obdd(diagram, q: Fold, keep: bool):
+    order, level, lo, hi = diagram.order, diagram.level, diagram.lo, diagram.hi
+    scope = [0]  # summed weight of the levels above each level; leaves sit past the last
     for var in order:
         scope.append(scope[-1] + q.weight(var))
     literals = [(q.literal(var, 0), q.literal(var, 1)) for var in order]
-    values, lift = {}, q.lift
+    lift, values = q.lift, [None] * len(level)
+    last = None if keep else diagram.last_reader
 
-    def widened(child, level: int):
-        extra = scope[len(order) if child.is_leaf else child.level] - scope[level]
-        return lift(values[child.uid], extra) if extra else values[child.uid]
+    def widened(child, above: int):
+        extra = scope[level[child]] - scope[above]
+        return lift(values[child], extra) if extra else values[child]
 
-    def pairs(node):
-        below = node.level + 1
-        off, on = literals[node.level]
-        return [(off, widened(node.lo, below)), (on, widened(node.hi, below))]
+    def pairs(i):
+        below = level[i] + 1
+        off, on = literals[level[i]]
+        return [(off, widened(lo[i], below)), (on, widened(hi[i], below))]
 
-    for node in diagram.nodes():
-        if node.is_leaf:
-            values[node.uid] = q.true if node.label else q.false
+    for i in diagram.positions:
+        if lo[i] is None:
+            values[i] = q.true if diagram.label[i] else q.false
         else:
-            values[node.uid] = q.combine(pairs(node))
-    return widened(diagram.root, 0), values, pairs
+            values[i] = q.combine(pairs(i))
+            if last:
+                if last[lo[i]] == i:
+                    values[lo[i]] = None
+                if last[hi[i]] == i:
+                    values[hi[i]] = None
+    return widened(diagram.positions[-1], 0), values, pairs
 
 
 def _truth_fold(dvars) -> Fold:
@@ -397,7 +408,7 @@ def truth_table(diagram, dvars) -> int:
 
 
 COUNT = Fold(
-    0, 1, lambda var, value: 1, lambda pairs: sum(p * s for p, s in pairs),
+    0, 1, lambda var, value: 1, lambda pairs: sum([p * s for p, s in pairs]),
     lambda value, extra: value << extra, lambda var: int(var.kind != "dummy"),
 )
 
@@ -510,24 +521,24 @@ def min_cardinality_model(diagram, targets, forced=None):
     total, _, pairs = fold(diagram, Fold(
         _INF, 0, cost, lambda pairs: min([p + s for p, s in pairs]),
         lambda value, extra: value + extra, lambda var: cost(var, forced.get(var, 0)),
-    ))
+    ), keep=True)
     if total == _INF:
         raise QueryError("diagram is unsatisfiable under the given constraints")
     # follow a cheapest pair down from the root; variables it never decides
     # keep their free value
     witness = {var: forced.get(var, 0) for var in diagram.legend}
-    stack = [diagram.root]
+    stack = [diagram.positions[-1]]
     while stack:
-        node = stack.pop()
+        i = stack.pop()
         if diagram.kind == "sdd":
-            if node.kind == LITERAL:
-                witness[node.var] = int(node.polarity)
-            elif node.kind == DECOMP:
-                stack.extend(node.pairs[_cheapest(pairs(node))])
-        elif not node.is_leaf:
-            value = _cheapest(pairs(node))
-            witness[diagram.order[node.level]] = value
-            stack.append(node.hi if value else node.lo)
+            if diagram.form[i] == LITERAL:
+                witness[diagram.vtree.var[diagram.vtree_id[i]]] = int(diagram.polarity[i])
+            elif diagram.form[i] == DECOMP:
+                stack.extend(diagram.pairs[i][_cheapest(pairs(i))])
+        elif diagram.lo[i] is not None:
+            value = _cheapest(pairs(i))
+            witness[diagram.order[diagram.level[i]]] = value
+            stack.append(diagram.hi[i] if value else diagram.lo[i])
     return int(total), decode_bits(diagram.legend, witness)
 
 
@@ -585,7 +596,7 @@ def cnf_to_obdd(cnf: Cnf, order=None) -> Obdd:
     order = tuple(order) if order is not None else cnf.variables
     space = ObddSpace(order)
     if not all(cnf.clauses):
-        return Obdd(order, space.leaf(0), cnf.variables)
+        return Obdd(space, space.leaf(0), cnf.variables)
     opens, closes, touches = ([set() for _ in order] for _ in range(3))
     for c, clause in enumerate(cnf.clauses):
         levels = [space.level_of[cnf.variables[i]] for i in clause]
@@ -606,4 +617,4 @@ def cnf_to_obdd(cnf: Cnf, order=None) -> Obdd:
         steps.append((level, 1, states, table))
         states = list(dict.fromkeys(table.values()))
     terminals = {frozenset(): space.leaf(1), None: space.leaf(0)}
-    return Obdd(order, build_layers(space, steps, terminals)[frozenset()], cnf.variables)
+    return Obdd(space, build_layers(space, steps, terminals)[frozenset()], cnf.variables)

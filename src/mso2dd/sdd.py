@@ -1,25 +1,27 @@
 """Structured decision diagrams over v-trees, and their construction from the
 decomposition dynamic program.
 
-Nodes are hash-consed: equal terminals and literals, and decompositions that
-list the same pairs in the same order at one v-tree node, are shared. A
+An `SddBuilder` numbers nodes as ints, keeps each field in a list and
+hash-conses: equal terminals and literals, and decompositions that list the
+same pairs in the same order at one v-tree node, are one node. A
 decomposition's primes always respect the left subtree of its v-tree node and
 form a boolean partition; subs respect the right subtree. The compiler trims
 every decomposition it builds (`trimmed`); a loaded file keeps its nodes as
-written. `Sdd.satisfiable` decides in one pass over the kept children-first
-node list whether a model extends a partial assignment; on a total assignment
-that is the diagram's value.
+written. An `Sdd` keeps the lists and its positions (`graph.Dag`);
+`Sdd.satisfiable` decides in one sweep over them whether a model extends a
+partial assignment; on a total assignment that is the diagram's value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .assignment import DecisionVariable, decision_variables, dv_dummy
 from .decomposition import FORGET, JOIN, LEAF, NiceTreeDecomposition
 from .errors import DiagramError
-from .graph import Graph, children_first
+from .graph import Dag, Graph
 from .mso import Formula
 from .states import (
     ReachableSets,
@@ -91,16 +93,18 @@ class VTree:
                 first[self.right[vid]] = first[vid] + 1 + size[self.left[vid]]
         return first, [f + k for f, k in zip(first, size)]
 
-    def respects(self, span, vtree_id: int, pairs) -> bool:
+    def respects(self, span, vtree_id: int, pairs, node_vtree) -> bool:
         """Every prime lies under the left child of the node, every sub under
-        its right child; constants fit anywhere. `span` is `intervals()`."""
+        its right child; constants fit anywhere. `span` is `intervals()`, and
+        `node_vtree` a store's v-tree node of each node."""
         first, end = span
         left, right = self.left[vtree_id], self.right[vtree_id]
         lo_p, hi_p, lo_s, hi_s = first[left], end[left], first[right], end[right]
         for p, s in pairs:
-            if p.vtree_id is not None and not lo_p <= first[p.vtree_id] < hi_p:
+            p, s = node_vtree[p], node_vtree[s]
+            if p is not None and not lo_p <= first[p] < hi_p:
                 return False
-            if s.vtree_id is not None and not lo_s <= first[s.vtree_id] < hi_s:
+            if s is not None and not lo_s <= first[s] < hi_s:
                 return False
         return True
 
@@ -108,102 +112,74 @@ class VTree:
         return len(self.kind)
 
 
-class SddNode:
-    __slots__ = ("uid", "kind", "var", "polarity", "pairs", "vtree_id")
+class SddNode(NamedTuple):
+    """Read-only view of node `uid` of a store: a builder or a diagram."""
 
-    def __init__(self, uid, kind, var=None, polarity=None, pairs=(), vtree_id=None):
-        self.uid = uid
-        self.kind = kind
-        self.var = var
-        self.polarity = polarity
-        self.pairs = pairs
-        self.vtree_id = vtree_id
+    store: object
+    uid: int
 
-    def __repr__(self) -> str:
-        if self.kind == LITERAL:
-            sign = "" if self.polarity else "~"
-            return f"<sdd {self.uid}: {sign}{self.var.name}>"
-        if self.kind == DECOMP:
-            return f"<sdd {self.uid}: decomp/{len(self.pairs)}>"
-        return f"<sdd {self.uid}: {self.kind}>"
+    kind = property(lambda n: n.store.form[n.uid])
+    vtree_id = property(lambda n: n.store.vtree_id[n.uid])
+    polarity = property(lambda n: n.store.polarity[n.uid])
+    var = property(lambda n: n.store.vtree.var[n.vtree_id] if n.kind == LITERAL else None)
+    pairs = property(lambda n: tuple(
+        (SddNode(n.store, p), SddNode(n.store, s)) for p, s in n.store.pairs[n.uid]
+    ))
 
 
 class SddBuilder:
-    """Hash-consing factory; owns the v-tree grown alongside the diagram and the
-    landing plans. Nodes are interned on their children as given, by identity.
-    It lives while nodes are made: a diagram keeps the v-tree, not the builder."""
+    """Hash-consing store; owns the v-tree grown alongside the diagram and the
+    landing plans. Node i's form, v-tree node, polarity and pairs are entry i
+    of four lists. Its table lives while nodes are made: a diagram keeps the
+    lists and the v-tree, not the table."""
 
     def __init__(self) -> None:
         self.vtree = VTree()
         self.plans: dict[int, tuple] = {}
-        self._table: dict[tuple, SddNode] = {}
+        self.form, self.vtree_id, self.polarity, self.pairs = [], [], [], []
+        self._table: dict[tuple, int] = {}
         self.false = self._intern((FALSE,), FALSE)
         self.true = self._intern((TRUE,), TRUE)
 
-    def _intern(self, key, kind, **fields) -> SddNode:
+    def _intern(self, key, form, vtree_id=None, polarity=None, pairs=()) -> int:
         node = self._table.get(key)
         if node is None:
-            node = self._table[key] = SddNode(len(self._table), kind, **fields)
+            node = self._table[key] = len(self.form)
+            self.form.append(form)
+            self.vtree_id.append(vtree_id)
+            self.polarity.append(polarity)
+            self.pairs.append(pairs)
         return node
 
-    def literal(self, var: DecisionVariable, polarity: bool) -> SddNode:
+    def literal(self, var: DecisionVariable, polarity: bool) -> int:
         vid = self.vtree.leaf_of(var)
-        return self._intern(
-            (LITERAL, vid, polarity), LITERAL, var=var, polarity=polarity, vtree_id=vid
-        )
+        return self._intern((LITERAL, vid, polarity), LITERAL, vid, polarity)
 
-    def decomposition(self, vtree_id: int, pairs) -> SddNode:
+    def decomposition(self, vtree_id: int, pairs) -> int:
         """Prime-sub pairs, stored in the order given; constant-false primes are
         dropped. Interned on that sequence of pairs: the compiler lists a
         v-tree node's pairs in one fixed order, so it loses no sharing, while a
         loaded file whose decompositions at one v-tree node list the same pairs
         in different orders keeps them as separate nodes."""
-        kept = tuple((p, s) for p, s in pairs if p.kind != FALSE)
+        kept = tuple([pair for pair in pairs if pair[0] != self.false])
         if not kept:
             raise DiagramError("decomposition with no non-false primes")
-        return self._intern((DECOMP, vtree_id, kept), DECOMP, pairs=kept, vtree_id=vtree_id)
+        return self._intern((DECOMP, vtree_id, kept), DECOMP, vtree_id, pairs=kept)
 
 
-def iter_sdd_nodes(root: SddNode):
-    """Distinct nodes reachable from the root, children first: each node's
-    primes and subs in pair order, then the node."""
-    return children_first(root, lambda n: chain.from_iterable(n.pairs))
+def iter_sdd_nodes(root: SddNode) -> list[SddNode]:
+    """Views of the distinct nodes reachable from the root, children first:
+    each node's primes and subs in pair order, then the node."""
+    return [SddNode(root.store, i) for i in Sdd(root.store, root.uid, (), None).positions]
 
 
 def sdd_size(root: SddNode) -> int:
     """Terminals count one, a decomposition counts its number of pairs; shared
     nodes are counted once."""
-    total = 0
-    for node in iter_sdd_nodes(root):
-        total += len(node.pairs) if node.kind == DECOMP else 1
-    return total
+    return Sdd(root.store, root.uid, (), None).size()
 
 
-def _decide(nodes, delta) -> bool:
-    """One pass over children-first `nodes`; returns the last one's value. A
-    decomposition holds when some pair's prime and sub both hold, and a
-    literal on a variable delta leaves out holds. So the pass decides
-    satisfiability under delta: a prime and its sub mention disjoint
-    variables, so a pair is satisfiable exactly when both are. On a total
-    assignment that is the diagram's value."""
-    value: dict[int, bool] = {}
-    for node in nodes:
-        if node.kind == DECOMP:
-            for p, s in node.pairs:
-                if value[p.uid] and value[s.uid]:
-                    value[node.uid] = True
-                    break
-            else:
-                value[node.uid] = False
-        elif node.kind == LITERAL:
-            var = node.var
-            value[node.uid] = var not in delta or bool(delta[var]) == node.polarity
-        else:
-            value[node.uid] = node.kind == TRUE
-    return value[nodes[-1].uid]
-
-
-def trimmed(builder: SddBuilder, vtree_id: int, pairs) -> SddNode:
+def trimmed(builder: SddBuilder, vtree_id: int, pairs) -> int:
     """The decomposition of `pairs`, whose primes form a boolean partition, less
     its false primes, under Darwiche's trimming rules, decided in one pass:
     pairs that all share one sub are that sub, and a single true sub among
@@ -213,12 +189,12 @@ def trimmed(builder: SddBuilder, vtree_id: int, pairs) -> SddNode:
     shared = single = True  # all subs are the first one; all but at most one true are false
     for pair in pairs:
         p, s = pair
-        if p is not false:
+        if p != false:
             kept.append(pair)
-            sub = sub or s
-            shared = shared and s is sub
-            single = single and (s is false or s is true and top is None)
-            top = p if s is true else top
+            sub = s if sub is None else sub
+            shared = shared and s == sub
+            single = single and (s == false or s == true and top is None)
+            top = p if s == true else top
     if not kept:
         raise DiagramError("decomposition with no non-false primes")
     if shared:
@@ -226,7 +202,7 @@ def trimmed(builder: SddBuilder, vtree_id: int, pairs) -> SddNode:
     if single and top is not None:
         return top
     kept = tuple(kept)
-    return builder._intern((DECOMP, vtree_id, kept), DECOMP, pairs=kept, vtree_id=vtree_id)
+    return builder._intern((DECOMP, vtree_id, kept), DECOMP, vtree_id, pairs=kept)
 
 
 @dataclass
@@ -260,7 +236,7 @@ class ContextSets:
     def states(self):
         return range(1 << len(self.literals))
 
-    def diagram(self, members: int, i: int = 0) -> SddNode:
+    def diagram(self, members: int, i: int = 0) -> int:
         """The trimmed diagram over variables i, i+1, ... true exactly on the
         assignments whose index bits are set in `members`; variable i is 0 on
         the lower half of the bits."""
@@ -309,7 +285,7 @@ def state_table_mapping(
         pad = builder.vtree.leaf(dv_dummy(dummy_tag))
         right_vid = builder.vtree.inner(g_b.vtree_id, pad)
 
-        def union(members: int) -> SddNode:
+        def union(members: int) -> int:
             return trimmed(builder, right_vid, [
                 (image, builder.true if members >> j & 1 else builder.false)
                 for j, image in enumerate(g_b.images.values())
@@ -337,28 +313,49 @@ def state_table_mapping(
     return StateSddMapping(images, out_vid)
 
 
-class Sdd:
+class Sdd(Dag):
     """A structured diagram over its v-tree, with the legend of its decision
-    variables. A compiled diagram also keeps its reachable sets; a diagram
-    loaded from text has None there."""
+    variables: its store's lists, and its positions. A compiled diagram also
+    keeps its reachable sets; a diagram loaded from text has None there."""
 
-    def __init__(self, vtree, root, legend, vtree_root, reachable=None):
+    View = SddNode
+
+    def __init__(self, store, root, legend, vtree_root, reachable=None):
         self.kind = "sdd"
-        self.vtree: VTree = vtree
-        self.root: SddNode = root
+        self.vtree: VTree = store.vtree
+        self.form, self.vtree_id = store.form, store.vtree_id
+        self.polarity, self.pairs = store.polarity, store.pairs
         self.legend: tuple[DecisionVariable, ...] = legend
         self.vtree_root: int = vtree_root
         self.reachable: ReachableSets | None = reachable
-        self._nodes: list[SddNode] | None = None
+        self._root = root
 
-    def nodes(self) -> list[SddNode]:
-        """`iter_sdd_nodes(root)`, walked once and kept: every query reads it."""
-        if self._nodes is None:
-            self._nodes = iter_sdd_nodes(self.root)
-        return self._nodes
+    def children(self, i: int):
+        return chain.from_iterable(self.pairs[i])
+
+    def size(self) -> int:
+        return sum(len(self.pairs[i]) or 1 for i in self.positions)
 
     def satisfiable(self, delta) -> bool:
-        return _decide(self.nodes(), delta)
+        """One sweep over the positions. A decomposition holds when some pair's
+        prime and sub both hold, as they mention disjoint variables, and a
+        literal on a variable delta leaves out holds."""
+        form, vtree_id, polarity, pairs = self.form, self.vtree_id, self.polarity, self.pairs
+        var = self.vtree.var
+        value = [False] * len(form)
+        for i in self.positions:
+            f = form[i]
+            if f == DECOMP:
+                for p, s in pairs[i]:
+                    if value[p] and value[s]:
+                        value[i] = True
+                        break
+            elif f == LITERAL:
+                v = var[vtree_id[i]]
+                value[i] = v not in delta or bool(delta[v]) == polarity[i]
+            else:
+                value[i] = f == TRUE
+        return value[self._root]
 
 
 def compile_sdd(
@@ -399,4 +396,4 @@ def compile_sdd(
         (g_root.images[s] for s in g_root.states() if space.is_accepting(s)), builder.false
     )
     legend = decision_variables(phi, g)
-    return Sdd(builder.vtree, root, legend, g_root.vtree_id, reach)
+    return Sdd(builder, root, legend, g_root.vtree_id, reach)

@@ -24,12 +24,13 @@ has no dummy variable. A node's children come before it, no var, vtree or
 node id is defined twice, and no `root`, `order` or `vtreeroot` line appears
 twice. Lines starting with `c` are comments.
 
-Node ids are positions in the children-first walk (`iter_sdd_nodes`,
-`Obdd.nodes`), not interning uids. The OBDD walk depends on the diagram's
-shape only, so equal OBDDs give equal text however their nodes were
-interned. Loading a compiled diagram's file and writing it again gives the
-same text. DOT export names nodes by the same file ids, so a diagram and
-its loaded file give the same DOT text.
+A node's file id is its position (`graph.Dag`), not its node number. A
+compiled diagram's positions are a walk that depends on its shape only, so
+equal OBDDs give equal text however their nodes were interned. A loaded one's
+are its file's order, less the nodes the root does not reach and repeats: a
+walk would cost more. So the program's own files load and write back the
+same text, and any other file reaches that fixed point after one write. DOT
+names nodes by file id, so a diagram and its loaded file give the same DOT.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .assignment import DecisionVariable, dv_dummy, dv_eq, dv_mem
 from .errors import DiagramError
 from .mso import Sort, Var
 from .obdd import Obdd, ObddSpace
-from .sdd import DECOMP, FALSE, LITERAL, TRUE, Sdd, SddBuilder, SddNode
+from .sdd import DECOMP, FALSE, LITERAL, TRUE, Sdd, SddBuilder
 
 _SORT_OF = {
     "veq": Sort.VERTEX_OBJECT,
@@ -86,19 +87,14 @@ def _new_id(token: str, taken: dict, what: str) -> int:
     return int(token)
 
 
-def _numbered(diagram):
-    """The diagram's nodes in file order, and each node's file id by uid."""
-    nodes = diagram.nodes()
-    return nodes, {node.uid: i for i, node in enumerate(nodes)}
-
-
 def diagram_lines(diagram):
     """The diagram's file text, line by line, without newlines."""
     yield "mso2dd-diagram 1"
     yield f"kind {diagram.kind}"
-    nodes, nid = _numbered(diagram)
+    positions = diagram.positions
+    fid = dict(zip(positions, range(len(positions))))  # file id by node number
     if diagram.kind == "sdd":
-        vtree = diagram.vtree
+        vtree, form, vtree_id = diagram.vtree, diagram.form, diagram.vtree_id
         variables = list(diagram.legend) + [
             v for v in vtree.all_variables() if v.kind == "dummy"
         ]
@@ -110,24 +106,25 @@ def diagram_lines(diagram):
             else:
                 yield f"vtree {vid} inner {vtree.left[vid]} {vtree.right[vid]}"
         yield f"vtreeroot {diagram.vtree_root}"
-        for i, node in enumerate(nodes):
-            if node.kind in (FALSE, TRUE):
-                yield f"node {i} {node.kind}"
-            elif node.kind == LITERAL:
-                yield f"node {i} lit {index[node.var]} {1 if node.polarity else 0}"
+        for pos, i in enumerate(positions):
+            if form[i] == DECOMP:
+                pairs = " ".join(f"{fid[p]}:{fid[s]}" for p, s in diagram.pairs[i])
+                yield f"node {pos} decomp {vtree_id[i]} {pairs}"
+            elif form[i] == LITERAL:
+                yield f"node {pos} lit {index[vtree.var[vtree_id[i]]]} {int(diagram.polarity[i])}"
             else:
-                pairs = " ".join(f"{nid[p.uid]}:{nid[s.uid]}" for p, s in node.pairs)
-                yield f"node {i} decomp {node.vtree_id} {pairs}"
+                yield f"node {pos} {form[i]}"
     else:
         index = {v: i for i, v in enumerate(diagram.legend)}
         yield from (_var_line(i, v) for i, v in enumerate(diagram.legend))
         yield "order " + " ".join(str(index[v]) for v in diagram.order)
-        for i, node in enumerate(nodes):
-            if node.is_leaf:
-                yield f"node {i} leaf {int(node.label)}"
+        lo, hi = diagram.lo, diagram.hi
+        for pos, i in enumerate(positions):
+            if lo[i] is None:
+                yield f"node {pos} leaf {int(diagram.label[i])}"
             else:
-                yield f"node {i} dec {node.level} {nid[node.lo.uid]} {nid[node.hi.uid]}"
-    yield f"root {len(nodes) - 1}"  # the walks list the root last
+                yield f"node {pos} dec {diagram.level[i]} {fid[lo[i]]} {fid[hi[i]]}"
+    yield f"root {len(positions) - 1}"
 
 
 def serialize_diagram(diagram) -> str:
@@ -147,8 +144,8 @@ def load_diagram(text: str):
     body = []
     root_id = None
     try:
-        for line in lines[2:]:
-            tag = line.split(None, 1)[0]
+        for line in lines[2:]:  # then only `body` holds the lines it keeps
+            tag = "node" if line[:5] == "node " else line.split(None, 1)[0]
             if tag == "var":
                 parts = _split(line)
                 variables[_new_id(parts[1], variables, "var")] = _parse_var(parts[2:])
@@ -158,6 +155,8 @@ def load_diagram(text: str):
                 root_id = int(_split(line)[1])
             else:
                 body.append(line)
+        del lines
+        body.reverse()  # the loaders pop each line as they read it, and drop it
         load = _load_sdd if kind == "sdd" else _load_obdd
         return load(variables, body, root_id)
     except (KeyError, ValueError, IndexError) as exc:
@@ -167,63 +166,64 @@ def load_diagram(text: str):
 def _load_sdd(variables, body, root_id) -> Sdd:
     builder = SddBuilder()
     vtree_ids: dict[int, int] = {}
-    nodes: dict[int, SddNode] = {}
+    ids: dict[int, int] = {}  # each node line's node number, by file id
     vtree_root = None
     span = None  # the v-tree's preorder intervals, fixed at the first decomposition
-    for line in body:
+    vtree = builder.vtree
+    while body:
+        line = body.pop()
         parts = _split(line)
-        if parts[0] == "vtree":
-            if span is not None:
-                raise DiagramError("v-tree line after a decomposition")
-            fid = _new_id(parts[1], vtree_ids, "vtree")
-            if parts[2] == "leaf":
-                vtree_ids[fid] = builder.vtree.leaf(variables[int(parts[3])])
-            else:
-                vtree_ids[fid] = builder.vtree.inner(
-                    vtree_ids[int(parts[3])], vtree_ids[int(parts[4])]
-                )
-        elif parts[0] == "vtreeroot":
-            if vtree_root is not None:
-                raise DiagramError("vtreeroot line repeated")
-            vtree_root = vtree_ids[int(parts[1])]
-        elif parts[0] == "node":
-            nid = _new_id(parts[1], nodes, "node")
-            if parts[2] == "false":
-                nodes[nid] = builder.false
-            elif parts[2] == "true":
-                nodes[nid] = builder.true
-            elif parts[2] == "lit":
-                nodes[nid] = builder.literal(variables[int(parts[3])], _BIT[parts[4]] == 1)
-            elif parts[2] == "decomp":
+        if parts[0] == "node":
+            nid = _new_id(parts[1], ids, "node")
+            if parts[2] == "decomp":
                 vid = vtree_ids[int(parts[3])]
-                if builder.vtree.kind[vid] != "inner":
+                if vtree.kind[vid] != "inner":
                     raise DiagramError(f"decomposition {nid} on v-tree leaf {parts[3]}")
                 pairs = []
                 for chunk in parts[4:]:
                     p, s = chunk.split(":")
-                    pairs.append((nodes[int(p)], nodes[int(s)]))
+                    pairs.append((ids[int(p)], ids[int(s)]))
                 if span is None:
-                    span = builder.vtree.intervals()
-                if not builder.vtree.respects(span, vid, pairs):
+                    span = vtree.intervals()
+                if not vtree.respects(span, vid, pairs, builder.vtree_id):
                     raise DiagramError(f"decomposition {nid} has a pair outside its v-tree slots")
-                nodes[nid] = builder.decomposition(vid, pairs)
+                ids[nid] = builder.decomposition(vid, pairs)
+            elif parts[2] == "lit":
+                ids[nid] = builder.literal(variables[int(parts[3])], _BIT[parts[4]] == 1)
+            elif parts[2] in (FALSE, TRUE):
+                ids[nid] = builder.true if parts[2] == TRUE else builder.false
             else:
                 raise DiagramError(f"unknown node form {parts[2]!r}")
+        elif parts[0] == "vtree":
+            if span is not None:
+                raise DiagramError("v-tree line after a decomposition")
+            fid = _new_id(parts[1], vtree_ids, "vtree")
+            if parts[2] == "leaf":
+                vtree_ids[fid] = vtree.leaf(variables[int(parts[3])])
+            else:
+                vtree_ids[fid] = vtree.inner(vtree_ids[int(parts[3])], vtree_ids[int(parts[4])])
+        elif parts[0] == "vtreeroot":
+            if vtree_root is not None:
+                raise DiagramError("vtreeroot line repeated")
+            vtree_root = vtree_ids[int(parts[1])]
         else:
             raise DiagramError(f"unknown line {line!r}")
-    if root_id not in nodes or vtree_root is None:
+    if root_id not in ids or vtree_root is None:
         raise DiagramError("diagram file missing root")
+    root = ids[root_id]
     legend = tuple(
         variables[i] for i in sorted(variables) if variables[i].kind != "dummy"
     )
     # the queries fold scopes up to vtree_root, so everything must lie under it
     first, end = span or builder.vtree.intervals()
     under = [builder.vtree.leaf_of(var) for var in legend]
-    if nodes[root_id].vtree_id is not None:
-        under.append(nodes[root_id].vtree_id)
+    if builder.vtree_id[root] is not None:
+        under.append(builder.vtree_id[root])
     if any(not first[vtree_root] <= first[vid] < end[vtree_root] for vid in under):
         raise DiagramError("the root or a legend variable lies outside vtreeroot")
-    return Sdd(builder.vtree, nodes[root_id], legend, vtree_root)
+    diagram = Sdd(builder, root, legend, vtree_root)
+    diagram.last_reader = diagram.place(ids.values())
+    return diagram
 
 
 def _load_obdd(variables, body, root_id) -> Obdd:
@@ -237,28 +237,30 @@ def _load_obdd(variables, body, root_id) -> Obdd:
     if set(order) != set(legend):
         raise DiagramError("order does not list every variable")
     space = ObddSpace(order)
-    nodes = {}
-    for line in body:
+    level = space.level  # a leaf's is len(order), past every decision's
+    ids: dict[int, int] = {}  # each node line's node number, by file id
+    while body:
+        line = body.pop()
         parts = _split(line)
         if parts[0] == "order":
             continue
         if parts[0] != "node":
             raise DiagramError(f"unknown line {line!r}")
-        nid = _new_id(parts[1], nodes, "node")
+        nid = _new_id(parts[1], ids, "node")
         if parts[2] == "leaf":
-            nodes[nid] = space.leaf(_BIT[parts[3]])
+            ids[nid] = space.leaf(_BIT[parts[3]])
         elif parts[2] == "dec":
-            level, lo, hi = int(parts[3]), nodes[int(parts[4])], nodes[int(parts[5])]
-            if level not in range(len(order)) or any(
-                not c.is_leaf and c.level <= level for c in (lo, hi)
-            ):
+            lvl, lo, hi = int(parts[3]), ids[int(parts[4])], ids[int(parts[5])]
+            if lvl not in range(len(order)) or level[lo] <= lvl or level[hi] <= lvl:
                 raise DiagramError(f"decision {nid} breaks the level order")
-            nodes[nid] = space.decision(level, lo, hi)
+            ids[nid] = space.decision(lvl, lo, hi)
         else:
             raise DiagramError(f"unknown node form {parts[2]!r}")
-    if root_id not in nodes:
+    if root_id not in ids:
         raise DiagramError("diagram file missing root")
-    return Obdd(order, nodes[root_id], legend)
+    diagram = Obdd(space, ids[root_id], legend)
+    diagram.last_reader = diagram.place(ids.values())
+    return diagram
 
 
 # -- DOT export -----------------------------------------------------------------
@@ -277,37 +279,29 @@ def diagram_to_dot(diagram) -> str:
 def _sdd_dot(diagram) -> str:
     # decompositions are circles feeding rows of paired prime|sub boxes
     out = ["digraph sdd {", "  node [fontname=monospace];"]
-    nodes, nid = _numbered(diagram)
+    form, fid = diagram.form, {i: pos for pos, i in enumerate(diagram.positions)}
 
-    def label(node) -> str:
-        if node.kind == FALSE:
-            return "F"
-        if node.kind == TRUE:
-            return "T"
-        if node.kind == LITERAL:
-            return ("" if node.polarity else "~") + node.var.name
-        return ""
+    def label(i: int) -> str:
+        if form[i] == LITERAL:
+            sign = "" if diagram.polarity[i] else "~"
+            return sign + diagram.vtree.var[diagram.vtree_id[i]].name
+        return {FALSE: "F", TRUE: "T", DECOMP: "*"}[form[i]]
 
-    for fid, node in enumerate(nodes):
-        if node.kind != DECOMP:
+    for pos, i in enumerate(diagram.positions):
+        if form[i] != DECOMP:
             continue
-        out.append(f"  n{fid} [shape=circle label={_dot_quote(str(fid))}];")
-        for i, (p, s) in enumerate(node.pairs):
-            box = f"n{fid}p{i}"
-            left = label(p) if p.kind != DECOMP else "*"
-            right = label(s) if s.kind != DECOMP else "*"
-            out.append(
-                f"  {box} [shape=record label={_dot_quote(f'{left}|{right}')}];"
-            )
-            out.append(f"  n{fid} -> {box};")
-            if p.kind == DECOMP:
-                out.append(f"  {box} -> n{nid[p.uid]} [style=dashed];")
-            if s.kind == DECOMP:
-                out.append(f"  {box} -> n{nid[s.uid]};")
-    if diagram.root.kind != DECOMP:
-        out.append(
-            f"  n{nid[diagram.root.uid]} [shape=box label={_dot_quote(label(diagram.root))}];"
-        )
+        out.append(f"  n{pos} [shape=circle label={_dot_quote(str(pos))}];")
+        for k, (p, s) in enumerate(diagram.pairs[i]):
+            box = f"n{pos}p{k}"
+            out.append(f"  {box} [shape=record label={_dot_quote(f'{label(p)}|{label(s)}')}];")
+            out.append(f"  n{pos} -> {box};")
+            if form[p] == DECOMP:
+                out.append(f"  {box} -> n{fid[p]} [style=dashed];")
+            if form[s] == DECOMP:
+                out.append(f"  {box} -> n{fid[s]};")
+    root = diagram.positions[-1]
+    if form[root] != DECOMP:
+        out.append(f"  n{fid[root]} [shape=box label={_dot_quote(label(root))}];")
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -315,14 +309,14 @@ def _sdd_dot(diagram) -> str:
 def _obdd_dot(diagram) -> str:
     # dotted edges are 0-branches, solid edges 1-branches
     out = ["digraph obdd {", "  node [fontname=monospace];"]
-    nodes, nid = _numbered(diagram)
-    for i, node in enumerate(nodes):
-        if node.is_leaf:
-            out.append(f"  n{i} [shape=box label={_dot_quote(str(int(node.label)))}];")
+    lo, hi, fid = diagram.lo, diagram.hi, {i: pos for pos, i in enumerate(diagram.positions)}
+    for pos, i in enumerate(diagram.positions):
+        if lo[i] is None:
+            out.append(f"  n{pos} [shape=box label={_dot_quote(str(int(diagram.label[i])))}];")
         else:
-            name = diagram.order[node.level].name
-            out.append(f"  n{i} [shape=ellipse label={_dot_quote(name)}];")
-            out.append(f"  n{i} -> n{nid[node.lo.uid]} [style=dotted];")
-            out.append(f"  n{i} -> n{nid[node.hi.uid]};")
+            name = diagram.order[diagram.level[i]].name
+            out.append(f"  n{pos} [shape=ellipse label={_dot_quote(name)}];")
+            out.append(f"  n{pos} -> n{fid[lo[i]]} [style=dotted];")
+            out.append(f"  n{pos} -> n{fid[hi[i]]};")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -33,7 +33,7 @@ from mso2dd.graph import Graph
 from mso2dd.mso import Formula, Var
 from mso2dd.obdd import Obdd
 from mso2dd.oracle import Cnf, _truth_fold, fold, truth_table_oracle, variable_masks
-from mso2dd.sdd import DECOMP, Sdd, SddNode, StateSddMapping, VTree, _decide, iter_sdd_nodes
+from mso2dd.sdd import DECOMP, Sdd, SddNode, StateSddMapping, VTree, iter_sdd_nodes
 from mso2dd.states import ForgetInfo, StateSpace, decision_space, forget_plan, forgotten_bits
 
 # -- decompositions ------------------------------------------------------------
@@ -172,11 +172,11 @@ def run_decision_procedure(
 
 
 def satisfiable(diagram, delta) -> bool:
-    """Whether a bare SDD node or an `Obdd` has a model extending `delta`; on
-    a total assignment, the diagram's value there."""
+    """Whether the SDD below a node view, or an `Obdd`, has a model extending
+    `delta`; on a total assignment, the diagram's value there."""
     if isinstance(diagram, Obdd):
         return diagram.satisfiable(delta)
-    return _decide(iter_sdd_nodes(diagram), delta)
+    return Sdd(diagram.store, diagram.uid, (), None).satisfiable(delta)
 
 
 def compile_with_mappings(
@@ -214,9 +214,9 @@ def compile_with_mappings(
 def vtree_respected(root: SddNode, vtree: VTree) -> bool:
     """Structural check: primes live in the left subtree of their decomposition's
     v-tree node, subs in the right subtree."""
-    span = vtree.intervals()
+    span, store = vtree.intervals(), root.store
     return all(
-        vtree.respects(span, node.vtree_id, node.pairs)
+        vtree.respects(span, node.vtree_id, store.pairs[node.uid], store.vtree_id)
         for node in iter_sdd_nodes(root)
         if node.kind == DECOMP
     )
@@ -243,9 +243,9 @@ def is_ordered(b: Obdd) -> bool:
 # -- truth tables and model listings -------------------------------------------
 
 
-def node_truth_tables(diagram, dvars) -> dict[int, int]:
-    """The truth table of every node, by uid."""
-    return fold(diagram, _truth_fold(dvars))[1]
+def node_truth_tables(diagram, dvars) -> list:
+    """The truth table of every node, by node number."""
+    return fold(diagram, _truth_fold(dvars), keep=True)[1]
 
 
 def cnf_truth_table(cnf: Cnf) -> int:

@@ -54,7 +54,7 @@ def build_example_obdd():
     # correction for a=1, b=1: (a & ~b) | (b & c) = c
     b_left = space.decision(1, one, c_node)
     root = space.decision(0, b_right, b_left)
-    return Obdd(space.order, root, order), order
+    return Obdd(space, root, order), order
 
 
 class TestEvaluate:
@@ -71,7 +71,7 @@ class TestEvaluate:
     def test_constant_false(self):
         order = fig_order()
         space = ObddSpace(order)
-        dd = Obdd(space.order, space.leaf(0), order)
+        dd = Obdd(space, space.leaf(0), order)
         for _, delta in all_deltas(order):
             assert not satisfiable(dd, delta)
 
@@ -82,7 +82,7 @@ class TestReduce:
         space = ObddSpace(order)
         one = space.leaf(1)
         redundant = space.decision(0, one, one)
-        reduced = reduce_obdd(Obdd(space.order, redundant, order))
+        reduced = reduce_obdd(Obdd(space, redundant, order))
         assert reduced.root.is_leaf and reduced.root.label == 1
 
     def test_isomorphic_subgraphs_merged(self):
@@ -92,7 +92,7 @@ class TestReduce:
         c1 = space.decision(2, zero, one)
         c2 = space.decision(2, zero, one)
         root = space.decision(1, c1, c2)
-        reduced = reduce_obdd(Obdd(space.order, root, order))
+        reduced = reduce_obdd(Obdd(space, root, order))
         assert reduced.root.is_leaf is False and reduced.root.level == 2
         assert obdd_size(reduced) == 3
 
@@ -121,7 +121,7 @@ class TestApply:
 
 def assert_reduced(dd):
     decisions = [n for n in dd.nodes() if not n.is_leaf]
-    assert all(n.lo is not n.hi for n in decisions)
+    assert all(n.lo != n.hi for n in decisions)
     assert len({(n.level, n.lo.uid, n.hi.uid) for n in decisions}) == len(decisions)
 
 
@@ -252,12 +252,12 @@ class TestQueries:
 class TestSizes:
     def test_constant(self):
         space = ObddSpace(fig_order())
-        assert obdd_size(Obdd(space.order, space.leaf(1), space.order)) == 1
+        assert obdd_size(Obdd(space, space.leaf(1), space.order)) == 1
 
     def test_single_literal(self):
         space = ObddSpace(fig_order())
         root = space.decision(0, space.leaf(0), space.leaf(1))
-        assert obdd_size(Obdd(space.order, root, space.order)) == 3
+        assert obdd_size(Obdd(space, root, space.order)) == 3
 
     def test_ordered_invariant(self):
         obdd, _ = build_example_obdd()

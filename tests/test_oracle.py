@@ -408,7 +408,7 @@ class TestDeepDiagrams:
         node = space.leaf(0)
         for level in reversed(range(len(order))):
             node = space.decision(level, node, space.leaf(1))
-        return Obdd(space.order, node, space.order)
+        return Obdd(space, node, space.order)
 
     def test_obdd_chain(self):
         chain = self.obdd_chain()

@@ -20,7 +20,7 @@ from mso2dd import (
 from mso2dd.assignment import dv_eq, dv_mem
 from mso2dd.decomposition import FORGET, JOIN, LEAF
 from mso2dd.errors import DiagramError, FormulaError
-from mso2dd.graph import clique, complete_binary_tree
+from mso2dd.graph import children_first, clique, complete_binary_tree
 from mso2dd.mso import Sort, Var
 from mso2dd import sdd
 from mso2dd.oracle import (
@@ -37,7 +37,6 @@ from mso2dd.sdd import (
     SddBuilder,
     SddNode,
     StateSddMapping,
-    _decide,
     context_assignment_mapping,
     iter_sdd_nodes,
     state_table_mapping,
@@ -89,20 +88,20 @@ def build_example_sdd():
     root = builder.decomposition(
         top, [(a_and_not_b, c_or_d), (not_a, just_c), (a_and_b, builder.false)]
     )
-    return builder, root, (a, b, c, d)
+    return builder, SddNode(builder, root), (a, b, c, d)
 
 
 class TestEvaluate:
     def test_terminals(self):
         builder = SddBuilder()
-        assert satisfiable(builder.true, {})
-        assert not satisfiable(builder.false, {})
+        assert satisfiable(SddNode(builder, builder.true), {})
+        assert not satisfiable(SddNode(builder, builder.false), {})
 
     def test_literal(self):
         builder = SddBuilder()
         x = dv_eq(Var("x", Sort.VERTEX_OBJECT), 1)
         builder.vtree.leaf(x)
-        lit = builder.literal(x, True)
+        lit = SddNode(builder, builder.literal(x, True))
         assert not satisfiable(lit, {x: 0})
         assert satisfiable(lit, {x: 1})
 
@@ -123,7 +122,8 @@ class TestEvaluate:
 
 class TestSize:
     def test_terminal(self):
-        assert sdd_size(SddBuilder().true) == 1
+        builder = SddBuilder()
+        assert sdd_size(SddNode(builder, builder.true)) == 1
 
     def test_single_decomposition(self):
         builder = SddBuilder()
@@ -138,7 +138,7 @@ class TestSize:
             ],
         )
         # two pairs plus four distinct terminal children
-        assert sdd_size(node) == 6
+        assert sdd_size(SddNode(builder, node)) == 6
 
     def test_sharing_counts_once(self):
         builder = SddBuilder()
@@ -154,7 +154,7 @@ class TestSize:
             ],
         )
         # unfolded this would be 2 + 4; the shared sub collapses to 2 + 3
-        assert sdd_size(node) == 5
+        assert sdd_size(SddNode(builder, node)) == 5
 
 
 def minterms(ctx):
@@ -167,16 +167,16 @@ class TestContextMapping:
         builder = SddBuilder()
         d1 = dv_eq(Var("x", Sort.VERTEX_OBJECT), 1)
         mapping = minterms(context_assignment_mapping(builder, (d1,)))
-        assert mapping.images[1].kind == "lit"
-        assert mapping.images[1].polarity is True
-        assert mapping.images[0].polarity is False
+        assert SddNode(builder, mapping.images[1]).kind == "lit"
+        assert SddNode(builder, mapping.images[1]).polarity is True
+        assert SddNode(builder, mapping.images[0]).polarity is False
 
     def test_two_variables_structure(self):
         builder = SddBuilder()
         x = Var("x", Sort.VERTEX_OBJECT)
         d1, d2 = dv_eq(x, 1), dv_eq(x, 2)
         mapping = minterms(context_assignment_mapping(builder, (d1, d2)))
-        node = mapping.images[0b10]  # x=v1 set, x=v2 clear
+        node = SddNode(builder, mapping.images[0b10])  # x=v1 set, x=v2 clear
         assert node.kind == DECOMP
         rendered = {
             (p.var.name, p.polarity, s.kind, getattr(s, "polarity", None))
@@ -197,7 +197,7 @@ class TestContextMapping:
                 hits = [
                     idx
                     for idx in mapping.states()
-                    if satisfiable(mapping.images[idx], delta)
+                    if satisfiable(SddNode(builder, mapping.images[idx]), delta)
                 ]
                 assert hits == [int("".join(str(delta[d]) for d in ctx), 2)]
 
@@ -209,7 +209,7 @@ class TestContextMapping:
         total = 0
         seen = set()
         for node in mapping.images.values():
-            for sub in iter_sdd_nodes(node):
+            for sub in iter_sdd_nodes(SddNode(builder, node)):
                 if sub.uid in seen:
                     continue
                 seen.add(sub.uid)
@@ -227,13 +227,14 @@ class TestContextMapping:
             ctx_vars = tuple(dv_eq(var, i + 1) for i in range(k))
             ctx = context_assignment_mapping(builder, ctx_vars)
             nodes = [ctx.diagram(members) for members in range(1 << (1 << k))]
-            assert len({id(node) for node in nodes}) == len(nodes)
-            for members, node in enumerate(nodes):
-                assert ctx.diagram(members) is node
+            assert len(set(nodes)) == len(nodes)
+            for members, number in enumerate(nodes):
+                assert ctx.diagram(members) == number
+                node = SddNode(builder, number)
                 walk = iter_sdd_nodes(node)
                 for _, delta in all_deltas(ctx_vars):
                     idx = sum(delta[d] << (k - 1 - i) for i, d in enumerate(ctx_vars))
-                    assert _decide(walk, delta) == bool(members >> idx & 1)
+                    assert satisfiable(node, delta) == bool(members >> idx & 1)
                 for sub in walk:
                     subs = [s.uid for _, s in sub.pairs]
                     assert len(subs) == len(set(subs))
@@ -262,7 +263,7 @@ class TestStateTableMapping:
             builder, g_a, g_b, self.table(g_a, g_b, lambda a, b: "c0"), ("c0",), "t"
         )
         for _, delta in all_deltas(dvars):
-            assert satisfiable(out.images["c0"], delta)
+            assert satisfiable(SddNode(builder, out.images["c0"]), delta)
 
     def test_projection_table(self):
         builder, g_a, g_b, dvars = self.setup_mappings()
@@ -270,8 +271,8 @@ class TestStateTableMapping:
         out = state_table_mapping(builder, g_a, g_b, table, g_a.states(), "t")
         for _, delta in all_deltas(dvars):
             for a in g_a.states():
-                assert satisfiable(out.images[a], delta) == satisfiable(
-                    g_a.images[a], delta
+                assert satisfiable(SddNode(builder, out.images[a]), delta) == satisfiable(
+                    SddNode(builder, g_a.images[a]), delta
                 )
 
     def test_output_partition(self):
@@ -280,7 +281,7 @@ class TestStateTableMapping:
         states = [(i, j) for i in (0, 1) for j in (0, 1)]
         out = state_table_mapping(builder, g_a, g_b, table, states, "t")
         for _, delta in all_deltas(dvars):
-            hits = [s for s in out.states() if satisfiable(out.images[s], delta)]
+            hits = [s for s in out.states() if satisfiable(SddNode(builder, out.images[s]), delta)]
             assert len(hits) == 1
 
     def test_image_outside_declared_states(self):
@@ -375,7 +376,7 @@ class TestCompile:
                 hits = [
                     s
                     for s in mapping.states()
-                    if satisfiable(mapping.images[s], delta)
+                    if satisfiable(SddNode(comp, mapping.images[s]), delta)
                 ]
                 assert hits == [representative[nid][states[nid]]]
 
@@ -476,14 +477,16 @@ class TestInterning:
 
     @staticmethod
     def assert_one_node_per_pair_set(phi, g, nice, coloring):
-        # one walk below a stand-in node whose pairs hold every mapping image
-        _, mappings = compile_with_mappings(phi, g, nice, coloring)
+        # one walk below a stand-in node, -1, whose children are every mapping image
+        comp, mappings = compile_with_mappings(phi, g, nice, coloring)
         images = [i for m in mappings.values() for i in m.images.values()]
-        top = SddNode(-1, DECOMP, pairs=[(i, i) for i in images])
+        walk = children_first(
+            -1, lambda i: images if i == -1 else itertools.chain.from_iterable(comp.pairs[i])
+        )
         groups: dict[tuple, list] = {}
-        for node in iter_sdd_nodes(top)[:-1]:
-            if node.kind == DECOMP:
-                groups.setdefault((node.vtree_id, frozenset(node.pairs)), []).append(node)
+        for i in walk[:-1]:
+            if comp.form[i] == DECOMP:
+                groups.setdefault((comp.vtree_id[i], frozenset(comp.pairs[i])), []).append(i)
         assert all(len(nodes) == 1 for nodes in groups.values())
 
     def test_corpus(self, corpus):

@@ -17,13 +17,14 @@ from mso2dd import (
 from mso2dd import obdd, oracle, sdd, serialize
 from mso2dd.cli import main
 from mso2dd.errors import DiagramError, Mso2ddError
-from mso2dd.graph import clique
+from mso2dd.graph import children_first, clique
 from mso2dd.obdd import reduce_obdd
 from mso2dd.oracle import (
     cnf_of_graph,
     cnf_to_obdd,
     enumerate_models,
     is_satisfiable,
+    KAPPA_TEXT,
     kappa_formula,
     min_cardinality_model,
     model_count,
@@ -157,7 +158,7 @@ class TestRoundtrip:
         # loader keeps both nodes and writes the file back as it was
         loaded = load_diagram(PAIR_ORDER_TEXT)  # defined with the malformed texts below
         (_, a), (_, b) = loaded.root.pairs
-        assert a is not b and a.pairs == b.pairs[::-1]
+        assert a != b and a.pairs == b.pairs[::-1]
         assert serialize_diagram(loaded) == PAIR_ORDER_TEXT
         assert model_count(loaded) == 2
 
@@ -320,10 +321,131 @@ root 8
 """
 
 
+def _node_lines(text: str):
+    """The file's node lines as {id: (line, child ids)}, in file order, and
+    its other lines before and after them."""
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("node "))
+    last = max(i for i, line in enumerate(lines) if line.startswith("node "))
+    nodes = {}
+    for line in lines[first:last + 1]:
+        parts = line.split()
+        if parts[2] == "decomp":
+            children = [int(c) for chunk in parts[4:] for c in chunk.split(":")]
+        else:
+            children = [int(c) for c in parts[4:6]] if parts[2] == "dec" else []
+        nodes[int(parts[1])] = (line, children)
+    return lines[:first], nodes, lines[last + 1:]
+
+
+def _text(head, node_lines, tail) -> str:
+    return "\n".join(head + node_lines + tail) + "\n"
+
+
+def height_order(text: str) -> str:
+    """The node lines sorted by height, the greatest id first among equals:
+    children first, but not the walk's order."""
+    head, nodes, tail = _node_lines(text)
+    height = {}
+    for nid, (_, children) in nodes.items():
+        height[nid] = 1 + max((height[c] for c in children), default=0)
+    order = sorted(nodes, key=lambda nid: (height[nid], -nid))
+    return _text(head, [nodes[nid][0] for nid in order], tail)
+
+
+def with_unreachable_node(text: str) -> str:
+    """A fresh id on a node no other reads: the root's children in reverse
+    order, placed before the root line."""
+    head, nodes, tail = _node_lines(text)
+    parts = list(nodes.values())[-1][0].split()
+    if parts[2] == "decomp":
+        parts[4:] = parts[:3:-1]
+    else:
+        parts[4:6] = parts[5], parts[4]
+    parts[1] = str(max(nodes) + 1)
+    lines = [line for line, _ in nodes.values()]
+    return _text(head, lines[:-1] + [" ".join(parts)] + lines[-1:], tail)
+
+
+def with_repeated_node(text: str) -> str:
+    """The first node with children written twice in a row, the copy under a
+    fresh id that every later reader names instead."""
+    head, nodes, tail = _node_lines(text)
+    nid = next(n for n, (_, children) in nodes.items() if children)
+    copy = max(nodes) + 1
+    lines = []
+    for n, (line, _) in nodes.items():
+        if n > nid and lines and int(lines[-1].split()[1]) >= nid:
+            parts = line.split()
+            if parts[2] == "decomp":
+                parts[4:] = [
+                    ":".join(str(copy if int(c) == nid else c) for c in chunk.split(":"))
+                    for chunk in parts[4:]
+                ]
+            elif parts[2] == "dec":
+                parts[4:6] = [str(copy if int(c) == nid else c) for c in parts[4:6]]
+            line = " ".join(parts)
+        lines.append(line)
+        if n == nid:
+            lines.append(line.replace(f"node {nid} ", f"node {copy} ", 1))
+    return _text(head, lines, tail)
+
+
+def answers(d):
+    targets = d.legend[:2]
+    return (
+        is_satisfiable(d), model_count(d), enumerate_models(d, 5),
+        min_cardinality_model(d, targets),
+    )
+
+
+class TestFileOrders:
+    """A loaded diagram's positions are its file's order, less the nodes the
+    root does not reach and the repeats of a node already listed."""
+
+    @pytest.mark.parametrize("edit", [height_order, with_unreachable_node, with_repeated_node])
+    @pytest.mark.parametrize("kind", ["sdd", "obdd"])
+    def test_other_orders_answer_alike_and_reach_a_fixed_point(self, edit, kind):
+        _, compiled_sdd, compiled_obdd = compile_both(path_graph(4))
+        text = serialize_diagram(compiled_sdd if kind == "sdd" else compiled_obdd)
+        edited = edit(text)
+        assert edited != text
+        canonical, d = load_diagram(text), load_diagram(edited)
+        walk = children_first(d.root.uid, d.children)
+        assert len(set(d.positions)) == len(d.positions) == len(walk)
+        assert set(d.positions) == set(walk) and d.positions[-1] == d.root.uid
+        assert answers(d) == answers(canonical)
+        written = serialize_diagram(d)
+        assert serialize_diagram(load_diagram(written)) == written
+        if edit is not height_order:  # the program's own order comes back
+            assert written == text
+
+    @pytest.mark.parametrize("kind", ["sdd", "obdd"])
+    def test_positions_follow_the_file(self, kind):
+        # every node is reached and listed once, so writing only renumbers
+        _, compiled_sdd, compiled_obdd = compile_both(path_graph(4))
+        text = height_order(serialize_diagram(compiled_sdd if kind == "sdd" else compiled_obdd))
+        head, nodes, _ = _node_lines(text)
+        new = {str(old): str(pos) for pos, old in enumerate(nodes)}
+
+        def renumbered(line):
+            parts = line.split()
+            parts[1] = new[parts[1]]
+            if parts[2] == "decomp":
+                parts[4:] = [":".join(new[c] for c in chunk.split(":")) for chunk in parts[4:]]
+            elif parts[2] == "dec":
+                parts[4:6] = new[parts[4]], new[parts[5]]
+            return " ".join(parts)
+
+        lines = [renumbered(line) for line, _ in nodes.values()]
+        expected = _text(head, lines, [f"root {len(nodes) - 1}"])
+        assert serialize_diagram(load_diagram(text)) == expected
+
+
 class TestNodeStores:
     def test_no_store_outlives_its_diagram(self, monkeypatch):
         # a unique table serves while nodes are made: every diagram keeps its
-        # nodes, its v-tree or order and its legend, and drops its store
+        # node lists, its v-tree or order and its legend, and drops the table
         alive = []
 
         def recording(store):
@@ -351,6 +473,38 @@ class TestNodeStores:
         assert sum(ref() is not None for ref in alive) == 0
         assert len(alive) == len(diagrams) == 6  # each entry point made one store
         assert [model_count(d) for d in diagrams] == [89] * 6
+
+    def test_no_view_is_made_unless_asked_for(self, monkeypatch, tmp_path, capsys):
+        made = []
+        for view in (sdd.SddNode, obdd.ObddNode):
+            new = view.__new__
+            monkeypatch.setattr(view, "__new__", staticmethod(
+                lambda cls, *args, new=new: made.append(cls) or new(cls, *args)
+            ))
+        g = path_graph(4)
+        nice = make_nice(g, path_decomposition(4))
+        phi, coloring = desugar(kappa_formula()), good_coloring(g, nice)
+        compiled = [compile_sdd(phi, g, nice, coloring), compile_obdd(phi, g, nice, coloring)]
+        for d in compiled + [load_diagram(serialize_diagram(d)) for d in compiled]:
+            answers(d)
+            truth_table(d, d.legend)
+            diagram_to_dot(d)
+        (tmp_path / "p4.gr").write_text("p gr 4 3\n1 2\n2 3\n3 4\n")
+        (tmp_path / "kappa.mso").write_text(KAPPA_TEXT + "\n")
+        inputs = ["--graph", str(tmp_path / "p4.gr"), "--formula", str(tmp_path / "kappa.mso")]
+        for target in ("sdd", "obdd"):
+            out = str(tmp_path / f"p4.{target}")
+            td = ["--td", str(tmp_path / "p4.td")] if target == "obdd" else []
+            (tmp_path / "p4.td").write_text("s td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n")
+            assert main(["compile", *inputs, *td, "--target", target, "--out", out]) == 0
+            for query in ("sat", "count", "enumerate", "min-card"):
+                assert main(["query", "--diagram", out, "--query", query, "--targets", "X_V"]) == 0
+            assert main(["export-dot", "--diagram", out]) == 0
+        capsys.readouterr()
+        assert made == []
+        assert compiled[0].root.kind == "decomp" and made == [sdd.SddNode]
+        compiled[1].nodes()
+        assert made[1:] == [obdd.ObddNode] * compiled[1].size()
 
 
 class TestErrors:
