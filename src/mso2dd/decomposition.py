@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DecompositionError
 from .graph import Edge, Graph, children_first
@@ -94,8 +94,7 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
     return TreeDecomposition(bags, edges)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     width: int
     violations: tuple[str, ...]
@@ -194,8 +193,7 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
     return TreeDecomposition(bags, edges)
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     """A forget node's `edges` are the edges it drops, from its vertex into its
     child's bag, in `Graph.incident_edges` order; other kinds have none."""
 

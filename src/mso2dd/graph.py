@@ -4,15 +4,15 @@ the positions and node views both diagram kinds share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import GraphError
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    """An undirected edge; endpoints are normalized so u < v."""
+class Edge(NamedTuple):
+    """An undirected edge; endpoints are normalized so u < v. Edges order by
+    (id, u, v)."""
 
     id: int
     u: int

@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FormulaError
@@ -46,97 +45,97 @@ class Var(NamedTuple):
 
 
 class Expr:
-    """Base class for syntax-tree nodes."""
+    """Base class for syntax-tree nodes: immutable records of the fields each
+    class names in `__slots__`. Atoms hold `Var`s, connectives `Expr`s, and
+    quantifiers a tuple of `Var`s and a body. Nodes are equal when they are of
+    one class with equal fields, and hash as the tuple of their fields."""
 
     __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = [f"{name}={getattr(self, name)!r}" for name in self.__slots__]
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def _immutable(self, *_):
+        raise AttributeError(f"{type(self).__name__} nodes cannot be changed")
+
+    __setattr__ = __delattr__ = _immutable
 
 
 # -- core nodes ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Adj(Expr):
-    vertex: Var
-    edge: Var
+    __slots__ = ("vertex", "edge")
 
 
-@dataclass(frozen=True)
 class Eq(Expr):
-    left: Var
-    right: Var
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class In(Expr):
-    element: Var
-    container: Var
+    __slots__ = ("element", "container")
 
 
-@dataclass(frozen=True)
 class Not(Expr):
-    body: Expr
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
 class And(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Exists(Expr):
-    variables: tuple[Var, ...]
-    body: Expr
+    __slots__ = ("variables", "body")
 
 
 # -- sugar nodes --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Or(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Forall(Expr):
-    variables: tuple[Var, ...]
-    body: Expr
+    __slots__ = ("variables", "body")
 
 
-@dataclass(frozen=True)
 class Neq(Expr):
-    left: Var
-    right: Var
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class NotIn(Expr):
-    element: Var
-    container: Var
+    __slots__ = ("element", "container")
 
 
-@dataclass(frozen=True)
 class EdgePred(Expr):
-    edge: Var
-    left: Var
-    right: Var
+    __slots__ = ("edge", "left", "right")
 
 
-@dataclass(frozen=True)
 class Nbr(Expr):
-    left: Var
-    right: Var
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(NamedTuple):
     """An expression together with its free variables in declaration order."""
 
     free_vars: tuple[Var, ...]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .assignment import DecisionVariable, decision_variables, decode_bits, domain, dv_mem
 from .errors import QueryError
@@ -282,8 +282,7 @@ def truth_table_oracle(phi: Formula, g: Graph, dvars=None) -> int:
 # -- queries as sweeps over a diagram's positions ------------------------------
 
 
-@dataclass(frozen=True)
-class Fold:
+class Fold(NamedTuple):
     """A query as a semiring fold over a diagram (Kimmig, Van den Broeck & De
     Raedt, "Algebraic Model Counting", 2017).
 
@@ -358,7 +357,7 @@ def _fold_obdd(diagram, q: Fold, keep: bool):
     for var in order:
         scope.append(scope[-1] + q.weight(var))
     literals = [(q.literal(var, 0), q.literal(var, 1)) for var in order]
-    lift, values = q.lift, [None] * len(level)
+    lift, combine, values = q.lift, q.combine, [None] * len(level)
     last = None if keep else diagram.last_reader
 
     def widened(child, above: int):
@@ -374,7 +373,7 @@ def _fold_obdd(diagram, q: Fold, keep: bool):
         if lo[i] is None:
             values[i] = q.true if diagram.label[i] else q.false
         else:
-            values[i] = q.combine(pairs(i))
+            values[i] = combine(pairs(i))
             if last:
                 if last[lo[i]] == i:
                     values[lo[i]] = None
@@ -550,8 +549,7 @@ def _cheapest(pairs) -> int:
 # -- the covering formula and its CNF twin ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Cnf:
+class Cnf(NamedTuple):
     """Positive 3-clause per edge: cover it by an endpoint or by the edge itself.
     Variables are the membership decision variables of the covering formula."""
 

@@ -14,7 +14,6 @@ partial assignment; on a total assignment that is the diagram's value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -205,15 +204,15 @@ def trimmed(builder: SddBuilder, vtree_id: int, pairs) -> int:
     return builder._intern((DECOMP, vtree_id, kept), DECOMP, vtree_id, pairs=kept)
 
 
-@dataclass
 class StateSddMapping:
     """For one decomposition node: each state class to the diagram deciding
     `the run lands in this class`; exactly one image is true per assignment.
     The images' insertion order is the mapping's deterministic iteration order.
     """
 
-    images: dict
-    vtree_id: int
+    def __init__(self, images: dict, vtree_id: int) -> None:
+        self.images = images
+        self.vtree_id = vtree_id
 
     def states(self):
         return tuple(self.images)

@@ -222,7 +222,9 @@ def _load_sdd(variables, body, root_id) -> Sdd:
     if any(not first[vtree_root] <= first[vid] < end[vtree_root] for vid in under):
         raise DiagramError("the root or a legend variable lies outside vtreeroot")
     diagram = Sdd(builder, root, legend, vtree_root)
-    diagram.last_reader = diagram.place(ids.values())
+    listing = list(ids.values())
+    del builder, ids  # the unique table and the file ids die before the sweep
+    diagram.last_reader = diagram.place(listing)
     return diagram
 
 
@@ -259,7 +261,9 @@ def _load_obdd(variables, body, root_id) -> Obdd:
     if root_id not in ids:
         raise DiagramError("diagram file missing root")
     diagram = Obdd(space, ids[root_id], legend)
-    diagram.last_reader = diagram.place(ids.values())
+    listing = list(ids.values())
+    del space, ids  # the unique table and the file ids die before the sweep
+    diagram.last_reader = diagram.place(listing)
     return diagram
 
 

@@ -28,7 +28,7 @@ them, which depends on no hash, so neither does the output.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .assignment import DecisionVariable, dv_eq, dv_mem
 from .decomposition import FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDecomposition
@@ -40,8 +40,7 @@ TRUE = "T"
 BOT = "X"
 
 
-@dataclass(frozen=True)
-class ForgetInfo:
+class ForgetInfo(NamedTuple):
     """A forget node's plan: the local shape its transitions see, the decision
     variables on the objects it drops (`context_of`), and the formula's free
     variables, so that `forgotten_bits` gives each of them bits even where
@@ -464,8 +463,7 @@ def forget_plan(
     return plan
 
 
-@dataclass
-class ReachableSets:
+class ReachableSets(NamedTuple):
     """Per-node reachable states plus the transition tables restricted to them.
 
     Each node's states are ordered by their rank in the order the pass first

@@ -62,6 +62,19 @@ def test_python_m_help():
     assert "compile" in proc.stdout
 
 
+def test_import_generates_no_code():
+    # records are NamedTuples and slotted classes: importing the package and
+    # its command line pulls in neither `dataclasses` nor the `inspect` it uses
+    script = (
+        "import sys; before = set(sys.modules); import mso2dd, mso2dd.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_package_surface():
     # what the command line, the callers of the compilers and the benchmark
     # read; everything else is imported from its own module

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -352,7 +351,7 @@ class TestForgetOwnership:
         g = clique(3)
         nice = make_nice(g, TreeDecomposition({1: {1, 2, 3}}, []))
         first = nice.nodes[nice.forget_nodes()[0]]
-        nice.nodes[first.id] = dataclasses.replace(first, edges=first.edges[:1])
+        nice.nodes[first.id] = first._replace(edges=first.edges[:1])
         report = validate_nice(g, nice)
         assert not report.valid
         assert f"node {first.id}: edges are not the ones it drops" in report.violations

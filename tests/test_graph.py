@@ -4,7 +4,7 @@ import pytest
 
 from mso2dd import Graph, parse_graph
 from mso2dd.errors import GraphError
-from mso2dd.graph import clique, clique_tree, complete_binary_tree, full_product
+from mso2dd.graph import Edge, clique, clique_tree, complete_binary_tree, full_product
 
 from checks import serialize_graph
 
@@ -78,6 +78,18 @@ class TestParse:
             chosen = [p for p in pairs if rng.random() < 0.5]
             g = Graph(n, chosen)
             assert parse_graph(serialize_graph(g)) == g
+
+
+class TestEdge:
+    def test_edges_order_by_id_then_endpoints(self):
+        edges = [Edge(2, 1, 3), Edge(1, 2, 3), Edge(1, 1, 4), Edge(1, 1, 3)]
+        assert sorted(edges) == [Edge(1, 1, 3), Edge(1, 1, 4), Edge(1, 2, 3), Edge(2, 1, 3)]
+
+    def test_equal_edges_hash_equal_and_cannot_change(self):
+        e = Edge(1, 2, 3)
+        assert e == Edge(1, 2, 3) and hash(e) == hash(Edge(1, 2, 3))
+        with pytest.raises(AttributeError):
+            e.u = 5
 
 
 class TestGenerators:

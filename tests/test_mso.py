@@ -1,16 +1,22 @@
+import sys
+
 import pytest
 
 from mso2dd import desugar, formula_size, parse_formula
 from mso2dd.errors import FormulaError
 from mso2dd.mso import (
+    MAX_NESTING,
     Adj,
     And,
     Eq,
     Exists,
     Forall,
     In,
+    Neq,
     Not,
+    Or,
     Sort,
+    Var,
     occurring_variables,
 )
 from mso2dd.oracle import kappa_formula, oracle_eval, truth_table_oracle
@@ -84,6 +90,53 @@ class TestParser:
     def test_syntax_error(self):
         with pytest.raises(FormulaError):
             parse_formula("free vertex x; (x =")
+
+
+class TestNodes:
+    u, v, e = Var("u", Sort.VERTEX_OBJECT), Var("v", Sort.VERTEX_OBJECT), Var("e", Sort.EDGE_OBJECT)
+
+    def test_class_decides_equality(self):
+        a, b = Adj(self.u, self.e), Eq(self.u, self.v)
+        assert And(a, b) != Or(a, b)
+        assert Exists((self.u,), b) != Forall((self.u,), b)
+        assert Eq(self.u, self.v) != Neq(self.u, self.v)
+        assert And(a, b) == And(Adj(self.u, self.e), Eq(self.u, self.v))
+        assert repr(a) == "Adj(vertex=u:vertex, edge=e:edge)"
+
+    def test_equal_nodes_hash_equal(self):
+        for text in FORMULA_TEXTS.values():
+            for f, g in ((parse_formula(text), parse_formula(text)),
+                         (desugar(parse_formula(text)), desugar(parse_formula(text)))):
+                assert f.root is not g.root and f == g and hash(f) == hash(g)
+
+    def test_fields_cannot_be_assigned(self):
+        node = And(Adj(self.u, self.e), Eq(self.u, self.v))
+        with pytest.raises(AttributeError):
+            node.left = node.right
+        with pytest.raises(AttributeError):
+            del node.right
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        with pytest.raises(AttributeError):
+            parse_formula(FORMULA_TEXTS["eq"]).root = node
+
+    def test_deepest_formula_hashes_and_compares(self):
+        # MAX_NESTING levels of negation, of conjunction, and of disjunction,
+        # which desugaring deepens, at the default recursion limit
+        inner_and = inner_or = "(x = x)"
+        for _ in range(MAX_NESTING // 2):
+            inner_and = f"~((x = x) & {inner_and})"
+            inner_or = f"~((x = x) | {inner_or})"
+        texts = ["~" * MAX_NESTING + "(x = x)", inner_and, inner_or]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            for text in texts:
+                for make in (parse_formula, lambda t: desugar(parse_formula(t))):
+                    f, g = make(f"free vertex x; {text}"), make(f"free vertex x; {text}")
+                    assert f == g and hash(f) == hash(g)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestDesugar:

@@ -1,6 +1,6 @@
 """Textbook MSO2 properties at path and grid scale: 3-colourability,
-independent set, perfect matching and connectivity, on graphs with known
-answers, and the linear growth of their diagrams."""
+independent set, perfect matching, connectivity and Hamiltonian cycle, on
+graphs with known answers, and the linear growth of their diagrams."""
 
 import pytest
 
@@ -15,12 +15,13 @@ from mso2dd import (
     parse_formula,
     sdd_size,
 )
+from mso2dd.assignment import decision_variables
 from mso2dd.graph import clique
-from mso2dd.oracle import is_satisfiable, model_count
+from mso2dd.oracle import is_satisfiable, model_count, truth_table, truth_table_oracle
 
 from conftest import (
-    FORMULA_TEXTS, INDEPENDENT_SET_TEXT, THREE_COLORING_TEXT, grid_graph, path_decomposition,
-    path_graph,
+    FORMULA_TEXTS, HAMILTONIAN_CYCLE_TEXT, INDEPENDENT_SET_TEXT, THREE_COLORING_TEXT,
+    cycle_graph, grid_chain_decomposition, grid_graph, path_decomposition, path_graph,
 )
 
 
@@ -70,10 +71,34 @@ class TestConnectivity:
             assert model_count(path_obdd(FORMULA_TEXTS["connected"], n)) == n * (n + 1) // 2 + 1
 
 
-def grid_sdd(text, cols):
-    g = grid_graph(cols)
+def min_fill_sdd(text, g):
     nice = make_nice(g, min_fill_decomposition(g))
     return compile_sdd(desugar(parse_formula(text)), g, nice, good_coloring(g, nice))
+
+
+class TestHamiltonianCycle:
+    def test_sdd_matches_oracle(self):
+        phi = desugar(parse_formula(HAMILTONIAN_CYCLE_TEXT))
+        for g in (cycle_graph(4), cycle_graph(6), clique(4), path_graph(4), grid_graph(2)):
+            dvars = decision_variables(phi, g)
+            sdd = min_fill_sdd(HAMILTONIAN_CYCLE_TEXT, g)
+            assert truth_table(sdd, dvars) == truth_table_oracle(phi, g, dvars)
+
+    def test_counts(self):
+        # a cycle is its own only Hamiltonian cycle; K4 has 3, a path none
+        for n in (4, 5, 12):
+            assert model_count(min_fill_sdd(HAMILTONIAN_CYCLE_TEXT, cycle_graph(n))) == 1, n
+        assert model_count(min_fill_sdd(HAMILTONIAN_CYCLE_TEXT, clique(4))) == 3
+        assert model_count(min_fill_sdd(HAMILTONIAN_CYCLE_TEXT, path_graph(4))) == 0
+
+    def test_count_on_grids_doubles_every_two_columns(self):
+        # the 3 x n grid for even n has 2^(n/2 - 1) Hamiltonian cycles
+        phi = desugar(parse_formula(HAMILTONIAN_CYCLE_TEXT))
+        for cols in (2, 4, 8, 16, 32):
+            g = grid_graph(cols)
+            nice = make_nice(g, grid_chain_decomposition(cols))
+            obdd = compile_obdd(phi, g, nice, good_coloring(g, nice))
+            assert model_count(obdd) == 2 ** (cols // 2 - 1), cols
 
 
 def extrapolation_ratio(xs, sizes) -> float:
@@ -82,14 +107,14 @@ def extrapolation_ratio(xs, sizes) -> float:
     return s3 / (s1 + (s2 - s1) * (x3 - x1) / (x2 - x1))
 
 
-@pytest.mark.parametrize("name", ["indep", "matching", "connected"])
+@pytest.mark.parametrize("name", ["indep", "matching", "connected", "hamiltonian"])
 def test_size_linear_in_graph(name):
     # fixed formula and width: the OBDD over width-1 paths and the SDD over
     # min-fill 3 x n grids grow linearly with the graph
-    text = FORMULA_TEXTS[name]
+    text = dict(FORMULA_TEXTS, hamiltonian=HAMILTONIAN_CYCLE_TEXT)[name]
     paths = (64, 256, 1024)
     obdd = [obdd_size(path_obdd(text, n).obdd) for n in paths]
     assert 1 / 1.1 <= extrapolation_ratio(paths, obdd) <= 1.1, obdd
     grids = (16, 32, 64)
-    sdd = [sdd_size(grid_sdd(text, cols).root) for cols in grids]
+    sdd = [sdd_size(min_fill_sdd(text, grid_graph(cols)).root) for cols in grids]
     assert 1 / 1.1 <= extrapolation_ratio(grids, sdd) <= 1.1, sdd
