@@ -2,8 +2,9 @@
 
 `build_layers` builds a reduced, hash-consed diagram from a state machine read
 layer by layer. The path-decomposition compiler feeds it one layer per forget
-node, over the reachable transition tables quotiented to state classes, and
-`oracle.cnf_to_obdd` feeds it one level per CNF variable. An `ObddSpace`
+node (`layer_steps`), over the reachable transition tables quotiented to state
+classes, `sdd.compile_sdd` feeds it the same layers on a join-free
+decomposition, and `oracle.cnf_to_obdd` one level per CNF variable. An `ObddSpace`
 numbers nodes as ints and keeps each field in a list; an `Obdd` keeps the
 lists and its positions (`graph.Dag`). `Obdd.satisfiable` searches depth
 first for a true leaf along the edges a partial assignment allows; on a total
@@ -147,8 +148,10 @@ def build_layers(space, steps, below: dict) -> dict:
     successors; returns those nodes for the states entering the first step.
 
     `space.reduced(level, lo, hi)` makes the trees' inner nodes: the node
-    deciding `level`, with `lo` where it is 0 and `hi` where it is 1. Its two
-    callers, the path compiler and `cnf_to_obdd`, pass an `ObddSpace`.
+    deciding `level`, with `lo` where it is 0 and `hi` where it is 1. Its
+    three callers: the path compiler and `cnf_to_obdd` pass an `ObddSpace`,
+    and `compile_sdd` on a join-free decomposition a `ContextSets` over the
+    whole order, whose nodes are the OBDD's in SDD form.
     """
     for base, k, states, table in reversed(steps):
         entering = {}
@@ -164,28 +167,31 @@ def build_layers(space, steps, below: dict) -> dict:
     return below
 
 
+def layer_steps(t: NiceTreeDecomposition, plan, reach) -> tuple[tuple, list]:
+    """The variable order and the `build_layers` steps of a join-free nice
+    decomposition: the forget-node contexts concatenated from the leaf up to
+    the root, and one layer per forget node over its context variables."""
+    order: list[DecisionVariable] = []
+    steps = []
+    for nid in t.forget_nodes():  # a path decomposition's postorder runs leaf upward
+        variables = plan[nid].variables
+        entering = reach.per_node[t.nodes[nid].children[0]]
+        steps.append((len(order), len(variables), entering, reach.forget_tables[nid]))
+        order.extend(variables)
+    return tuple(order), steps
+
+
 def compile_obdd(
     phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
 ) -> Obdd:
-    """Compile along a nice path decomposition; the variable order concatenates
-    the forget-node contexts from the leaf up to the root, and each forget node
-    is one layer of `build_layers` over its context variables.
-    """
+    """Compile along a nice path decomposition in the order of `layer_steps`."""
     if not is_path_decomposition(t):
         raise DiagramError("path decomposition required: join node present")
     space_dp = decision_space(phi)
     plan = forget_plan(phi, t, coloring)
     reach = minimize_states(space_dp, t, reachable_states(space_dp, t, plan))
-
-    chain = t.forget_nodes()  # a path decomposition's postorder runs leaf upward
-    order: list[DecisionVariable] = []
-    steps = []
-    for nid in chain:
-        variables = plan[nid].variables
-        entering = reach.per_node[t.nodes[nid].children[0]]
-        steps.append((len(order), len(variables), entering, reach.forget_tables[nid]))
-        order.extend(variables)
-    space = ObddSpace(tuple(order))
+    order, steps = layer_steps(t, plan, reach)
+    space = ObddSpace(order)
     terminals = {
         s: space.leaf(1 if space_dp.is_accepting(s) else 0)
         for s in reach.per_node[t.root]

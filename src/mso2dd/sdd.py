@@ -6,10 +6,13 @@ hash-conses: equal terminals and literals, and decompositions that list the
 same pairs in the same order at one v-tree node, are one node. A
 decomposition's primes always respect the left subtree of its v-tree node and
 form a boolean partition; subs respect the right subtree. The compiler trims
-every decomposition it builds (`trimmed`); a loaded file keeps its nodes as
-written. An `Sdd` keeps the lists and its positions (`graph.Dag`);
-`Sdd.satisfiable` decides in one sweep over them whether a model extends a
-partial assignment; on a total assignment that is the diagram's value.
+every decomposition it builds (`trimmed`, `ContextSets.reduced`); a loaded
+file keeps its nodes as written. On a join-free decomposition the compiler
+builds the OBDD of `obdd.compile_obdd` in SDD form, over a right-linear
+v-tree; otherwise its v-tree mirrors the decomposition. An `Sdd` keeps the
+lists and its positions (`graph.Dag`); `Sdd.satisfiable` decides in one sweep
+over them whether a model extends a partial assignment; on a total assignment
+that is the diagram's value.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from itertools import chain
 from typing import NamedTuple
 
 from .assignment import DecisionVariable, decision_variables, dv_dummy
-from .decomposition import FORGET, JOIN, LEAF, NiceTreeDecomposition
+from .decomposition import FORGET, JOIN, LEAF, NiceTreeDecomposition, is_path_decomposition
 from .errors import DiagramError
 from .graph import Dag, Graph
 from .mso import Formula
+from .obdd import build_layers, layer_steps
 from .states import (
     ReachableSets,
     decision_space,
@@ -223,7 +227,8 @@ class ContextSets:
     any set of them. Assignment idx sets variable i to bit k-1-i of idx; with
     no variables there is one assignment, 0. Over the right-linear v-tree an
     SDD is an OBDD: the diagram at level i decides variable i under v-tree node
-    `suffix_vids[i]`, built once per (i, truth vector over variables i, ...)."""
+    `suffix_vids[i]`, built once per (i, truth vector over variables i, ...).
+    So it is also the node store `obdd.build_layers` takes (`reduced`)."""
 
     def __init__(self, builder: SddBuilder, variables, suffix_vids) -> None:
         self.builder = builder
@@ -243,10 +248,24 @@ class ContextSets:
         if node is None:
             half = 1 << (len(self.literals) - 1 - i)
             lo = self.diagram(members & ((1 << half) - 1), i + 1)
-            (neg, pos), hi = self.literals[i], self.diagram(members >> half, i + 1)
-            node = trimmed(self.builder, self.suffix_vids[i], [(neg, lo), (pos, hi)])
+            node = self.reduced(i, lo, self.diagram(members >> half, i + 1))
             self._memo[i, members] = node
         return node
+
+    def reduced(self, i: int, lo: int, hi: int) -> int:
+        """The trimmed decomposition [(not x, lo), (x, hi)] of variable i = x,
+        at the v-tree node of variables i, i+1, ...: `lo` when both are one
+        node, x for false and true, and not x for true and false."""
+        builder = self.builder
+        if lo == hi:
+            return lo
+        neg, pos = self.literals[i]
+        if lo == builder.false and hi == builder.true:
+            return pos
+        if lo == builder.true and hi == builder.false:
+            return neg
+        vid, pairs = self.suffix_vids[i], ((neg, lo), (pos, hi))
+        return builder._intern((DECOMP, vid, pairs), DECOMP, vid, pairs=pairs)
 
 
 def context_assignment_mapping(
@@ -360,15 +379,28 @@ class Sdd(Dag):
 def compile_sdd(
     phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
 ) -> Sdd:
-    """Bottom-up construction over the nice decomposition: every node gets a
-    mapping from its state classes to diagrams, and the root's accepting
-    class's diagram is true exactly on the accepted assignments. Only a
-    node's parent reads its mapping, so a postorder fold keeps the mappings
-    on a stack and drops each one as its parent pops it."""
+    """Bottom-up construction over the nice decomposition.
+
+    A join-free one yields the OBDD of `compile_obdd` in SDD form: the layers
+    of `obdd.build_layers` over the right-linear v-tree of its whole order.
+    Otherwise every node gets a mapping from its state classes to diagrams,
+    and the root's accepting class's diagram is true exactly on the accepted
+    assignments. Only a node's parent reads its mapping, so a postorder fold
+    keeps the mappings on a stack and drops each one as its parent pops it."""
     space = decision_space(phi)
     plan = forget_plan(phi, t, coloring)
     reach = minimize_states(space, t, reachable_states(space, t, plan))
     builder = SddBuilder()
+    legend = decision_variables(phi, g)
+    if is_path_decomposition(t):
+        order, steps = layer_steps(t, plan, reach)
+        levels = context_assignment_mapping(builder, order, "order")
+        terminals = {
+            s: builder.true if space.is_accepting(s) else builder.false
+            for s in reach.per_node[t.root]
+        }
+        root = build_layers(levels, steps, terminals)[space.initial]
+        return Sdd(builder, root, legend, levels.vtree_id, reach)
     stack: list[StateSddMapping] = []
 
     for nid in t.postorder():  # an introduce node keeps its child's mapping
@@ -394,5 +426,4 @@ def compile_sdd(
     root = next(
         (g_root.images[s] for s in g_root.states() if space.is_accepting(s)), builder.false
     )
-    legend = decision_variables(phi, g)
     return Sdd(builder, root, legend, g_root.vtree_id, reach)

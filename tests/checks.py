@@ -186,7 +186,8 @@ def compile_with_mappings(
     from state classes to diagrams. The forget and join mappings are the
     results of `compile_sdd`'s calls to `state_table_mapping`, recorded in
     postorder; a leaf maps the initial state to true and an introduce node
-    maps like its child."""
+    maps like its child. Only the stack fold makes mappings, so `t` must have
+    a join: a join-free one is compiled by `obdd.build_layers`."""
     calls = []  # (builder, mapping) per call
     original = sdd.state_table_mapping
 
@@ -196,6 +197,7 @@ def compile_with_mappings(
 
     with mock.patch.object(sdd, "state_table_mapping", recorded):
         comp = sdd.compile_sdd(phi, g, t, coloring)
+    assert calls, "no state_table_mapping call: the stack fold did not run"
     results, initial = iter(calls), decision_space(phi).initial
     mappings: dict[int, StateSddMapping] = {}
     for nid in t.postorder():

@@ -6,10 +6,12 @@ from unittest import mock
 import pytest
 
 from mso2dd import (
+    compile_obdd,
     compile_sdd,
     decision_variables,
     desugar,
     good_coloring,
+    is_path_decomposition,
     load_diagram,
     make_nice,
     min_fill_decomposition,
@@ -50,10 +52,12 @@ from conftest import (
     FORMULA_TEXTS,
     all_deltas,
     corpus_graphs,
+    grid_chain_decomposition,
     grid_graph,
     kappa_count_path,
     path_decomposition,
     path_graph,
+    star_graph,
 )
 
 
@@ -362,8 +366,9 @@ class TestCompile:
 
     def test_state_mapping_property(self):
         # at every decomposition node exactly one image is true, and it names
-        # the representative of the state the procedure reaches there
-        g = path_graph(3)
+        # the representative of the state the procedure reaches there; the
+        # star's min-fill nice form has a join, so the stack fold builds it
+        g = star_graph(4)
         phi, nice, coloring = self.inputs("free vertex x; free vset X; (x in X)", g)
         comp, mappings = compile_with_mappings(phi, g, nice, coloring)
         dvars = decision_variables(phi, g)
@@ -380,16 +385,14 @@ class TestCompile:
                 ]
                 assert hits == [representative[nid][states[nid]]]
 
-    @pytest.mark.parametrize("name", ["P64-width-1", "T4-min-fill"])
+    @pytest.mark.parametrize("name", ["3x16-min-fill", "T4-min-fill"])
     def test_mapping_dies_once_its_parent_reads_it(self, name):
         # only a node's parent reads its mapping, so the mappings alive at a
-        # state_table_mapping call are the ones a postorder stack holds
-        if name == "P64-width-1":
-            g, td = path_graph(64), path_decomposition(64)
-        else:
-            g = complete_binary_tree(4)
-            td = min_fill_decomposition(g)
-        nice = make_nice(g, td)
+        # state_table_mapping call are the ones a postorder stack holds; both
+        # nice forms have joins, so the stack fold builds them
+        g = grid_graph(16) if name == "3x16-min-fill" else complete_binary_tree(4)
+        nice = make_nice(g, min_fill_decomposition(g))
+        assert not is_path_decomposition(nice)
         depth = deepest = 0
         for nid in nice.postorder():  # a leaf pushes, a join pops two and pushes one
             depth += {LEAF: 1, JOIN: -1}.get(nice.nodes[nid].kind, 0)
@@ -470,6 +473,62 @@ class TestTrimmed:
         assert vtree_respected(comp.root, comp.vtree)
 
 
+class TestLayered:
+    """A join-free nice form gives the OBDD of the same decomposition in SDD
+    form, over the right-linear v-tree of its order: an OBDD decision is a
+    decomposition of two pairs or a literal, and a variable has two literals.
+    So the SDD's size is at most twice the OBDD's plus two per variable."""
+
+    @staticmethod
+    def assert_obdd_in_sdd_form(phi, g, nice, coloring, exhaustive):
+        assert is_path_decomposition(nice)
+        sdd, obdd = compile_sdd(phi, g, nice, coloring), compile_obdd(phi, g, nice, coloring)
+        assert sdd_size(sdd.root) <= 2 * obdd.size() + 2 * len(sdd.legend)
+        assert model_count(sdd) == model_count(obdd)
+        assert vtree_respected(sdd.root, sdd.vtree)
+        if exhaustive:
+            assert truth_table(sdd, sdd.legend) == truth_table(obdd, sdd.legend)
+
+    @pytest.mark.parametrize("name", ["P64", "P256", "3x32"])
+    def test_chain_decompositions(self, name):
+        if name == "3x32":
+            g, td = grid_graph(32), grid_chain_decomposition(32)
+        else:
+            n = int(name[1:])
+            g, td = path_graph(n), path_decomposition(n)
+        nice = make_nice(g, td)
+        coloring = good_coloring(g, nice)
+        for text in FORMULA_TEXTS.values():
+            phi = desugar(parse_formula(text))
+            self.assert_obdd_in_sdd_form(phi, g, nice, coloring, exhaustive=False)
+
+    def test_corpus(self, corpus):
+        checked = 0
+        for inst in corpus:
+            if inst.obdd is not None:
+                self.assert_obdd_in_sdd_form(
+                    inst.phi, inst.graph, inst.nice, inst.coloring, exhaustive=True
+                )
+                checked += 1
+        assert checked > 100, checked
+
+    def test_closed_formula_has_a_one_leaf_dummy_vtree(self):
+        # no decision variable: the v-tree is one dummy leaf, and the diagram
+        # the true node, through the file and back
+        g = path_graph(4)
+        nice = make_nice(g, min_fill_decomposition(g))
+        phi = desugar(parse_formula(FORMULA_TEXTS["taut"]))
+        comp = compile_sdd(phi, g, nice, good_coloring(g, nice))
+        assert is_path_decomposition(nice) and comp.legend == ()
+        assert len(comp.vtree) == 1 and comp.vtree.all_variables()[0].kind == "dummy"
+        text = serialize_diagram(comp)
+        loaded = load_diagram(text)
+        for diagram in (comp, loaded):
+            assert diagram.root.kind == TRUE and diagram.size() == 1
+            assert model_count(diagram) == 1
+        assert serialize_diagram(loaded) == text
+
+
 class TestInterning:
     """A decomposition is interned on its pairs in the order given. The
     compiler lists a v-tree node's pairs in one fixed order, so interning on
@@ -490,8 +549,13 @@ class TestInterning:
         assert all(len(nodes) == 1 for nodes in groups.values())
 
     def test_corpus(self, corpus):
+        # the corpus instances whose nice form has a join: the stack fold's
+        checked = 0
         for inst in corpus:
-            self.assert_one_node_per_pair_set(inst.phi, inst.graph, inst.nice, inst.coloring)
+            if inst.obdd is None:
+                self.assert_one_node_per_pair_set(inst.phi, inst.graph, inst.nice, inst.coloring)
+                checked += 1
+        assert checked >= len(FORMULA_TEXTS), checked  # every formula on the star S4
 
     @pytest.mark.parametrize("name", ["kappa", "dom", "connected"])
     def test_3x16_grid(self, name):

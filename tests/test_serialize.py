@@ -33,7 +33,7 @@ from mso2dd.oracle import (
 from mso2dd.serialize import diagram_to_dot
 
 from checks import cnf_truth_table, line_mutants
-from conftest import path_decomposition, path_graph
+from conftest import path_decomposition, path_graph, star_graph
 
 
 OLD_KAPPA_P2_SDD = """\
@@ -563,6 +563,20 @@ def one_token_mutants(text: str):
                     yield "\n".join(lines[:i] + [mutated] + lines[i + 1:]) + "\n"
 
 
+def swept_texts():
+    """The files the sweeps mutate: kappa on P3, whose join-free nice form
+    gives a layered SDD and an OBDD, and kappa's SDD on the star S4, whose
+    nice form has a join, so the stack fold builds it with dummy leaves and a
+    join pad."""
+    phi, sdd, obdd = compile_both(path_graph(3))
+    g = star_graph(4)
+    nice = make_nice(g, min_fill_decomposition(g))
+    fold = compile_sdd(phi, g, nice, good_coloring(g, nice))
+    assert not any(v.kind == "dummy" for v in sdd.vtree.all_variables())
+    assert {v.obj[:4] for v in fold.vtree.all_variables() if v.kind == "dummy"} >= {"leaf", "join"}
+    return [serialize_diagram(comp) for comp in (sdd, obdd, fold)]
+
+
 class TestMutationSweep:
     @staticmethod
     def assert_each_answers_or_is_rejected(texts):
@@ -584,29 +598,26 @@ class TestMutationSweep:
         assert answered > 0
 
     def test_every_one_token_mutant_loads_and_answers_or_is_rejected(self):
-        _, sdd, obdd = compile_both(path_graph(3))
-        texts = [t for comp in (sdd, obdd) for t in one_token_mutants(serialize_diagram(comp))]
-        assert len(texts) == 4244
+        texts = [t for text in swept_texts() for t in one_token_mutants(text)]
+        assert len(texts) == 9652
         self.assert_each_answers_or_is_rejected(texts)
 
     def test_every_line_mutant_loads_and_answers_or_is_rejected(self):
         # every line drop, line duplicate and adjacent swap, the edits the
         # command-line sweep makes to text inputs
-        _, sdd, obdd = compile_both(path_graph(3))
-        texts = [t for comp in (sdd, obdd) for t in line_mutants(serialize_diagram(comp))]
-        assert len(texts) == 163
+        texts = [t for text in swept_texts() for t in line_mutants(text)]
+        assert len(texts) == 363
         self.assert_each_answers_or_is_rejected(texts)
 
     def test_a_token_appended_to_any_line_is_rejected(self):
-        _, sdd, obdd = compile_both(path_graph(3))
         texts = []
-        for comp in (sdd, obdd):
-            lines = serialize_diagram(comp).splitlines()
+        for text in swept_texts():
+            lines = text.splitlines()
             texts.extend(
                 "\n".join(lines[:i] + [line + " 5"] + lines[i + 1:]) + "\n"
                 for i, line in enumerate(lines)
             )
-        assert len(texts) == 55
+        assert len(texts) == 122
         for text in texts:
             with pytest.raises(Mso2ddError):
                 load_diagram(text)
