@@ -28,6 +28,11 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+def _load(path: str):
+    with open(path) as f:  # read line by line: the whole text is never held
+        return load_diagram(f)
+
+
 def _load_inputs(args: argparse.Namespace):
     g = parse_graph(_read(args.graph))
     phi = desugar(parse_formula(_read(args.formula)))
@@ -97,7 +102,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     phi = desugar(parse_formula(_read(args.formula)))
-    diagram = load_diagram(_read(args.diagram))
+    diagram = _load(args.diagram)
     dvars = decision_variables(phi, g)
     if len(dvars) > args.cap:
         raise Mso2ddError(f"{len(dvars)} decision variables exceed the cap of {args.cap}")
@@ -143,7 +148,7 @@ def _render_assignment(legend, alpha) -> str:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    diagram = load_diagram(_read(args.diagram))
+    diagram = _load(args.diagram)
     if args.query == "sat":
         print("SAT" if q.is_satisfiable(diagram) else "UNSAT")
     elif args.query == "count":
@@ -167,7 +172,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    diagram = load_diagram(_read(args.diagram))
+    diagram = _load(args.diagram)
     dot = diagram_to_dot(diagram)
     if args.out:
         Path(args.out).write_text(dot)

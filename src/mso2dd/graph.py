@@ -1,6 +1,6 @@
 """Undirected simple graphs, the .gr text format, benchmark generators, the
 children-first walk that lists the nodes of trees and diagrams, and `Dag`,
-the positions and node views both diagram kinds share."""
+the positions both diagram kinds share."""
 
 from __future__ import annotations
 
@@ -52,16 +52,12 @@ def children_first(root, children) -> list:
 
 class Dag:
     """Nodes numbered 0, 1, ... under the root `_root`, read through
-    `children(i)`, with node views of the class `View`, all three set by a
-    subclass. `positions` lists the nodes the root reaches, children first
-    and root last, and `last_reader[c]` is the last of them to read c."""
+    `children(i)`, both set by a subclass. `positions` lists the nodes the
+    root reaches, children first and root last, and `last_reader[c]` is the
+    last of them to read c."""
 
     positions = cached_property(lambda self: children_first(self._root, self.children))
     last_reader = cached_property(lambda self: self.place(self.positions))
-    root = property(lambda self: self.View(self, self._root))
-
-    def nodes(self) -> list:
-        return [self.View(self, i) for i in self.positions]
 
     def place(self, listing) -> list:
         """Take as positions the nodes of children-first `listing` that the root
@@ -112,7 +108,6 @@ class Graph:
         for e in self.edges:
             self._incident[e.u].append(e)
             self._incident[e.v].append(e)
-        self._pair_set = seen
 
     @property
     def n_edges(self) -> int:
@@ -138,7 +133,7 @@ class Graph:
         return tuple(e.other(vertex) for e in self._incident[vertex])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._pair_set
+        return any(e.other(u) == v for e in self._incident.get(u, ()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

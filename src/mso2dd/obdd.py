@@ -6,14 +6,12 @@ node (`layer_steps`), over the reachable transition tables quotiented to state
 classes, `sdd.compile_sdd` feeds it the same layers on a join-free
 decomposition, and `oracle.cnf_to_obdd` one level per CNF variable. An `ObddSpace`
 numbers nodes as ints and keeps each field in a list; an `Obdd` keeps the
-lists and its positions (`graph.Dag`). `Obdd.satisfiable` searches depth
-first for a true leaf along the edges a partial assignment allows; on a total
-assignment that is the diagram's value.
+lists and its positions (`graph.Dag`), which every reader indexes by node
+number. `Obdd.satisfiable` searches depth first for a true leaf along the
+edges a partial assignment allows; on a total assignment that is its value.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .assignment import DecisionVariable, decision_variables
 from .decomposition import NiceTreeDecomposition, is_path_decomposition
@@ -21,19 +19,6 @@ from .errors import DiagramError
 from .graph import Dag, Graph
 from .mso import Formula
 from .states import decision_space, forget_plan, minimize_states, reachable_states
-
-
-class ObddNode(NamedTuple):
-    """Read-only view of node `uid` of a store: a space or a diagram."""
-
-    store: object
-    uid: int
-
-    is_leaf = property(lambda n: n.store.label[n.uid] is not None)
-    level = property(lambda n: None if n.is_leaf else n.store.level[n.uid])
-    label = property(lambda n: n.store.label[n.uid])
-    lo = property(lambda n: None if n.is_leaf else ObddNode(n.store, n.store.lo[n.uid]))
-    hi = property(lambda n: None if n.is_leaf else ObddNode(n.store, n.store.hi[n.uid]))
 
 
 class ObddSpace:
@@ -76,8 +61,6 @@ class Obdd(Dag):
     """An ordered diagram over its variable order, with the legend of its
     decision variables: its store's lists, and its positions. A compiled
     diagram also keeps its reachable sets; any other has None there."""
-
-    View = ObddNode
 
     def __init__(self, store, root: int, legend, reachable=None) -> None:
         self.kind = "obdd"

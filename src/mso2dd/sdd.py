@@ -10,15 +10,15 @@ every decomposition it builds (`trimmed`, `ContextSets.reduced`); a loaded
 file keeps its nodes as written. On a join-free decomposition the compiler
 builds the OBDD of `obdd.compile_obdd` in SDD form, over a right-linear
 v-tree; otherwise its v-tree mirrors the decomposition. An `Sdd` keeps the
-lists and its positions (`graph.Dag`); `Sdd.satisfiable` decides in one sweep
-over them whether a model extends a partial assignment; on a total assignment
-that is the diagram's value.
+lists and its positions (`graph.Dag`), which every reader indexes by node
+number; `Sdd.satisfiable` decides in one sweep over them whether a model
+extends a partial assignment; on a total assignment that is its value.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple
+from types import SimpleNamespace
 
 from .assignment import DecisionVariable, decision_variables, dv_dummy
 from .decomposition import FORGET, JOIN, LEAF, NiceTreeDecomposition, is_path_decomposition
@@ -115,21 +115,6 @@ class VTree:
         return len(self.kind)
 
 
-class SddNode(NamedTuple):
-    """Read-only view of node `uid` of a store: a builder or a diagram."""
-
-    store: object
-    uid: int
-
-    kind = property(lambda n: n.store.form[n.uid])
-    vtree_id = property(lambda n: n.store.vtree_id[n.uid])
-    polarity = property(lambda n: n.store.polarity[n.uid])
-    var = property(lambda n: n.store.vtree.var[n.vtree_id] if n.kind == LITERAL else None)
-    pairs = property(lambda n: tuple(
-        (SddNode(n.store, p), SddNode(n.store, s)) for p, s in n.store.pairs[n.uid]
-    ))
-
-
 class SddBuilder:
     """Hash-consing store; owns the v-tree grown alongside the diagram and the
     landing plans. Node i's form, v-tree node, polarity and pairs are entry i
@@ -168,18 +153,6 @@ class SddBuilder:
         if not kept:
             raise DiagramError("decomposition with no non-false primes")
         return self._intern((DECOMP, vtree_id, kept), DECOMP, vtree_id, pairs=kept)
-
-
-def iter_sdd_nodes(root: SddNode) -> list[SddNode]:
-    """Views of the distinct nodes reachable from the root, children first:
-    each node's primes and subs in pair order, then the node."""
-    return [SddNode(root.store, i) for i in Sdd(root.store, root.uid, (), None).positions]
-
-
-def sdd_size(root: SddNode) -> int:
-    """Terminals count one, a decomposition counts its number of pairs; shared
-    nodes are counted once."""
-    return Sdd(root.store, root.uid, (), None).size()
 
 
 def trimmed(builder: SddBuilder, vtree_id: int, pairs) -> int:
@@ -336,8 +309,6 @@ class Sdd(Dag):
     variables: its store's lists, and its positions. A compiled diagram also
     keeps its reachable sets; a diagram loaded from text has None there."""
 
-    View = SddNode
-
     def __init__(self, store, root, legend, vtree_root, reachable=None):
         self.kind = "sdd"
         self.vtree: VTree = store.vtree
@@ -348,10 +319,14 @@ class Sdd(Dag):
         self.reachable: ReachableSets | None = reachable
         self._root = root
 
+    # bench/worker.py reads `sdd_size(comp.root)`; this goes when the benchmark next changes
+    root = property(lambda self: self)
+
     def children(self, i: int):
         return chain.from_iterable(self.pairs[i])
 
     def size(self) -> int:
+        """A decomposition counts its pairs, any other node one; shared nodes once."""
         return sum(len(self.pairs[i]) or 1 for i in self.positions)
 
     def satisfiable(self, delta) -> bool:
@@ -374,6 +349,14 @@ class Sdd(Dag):
             else:
                 value[i] = f == TRUE
         return value[self._root]
+
+
+sdd_size = Sdd.size
+
+
+def iter_sdd_nodes(diagram: Sdd) -> list:
+    # bench/worker.py reads the `kind` of each record; this goes when the benchmark next changes
+    return [SimpleNamespace(kind=diagram.form[i]) for i in diagram.positions]
 
 
 def compile_sdd(

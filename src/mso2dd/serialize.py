@@ -131,20 +131,21 @@ def serialize_diagram(diagram) -> str:
     return "\n".join([*diagram_lines(diagram), ""])
 
 
-def load_diagram(text: str):
-    lines = [s for s in map(str.strip, text.splitlines()) if s and s != "c" and s[:2] != "c "]
-    if not lines or lines[0].split() != ["mso2dd-diagram", "1"]:
-        raise DiagramError("not a diagram file (bad magic line)")
-    if len(lines) < 2 or not lines[1].startswith("kind "):
-        raise DiagramError("missing kind line")
-    kind = _split(lines[1])[1]
-    if kind not in ("sdd", "obdd"):
-        raise DiagramError(f"unknown diagram kind {kind!r}")
+def load_diagram(text):
+    """The diagram of a file's text, or of any iterable of its lines."""
+    lines = text.splitlines() if isinstance(text, str) else text
+    lines = (s for s in map(str.strip, lines) if s and s != "c" and s[:2] != "c ")
     variables: dict[int, DecisionVariable] = {}
-    body = []
-    root_id = None
+    body, root_id, order = [], None, None
     try:
-        for line in lines[2:]:  # then only `body` holds the lines it keeps
+        if next(lines, "").split() != ["mso2dd-diagram", "1"]:
+            raise DiagramError("not a diagram file (bad magic line)")
+        if not (line := next(lines, "")).startswith("kind "):
+            raise DiagramError("missing kind line")
+        kind = _split(line)[1]
+        if kind not in ("sdd", "obdd"):
+            raise DiagramError(f"unknown diagram kind {kind!r}")
+        for line in lines:  # then only `body` holds the lines it keeps
             tag = "node" if line[:5] == "node " else line.split(None, 1)[0]
             if tag == "var":
                 parts = _split(line)
@@ -153,17 +154,26 @@ def load_diagram(text: str):
                 if root_id is not None:
                     raise DiagramError("root line repeated")
                 root_id = int(_split(line)[1])
+            elif tag == "order" and kind == "obdd":
+                if order is not None:
+                    raise DiagramError("order line repeated")
+                order = line.split()[1:]
             else:
                 body.append(line)
-        del lines
         body.reverse()  # the loaders pop each line as they read it, and drop it
-        load = _load_sdd if kind == "sdd" else _load_obdd
-        return load(variables, body, root_id)
+        if kind == "sdd":
+            diagram, listing = _load_sdd(variables, body, root_id)
+        elif order is None:
+            raise DiagramError("an OBDD file needs an order line")
+        else:
+            diagram, listing = _load_obdd(variables, body, root_id, order)
+        diagram.last_reader = diagram.place(listing)  # the loader's unique table is gone
+        return diagram
     except (KeyError, ValueError, IndexError) as exc:
         raise DiagramError(f"malformed diagram file: {exc}") from exc
 
 
-def _load_sdd(variables, body, root_id) -> Sdd:
+def _load_sdd(variables, body, root_id) -> tuple[Sdd, list]:
     builder = SddBuilder()
     vtree_ids: dict[int, int] = {}
     ids: dict[int, int] = {}  # each node line's node number, by file id
@@ -221,18 +231,11 @@ def _load_sdd(variables, body, root_id) -> Sdd:
         under.append(builder.vtree_id[root])
     if any(not first[vtree_root] <= first[vid] < end[vtree_root] for vid in under):
         raise DiagramError("the root or a legend variable lies outside vtreeroot")
-    diagram = Sdd(builder, root, legend, vtree_root)
-    listing = list(ids.values())
-    del builder, ids  # the unique table and the file ids die before the sweep
-    diagram.last_reader = diagram.place(listing)
-    return diagram
+    return Sdd(builder, root, legend, vtree_root), list(ids.values())
 
 
-def _load_obdd(variables, body, root_id) -> Obdd:
-    orders = [parts[1:] for parts in map(str.split, body) if parts[0] == "order"]
-    if len(orders) != 1:
-        raise DiagramError("an OBDD file needs exactly one order line")
-    order = tuple(variables[int(i)] for i in orders[0])
+def _load_obdd(variables, body, root_id, order) -> tuple[Obdd, list]:
+    order = tuple(variables[int(i)] for i in order)
     legend = tuple(variables[i] for i in sorted(variables))
     if any(v.kind == "dummy" for v in legend):
         raise DiagramError("an OBDD file declares a dummy variable")
@@ -244,8 +247,6 @@ def _load_obdd(variables, body, root_id) -> Obdd:
     while body:
         line = body.pop()
         parts = _split(line)
-        if parts[0] == "order":
-            continue
         if parts[0] != "node":
             raise DiagramError(f"unknown line {line!r}")
         nid = _new_id(parts[1], ids, "node")
@@ -260,11 +261,7 @@ def _load_obdd(variables, body, root_id) -> Obdd:
             raise DiagramError(f"unknown node form {parts[2]!r}")
     if root_id not in ids:
         raise DiagramError("diagram file missing root")
-    diagram = Obdd(space, ids[root_id], legend)
-    listing = list(ids.values())
-    del space, ids  # the unique table and the file ids die before the sweep
-    diagram.last_reader = diagram.place(listing)
-    return diagram
+    return Obdd(space, ids[root_id], legend), list(ids.values())
 
 
 # -- DOT export -----------------------------------------------------------------

@@ -33,7 +33,7 @@ from mso2dd.graph import Graph
 from mso2dd.mso import Formula, Var
 from mso2dd.obdd import Obdd
 from mso2dd.oracle import Cnf, _truth_fold, fold, truth_table_oracle, variable_masks
-from mso2dd.sdd import DECOMP, Sdd, SddNode, StateSddMapping, VTree, iter_sdd_nodes
+from mso2dd.sdd import DECOMP, Sdd, StateSddMapping
 from mso2dd.states import ForgetInfo, StateSpace, decision_space, forget_plan, forgotten_bits
 
 # -- decompositions ------------------------------------------------------------
@@ -171,14 +171,6 @@ def run_decision_procedure(
 # -- diagrams ------------------------------------------------------------------
 
 
-def satisfiable(diagram, delta) -> bool:
-    """Whether the SDD below a node view, or an `Obdd`, has a model extending
-    `delta`; on a total assignment, the diagram's value there."""
-    if isinstance(diagram, Obdd):
-        return diagram.satisfiable(delta)
-    return Sdd(diagram.store, diagram.uid, (), None).satisfiable(delta)
-
-
 def compile_with_mappings(
     phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
 ) -> tuple[Sdd, dict[int, StateSddMapping]]:
@@ -213,33 +205,33 @@ def compile_with_mappings(
     return comp, mappings
 
 
-def vtree_respected(root: SddNode, vtree: VTree) -> bool:
+def vtree_respected(diagram: Sdd) -> bool:
     """Structural check: primes live in the left subtree of their decomposition's
     v-tree node, subs in the right subtree."""
-    span, store = vtree.intervals(), root.store
+    vtree, vtree_id = diagram.vtree, diagram.vtree_id
+    span = vtree.intervals()
     return all(
-        vtree.respects(span, node.vtree_id, store.pairs[node.uid], store.vtree_id)
-        for node in iter_sdd_nodes(root)
-        if node.kind == DECOMP
+        vtree.respects(span, vtree_id[i], diagram.pairs[i], vtree_id)
+        for i in diagram.positions
+        if diagram.form[i] == DECOMP
     )
 
 
 def level_counts(b: Obdd) -> dict[int, int]:
     counts: dict[int, int] = {}
-    for n in b.nodes():
-        if not n.is_leaf:
-            counts[n.level] = counts.get(n.level, 0) + 1
+    for i in b.positions:
+        if b.label[i] is None:
+            counts[b.level[i]] = counts.get(b.level[i], 0) + 1
     return counts
 
 
 def is_ordered(b: Obdd) -> bool:
-    for n in b.nodes():
-        if n.is_leaf:
-            continue
-        for child in (n.lo, n.hi):
-            if not child.is_leaf and child.level <= n.level:
-                return False
-    return True
+    """Every decision child of a decision sits on a later level."""
+    return all(
+        b.label[child] is not None or b.level[child] > b.level[i]
+        for i in b.positions if b.label[i] is None
+        for child in (b.lo[i], b.hi[i])
+    )
 
 
 # -- truth tables and model listings -------------------------------------------

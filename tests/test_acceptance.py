@@ -17,9 +17,7 @@ from mso2dd import (
     good_coloring,
     make_nice,
     min_fill_decomposition,
-    obdd_size,
     parse_formula,
-    sdd_size,
     serialize_diagram,
 )
 from mso2dd.cli import _bound_obdd, _bound_sdd, _kt_variable_order
@@ -35,7 +33,7 @@ from mso2dd.oracle import (
     truth_table,
     truth_table_oracle,
 )
-from mso2dd.sdd import DECOMP, iter_sdd_nodes
+from mso2dd.sdd import DECOMP
 
 from checks import (
     cnf_truth_table, is_good_coloring, is_ordered, level_counts, node_truth_tables,
@@ -71,7 +69,7 @@ def test_criterion_1_oracle_equivalence(corpus):
         checked_sdd += 1
         total_assignments += 1 << len(inst.dvars)
         if inst.obdd is not None:
-            got_obdd = truth_table(inst.obdd.obdd, inst.dvars)
+            got_obdd = truth_table(inst.obdd, inst.dvars)
             assert got_obdd == expected, (inst.formula_name, inst.graph_name)
             checked_obdd += 1
     elapsed = time.time() - started
@@ -90,13 +88,13 @@ def test_criterion_2_size_bounds(corpus):
         n = inst.graph.n_objects
         k = inst.nice.width() + formula_size(inst.phi)
         states = inst.sdd.reachable.count
-        assert sdd_size(inst.sdd.root) <= _bound_sdd(n, k, states), (
+        assert inst.sdd.size() <= _bound_sdd(n, k, states), (
             inst.formula_name,
             inst.graph_name,
         )
         checked += 1
         if inst.obdd is not None:
-            assert obdd_size(inst.obdd.obdd) <= _bound_obdd(n, k, states)
+            assert inst.obdd.size() <= _bound_obdd(n, k, states)
             checked += 1
     report("criterion 2 (size bounds)", f"{checked} diagrams within their bounds, exact")
 
@@ -110,7 +108,7 @@ def test_criterion_3_fixed_parameter_linearity():
         nice = make_nice(g, path_decomposition(n))
         coloring = good_coloring(g, nice)
         comp = compile_obdd(phi, g, nice, coloring)
-        ratios[n] = obdd_size(comp.obdd) / n
+        ratios[n] = comp.size() / n
     spread = max(ratios.values()) / min(ratios.values())
     elapsed = time.time() - started
     assert spread <= 2, ratios
@@ -130,7 +128,7 @@ def test_criterion_4_lower_bound_consistency():
         g = clique_tree(k, r)
         cnf = cnf_of_graph(g)
         dd = reduce_obdd(cnf_to_obdd(cnf, _kt_variable_order(g, k, r, cnf)))
-        sizes[r] = obdd_size(dd)
+        sizes[r] = dd.size()
         assert sizes[r] >= 2 ** ((r * k) // 2), (r, sizes[r])
     growth = [sizes[r + 1] / sizes[r] for r in (2, 3)]
     assert all(ratio >= 2 for ratio in growth), sizes
@@ -168,7 +166,7 @@ def test_criterion_5_cover_formula_matches_cnf():
         cnf_text = serialize_diagram(cnf_dd)
         assert serialize_diagram(comp) == cnf_text, name
         assert enumerate_models(cnf_dd, 5) == enumerate_models(comp, 5), name
-        identical.append((name, obdd_size(comp.obdd)))
+        identical.append((name, comp.size()))
     report(
         "criterion 5 (cover formula = cover CNF)",
         f"identical model sets: {checked}; identical OBDD files (name, nodes): "
@@ -220,15 +218,15 @@ def test_criterion_6_structural_invariants(corpus):
     # boolean partitions and v-tree respect on every compiled structured diagram
     decompositions = 0
     for inst in corpus:
-        assert vtree_respected(inst.sdd.root, inst.sdd.vtree)
+        assert vtree_respected(inst.sdd)
         tables = node_truth_tables(inst.sdd, inst.dvars)
         ones = (1 << (1 << len(inst.dvars))) - 1
-        for node in iter_sdd_nodes(inst.sdd.root):
-            if node.kind != DECOMP:
+        for node in inst.sdd.positions:
+            if inst.sdd.form[node] != DECOMP:
                 continue
             union = 0
-            for p, _ in node.pairs:
-                bits = tables[p.uid]
+            for p, _ in inst.sdd.pairs[node]:
+                bits = tables[p]
                 assert union & bits == 0, "primes overlap"
                 union |= bits
             assert union == ones, "primes do not cover"
@@ -239,7 +237,7 @@ def test_criterion_6_structural_invariants(corpus):
     for inst in corpus:
         if inst.obdd is None:
             continue
-        dd = inst.obdd.obdd
+        dd = inst.obdd
         assert is_ordered(dd)
         once = reduce_obdd(dd)
         # compiled output is already reduced

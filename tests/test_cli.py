@@ -16,9 +16,10 @@ from mso2dd.mso import MAX_NESTING
 from mso2dd.oracle import (
     KAPPA_TEXT, cnf_of_graph, cnf_to_obdd, kappa_formula, model_count, oracle_eval,
 )
+from mso2dd.sdd import DECOMP, iter_sdd_nodes
 
 from checks import line_mutants, serialize_graph
-from conftest import FORMULA_TEXTS
+from conftest import FORMULA_TEXTS, path_decomposition, path_graph, star_graph
 
 K3_GR = "p gr 3 3\n1 2\n2 3\n1 3\n"
 P4_GR = "p gr 4 3\n1 2\n2 3\n3 4\n"
@@ -99,6 +100,25 @@ def test_tracer_patch_points_resolve():
     assert tracing.INNER_LAYERS
     for module_name, attr, _ in tracing.INNER_LAYERS:
         assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def test_benchmark_diagram_reads_agree():
+    # bench/worker.py reads a diagram's size through `sdd_size(comp.root)` and
+    # `obdd_size(comp.obdd)`, and counts decompositions through
+    # `iter_sdd_nodes`; only its traced runs reach the last
+    phi = mso2dd.desugar(kappa_formula())
+    s4, p4 = star_graph(4), path_graph(4)
+    fold = mso2dd.make_nice(s4, mso2dd.min_fill_decomposition(s4))
+    chain = mso2dd.make_nice(p4, path_decomposition(4))
+    assert not mso2dd.is_path_decomposition(fold) and mso2dd.is_path_decomposition(chain)
+    for g, nice in ((s4, fold), (p4, chain)):
+        comp = mso2dd.compile_sdd(phi, g, nice, mso2dd.good_coloring(g, nice))
+        assert mso2dd.sdd_size(comp.root) == comp.size()
+        decompositions = sum(comp.form[i] == DECOMP for i in comp.positions)
+        assert decompositions > 0
+        assert sum(x.kind == DECOMP for x in iter_sdd_nodes(comp.root)) == decompositions
+    comp = mso2dd.compile_obdd(phi, p4, chain, mso2dd.good_coloring(p4, chain))
+    assert mso2dd.obdd_size(comp.obdd) == comp.size()
 
 
 class TestCompile:
@@ -418,10 +438,38 @@ class TestQuery:
         assert "min-cardinality 2" in text
         assert "model: " in text and "X_E={}" in text
 
+    def test_both_file_kinds_answer_alike(self, workdir, capsys):
+        # kappa on P4 compiled to both targets over one path decomposition:
+        # one function, so every query prints the same, and the DOT export
+        # names each kind
+        inputs = ["--graph", workdir / "p4.gr", "--formula", workdir / "kappa.mso",
+                  "--td", workdir / "p4.td"]
+        printed = {}
+        for target in ("sdd", "obdd"):
+            out = workdir / f"p4.{target}"
+            assert run(["compile", *inputs, "--target", target, "--out", out]) == 0
+            capsys.readouterr()
+            for query in ("sat", "count", "enumerate", "min-card"):
+                args = ["query", "--diagram", out, "--query", query]
+                assert run(args + ["--targets", "X_V", "--force-zero", "X_E"]) == 0
+                printed[target, query] = capsys.readouterr().out
+            assert run(["export-dot", "--diagram", out]) == 0
+            assert capsys.readouterr().out.startswith(f"digraph {target} {{")
+        assert printed["sdd", "count"] == "89\n"
+        for query in ("sat", "count", "enumerate", "min-card"):
+            assert printed["sdd", query] == printed["obdd", query], query
+
     def test_malformed_diagram(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.sdd"
         bad.write_text("garbage\n")
         assert run(["query", "--diagram", bad, "--query", "sat"]) == 2
+
+    def test_undecodable_diagram_rejected(self, tmp_path, capsys):
+        # a byte that is no UTF-8 is a malformed file, not a traceback
+        bad = tmp_path / "bad.obdd"
+        bad.write_bytes(b"mso2dd-diagram 1\nkind obdd\xff\n")
+        assert run(["query", "--diagram", bad, "--query", "count"]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed diagram file")
 
 
 class TestBench:

@@ -35,7 +35,7 @@ from mso2dd.oracle import (
 )
 from mso2dd.serialize import diagram_to_dot
 
-from checks import cnf_truth_table, is_ordered, satisfiable
+from checks import cnf_truth_table, is_ordered
 from conftest import all_deltas, kappa_count_path, path_decomposition, path_graph, star_graph
 
 
@@ -61,19 +61,19 @@ class TestEvaluate:
     def test_example_rows(self):
         obdd, (a, b, c) = build_example_obdd()
         for cv in (0, 1):
-            assert satisfiable(obdd, {a: 1, b: 0, c: cv})
-        assert not satisfiable(obdd, {a: 0, b: 1, c: 0})
+            assert obdd.satisfiable({a: 1, b: 0, c: cv})
+        assert not obdd.satisfiable({a: 0, b: 1, c: 0})
         reference = lambda va, vb, vc: (va and not vb) or (vb and vc)
         for bits in itertools.product((0, 1), repeat=3):
             delta = dict(zip((a, b, c), bits))
-            assert satisfiable(obdd, delta) == bool(reference(*bits))
+            assert obdd.satisfiable(delta) == bool(reference(*bits))
 
     def test_constant_false(self):
         order = fig_order()
         space = ObddSpace(order)
         dd = Obdd(space, space.leaf(0), order)
         for _, delta in all_deltas(order):
-            assert not satisfiable(dd, delta)
+            assert not dd.satisfiable(delta)
 
 
 class TestReduce:
@@ -83,7 +83,7 @@ class TestReduce:
         one = space.leaf(1)
         redundant = space.decision(0, one, one)
         reduced = reduce_obdd(Obdd(space, redundant, order))
-        assert reduced.root.is_leaf and reduced.root.label == 1
+        assert reduced.label[reduced.positions[-1]] == 1
 
     def test_isomorphic_subgraphs_merged(self):
         order = fig_order()
@@ -93,7 +93,8 @@ class TestReduce:
         c2 = space.decision(2, zero, one)
         root = space.decision(1, c1, c2)
         reduced = reduce_obdd(Obdd(space, root, order))
-        assert reduced.root.is_leaf is False and reduced.root.level == 2
+        root = reduced.positions[-1]
+        assert reduced.label[root] is None and reduced.level[root] == 2
         assert obdd_size(reduced) == 3
 
     def test_idempotent_and_semantics_preserved(self):
@@ -120,9 +121,9 @@ class TestApply:
 
 
 def assert_reduced(dd):
-    decisions = [n for n in dd.nodes() if not n.is_leaf]
-    assert all(n.lo != n.hi for n in decisions)
-    assert len({(n.level, n.lo.uid, n.hi.uid) for n in decisions}) == len(decisions)
+    decisions = [i for i in dd.positions if dd.label[i] is None]
+    assert all(dd.lo[i] != dd.hi[i] for i in decisions)
+    assert len({(dd.level[i], dd.lo[i], dd.hi[i]) for i in decisions}) == len(decisions)
 
 
 class TestCnfBuilder:
@@ -150,7 +151,7 @@ class TestCnfBuilder:
         variables = self.variables(3)
         for clauses, label in (((), 1), (((0, 1), ()), 0)):
             dd = cnf_to_obdd(Cnf(variables, clauses))
-            assert dd.root.is_leaf and dd.root.label == label
+            assert dd.label[dd.positions[-1]] == label
             assert truth_table(dd, variables) == cnf_truth_table(Cnf(variables, clauses))
 
 
@@ -165,7 +166,7 @@ class TestCompile:
         g = clique(1)
         phi, comp = self.compile("free vertex x; free vertex y; (x = y)", g)
         dvars = decision_variables(phi, g)
-        assert truth_table(comp.obdd, dvars) == truth_table_oracle(phi, g, dvars)
+        assert truth_table(comp, dvars) == truth_table_oracle(phi, g, dvars)
 
     def test_kappa_on_path(self):
         g = path_graph(3)
@@ -193,8 +194,8 @@ class TestCompile:
         phi, comp = self.compile(
             "exists vset X. ~ exists vertex v. (~(v in X) & (v in X))", g
         )
-        assert comp.obdd.root.is_leaf and comp.obdd.root.label == 1
-        assert obdd_size(comp.obdd) == 1
+        assert comp.label[comp.positions[-1]] == 1
+        assert comp.size() == 1
 
     def test_join_decomposition_rejected(self):
         g = star_graph(4)
@@ -217,7 +218,7 @@ class TestCompile:
         for nid in nice.postorder():
             if nice.nodes[nid].kind == "forget":
                 expected.extend(plan[nid].variables)
-        assert list(comp.obdd.order) == expected
+        assert list(comp.order) == expected
 
 
 class TestQueries:

@@ -16,7 +16,6 @@ from mso2dd import (
     make_nice,
     min_fill_decomposition,
     parse_formula,
-    sdd_size,
     serialize_diagram,
 )
 from mso2dd.assignment import dv_eq, dv_mem
@@ -36,17 +35,16 @@ from mso2dd.sdd import (
     DECOMP,
     FALSE,
     TRUE,
+    Sdd,
     SddBuilder,
-    SddNode,
     StateSddMapping,
     context_assignment_mapping,
-    iter_sdd_nodes,
     state_table_mapping,
 )
 from mso2dd.states import decision_space, forget_plan
 
 from checks import (
-    compile_with_mappings, node_states, run_decision_procedure, satisfiable, vtree_respected,
+    compile_with_mappings, node_states, run_decision_procedure, vtree_respected,
 )
 from conftest import (
     FORMULA_TEXTS,
@@ -59,6 +57,15 @@ from conftest import (
     path_graph,
     star_graph,
 )
+
+
+def sdd_at(store, uid: int) -> Sdd:
+    """The diagram below node `uid` of a builder or a diagram."""
+    return Sdd(store, uid, (), None)
+
+
+def root_form(diagram: Sdd) -> str:
+    return diagram.form[diagram.positions[-1]]
 
 
 def build_example_sdd():
@@ -92,42 +99,42 @@ def build_example_sdd():
     root = builder.decomposition(
         top, [(a_and_not_b, c_or_d), (not_a, just_c), (a_and_b, builder.false)]
     )
-    return builder, SddNode(builder, root), (a, b, c, d)
+    return builder, sdd_at(builder, root), (a, b, c, d)
 
 
 class TestEvaluate:
     def test_terminals(self):
         builder = SddBuilder()
-        assert satisfiable(SddNode(builder, builder.true), {})
-        assert not satisfiable(SddNode(builder, builder.false), {})
+        assert sdd_at(builder, builder.true).satisfiable({})
+        assert not sdd_at(builder, builder.false).satisfiable({})
 
     def test_literal(self):
         builder = SddBuilder()
         x = dv_eq(Var("x", Sort.VERTEX_OBJECT), 1)
         builder.vtree.leaf(x)
-        lit = SddNode(builder, builder.literal(x, True))
-        assert not satisfiable(lit, {x: 0})
-        assert satisfiable(lit, {x: 1})
+        lit = sdd_at(builder, builder.literal(x, True))
+        assert not lit.satisfiable({x: 0})
+        assert lit.satisfiable({x: 1})
 
     def test_two_level_example(self):
         _, root, (a, b, c, d) = build_example_sdd()
-        assert satisfiable(root, {a: 1, b: 0, c: 0, d: 1})
+        assert root.satisfiable({a: 1, b: 0, c: 0, d: 1})
         reference = lambda va, vb, vc, vd: (va and not vb and (vc or vd)) or (
             not va and vc
         )
         for bits in itertools.product((0, 1), repeat=4):
             delta = dict(zip((a, b, c, d), bits))
-            assert satisfiable(root, delta) == bool(reference(*bits))
+            assert root.satisfiable(delta) == bool(reference(*bits))
 
     def test_respects_vtree(self):
-        builder, root, _ = build_example_sdd()
-        assert vtree_respected(root, builder.vtree)
+        _, root, _ = build_example_sdd()
+        assert vtree_respected(root)
 
 
 class TestSize:
     def test_terminal(self):
         builder = SddBuilder()
-        assert sdd_size(SddNode(builder, builder.true)) == 1
+        assert sdd_at(builder, builder.true).size() == 1
 
     def test_single_decomposition(self):
         builder = SddBuilder()
@@ -142,7 +149,7 @@ class TestSize:
             ],
         )
         # two pairs plus four distinct terminal children
-        assert sdd_size(SddNode(builder, node)) == 6
+        assert sdd_at(builder, node).size() == 6
 
     def test_sharing_counts_once(self):
         builder = SddBuilder()
@@ -158,7 +165,7 @@ class TestSize:
             ],
         )
         # unfolded this would be 2 + 4; the shared sub collapses to 2 + 3
-        assert sdd_size(SddNode(builder, node)) == 5
+        assert sdd_at(builder, node).size() == 5
 
 
 def minterms(ctx):
@@ -171,20 +178,21 @@ class TestContextMapping:
         builder = SddBuilder()
         d1 = dv_eq(Var("x", Sort.VERTEX_OBJECT), 1)
         mapping = minterms(context_assignment_mapping(builder, (d1,)))
-        assert SddNode(builder, mapping.images[1]).kind == "lit"
-        assert SddNode(builder, mapping.images[1]).polarity is True
-        assert SddNode(builder, mapping.images[0]).polarity is False
+        assert builder.form[mapping.images[1]] == "lit"
+        assert builder.polarity[mapping.images[1]] is True
+        assert builder.polarity[mapping.images[0]] is False
 
     def test_two_variables_structure(self):
         builder = SddBuilder()
         x = Var("x", Sort.VERTEX_OBJECT)
         d1, d2 = dv_eq(x, 1), dv_eq(x, 2)
         mapping = minterms(context_assignment_mapping(builder, (d1, d2)))
-        node = SddNode(builder, mapping.images[0b10])  # x=v1 set, x=v2 clear
-        assert node.kind == DECOMP
+        node = mapping.images[0b10]  # x=v1 set, x=v2 clear
+        assert builder.form[node] == DECOMP
+        var, polarity = builder.vtree.var, builder.polarity
         rendered = {
-            (p.var.name, p.polarity, s.kind, getattr(s, "polarity", None))
-            for p, s in node.pairs
+            (var[builder.vtree_id[p]].name, polarity[p], builder.form[s], polarity[s])
+            for p, s in builder.pairs[node]
         }
         assert rendered == {
             ("x=v1", True, "lit", False),
@@ -201,7 +209,7 @@ class TestContextMapping:
                 hits = [
                     idx
                     for idx in mapping.states()
-                    if satisfiable(SddNode(builder, mapping.images[idx]), delta)
+                    if sdd_at(builder, mapping.images[idx]).satisfiable(delta)
                 ]
                 assert hits == [int("".join(str(delta[d]) for d in ctx), 2)]
 
@@ -213,11 +221,11 @@ class TestContextMapping:
         total = 0
         seen = set()
         for node in mapping.images.values():
-            for sub in iter_sdd_nodes(SddNode(builder, node)):
-                if sub.uid in seen:
+            for sub in sdd_at(builder, node).positions:
+                if sub in seen:
                     continue
-                seen.add(sub.uid)
-                total += len(sub.pairs) if sub.kind == DECOMP else 1
+                seen.add(sub)
+                total += len(builder.pairs[sub]) if builder.form[sub] == DECOMP else 1
         assert total <= 2 * len(ctx) * 2 ** len(ctx)
 
     def test_every_index_set_is_its_reduced_diagram(self):
@@ -234,17 +242,16 @@ class TestContextMapping:
             assert len(set(nodes)) == len(nodes)
             for members, number in enumerate(nodes):
                 assert ctx.diagram(members) == number
-                node = SddNode(builder, number)
-                walk = iter_sdd_nodes(node)
+                node = sdd_at(builder, number)
                 for _, delta in all_deltas(ctx_vars):
                     idx = sum(delta[d] << (k - 1 - i) for i, d in enumerate(ctx_vars))
-                    assert satisfiable(node, delta) == bool(members >> idx & 1)
-                for sub in walk:
-                    subs = [s.uid for _, s in sub.pairs]
+                    assert node.satisfiable(delta) == bool(members >> idx & 1)
+                for sub in node.positions:
+                    subs = [s for _, s in builder.pairs[sub]]
                     assert len(subs) == len(set(subs))
-                    kinds = sorted(s.kind for _, s in sub.pairs)
+                    kinds = sorted(builder.form[s] for s in subs)
                     assert kinds != [FALSE] * (len(kinds) - 1) + [TRUE]
-                assert vtree_respected(node, builder.vtree)
+                assert vtree_respected(node)
 
 
 class TestStateTableMapping:
@@ -267,7 +274,7 @@ class TestStateTableMapping:
             builder, g_a, g_b, self.table(g_a, g_b, lambda a, b: "c0"), ("c0",), "t"
         )
         for _, delta in all_deltas(dvars):
-            assert satisfiable(SddNode(builder, out.images["c0"]), delta)
+            assert sdd_at(builder, out.images["c0"]).satisfiable(delta)
 
     def test_projection_table(self):
         builder, g_a, g_b, dvars = self.setup_mappings()
@@ -275,9 +282,9 @@ class TestStateTableMapping:
         out = state_table_mapping(builder, g_a, g_b, table, g_a.states(), "t")
         for _, delta in all_deltas(dvars):
             for a in g_a.states():
-                assert satisfiable(SddNode(builder, out.images[a]), delta) == satisfiable(
-                    SddNode(builder, g_a.images[a]), delta
-                )
+                assert sdd_at(builder, out.images[a]).satisfiable(delta) == sdd_at(
+                    builder, g_a.images[a]
+                ).satisfiable(delta)
 
     def test_output_partition(self):
         builder, g_a, g_b, dvars = self.setup_mappings()
@@ -285,7 +292,7 @@ class TestStateTableMapping:
         states = [(i, j) for i in (0, 1) for j in (0, 1)]
         out = state_table_mapping(builder, g_a, g_b, table, states, "t")
         for _, delta in all_deltas(dvars):
-            hits = [s for s in out.states() if satisfiable(SddNode(builder, out.images[s]), delta)]
+            hits = [s for s in out.states() if sdd_at(builder, out.images[s]).satisfiable(delta)]
             assert len(hits) == 1
 
     def test_image_outside_declared_states(self):
@@ -381,7 +388,7 @@ class TestCompile:
                 hits = [
                     s
                     for s in mapping.states()
-                    if satisfiable(SddNode(comp, mapping.images[s]), delta)
+                    if sdd_at(comp, mapping.images[s]).satisfiable(delta)
                 ]
                 assert hits == [representative[nid][states[nid]]]
 
@@ -430,7 +437,7 @@ class TestCompile:
         phi = desugar(kappa_formula())
         nice = make_nice(g, path_decomposition(n))
         comp = compile_sdd(phi, g, nice, good_coloring(g, nice))
-        assert sdd_size(comp.root) <= 1000
+        assert comp.size() <= 1000
         assert model_count(comp) == kappa_count_path(n)
         assert comp.reachable.classes < comp.reachable.count
 
@@ -448,12 +455,12 @@ class TestTrimmed:
         phi = desugar(parse_formula(FORMULA_TEXTS["taut"]))
         for name, g in corpus_graphs().items():
             comp = self.compile(phi, g, min_fill_decomposition(g))
-            assert comp.root.kind == TRUE and sdd_size(comp.root) == 1, name
+            assert root_form(comp) == TRUE and comp.size() == 1, name
 
     def test_kappa_on_one_vertex_is_true(self):
         g = clique(1)
         comp = self.compile(desugar(kappa_formula()), g, min_fill_decomposition(g))
-        assert comp.root.kind == TRUE
+        assert root_form(comp) == TRUE
 
     def test_no_forget_pads(self, corpus):
         for inst in corpus:
@@ -465,12 +472,12 @@ class TestTrimmed:
         g = path_graph(64)
         for td in (path_decomposition(64), min_fill_decomposition(g)):
             comp = self.compile(phi, g, td)
-            assert sdd_size(comp.root) <= 1100
+            assert comp.size() <= 1100
             assert model_count(comp) == kappa_count_path(64)
         g = complete_binary_tree(3)
         comp = self.compile(phi, g, min_fill_decomposition(g))
-        assert sdd_size(comp.root) <= 110
-        assert vtree_respected(comp.root, comp.vtree)
+        assert comp.size() <= 110
+        assert vtree_respected(comp)
 
 
 class TestLayered:
@@ -483,9 +490,9 @@ class TestLayered:
     def assert_obdd_in_sdd_form(phi, g, nice, coloring, exhaustive):
         assert is_path_decomposition(nice)
         sdd, obdd = compile_sdd(phi, g, nice, coloring), compile_obdd(phi, g, nice, coloring)
-        assert sdd_size(sdd.root) <= 2 * obdd.size() + 2 * len(sdd.legend)
+        assert sdd.size() <= 2 * obdd.size() + 2 * len(sdd.legend)
         assert model_count(sdd) == model_count(obdd)
-        assert vtree_respected(sdd.root, sdd.vtree)
+        assert vtree_respected(sdd)
         if exhaustive:
             assert truth_table(sdd, sdd.legend) == truth_table(obdd, sdd.legend)
 
@@ -524,7 +531,7 @@ class TestLayered:
         text = serialize_diagram(comp)
         loaded = load_diagram(text)
         for diagram in (comp, loaded):
-            assert diagram.root.kind == TRUE and diagram.size() == 1
+            assert root_form(diagram) == TRUE and diagram.size() == 1
             assert model_count(diagram) == 1
         assert serialize_diagram(loaded) == text
 

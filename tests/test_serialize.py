@@ -24,7 +24,6 @@ from mso2dd.oracle import (
     cnf_to_obdd,
     enumerate_models,
     is_satisfiable,
-    KAPPA_TEXT,
     kappa_formula,
     min_cardinality_model,
     model_count,
@@ -112,11 +111,24 @@ class TestRoundtrip:
         text = serialize_diagram(obdd)
         loaded = load_diagram(text)
         assert loaded.kind == "obdd"
-        assert truth_table(loaded.obdd, dvars) == truth_table(obdd.obdd, dvars)
+        assert truth_table(loaded, dvars) == truth_table(obdd, dvars)
         assert model_count(loaded) == 25
         assert serialize_diagram(obdd) == text
         reloaded = load_diagram(serialize_diagram(loaded))
-        assert truth_table(reloaded.obdd, dvars) == truth_table(obdd.obdd, dvars)
+        assert truth_table(reloaded, dvars) == truth_table(obdd, dvars)
+
+    def test_lines_load_like_the_text(self, tmp_path):
+        # an open file or any other iterable of lines gives the text's diagram
+        _, sdd, obdd = compile_both(path_graph(4))
+        for comp in (sdd, obdd):
+            text = serialize_diagram(comp)
+            path = tmp_path / f"p4.{comp.kind}"
+            path.write_text(text)
+            with open(path) as f:
+                from_file = load_diagram(f)
+            for loaded in (from_file, load_diagram(text.splitlines())):
+                assert serialize_diagram(loaded) == text
+                assert model_count(loaded) == model_count(comp) == 89
 
     def test_obdd_keeps_legend_order(self):
         g = path_graph(4)
@@ -157,8 +169,8 @@ class TestRoundtrip:
         # a decomposition is interned on its pairs in the order given, so the
         # loader keeps both nodes and writes the file back as it was
         loaded = load_diagram(PAIR_ORDER_TEXT)  # defined with the malformed texts below
-        (_, a), (_, b) = loaded.root.pairs
-        assert a != b and a.pairs == b.pairs[::-1]
+        (_, a), (_, b) = loaded.pairs[loaded.positions[-1]]
+        assert a != b and loaded.pairs[a] == loaded.pairs[b][::-1]
         assert serialize_diagram(loaded) == PAIR_ORDER_TEXT
         assert model_count(loaded) == 2
 
@@ -169,8 +181,8 @@ class TestRoundtrip:
         nice = make_nice(g, path_decomposition(5))
         comp = compile_obdd(desugar(kappa_formula()), g, nice, good_coloring(g, nice))
         cnf = cnf_of_graph(g)
-        a, b = comp.obdd, cnf_to_obdd(cnf, comp.order)
-        assert [n.uid for n in a.nodes()] != [n.uid for n in b.nodes()]
+        a, b = comp, cnf_to_obdd(cnf, comp.order)
+        assert a.positions != b.positions
         texts = [serialize_diagram(dd) for dd in (a, b)]
         assert texts[0] == texts[1]
         assert model_count(load_diagram(texts[0])) == bin(cnf_truth_table(cnf)).count("1")
@@ -273,6 +285,8 @@ MALFORMED = {
     "repeated-order": OBDD_TEXT.format(child=1, root=0).replace(
         "order 0 1", "order 0 1\norder 1 0"
     ),
+    "missing-order": OBDD_TEXT.format(child=1, root=0).replace("order 0 1\n", ""),
+    "order-in-sdd": SDD_TEXT.format(vtree=2).replace("vtreeroot 2", "vtreeroot 2\norder 0 1"),
     "repeated-vtreeroot": SDD_TEXT.format(vtree=2).replace(
         "vtreeroot 2", "vtreeroot 0\nvtreeroot 2"
     ),
@@ -411,9 +425,9 @@ class TestFileOrders:
         edited = edit(text)
         assert edited != text
         canonical, d = load_diagram(text), load_diagram(edited)
-        walk = children_first(d.root.uid, d.children)
+        walk = children_first(d._root, d.children)
         assert len(set(d.positions)) == len(d.positions) == len(walk)
-        assert set(d.positions) == set(walk) and d.positions[-1] == d.root.uid
+        assert set(d.positions) == set(walk) and d.positions[-1] == d._root
         assert answers(d) == answers(canonical)
         written = serialize_diagram(d)
         assert serialize_diagram(load_diagram(written)) == written
@@ -473,38 +487,6 @@ class TestNodeStores:
         assert sum(ref() is not None for ref in alive) == 0
         assert len(alive) == len(diagrams) == 6  # each entry point made one store
         assert [model_count(d) for d in diagrams] == [89] * 6
-
-    def test_no_view_is_made_unless_asked_for(self, monkeypatch, tmp_path, capsys):
-        made = []
-        for view in (sdd.SddNode, obdd.ObddNode):
-            new = view.__new__
-            monkeypatch.setattr(view, "__new__", staticmethod(
-                lambda cls, *args, new=new: made.append(cls) or new(cls, *args)
-            ))
-        g = path_graph(4)
-        nice = make_nice(g, path_decomposition(4))
-        phi, coloring = desugar(kappa_formula()), good_coloring(g, nice)
-        compiled = [compile_sdd(phi, g, nice, coloring), compile_obdd(phi, g, nice, coloring)]
-        for d in compiled + [load_diagram(serialize_diagram(d)) for d in compiled]:
-            answers(d)
-            truth_table(d, d.legend)
-            diagram_to_dot(d)
-        (tmp_path / "p4.gr").write_text("p gr 4 3\n1 2\n2 3\n3 4\n")
-        (tmp_path / "kappa.mso").write_text(KAPPA_TEXT + "\n")
-        inputs = ["--graph", str(tmp_path / "p4.gr"), "--formula", str(tmp_path / "kappa.mso")]
-        for target in ("sdd", "obdd"):
-            out = str(tmp_path / f"p4.{target}")
-            td = ["--td", str(tmp_path / "p4.td")] if target == "obdd" else []
-            (tmp_path / "p4.td").write_text("s td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\n1 2\n2 3\n")
-            assert main(["compile", *inputs, *td, "--target", target, "--out", out]) == 0
-            for query in ("sat", "count", "enumerate", "min-card"):
-                assert main(["query", "--diagram", out, "--query", query, "--targets", "X_V"]) == 0
-            assert main(["export-dot", "--diagram", out]) == 0
-        capsys.readouterr()
-        assert made == []
-        assert compiled[0].root.kind == "decomp" and made == [sdd.SddNode]
-        compiled[1].nodes()
-        assert made[1:] == [obdd.ObddNode] * compiled[1].size()
 
 
 class TestErrors:

@@ -11,9 +11,7 @@ from mso2dd import (
     good_coloring,
     make_nice,
     min_fill_decomposition,
-    obdd_size,
     parse_formula,
-    sdd_size,
 )
 from mso2dd.assignment import decision_variables
 from mso2dd.graph import clique
@@ -113,8 +111,8 @@ def test_size_linear_in_graph(name):
     # min-fill 3 x n grids grow linearly with the graph
     text = dict(FORMULA_TEXTS, hamiltonian=HAMILTONIAN_CYCLE_TEXT)[name]
     paths = (64, 256, 1024)
-    obdd = [obdd_size(path_obdd(text, n).obdd) for n in paths]
+    obdd = [path_obdd(text, n).size() for n in paths]
     assert 1 / 1.1 <= extrapolation_ratio(paths, obdd) <= 1.1, obdd
     grids = (16, 32, 64)
-    sdd = [sdd_size(min_fill_sdd(text, grid_graph(cols)).root) for cols in grids]
+    sdd = [min_fill_sdd(text, grid_graph(cols)).size() for cols in grids]
     assert 1 / 1.1 <= extrapolation_ratio(grids, sdd) <= 1.1, sdd
