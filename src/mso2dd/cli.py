@@ -25,7 +25,10 @@ from .serialize import diagram_lines, diagram_to_dot, load_diagram
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise Mso2ddError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _load(path: str):

@@ -221,6 +221,25 @@ class NiceTreeDecomposition:
     def forget_nodes(self) -> list[int]:
         return [nid for nid in self._postorder if self.nodes[nid].kind == FORGET]
 
+    def spine(self) -> list[int]:
+        """The heavy path from a leaf up to the root: at a join it takes the
+        child with more forget nodes below it, the left one on a tie."""
+        below, heavy = [], {}  # forget counts of the open subtrees; each join's heavy child
+        for nid in self._postorder:
+            n = self.nodes[nid]
+            if n.kind == LEAF:
+                below.append(0)
+            elif n.kind == FORGET:
+                below[-1] += 1
+            elif n.kind == JOIN:
+                right = below.pop()
+                heavy[nid] = n.children[below[-1] < right]
+                below[-1] += right
+        path = [self.root]
+        while self.nodes[path[-1]].children:
+            path.append(heavy.get(path[-1], self.nodes[path[-1]].children[0]))
+        return path[::-1]
+
     def __len__(self) -> int:
         return len(self.nodes)
 

@@ -3,8 +3,9 @@
 `build_layers` builds a reduced, hash-consed diagram from a state machine read
 layer by layer. The path-decomposition compiler feeds it one layer per forget
 node (`layer_steps`), over the reachable transition tables quotiented to state
-classes, `sdd.compile_sdd` feeds it the same layers on a join-free
-decomposition, and `oracle.cnf_to_obdd` one level per CNF variable. An `ObddSpace`
+classes, `sdd.compile_sdd` the same layers down any decomposition's heavy
+spine, with a join step per subtree off it, and `oracle.cnf_to_obdd` one
+level per CNF variable. An `ObddSpace`
 numbers nodes as ints and keeps each field in a list; an `Obdd` keeps the
 lists and its positions (`graph.Dag`), which every reader indexes by node
 number. `Obdd.satisfiable` searches depth first for a true leaf along the
@@ -14,7 +15,7 @@ edges a partial assignment allows; on a total assignment that is its value.
 from __future__ import annotations
 
 from .assignment import DecisionVariable, decision_variables
-from .decomposition import NiceTreeDecomposition, is_path_decomposition
+from .decomposition import FORGET, JOIN, NiceTreeDecomposition, is_path_decomposition
 from .errors import DiagramError
 from .graph import Dag, Graph
 from .mso import Formula
@@ -129,16 +130,22 @@ def build_layers(space, steps, below: dict) -> dict:
     leaving the last step to its node. Each state entering a step becomes a
     reduced tree over the step's levels whose leaves are the nodes of its
     successors; returns those nodes for the states entering the first step.
+    A join step has k None and one level, a subtree's: `table[state]` lists
+    the state leaving by each class of that subtree.
 
     `space.reduced(level, lo, hi)` makes the trees' inner nodes: the node
-    deciding `level`, with `lo` where it is 0 and `hi` where it is 1. Its
+    deciding `level`, with `lo` where it is 0 and `hi` where it is 1;
+    `space.split(level, nodes)` a join step's, from one node per class. Its
     three callers: the path compiler and `cnf_to_obdd` pass an `ObddSpace`,
-    and `compile_sdd` on a join-free decomposition a `ContextSets` over the
-    whole order, whose nodes are the OBDD's in SDD form.
+    and `compile_sdd` a `ContextSets` over its spine's slots, whose nodes on
+    a join-free decomposition are the OBDD's in SDD form.
     """
     for base, k, states, table in reversed(steps):
         entering = {}
         for state in states:
+            if k is None:
+                entering[state] = space.split(base, [below[c] for c in table[state]])
+                continue
             layer = [below[table[(state, idx)]] for idx in range(1 << k)]
             for level in reversed(range(base, base + k)):
                 layer = [
@@ -151,17 +158,28 @@ def build_layers(space, steps, below: dict) -> dict:
 
 
 def layer_steps(t: NiceTreeDecomposition, plan, reach) -> tuple[tuple, list]:
-    """The variable order and the `build_layers` steps of a join-free nice
-    decomposition: the forget-node contexts concatenated from the leaf up to
-    the root, and one layer per forget node over its context variables."""
-    order: list[DecisionVariable] = []
-    steps = []
-    for nid in t.forget_nodes():  # a path decomposition's postorder runs leaf upward
-        variables = plan[nid].variables
-        entering = reach.per_node[t.nodes[nid].children[0]]
-        steps.append((len(order), len(variables), entering, reach.forget_tables[nid]))
-        order.extend(variables)
-    return tuple(order), steps
+    """The slots and the `build_layers` steps of a nice decomposition's spine,
+    from its leaf up: a forget adds its context variables and a layer over
+    them, a join its light child (the one off the spine) and a join step. A
+    join-free decomposition is all spine, and its slots the variable order."""
+    slots: list = []
+    steps, path = [], t.spine()
+    for below, nid in zip(path, path[1:]):
+        node, entering = t.nodes[nid], reach.per_node[below]
+        if node.kind == FORGET:
+            variables = plan[nid].variables
+            steps.append((len(slots), len(variables), entering, reach.forget_tables[nid]))
+            slots.extend(variables)
+        elif node.kind == JOIN:
+            table, left = reach.join_tables[nid], node.children[0] == below
+            light = node.children[left]
+            rows = {
+                x: tuple(table[(x, b) if left else (b, x)] for b in reach.per_node[light])
+                for x in entering
+            }
+            steps.append((len(slots), None, entering, rows))
+            slots.append(light)
+    return tuple(slots), steps
 
 
 def compile_obdd(

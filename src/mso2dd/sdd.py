@@ -7,9 +7,10 @@ same pairs in the same order at one v-tree node, are one node. A
 decomposition's primes always respect the left subtree of its v-tree node and
 form a boolean partition; subs respect the right subtree. The compiler trims
 every decomposition it builds (`trimmed`, `ContextSets.reduced`); a loaded
-file keeps its nodes as written. On a join-free decomposition the compiler
-builds the OBDD of `obdd.compile_obdd` in SDD form, over a right-linear
-v-tree; otherwise its v-tree mirrors the decomposition. An `Sdd` keeps the
+file keeps its nodes as written. It runs the layered builder down the
+decomposition's heavy spine, over a right-linear v-tree, so a join-free one
+gives the OBDD of `obdd.compile_obdd` in SDD form; each subtree off the spine
+is folded into a mapping whose v-tree mirrors it. An `Sdd` keeps the
 lists and its positions (`graph.Dag`), which every reader indexes by node
 number; `Sdd.satisfiable` decides in one sweep over them whether a model
 extends a partial assignment; on a total assignment that is its value.
@@ -21,9 +22,9 @@ from itertools import chain
 from types import SimpleNamespace
 
 from .assignment import DecisionVariable, decision_variables, dv_dummy
-from .decomposition import FORGET, JOIN, LEAF, NiceTreeDecomposition, is_path_decomposition
+from .decomposition import FORGET, JOIN, LEAF, NiceTreeDecomposition
 from .errors import DiagramError
-from .graph import Dag, Graph
+from .graph import Dag, Graph, children_first
 from .mso import Formula
 from .obdd import build_layers, layer_steps
 from .states import (
@@ -201,17 +202,23 @@ class ContextSets:
     no variables there is one assignment, 0. Over the right-linear v-tree an
     SDD is an OBDD: the diagram at level i decides variable i under v-tree node
     `suffix_vids[i]`, built once per (i, truth vector over variables i, ...).
-    So it is also the node store `obdd.build_layers` takes (`reduced`)."""
+    So it is also the node store `obdd.build_layers` takes (`reduced`). Along
+    a spine, a slot may instead be a light subtree's mapping: its images are
+    the primes of that slot's decompositions (`split`)."""
 
-    def __init__(self, builder: SddBuilder, variables, suffix_vids) -> None:
+    def __init__(self, builder: SddBuilder, slots, suffix_vids) -> None:
         self.builder = builder
-        self.suffix_vids = suffix_vids  # the v-tree node of variables i, i+1, ...
+        self.suffix_vids = suffix_vids  # the v-tree node of slots i, i+1, ...
         self.vtree_id = suffix_vids[0]
-        self.literals = [(builder.literal(v, False), builder.literal(v, True)) for v in variables]
-        self._memo = {(len(variables), 0): builder.false, (len(variables), 1): builder.true}
+        self.primes = [
+            (builder.literal(slot, False), builder.literal(slot, True))
+            if isinstance(slot, DecisionVariable) else tuple(slot.images.values())
+            for slot in slots
+        ]
+        self._memo = {(len(slots), 0): builder.false, (len(slots), 1): builder.true}
 
     def states(self):
-        return range(1 << len(self.literals))
+        return range(1 << len(self.primes))
 
     def diagram(self, members: int, i: int = 0) -> int:
         """The trimmed diagram over variables i, i+1, ... true exactly on the
@@ -219,7 +226,7 @@ class ContextSets:
         the lower half of the bits."""
         node = self._memo.get((i, members))
         if node is None:
-            half = 1 << (len(self.literals) - 1 - i)
+            half = 1 << (len(self.primes) - 1 - i)
             lo = self.diagram(members & ((1 << half) - 1), i + 1)
             node = self.reduced(i, lo, self.diagram(members >> half, i + 1))
             self._memo[i, members] = node
@@ -232,7 +239,7 @@ class ContextSets:
         builder = self.builder
         if lo == hi:
             return lo
-        neg, pos = self.literals[i]
+        neg, pos = self.primes[i]
         if lo == builder.false and hi == builder.true:
             return pos
         if lo == builder.true and hi == builder.false:
@@ -240,17 +247,29 @@ class ContextSets:
         vid, pairs = self.suffix_vids[i], ((neg, lo), (pos, hi))
         return builder._intern((DECOMP, vid, pairs), DECOMP, vid, pairs=pairs)
 
+    def split(self, i: int, subs) -> int:
+        """The trimmed decomposition of slot i, a light subtree's: the image of
+        its j-th class paired with `subs[j]`."""
+        return trimmed(self.builder, self.suffix_vids[i], zip(self.primes[i], subs))
+
 
 def context_assignment_mapping(
-    builder: SddBuilder, ctx_vars: tuple[DecisionVariable, ...], dummy_tag: str = "ctx"
+    builder: SddBuilder, slots: tuple, dummy_tag: str = "ctx"
 ) -> ContextSets:
-    """A forget node's context: its variables' leaves under a right-linear
-    v-tree, or a dummy leaf named `dummy_tag` when it has no variables."""
-    leaves = [builder.vtree.leaf(v) for v in ctx_vars]
-    suffix_vids = leaves[-1:] or [builder.vtree.leaf(dv_dummy(dummy_tag))]
-    for vid in reversed(leaves[:-1]):
-        suffix_vids.insert(0, builder.vtree.inner(vid, suffix_vids[0]))
-    return ContextSets(builder, ctx_vars, suffix_vids)
+    """A forget node's context, or a spine's slots: variables' leaves and light
+    subtree mappings' v-trees under a right-linear v-tree. A dummy leaf named
+    `dummy_tag` ends it when there are no slots, or pads a last slot that is
+    a subtree, so that its decompositions have a right side."""
+    vids = [
+        builder.vtree.leaf(slot) if isinstance(slot, DecisionVariable) else slot.vtree_id
+        for slot in slots
+    ]
+    if not slots or not isinstance(slots[-1], DecisionVariable):
+        vids.append(builder.vtree.leaf(dv_dummy(dummy_tag)))
+    suffix_vids = vids[-1:]
+    for vid in reversed(vids[:-1]):
+        suffix_vids.append(builder.vtree.inner(vid, suffix_vids[-1]))
+    return ContextSets(builder, slots, suffix_vids[::-1])
 
 
 def state_table_mapping(
@@ -359,34 +378,13 @@ def iter_sdd_nodes(diagram: Sdd) -> list:
     return [SimpleNamespace(kind=diagram.form[i]) for i in diagram.positions]
 
 
-def compile_sdd(
-    phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
-) -> Sdd:
-    """Bottom-up construction over the nice decomposition.
-
-    A join-free one yields the OBDD of `compile_obdd` in SDD form: the layers
-    of `obdd.build_layers` over the right-linear v-tree of its whole order.
-    Otherwise every node gets a mapping from its state classes to diagrams,
-    and the root's accepting class's diagram is true exactly on the accepted
-    assignments. Only a node's parent reads its mapping, so a postorder fold
-    keeps the mappings on a stack and drops each one as its parent pops it."""
-    space = decision_space(phi)
-    plan = forget_plan(phi, t, coloring)
-    reach = minimize_states(space, t, reachable_states(space, t, plan))
-    builder = SddBuilder()
-    legend = decision_variables(phi, g)
-    if is_path_decomposition(t):
-        order, steps = layer_steps(t, plan, reach)
-        levels = context_assignment_mapping(builder, order, "order")
-        terminals = {
-            s: builder.true if space.is_accepting(s) else builder.false
-            for s in reach.per_node[t.root]
-        }
-        root = build_layers(levels, steps, terminals)[space.initial]
-        return Sdd(builder, root, legend, levels.vtree_id, reach)
+def stack_fold(builder: SddBuilder, space, t: NiceTreeDecomposition, plan, reach, top: int):
+    """The mapping of the subtree under `top` from its state classes to
+    diagrams. Only a node's parent reads its mapping, so a postorder fold
+    keeps the mappings on a stack and drops each one as its parent pops it;
+    an introduce node keeps its child's."""
     stack: list[StateSddMapping] = []
-
-    for nid in t.postorder():  # an introduce node keeps its child's mapping
+    for nid in children_first(top, lambda i: t.nodes[i].children):
         node = t.nodes[nid]
         if node.kind == LEAF:
             vid = builder.vtree.leaf(dv_dummy(f"leaf{nid}"))
@@ -402,11 +400,30 @@ def compile_sdd(
                 builder, stack.pop(), right, reach.join_tables[nid], reach.per_node[nid],
                 f"join{nid}",
             ))
+    (mapping,) = stack
+    return mapping
 
-    # the root's classes are its accepting and rejecting states, so the
-    # accepting class's image is the diagram
-    (g_root,) = stack
-    root = next(
-        (g_root.images[s] for s in g_root.states() if space.is_accepting(s)), builder.false
-    )
-    return Sdd(builder, root, legend, g_root.vtree_id, reach)
+
+def compile_sdd(
+    phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
+) -> Sdd:
+    """The layers of `obdd.layer_steps` down the decomposition's spine, built
+    by `obdd.build_layers` over the right-linear v-tree of its slots. A light
+    subtree's slot has the images of its `stack_fold` mapping as primes. On a
+    join-free decomposition this is the OBDD of `compile_obdd` in SDD form."""
+    space = decision_space(phi)
+    plan = forget_plan(phi, t, coloring)
+    reach = minimize_states(space, t, reachable_states(space, t, plan))
+    builder = SddBuilder()
+    slots, steps = layer_steps(t, plan, reach)
+    slots = [
+        stack_fold(builder, space, t, plan, reach, slot) if isinstance(slot, int) else slot
+        for slot in slots
+    ]
+    levels = context_assignment_mapping(builder, slots, "order")
+    terminals = {
+        s: builder.true if space.is_accepting(s) else builder.false
+        for s in reach.per_node[t.root]
+    }
+    root = build_layers(levels, steps, terminals)[space.initial]
+    return Sdd(builder, root, decision_variables(phi, g), levels.vtree_id, reach)

@@ -29,12 +29,15 @@ from mso2dd.decomposition import (
     validate_decomposition,
 )
 from mso2dd.errors import DecompositionError, Mso2ddError
-from mso2dd.graph import Graph
+from mso2dd.graph import Graph, children_first
 from mso2dd.mso import Formula, Var
 from mso2dd.obdd import Obdd
 from mso2dd.oracle import Cnf, _truth_fold, fold, truth_table_oracle, variable_masks
 from mso2dd.sdd import DECOMP, Sdd, StateSddMapping
-from mso2dd.states import ForgetInfo, StateSpace, decision_space, forget_plan, forgotten_bits
+from mso2dd.states import (
+    ForgetInfo, StateSpace, decision_space, forget_plan, forgotten_bits, minimize_states,
+    reachable_states,
+)
 
 # -- decompositions ------------------------------------------------------------
 
@@ -171,15 +174,26 @@ def run_decision_procedure(
 # -- diagrams ------------------------------------------------------------------
 
 
+def light_subtrees(t: NiceTreeDecomposition) -> list[int]:
+    """The tops of the subtrees that hang off the spine of `t`, from its leaf
+    up to the root: each spine join's child that is not on the spine."""
+    path = t.spine()
+    return [
+        next(c for c in t.nodes[nid].children if c != below)
+        for below, nid in zip(path, path[1:])
+        if t.nodes[nid].kind == JOIN
+    ]
+
+
 def compile_with_mappings(
     phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
 ) -> tuple[Sdd, dict[int, StateSddMapping]]:
-    """`compile_sdd(phi, g, t, coloring)` and every decomposition node's mapping
-    from state classes to diagrams. The forget and join mappings are the
-    results of `compile_sdd`'s calls to `state_table_mapping`, recorded in
-    postorder; a leaf maps the initial state to true and an introduce node
-    maps like its child. Only the stack fold makes mappings, so `t` must have
-    a join: a join-free one is compiled by `obdd.build_layers`."""
+    """`compile_sdd(phi, g, t, coloring)` and the mapping from state classes to
+    diagrams of every node in a light subtree (`light_subtrees`), the only
+    nodes the stack fold maps. The forget and join mappings are the results
+    of `compile_sdd`'s calls to `state_table_mapping`, recorded in the
+    postorder of each subtree in turn; a leaf maps the initial state to true
+    and an introduce node maps like its child."""
     calls = []  # (builder, mapping) per call
     original = sdd.state_table_mapping
 
@@ -189,20 +203,36 @@ def compile_with_mappings(
 
     with mock.patch.object(sdd, "state_table_mapping", recorded):
         comp = sdd.compile_sdd(phi, g, t, coloring)
-    assert calls, "no state_table_mapping call: the stack fold did not run"
+    assert calls, "no state_table_mapping call: the spine has no light subtree"
     results, initial = iter(calls), decision_space(phi).initial
     mappings: dict[int, StateSddMapping] = {}
-    for nid in t.postorder():
-        node = t.nodes[nid]
-        if node.kind == LEAF:
-            vid = comp.vtree.leaf_of(dv_dummy(f"leaf{nid}"))
-            mappings[nid] = StateSddMapping({initial: calls[0][0].true}, vid)
-        elif node.kind == INTRODUCE:
-            mappings[nid] = mappings[node.children[0]]
-        else:
-            mappings[nid] = next(results)[1]
+    for top in light_subtrees(t):
+        for nid in children_first(top, lambda i: t.nodes[i].children):
+            node = t.nodes[nid]
+            if node.kind == LEAF:
+                vid = comp.vtree.leaf_of(dv_dummy(f"leaf{nid}"))
+                mappings[nid] = StateSddMapping({initial: calls[0][0].true}, vid)
+            elif node.kind == INTRODUCE:
+                mappings[nid] = mappings[node.children[0]]
+            else:
+                mappings[nid] = next(results)[1]
     assert next(results, None) is None, "a state_table_mapping call without its node"
     return comp, mappings
+
+
+def whole_tree_fold(
+    phi: Formula, g: Graph, t: NiceTreeDecomposition, coloring: dict[int, int]
+) -> Sdd:
+    """The SDD of `sdd.stack_fold` run at the root of `t`, over the whole
+    decomposition: the accepting class's image. The spine's SDD is measured
+    against it."""
+    space = decision_space(phi)
+    plan = forget_plan(phi, t, coloring)
+    reach = minimize_states(space, t, reachable_states(space, t, plan))
+    builder = sdd.SddBuilder()
+    top = sdd.stack_fold(builder, space, t, plan, reach, t.root)
+    root = next((top.images[s] for s in top.states() if space.is_accepting(s)), builder.false)
+    return Sdd(builder, root, decision_variables(phi, g), top.vtree_id, reach)
 
 
 def vtree_respected(diagram: Sdd) -> bool:

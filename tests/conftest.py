@@ -34,6 +34,12 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(1, i + 2) for i in range(leaves)])
 
 
+def double_star_graph() -> Graph:
+    """Two stars with three leaves each, their centres 1 and 5 joined: the
+    smallest tree whose min-fill nice form has a join off its spine."""
+    return Graph(8, [(1, 2), (1, 3), (1, 4), (1, 5), (5, 6), (5, 7), (5, 8)])
+
+
 def bowtie_graph() -> Graph:
     return Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
 

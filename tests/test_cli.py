@@ -142,6 +142,26 @@ class TestCompile:
         assert code == 0
         assert "bound_ok: yes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["gr", "mso", "td"])
+    def test_undecodable_input_rejected(self, workdir, tmp_path, capsys, kind):
+        # a byte that is no UTF-8 at the end of a line ends compile and verify
+        # with one error line and exit 2, not a traceback
+        files = {"gr": workdir / "p4.gr", "mso": workdir / "kappa.mso", "td": workdir / "p4.td"}
+        diagram = workdir / "p4.obdd"
+        assert run(["compile", "--graph", files["gr"], "--formula", files["mso"],
+                    "--td", files["td"], "--target", "obdd", "--out", diagram]) == 0
+        bad, text = tmp_path / f"bad.{kind}", files[kind].read_bytes()
+        bad.write_bytes(text.replace(b"\n", b"\xff\n", 2))
+        files[kind], at = bad, text.index(b"\n")
+        inputs = ["--graph", files["gr"], "--formula", files["mso"]]
+        commands = [["compile", *inputs, "--td", files["td"], "--target", "obdd"]]
+        if kind != "td":
+            commands.append(["verify", *inputs, "--diagram", diagram])
+        capsys.readouterr()
+        for command in commands:
+            assert run(command) == 2, command
+            assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte {at})\n"
+
     def test_obdd_requires_path_decomposition(self, workdir, tmp_path, capsys):
         star = tmp_path / "s4.gr"
         star.write_text("p gr 5 4\n1 2\n1 3\n1 4\n1 5\n")

@@ -32,7 +32,7 @@ from mso2dd.oracle import (
 from mso2dd.serialize import diagram_to_dot
 
 from checks import cnf_truth_table, line_mutants
-from conftest import path_decomposition, path_graph, star_graph
+from conftest import double_star_graph, path_decomposition, path_graph
 
 
 OLD_KAPPA_P2_SDD = """\
@@ -547,11 +547,11 @@ def one_token_mutants(text: str):
 
 def swept_texts():
     """The files the sweeps mutate: kappa on P3, whose join-free nice form
-    gives a layered SDD and an OBDD, and kappa's SDD on the star S4, whose
-    nice form has a join, so the stack fold builds it with dummy leaves and a
-    join pad."""
+    gives a layered SDD and an OBDD, and kappa's SDD on the double star, whose
+    nice form has a join off its spine, so the stack fold builds that subtree
+    with dummy leaves and a join pad."""
     phi, sdd, obdd = compile_both(path_graph(3))
-    g = star_graph(4)
+    g = double_star_graph()
     nice = make_nice(g, min_fill_decomposition(g))
     fold = compile_sdd(phi, g, nice, good_coloring(g, nice))
     assert not any(v.kind == "dummy" for v in sdd.vtree.all_variables())
@@ -581,14 +581,14 @@ class TestMutationSweep:
 
     def test_every_one_token_mutant_loads_and_answers_or_is_rejected(self):
         texts = [t for text in swept_texts() for t in one_token_mutants(text)]
-        assert len(texts) == 9652
+        assert len(texts) == 12781
         self.assert_each_answers_or_is_rejected(texts)
 
     def test_every_line_mutant_loads_and_answers_or_is_rejected(self):
         # every line drop, line duplicate and adjacent swap, the edits the
         # command-line sweep makes to text inputs
         texts = [t for text in swept_texts() for t in line_mutants(text)]
-        assert len(texts) == 363
+        assert len(texts) == 477
         self.assert_each_answers_or_is_rejected(texts)
 
     def test_a_token_appended_to_any_line_is_rejected(self):
@@ -599,7 +599,7 @@ class TestMutationSweep:
                 "\n".join(lines[:i] + [line + " 5"] + lines[i + 1:]) + "\n"
                 for i, line in enumerate(lines)
             )
-        assert len(texts) == 122
+        assert len(texts) == 160
         for text in texts:
             with pytest.raises(Mso2ddError):
                 load_diagram(text)
