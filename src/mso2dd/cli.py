@@ -102,7 +102,14 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+# the oracle's truth table has 2^cap bits and each of up to cap variable masks
+# as many: about 50 MB at 24, and every further variable doubles it
+VERIFY_CAP_MAX = 24
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.cap > VERIFY_CAP_MAX:
+        raise Mso2ddError(f"--cap {args.cap} is above the largest checkable, {VERIFY_CAP_MAX}")
     g = parse_graph(_read(args.graph))
     phi = desugar(parse_formula(_read(args.formula)))
     diagram = _load(args.diagram)
@@ -274,7 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively compare a diagram with the oracle")
     common(p, needs_inputs=True, needs_diagram=True)
-    p.add_argument("--cap", type=int, default=20, help="most decision variables to check")
+    p.add_argument(
+        "--cap", type=int, default=20,
+        help=f"most decision variables to check, at most {VERIFY_CAP_MAX}",
+    )
 
     p = sub.add_parser("query", help="query a compiled diagram")
     common(p, needs_diagram=True)

@@ -1,15 +1,16 @@
 """Ordered binary decision diagrams and the layered builder.
 
 `build_layers` builds a reduced, hash-consed diagram from a state machine read
-layer by layer. The path-decomposition compiler feeds it one layer per forget
-node (`layer_steps`), over the reachable transition tables quotiented to state
-classes, `sdd.compile_sdd` the same layers down any decomposition's heavy
-spine, with a join step per subtree off it, and `oracle.cnf_to_obdd` one
-level per CNF variable. An `ObddSpace`
-numbers nodes as ints and keeps each field in a list; an `Obdd` keeps the
-lists and its positions (`graph.Dag`), which every reader indexes by node
-number. `Obdd.satisfiable` searches depth first for a true leaf along the
-edges a partial assignment allows; on a total assignment that is its value.
+layer by layer, and makes every node the compilers make. The path compiler
+feeds it one layer per forget node (`layer_steps`), over the reachable
+transition tables quotiented to state classes; `sdd.compile_sdd` the same
+layers down any decomposition's heavy spine, with a split step per subtree off
+it, and two steps per forget or join inside those subtrees; and
+`oracle.cnf_to_obdd` one level per CNF variable. An `ObddSpace` numbers nodes
+as ints and keeps each field in a list; an `Obdd` keeps the lists and its
+positions (`graph.Dag`), which every reader indexes by node number.
+`Obdd.satisfiable` searches depth first for a true leaf along the edges a
+partial assignment allows; on a total assignment that is its value.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def reduce_obdd(b: Obdd) -> Obdd:
         if b.label[i] is not None:
             memo[i] = space.leaf(b.label[i])
         else:
-            memo[i] = space.reduced(b.level[i], memo[b.lo[i]], memo[b.hi[i]])
+            lo, hi = memo[b.lo[i]], memo[b.hi[i]]
+            memo[i] = lo if lo == hi else space.decision(b.level[i], lo, hi)
     return Obdd(space, memo[b.positions[-1]], b.legend)
 
 
@@ -130,28 +132,27 @@ def build_layers(space, steps, below: dict) -> dict:
     leaving the last step to its node. Each state entering a step becomes a
     reduced tree over the step's levels whose leaves are the nodes of its
     successors; returns those nodes for the states entering the first step.
-    A join step has k None and one level, a subtree's: `table[state]` lists
-    the state leaving by each class of that subtree.
+    A split step has k None and one level, a mapping's: `table[state]` lists
+    the state leaving by each class of that mapping.
 
     `space.reduced(level, lo, hi)` makes the trees' inner nodes: the node
     deciding `level`, with `lo` where it is 0 and `hi` where it is 1;
-    `space.split(level, nodes)` a join step's, from one node per class. Its
-    three callers: the path compiler and `cnf_to_obdd` pass an `ObddSpace`,
-    and `compile_sdd` a `ContextSets` over its spine's slots, whose nodes on
-    a join-free decomposition are the OBDD's in SDD form.
+    `space.split(level, nodes)` a split step's, from one node per class. Its
+    four callers: the path compiler and `cnf_to_obdd` pass an `ObddSpace`;
+    `compile_sdd` a `ContextSets` over its spine's slots, whose nodes on a
+    join-free decomposition are the OBDD's in SDD form; and
+    `sdd.state_table_mapping` one over a stack fold step's slots.
     """
+    reduced = space.reduced
     for base, k, states, table in reversed(steps):
-        entering = {}
+        if k is None:
+            below = {s: space.split(base, [below[c] for c in table[s]]) for s in states}
+            continue
+        entering, levels = {}, range(base + k - 1, base - 1, -1)
         for state in states:
-            if k is None:
-                entering[state] = space.split(base, [below[c] for c in table[state]])
-                continue
-            layer = [below[table[(state, idx)]] for idx in range(1 << k)]
-            for level in reversed(range(base, base + k)):
-                layer = [
-                    space.reduced(level, layer[i], layer[i + 1])
-                    for i in range(0, len(layer), 2)
-                ]
+            layer = [below[table[state, idx]] for idx in range(1 << k)]
+            for level in levels:
+                layer = [reduced(level, layer[i], layer[i + 1]) for i in range(0, len(layer), 2)]
             entering[state] = layer[0]
         below = entering
     return below
@@ -160,7 +161,7 @@ def build_layers(space, steps, below: dict) -> dict:
 def layer_steps(t: NiceTreeDecomposition, plan, reach) -> tuple[tuple, list]:
     """The slots and the `build_layers` steps of a nice decomposition's spine,
     from its leaf up: a forget adds its context variables and a layer over
-    them, a join its light child (the one off the spine) and a join step. A
+    them, a join its light child (the one off the spine) and a split step. A
     join-free decomposition is all spine, and its slots the variable order."""
     slots: list = []
     steps, path = [], t.spine()

@@ -5,15 +5,16 @@ An `SddBuilder` numbers nodes as ints, keeps each field in a list and
 hash-conses: equal terminals and literals, and decompositions that list the
 same pairs in the same order at one v-tree node, are one node. A
 decomposition's primes always respect the left subtree of its v-tree node and
-form a boolean partition; subs respect the right subtree. The compiler trims
-every decomposition it builds (`trimmed`, `ContextSets.reduced`); a loaded
-file keeps its nodes as written. It runs the layered builder down the
-decomposition's heavy spine, over a right-linear v-tree, so a join-free one
-gives the OBDD of `obdd.compile_obdd` in SDD form; each subtree off the spine
-is folded into a mapping whose v-tree mirrors it. An `Sdd` keeps the
-lists and its positions (`graph.Dag`), which every reader indexes by node
-number; `Sdd.satisfiable` decides in one sweep over them whether a model
-extends a partial assignment; on a total assignment that is its value.
+form a boolean partition; subs respect the right subtree. The compiler makes
+every node with `obdd.build_layers` over a `ContextSets`, which trims what it
+builds; a loaded file keeps its nodes as written. The layered builder runs
+down the decomposition's heavy spine over a right-linear v-tree, so a
+join-free decomposition gives the OBDD of `obdd.compile_obdd` in SDD form;
+each subtree off the spine is folded into a mapping whose v-tree mirrors it,
+in two layered steps per forget or join. An `Sdd` keeps the lists and its
+positions (`graph.Dag`), which every reader indexes by node number;
+`Sdd.satisfiable` decides in one sweep over them whether a model extends a
+partial assignment; on a total assignment that is its value.
 """
 
 from __future__ import annotations
@@ -156,37 +157,10 @@ class SddBuilder:
         return self._intern((DECOMP, vtree_id, kept), DECOMP, vtree_id, pairs=kept)
 
 
-def trimmed(builder: SddBuilder, vtree_id: int, pairs) -> int:
-    """The decomposition of `pairs`, whose primes form a boolean partition, less
-    its false primes, under Darwiche's trimming rules, decided in one pass:
-    pairs that all share one sub are that sub, and a single true sub among
-    false ones is its pair's prime."""
-    true, false = builder.true, builder.false
-    kept, sub, top = [], None, None
-    shared = single = True  # all subs are the first one; all but at most one true are false
-    for pair in pairs:
-        p, s = pair
-        if p != false:
-            kept.append(pair)
-            sub = s if sub is None else sub
-            shared = shared and s == sub
-            single = single and (s == false or s == true and top is None)
-            top = p if s == true else top
-    if not kept:
-        raise DiagramError("decomposition with no non-false primes")
-    if shared:
-        return sub
-    if single and top is not None:
-        return top
-    kept = tuple(kept)
-    return builder._intern((DECOMP, vtree_id, kept), DECOMP, vtree_id, pairs=kept)
-
-
 class StateSddMapping:
     """For one decomposition node: each state class to the diagram deciding
     `the run lands in this class`; exactly one image is true per assignment.
-    The images' insertion order is the mapping's deterministic iteration order.
-    """
+    The images' insertion order is the mapping's deterministic iteration order."""
 
     def __init__(self, images: dict, vtree_id: int) -> None:
         self.images = images
@@ -197,130 +171,115 @@ class StateSddMapping:
 
 
 class ContextSets:
-    """The assignments of a forget node's context variables, and the diagram of
-    any set of them. Assignment idx sets variable i to bit k-1-i of idx; with
-    no variables there is one assignment, 0. Over the right-linear v-tree an
-    SDD is an OBDD: the diagram at level i decides variable i under v-tree node
-    `suffix_vids[i]`, built once per (i, truth vector over variables i, ...).
-    So it is also the node store `obdd.build_layers` takes (`reduced`). Along
-    a spine, a slot may instead be a light subtree's mapping: its images are
-    the primes of that slot's decompositions (`split`)."""
+    """Slots under a right-linear v-tree, as the node store `obdd.build_layers`
+    takes: level i decides slot i under v-tree node `suffix_vids[i]`. A slot
+    that is a decision variable is decided by a two-pair decomposition
+    (`reduced`), so over variables alone an SDD is an OBDD; a slot that is a
+    mapping has its images as the primes of its decompositions (`split`).
+    Slots are the spine's variables and light subtrees, or a stack fold step's
+    mapping and what it combines with (`state_table_mapping`)."""
 
     def __init__(self, builder: SddBuilder, slots, suffix_vids) -> None:
-        self.builder = builder
-        self.suffix_vids = suffix_vids  # the v-tree node of slots i, i+1, ...
-        self.vtree_id = suffix_vids[0]
+        self.builder, self.false, self.true = builder, builder.false, builder.true
+        self.suffix_vids, self.vtree_id = suffix_vids, suffix_vids[0]
         self.primes = [
             (builder.literal(slot, False), builder.literal(slot, True))
             if isinstance(slot, DecisionVariable) else tuple(slot.images.values())
             for slot in slots
         ]
-        self._memo = {(len(slots), 0): builder.false, (len(slots), 1): builder.true}
-
-    def states(self):
-        return range(1 << len(self.primes))
-
-    def diagram(self, members: int, i: int = 0) -> int:
-        """The trimmed diagram over variables i, i+1, ... true exactly on the
-        assignments whose index bits are set in `members`; variable i is 0 on
-        the lower half of the bits."""
-        node = self._memo.get((i, members))
-        if node is None:
-            half = 1 << (len(self.primes) - 1 - i)
-            lo = self.diagram(members & ((1 << half) - 1), i + 1)
-            node = self.reduced(i, lo, self.diagram(members >> half, i + 1))
-            self._memo[i, members] = node
-        return node
 
     def reduced(self, i: int, lo: int, hi: int) -> int:
         """The trimmed decomposition [(not x, lo), (x, hi)] of variable i = x,
-        at the v-tree node of variables i, i+1, ...: `lo` when both are one
-        node, x for false and true, and not x for true and false."""
-        builder = self.builder
+        at the v-tree node of slots i, i+1, ...: `lo` when both are one node,
+        x for false and true, and not x for true and false."""
         if lo == hi:
             return lo
         neg, pos = self.primes[i]
-        if lo == builder.false and hi == builder.true:
+        if lo == self.false and hi == self.true:
             return pos
-        if lo == builder.true and hi == builder.false:
+        if lo == self.true and hi == self.false:
             return neg
         vid, pairs = self.suffix_vids[i], ((neg, lo), (pos, hi))
-        return builder._intern((DECOMP, vid, pairs), DECOMP, vid, pairs=pairs)
+        return self.builder._intern((DECOMP, vid, pairs), DECOMP, vid, pairs=pairs)
 
     def split(self, i: int, subs) -> int:
-        """The trimmed decomposition of slot i, a light subtree's: the image of
-        its j-th class paired with `subs[j]`."""
-        return trimmed(self.builder, self.suffix_vids[i], zip(self.primes[i], subs))
+        """The decomposition of slot i, a mapping: the image of its j-th class
+        paired with `subs[j]`, less its false primes, trimmed in one pass:
+        pairs that all share one sub are that sub, and a single true sub
+        among false ones is its pair's prime."""
+        true, false = self.true, self.false
+        kept, sub, top = [], None, None
+        shared = single = True  # all subs are the first; all but at most one true are false
+        for p, s in zip(self.primes[i], subs):
+            if p != false:
+                kept.append((p, s))
+                sub = s if sub is None else sub
+                shared = shared and s == sub
+                single = single and (s == false or s == true and top is None)
+                top = p if s == true else top
+        if not kept:
+            raise DiagramError("decomposition with no non-false primes")
+        if shared:
+            return sub
+        if single and top is not None:
+            return top
+        vid, kept = self.suffix_vids[i], tuple(kept)
+        return self.builder._intern((DECOMP, vid, kept), DECOMP, vid, pairs=kept)
 
 
-def context_assignment_mapping(
-    builder: SddBuilder, slots: tuple, dummy_tag: str = "ctx"
-) -> ContextSets:
-    """A forget node's context, or a spine's slots: variables' leaves and light
-    subtree mappings' v-trees under a right-linear v-tree. A dummy leaf named
-    `dummy_tag` ends it when there are no slots, or pads a last slot that is
-    a subtree, so that its decompositions have a right side."""
-    vids = [
-        builder.vtree.leaf(slot) if isinstance(slot, DecisionVariable) else slot.vtree_id
-        for slot in slots
-    ]
+def context_assignment_mapping(builder: SddBuilder, slots: tuple, tag: str = "ctx") -> ContextSets:
+    """Variables' leaves and mappings' v-trees under a right-linear v-tree. A
+    dummy leaf named `tag` ends it when there are no slots, or pads a last slot
+    that is a mapping, so that its decompositions have a right side."""
+    vtree = builder.vtree
+    vids = [vtree.leaf(s) if isinstance(s, DecisionVariable) else s.vtree_id for s in slots]
     if not slots or not isinstance(slots[-1], DecisionVariable):
-        vids.append(builder.vtree.leaf(dv_dummy(dummy_tag)))
+        vids.append(vtree.leaf(dv_dummy(tag)))
     suffix_vids = vids[-1:]
     for vid in reversed(vids[:-1]):
-        suffix_vids.append(builder.vtree.inner(vid, suffix_vids[-1]))
+        suffix_vids.append(vtree.inner(vid, suffix_vids[-1]))
     return ContextSets(builder, slots, suffix_vids[::-1])
 
 
 def state_table_mapping(
-    builder: SddBuilder, g_a: StateSddMapping, g_b, table: dict, out_states,
-    dummy_tag: str | None = None,
+    builder: SddBuilder, g_a: StateSddMapping, g_b, table: dict, out_states, tag: str
 ) -> StateSddMapping:
-    """Combine a mapping with a forget node's context, or at a join with the
-    right child's mapping, through a transition table.
+    """Combine a mapping with a forget node's context variables (a tuple), or
+    at a join with the right child's mapping, through a transition table.
 
-    `table[(a, b)]` is the state reached from a-state and b-state; the result
-    maps each output state c, in `out_states` order, to a diagram true exactly
-    when the combination lands in c: a's image paired with the diagram of the
-    b-states that take a to c, a bitmask over the positions of `g_b.states()`.
-    A context (`ContextSets`) builds that diagram itself. A mapping's b-states,
-    given `dummy_tag`, are unioned by one decomposition over node(t_b, dummy).
-    Respects node(t_a, right side), and every diagram is trimmed. The builder
-    keeps each table's landing plan, with the table so that its id stays its
-    own: nodes share a table by identity, and a table fixes its own states.
+    `table[(a, b)]` is the state reached from a-state a and b-state b, an
+    assignment index of the context or a class of the right mapping. Each
+    output state c, in `out_states` order, maps to the diagram true exactly
+    when the combination lands in c: two `build_layers` steps over the slots
+    (g_a, *g_b) or (g_a, g_b) of `context_assignment_mapping`, whose pad leaf
+    is named `tag`. The first splits on g_a, pairing a's image with the mask
+    of the b-states taking a to c; the second builds each mask's diagram, a
+    layer over the context variables or a split on the right mapping. The
+    builder keeps each table's landing plan, both steps, with the table so
+    that its id stays its own: nodes share a table by identity, and a table
+    fixes its own states.
     """
-    if dummy_tag is None:
-        right_vid, union = g_b.vtree_id, g_b.diagram
-    else:
-        pad = builder.vtree.leaf(dv_dummy(dummy_tag))
-        right_vid = builder.vtree.inner(g_b.vtree_id, pad)
-
-        def union(members: int) -> int:
-            return trimmed(builder, right_vid, [
-                (image, builder.true if members >> j & 1 else builder.false)
-                for j, image in enumerate(g_b.images.values())
-            ])
-
-    out_vid = builder.vtree.inner(g_a.vtree_id, right_vid)
+    forget = isinstance(g_b, tuple)
+    levels = context_assignment_mapping(builder, (g_a, *g_b) if forget else (g_a, g_b), tag)
     if id(table) not in builder.plans:
+        b_states = range(1 << len(g_b)) if forget else g_b.states()
         # per output state c, the b-states taking each a-state to c, as a bitmask
         rows = {c: [0] * len(g_a.images) for c in out_states}
         for i, a in enumerate(g_a.images):
-            for j, b in enumerate(g_b.states()):
+            for j, b in enumerate(b_states):
                 c = table[(a, b)]
                 if c not in rows:
                     raise DiagramError(f"transition image outside declared states: {c!r}")
                 rows[c][i] |= 1 << j
         masks = list(dict.fromkeys(chain.from_iterable(rows.values())))
-        builder.plans[id(table)] = table, rows, masks
-    _, rows, masks = builder.plans[id(table)]
-    subs = {members: union(members) for members in masks}  # the empty mask's is false
-    a_images = list(g_a.images.values())
-    images = {
-        c: trimmed(builder, out_vid, [(p, subs[m]) for p, m in zip(a_images, row)])
-        for c, row in rows.items()
-    }
-    return StateSddMapping(images, out_vid)
+        if forget:  # a layer whose leaf j is bit j of the mask
+            second = (1, len(g_b), masks, {(m, j): m >> j & 1 for m in masks for j in b_states})
+        else:  # a split whose sub j is bit j of the mask
+            n = len(b_states)
+            second = (1, None, masks, {m: [m >> j & 1 for j in range(n)] for m in masks})
+        builder.plans[id(table)] = table, [(0, None, tuple(rows), rows), second]
+    images = build_layers(levels, builder.plans[id(table)][1], {0: builder.false, 1: builder.true})
+    return StateSddMapping(images, levels.vtree_id)
 
 
 class Sdd(Dag):
@@ -381,24 +340,23 @@ def iter_sdd_nodes(diagram: Sdd) -> list:
 def stack_fold(builder: SddBuilder, space, t: NiceTreeDecomposition, plan, reach, top: int):
     """The mapping of the subtree under `top` from its state classes to
     diagrams. Only a node's parent reads its mapping, so a postorder fold
-    keeps the mappings on a stack and drops each one as its parent pops it;
-    an introduce node keeps its child's."""
+    keeps the mappings on a stack and drops each one as its parent pops it:
+    a leaf pushes one, a forget combines the top with its context variables
+    and a join the top two (`state_table_mapping`), and an introduce node
+    keeps its child's."""
     stack: list[StateSddMapping] = []
     for nid in children_first(top, lambda i: t.nodes[i].children):
         node = t.nodes[nid]
         if node.kind == LEAF:
             vid = builder.vtree.leaf(dv_dummy(f"leaf{nid}"))
             stack.append(StateSddMapping({space.initial: builder.true}, vid))
-        elif node.kind == FORGET:
-            context = context_assignment_mapping(builder, plan[nid].variables, f"ctx{nid}")
+        elif node.kind in (FORGET, JOIN):
+            forget = node.kind == FORGET
+            g_b = plan[nid].variables if forget else stack.pop()
+            table = (reach.forget_tables if forget else reach.join_tables)[nid]
+            tag = f"ctx{nid}" if forget else f"join{nid}"
             stack.append(state_table_mapping(
-                builder, stack.pop(), context, reach.forget_tables[nid], reach.per_node[nid]
-            ))
-        elif node.kind == JOIN:
-            right = stack.pop()
-            stack.append(state_table_mapping(
-                builder, stack.pop(), right, reach.join_tables[nid], reach.per_node[nid],
-                f"join{nid}",
+                builder, stack.pop(), g_b, table, reach.per_node[nid], tag
             ))
     (mapping,) = stack
     return mapping

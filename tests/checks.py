@@ -31,7 +31,7 @@ from mso2dd.decomposition import (
 from mso2dd.errors import DecompositionError, Mso2ddError
 from mso2dd.graph import Graph, children_first
 from mso2dd.mso import Formula, Var
-from mso2dd.obdd import Obdd
+from mso2dd.obdd import Obdd, build_layers
 from mso2dd.oracle import Cnf, _truth_fold, fold, truth_table_oracle, variable_masks
 from mso2dd.sdd import DECOMP, Sdd, StateSddMapping
 from mso2dd.states import (
@@ -218,6 +218,16 @@ def compile_with_mappings(
                 mappings[nid] = next(results)[1]
     assert next(results, None) is None, "a state_table_mapping call without its node"
     return comp, mappings
+
+
+def index_set_diagrams(ctx: sdd.ContextSets, masks) -> dict[int, int]:
+    """The diagram of each set of assignments in `masks`, a bitmask over the
+    assignment indices of the context `ctx`, a `context_assignment_mapping`
+    of variables alone: one `build_layers` layer over them whose leaf j is bit
+    j of the mask, as `state_table_mapping` builds a forget's subs."""
+    k, builder = len(ctx.primes), ctx.builder
+    bits = {(m, j): m >> j & 1 for m in masks for j in range(1 << k)}
+    return build_layers(ctx, [(0, k, masks, bits)], {0: builder.false, 1: builder.true})
 
 
 def whole_tree_fold(

@@ -353,6 +353,35 @@ class TestVerify:
                     "--diagram", out, "--cap", "3"])
         assert code == 2
 
+    def test_cap_above_the_largest_checkable_refused(self, workdir, capsys):
+        # a cap of 25 would let the oracle build tables of 2^25 bits per
+        # variable; 24 is still taken
+        out = workdir / "k3.sdd"
+        run(["compile", "--graph", workdir / "k3.gr", "--formula", workdir / "kappa.mso",
+             "--out", out])
+        capsys.readouterr()
+        inputs = ["--graph", workdir / "k3.gr", "--formula", workdir / "kappa.mso",
+                  "--diagram", out]
+        assert run(["verify", *inputs, "--cap", "25"]) == 2
+        assert capsys.readouterr().err == "error: --cap 25 is above the largest checkable, 24\n"
+        assert run(["verify", *inputs, "--cap", "24"]) == 0
+
+    def test_cap_refused_before_the_oracle_on_p40(self, workdir, tmp_path):
+        # kappa's OBDD over P40 has 79 decision variables, so a cap of 100
+        # would have the oracle shift 1 by 2^79; it is refused in one line
+        graph, td, out = tmp_path / "p40.gr", tmp_path / "p40.td", tmp_path / "p40.obdd"
+        graph.write_text(serialize_graph(path_graph(40)))
+        td.write_text(
+            "s td 39 2 40\n" + "".join(f"b {i} {i} {i + 1}\n" for i in range(1, 40))
+            + "".join(f"{i} {i + 1}\n" for i in range(1, 39))
+        )
+        assert run(["compile", "--graph", graph, "--td", td, "--formula", workdir / "kappa.mso",
+                    "--target", "obdd", "--out", out]) == 0
+        done = python_m(["verify", "--graph", graph, "--formula", workdir / "kappa.mso",
+                         "--diagram", out, "--cap", "100"])
+        assert done.returncode == 2
+        assert done.stderr == "error: --cap 100 is above the largest checkable, 24\n"
+
     def test_td_is_a_usage_error(self, workdir, capsys):
         # verify reads no decomposition, so it takes no --td
         out = workdir / "p4.sdd"

@@ -44,8 +44,8 @@ from mso2dd.sdd import (
 from mso2dd.states import decision_space, forget_plan, minimize_states, reachable_states
 
 from checks import (
-    compile_with_mappings, node_states, run_decision_procedure, vtree_respected,
-    whole_tree_fold,
+    compile_with_mappings, index_set_diagrams, node_states, run_decision_procedure,
+    vtree_respected, whole_tree_fold,
 )
 from conftest import (
     FORMULA_TEXTS,
@@ -173,7 +173,8 @@ class TestSize:
 
 def minterms(ctx):
     """A context's one-assignment diagrams, as a mapping from each index."""
-    return StateSddMapping({idx: ctx.diagram(1 << idx) for idx in ctx.states()}, ctx.vtree_id)
+    nodes = index_set_diagrams(ctx, [1 << idx for idx in range(1 << len(ctx.primes))])
+    return StateSddMapping({idx: nodes[1 << idx] for idx in range(len(nodes))}, ctx.vtree_id)
 
 
 class TestContextMapping:
@@ -241,10 +242,10 @@ class TestContextMapping:
             builder = SddBuilder()
             ctx_vars = tuple(dv_eq(var, i + 1) for i in range(k))
             ctx = context_assignment_mapping(builder, ctx_vars)
-            nodes = [ctx.diagram(members) for members in range(1 << (1 << k))]
+            nodes = list(index_set_diagrams(ctx, range(1 << (1 << k))).values())
             assert len(set(nodes)) == len(nodes)
             for members, number in enumerate(nodes):
-                assert ctx.diagram(members) == number
+                assert index_set_diagrams(ctx, [members])[members] == number
                 node = sdd_at(builder, number)
                 for _, delta in all_deltas(ctx_vars):
                     idx = sum(delta[d] << (k - 1 - i) for i, d in enumerate(ctx_vars))
@@ -297,6 +298,27 @@ class TestStateTableMapping:
         for _, delta in all_deltas(dvars):
             hits = [s for s in out.states() if sdd_at(builder, out.images[s]).satisfiable(delta)]
             assert len(hits) == 1
+
+    def test_forget_form(self):
+        # g_b a tuple of k context variables, whose b-states are its assignment
+        # indices; with none the v-tree gets a `ctx` pad leaf, so that the
+        # decompositions over g_a have a right side
+        var = Var("x", Sort.VERTEX_OBJECT)
+        for k in range(4):
+            builder = SddBuilder()
+            a_vars = (dv_eq(var, 1),)
+            b_vars = tuple(dv_eq(var, i + 2) for i in range(k))
+            g_a = minterms(context_assignment_mapping(builder, a_vars))
+            table = {(a, b): (a + b) % 3 for a in g_a.states() for b in range(1 << k)}
+            out = state_table_mapping(builder, g_a, b_vars, table, (0, 1, 2), "ctx")
+            for _, delta in all_deltas(a_vars + b_vars):
+                b = sum(delta[d] << (k - 1 - i) for i, d in enumerate(b_vars))
+                hits = [
+                    c for c in out.states() if sdd_at(builder, out.images[c]).satisfiable(delta)
+                ]
+                assert hits == [table[(delta[a_vars[0]], b)]]
+            assert all(vtree_respected(sdd_at(builder, node)) for node in out.images.values())
+            assert (dv_dummy("ctx") in builder.vtree.all_variables()) == (k == 0)
 
     def test_image_outside_declared_states(self):
         builder, g_a, g_b, _ = self.setup_mappings()
