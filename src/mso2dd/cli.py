@@ -131,12 +131,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _query_targets(diagram, names):
+def _query_targets(diagram, names, flag):
+    """The legend's decision variables on the comma-separated `names`, which
+    `flag` gave; an unknown name is an error that names the flag."""
     wanted = {n.strip() for n in names.split(",") if n.strip()}
     chosen = [d for d in diagram.legend if d.var.name in wanted]
     unknown = wanted - {d.var.name for d in chosen}
     if unknown:
-        raise Mso2ddError(f"unknown target variables: {sorted(unknown)}")
+        raise Mso2ddError(f"unknown {flag} variables: {sorted(unknown)}")
     return chosen
 
 
@@ -168,10 +170,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         for alpha in q.enumerate_models(diagram, args.limit):
             print(_render_assignment(diagram.legend, alpha))
     elif args.query == "min-card":
-        targets = _query_targets(diagram, args.targets or "")
+        targets = _query_targets(diagram, args.targets or "", "--targets")
         forced = {}
         for name in args.force_zero:
-            for d in _query_targets(diagram, name):
+            for d in _query_targets(diagram, name, "--force-zero"):
                 forced[d] = 0
         minimum, alpha = q.min_cardinality_model(diagram, targets, forced)
         print(f"min-cardinality {minimum}")

@@ -22,7 +22,9 @@ TRUE or a frozenset of (inner state, placed bits) pairs, hash-consed by its
 space. Equal states compare equal wherever they were made, and no table
 outlives the space that one compilation builds. States carry no names:
 `reachable_states` orders each node's states by when the pass first made
-them, which depends on no hash, so neither does the output.
+them, which depends on no hash, so neither does the output. It keeps one
+dead state per compilation: the first one made stands for every later one,
+and no transition is computed from it.
 """
 
 from __future__ import annotations
@@ -471,7 +473,8 @@ class ReachableSets(NamedTuple):
     by (child state, context assignment index), the index counting the
     context variables' assignments in binary, the first variable the most
     significant bit; join tables by the pair of child states. `count` is the
-    number of distinct reachable states over all nodes. Nodes with equal
+    number of distinct reachable states over all nodes: the live ones plus
+    the one dead stand-in, if any run dies. Nodes with equal
     inputs share one table object, and once minimized one class map, so
     neither may be changed.
 
@@ -489,7 +492,9 @@ class ReachableSets(NamedTuple):
     def classes(self) -> int:
         """Distinct states over all nodes of these tables: representatives
         once minimized, so at most `count`. A class is represented by its
-        earliest-made state, so nodes whose classes share it count it once."""
+        earliest-made state, so nodes whose classes share it count it once:
+        the dead stand-in represents the reject class wherever it is that
+        class's earliest-made member."""
         return len(set().union(*self.per_node.values()))
 
 
@@ -503,24 +508,44 @@ def reachable_states(
     So each distinct input's table and states are computed once and shared by
     every node with that input. Each node's states are ordered by their rank
     in the order the pass first made them; the postorder, the child-state
-    order and the context-index order fix that order."""
-    # each distinct state to its first-made object, so table keys and values
-    # share it, and to its rank
-    distinct = {space.initial: (space.initial, 0)}
+    order and the context-index order fix that order.
+
+    The first state made that `space.dead` calls dead stands in for every
+    dead state made after it, and a table entry from it (at a join, from
+    either side) is it, with no transition computed. This is exact: on the
+    decision space a dead state rejects on every continuation (its formula
+    part every consistent one, its consistency part the rest), so every dead
+    state lies in the reject class, and `minimize_states` finds the same
+    classes."""
+    # each distinct state met to the object that stands for it, so table
+    # keys and values share it, and to that object's rank
+    distinct: dict = {}
+    kept = 0  # the number of states that stand for themselves
+    sink = None  # the dead stand-in, once made
 
     def intern(c):
+        nonlocal kept, sink
         got = distinct.get(c)
         if got is None:
-            got = distinct[c] = (c, len(distinct))
+            dead = space.dead(c)
+            if dead and sink is not None:
+                got = distinct[sink]
+            else:
+                got = (c, kept)
+                kept += 1
+                if dead:
+                    sink = c
+            distinct[c] = got
         return got[0]
 
+    initial = intern(space.initial)
     memo: dict = {}  # (kind, node input) to (table, states)
     per_node: dict[int, tuple] = {}
     tables: dict = {FORGET: {}, JOIN: {}}
     for nid in t.postorder():
         n = t.nodes[nid]
         if n.kind == LEAF:
-            per_node[nid] = (space.initial,)
+            per_node[nid] = (initial,)
             continue
         if n.kind == INTRODUCE:
             per_node[nid] = per_node[n.children[0]]
@@ -538,15 +563,19 @@ def reachable_states(
                     for pattern in itertools.product((0, 1), repeat=len(info.variables))
                 ]
                 table = {
-                    (s, idx): intern(space.forget(s, info.shape, bits))
+                    (s, idx): s if s is sink else intern(space.forget(s, info.shape, bits))
                     for s in left
                     for idx, bits in enumerate(rows)
                 }
             else:
-                table = {(a, b): intern(space.join(a, b)) for a in left for b in key[2]}
+                table = {
+                    (a, b): sink if a is sink or b is sink else intern(space.join(a, b))
+                    for a in left
+                    for b in key[2]
+                }
             memo[key] = table, tuple(sorted(set(table.values()), key=lambda c: distinct[c][1]))
         tables[n.kind][nid], per_node[nid] = memo[key]
-    return ReachableSets(per_node, len(distinct), tables[FORGET], tables[JOIN])
+    return ReachableSets(per_node, kept, tables[FORGET], tables[JOIN])
 
 
 def _classes(states, row) -> dict:

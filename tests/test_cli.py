@@ -487,6 +487,15 @@ class TestQuery:
         assert "min-cardinality 2" in text
         assert "model: " in text and "X_E={}" in text
 
+    @pytest.mark.parametrize("flag", ["--targets", "--force-zero"])
+    def test_min_card_unknown_name_names_its_flag(self, workdir, capsys, flag):
+        out = self.compiled(workdir)
+        capsys.readouterr()
+        others = {"--targets": ["--force-zero", "X_E"], "--force-zero": ["--targets", "X_V"]}
+        code = run(["query", "--diagram", out, "--query", "min-card", flag, "nope", *others[flag]])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: unknown {flag} variables: ['nope']\n"
+
     def test_both_file_kinds_answer_alike(self, workdir, capsys):
         # kappa on P4 compiled to both targets over one path decomposition:
         # one function, so every query prints the same, and the DOT export

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -545,6 +546,19 @@ def one_token_mutants(text: str):
                     yield "\n".join(lines[:i] + [mutated] + lines[i + 1:]) + "\n"
 
 
+def two_token_mutants(text: str, rng, count: int):
+    """`count` texts, each with two distinct tokens of `text` replaced by
+    sweep tokens other than their own, the positions and tokens drawn by
+    `rng`."""
+    lines = [line.split() for line in text.splitlines()]
+    positions = [(i, j) for i, tokens in enumerate(lines) for j in range(len(tokens))]
+    for _ in range(count):
+        mutated = [list(tokens) for tokens in lines]
+        for i, j in rng.sample(positions, 2):
+            mutated[i][j] = rng.choice([t for t in SWEEP_TOKENS if t != lines[i][j]])
+        yield "\n".join(" ".join(tokens) for tokens in mutated) + "\n"
+
+
 def swept_texts():
     """The files the sweeps mutate: kappa on P3, whose join-free nice form
     gives a layered SDD and an OBDD, and kappa's SDD on the double star, whose
@@ -582,6 +596,12 @@ class TestMutationSweep:
     def test_every_one_token_mutant_loads_and_answers_or_is_rejected(self):
         texts = [t for text in swept_texts() for t in one_token_mutants(text)]
         assert len(texts) == 12781
+        self.assert_each_answers_or_is_rejected(texts)
+
+    def test_sampled_two_token_mutants_load_and_answer_or_are_rejected(self):
+        rng = random.Random(1)
+        texts = [t for text in swept_texts() for t in two_token_mutants(text, rng, 3000)]
+        assert len(texts) == 9000 and len(set(texts)) > 8500
         self.assert_each_answers_or_is_rejected(texts)
 
     def test_every_line_mutant_loads_and_answers_or_is_rejected(self):

@@ -47,8 +47,8 @@ from checks import (
     run_decision_procedure,
 )
 from conftest import (
-    FORMULA_TEXTS, INDEPENDENT_SET_TEXT, all_deltas, grid_chain_decomposition, grid_graph,
-    nested_chain, path_decomposition, path_graph, star_graph,
+    FORMULA_TEXTS, INDEPENDENT_SET_TEXT, all_deltas, cycle_graph, grid_chain_decomposition,
+    grid_graph, nested_chain, path_decomposition, path_graph, star_graph,
 )
 
 
@@ -587,15 +587,30 @@ class TestMinimize:
         assert quo.classes < raw.count == raw.classes
 
 
+def dead_states(space, reach) -> list:
+    """Each dead state a node holds, once per node."""
+    return [s for states in reach.per_node.values() for s in states if space.dead(s)]
+
+
 def check_shared_tables(phi, nice, coloring):
     """Every node's raw table, shared or not, equals the one computed afresh
     for that node, and its quotient table agrees with it through the node's
-    own class maps."""
+    own class maps. An entry from the dead stand-in, or one whose fresh value
+    is dead, is the stand-in."""
     space = decision_space(phi)
     plan = forget_plan(phi, nice, coloring)
     raw = reachable_states(space, nice, plan)
     quo = minimize_states(space, nice, raw)
     rep = quo.representative
+    dead = set(dead_states(space, raw))
+    assert len(dead) <= 1
+    sink = next(iter(dead), None)
+
+    def expected(sources, step):
+        if sink is not None and sink in sources:
+            return sink
+        value = step()
+        return sink if space.dead(value) else value
     for nid, table in raw.forget_tables.items():
         (child,) = nice.nodes[nid].children
         info = plan[nid]
@@ -604,7 +619,7 @@ def check_shared_tables(phi, nice, coloring):
             for pattern in itertools.product((0, 1), repeat=len(info.variables))
         ]
         assert table == {
-            (s, idx): space.forget(s, info.shape, bits)
+            (s, idx): expected((s,), lambda: space.forget(s, info.shape, bits))
             for s in raw.per_node[child]
             for idx, bits in enumerate(rows)
         }, nid
@@ -613,7 +628,9 @@ def check_shared_tables(phi, nice, coloring):
     for nid, table in raw.join_tables.items():
         left, right = nice.nodes[nid].children
         assert table == {
-            (a, b): space.join(a, b) for a in raw.per_node[left] for b in raw.per_node[right]
+            (a, b): expected((a, b), lambda: space.join(a, b))
+            for a in raw.per_node[left]
+            for b in raw.per_node[right]
         }, nid
         for (a, b), c in table.items():
             assert quo.join_tables[nid][(rep[left][a], rep[right][b])] == rep[nid][c]
@@ -648,6 +665,65 @@ class TestSharedTables:
         phi, nice, col = setup_instance(FORMULA_TEXTS[name], grid_graph(16))
         assert any(n.kind == "join" for n in nice.nodes.values())
         check_shared_tables(phi, nice, col)
+
+
+class TestDeadStandIn:
+    """The first dead state the pass makes stands in for every later one,
+    and no transition is computed from it."""
+
+    def test_one_dead_state_on_corpus(self, corpus):
+        for inst in corpus:
+            space = decision_space(inst.phi)
+            plan = forget_plan(inst.phi, inst.nice, inst.coloring)
+            reach = reachable_states(space, inst.nice, plan)
+            # one object wherever a node holds it
+            dead = {id(s) for s in dead_states(space, reach)}
+            assert len(dead) <= 1, (inst.formula_name, inst.graph_name)
+
+    @pytest.mark.parametrize("name", sorted(FORMULA_TEXTS))
+    def test_one_dead_state_on_3x16_grid(self, name):
+        phi, nice, col = setup_instance(FORMULA_TEXTS[name], grid_graph(16))
+        space = decision_space(phi)
+        reach = reachable_states(space, nice, forget_plan(phi, nice, col))
+        assert len({id(s) for s in dead_states(space, reach)}) <= 1
+
+    @pytest.mark.parametrize("name", ["edge3", "adj", "kappa", "matching"])
+    def test_no_transition_from_the_stand_in(self, name):
+        phi, nice, col = setup_instance(FORMULA_TEXTS[name], grid_graph(16))
+        space = decision_space(phi)
+        sources = []
+        forget, join = space.forget, space.join
+
+        def wrapped_forget(s, shape, bits):
+            sources.append(s)
+            return forget(s, shape, bits)
+
+        def wrapped_join(a, b):
+            sources.extend((a, b))
+            return join(a, b)
+
+        space.forget, space.join = wrapped_forget, wrapped_join
+        reach = reachable_states(space, nice, forget_plan(phi, nice, col))
+        (sink,) = set(dead_states(space, reach))
+        assert sources
+        assert not any(space.dead(s) for s in sources)
+        assert reach.join_tables and any(
+            sink in (a, b) for table in reach.join_tables.values() for a, b in table
+        )
+
+    @pytest.mark.parametrize("name, g, td, count", [
+        ("edge3", cycle_graph(4), None, 18),  # 64 when each dead state was kept
+        ("adj", grid_graph(67), None, 11),  # 20
+        ("edge3", grid_graph(16), None, 35),  # 132
+        ("kappa", path_graph(64), path_decomposition(64), 9),  # 9
+    ], ids=["edge3-C4", "adj-3x67", "edge3-3x16", "kappa-P64"])
+    def test_raw_counts(self, name, g, td, count):
+        phi = desugar(parse_formula(FORMULA_TEXTS[name]))
+        nice = make_nice(g, td or min_fill_decomposition(g))
+        space = decision_space(phi)
+        raw = reachable_states(space, nice, forget_plan(phi, nice, good_coloring(g, nice)))
+        assert raw.count == count == raw.classes
+        assert len(set(dead_states(space, raw))) == 1
 
 
 def quantifier_sets(space, state):
