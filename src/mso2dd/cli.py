@@ -80,7 +80,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     n = g.n_objects
     k = width + formula_size(phi)
     states = comp.reachable.count
-    bound = _bound_sdd(n, k, states) if args.target == "sdd" else _bound_obdd(n, k, states)
+    # n is at least 1 in the bound: a diagram has a node even on the empty graph
+    bound = (_bound_sdd if args.target == "sdd" else _bound_obdd)(max(n, 1), k, states)
     if args.out:
         with open(args.out, "w") as f:
             f.writelines(line + "\n" for line in diagram_lines(comp))

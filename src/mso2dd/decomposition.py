@@ -8,7 +8,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .errors import DecompositionError
-from .graph import Edge, Graph, children_first
+from .graph import Edge, Graph, children_first, format_lines, int_tokens
 
 LEAF = "leaf"
 INTRODUCE = "introduce"
@@ -44,37 +44,27 @@ def parse_tree_decomposition(text: str) -> TreeDecomposition:
     header = None
     bags: dict[int, frozenset] = {}
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "s":
+    for lineno, line, tokens in format_lines(text):
+        if tokens[0] == "s":
             if header is not None:
                 raise DecompositionError(f"line {lineno}: duplicate header")
-            if len(parts) != 5 or parts[1] != "td":
-                raise DecompositionError(f"line {lineno}: malformed header")
-            try:
-                header = tuple(int(x) for x in parts[2:])
-            except ValueError:
-                raise DecompositionError(f"line {lineno}: malformed header") from None
+            ok = len(tokens) == 5 and tokens[1] == "td"
+            what = "malformed header"
+            header = int_tokens(tokens[2:], ok, DecompositionError, lineno, line, what)
             header_line = lineno
-        elif parts[0] == "b":
-            try:
-                bag_id = int(parts[1])
-                members = frozenset(int(x) for x in parts[2:])
-            except (ValueError, IndexError):
-                raise DecompositionError(f"line {lineno}: malformed bag line") from None
+        elif tokens[0] == "b":
+            what = "malformed bag line"
+            bag_id, *members = int_tokens(
+                tokens[1:], len(tokens) > 1, DecompositionError, lineno, line, what
+            )
             if bag_id in bags:
                 raise DecompositionError(f"line {lineno}: duplicate bag {bag_id}")
-            bags[bag_id] = members
+            bags[bag_id] = frozenset(members)
         else:
-            if len(parts) != 2:
-                raise DecompositionError(f"line {lineno}: malformed tree edge line")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise DecompositionError(f"line {lineno}: malformed tree edge line") from None
+            what = "malformed tree edge line"
+            edges.append(
+                int_tokens(tokens, len(tokens) == 2, DecompositionError, lineno, line, what)
+            )
     if header is None:
         raise DecompositionError("missing header line")
     n_bags, max_bag, n = header
@@ -136,8 +126,7 @@ def validate_decomposition(g: Graph, t: TreeDecomposition) -> ValidationReport:
                 violations.append(f"vertex {v} appears in no bag")
             elif shared[v] != len(occurrences[v]) - 1:
                 violations.append(f"occurrence of vertex {v} is disconnected")
-    width = max(len(b) for b in t.bags.values()) - 1
-    return ValidationReport(not violations, width, tuple(violations))
+    return ValidationReport(not violations, t.width(), tuple(violations))
 
 
 def min_fill_decomposition(g: Graph) -> TreeDecomposition:
@@ -149,8 +138,8 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
     one from each common neighbour; dropping v, once its neighbours are a
     clique, takes deg(a) - deg(v) from each neighbour a. A heap entry
     `(fill, vertex)` whose vertex is gone or whose fill changed is stale."""
-    if g.n_vertices == 0:
-        raise DecompositionError("graph has no vertices")
+    if g.n_vertices == 0:  # one empty bag decomposes the graph with no vertices
+        return TreeDecomposition({1: frozenset()}, [])
     adj = {v: set(g.neighbors(v)) for v in g.vertices()}
     fill = {
         v: len(nbrs) * (len(nbrs) - 1) // 2 - sum(len(nbrs & adj[a]) for a in nbrs) // 2
@@ -324,20 +313,17 @@ def is_path_decomposition(t: NiceTreeDecomposition) -> bool:
 def good_coloring(g: Graph, t: NiceTreeDecomposition) -> dict[int, int]:
     """Color vertices with at most width+1 colors so that every bag is rainbow.
 
-    Vertices are processed by increasing depth of their forget node; each takes
-    the smallest color unused in that node's bag.
+    Each forget node's vertex, in reverse postorder, takes the smallest color
+    unused in that node's bag. The bag's other vertices are forgotten at
+    ancestors, so they are colored already, and every order that colors
+    parents first gives this coloring. `g` is the graph `t` decomposes.
     """
-    forgets = {t.nodes[nid].vertex: nid for nid in t.forget_nodes()}
-    depth = {t.root: 0}
-    for nid in reversed(t.postorder()):  # each node before its children
-        for child in t.nodes[nid].children:
-            depth[child] = depth[nid] + 1
     color: dict[int, int] = {}
-    for v in sorted(g.vertices(), key=lambda v: (depth[forgets[v]], v)):
-        bag = t.nodes[forgets[v]].bag
-        used = {color[u] for u in bag if u in color}
+    for nid in reversed(t.forget_nodes()):
+        n = t.nodes[nid]
+        used = {color[u] for u in n.bag}
         c = 1
         while c in used:
             c += 1
-        color[v] = c
+        color[n.vertex] = c
     return color

@@ -18,10 +18,6 @@ class Edge(NamedTuple):
     u: int
     v: int
 
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
     def other(self, vertex: int) -> int:
         if vertex == self.u:
             return self.v
@@ -140,41 +136,45 @@ class Graph:
             return NotImplemented
         return self.n_vertices == other.n_vertices and self.edges == other.edges
 
-    def __hash__(self) -> int:
-        return hash((self.n_vertices, self.edges))
 
-    def __repr__(self) -> str:
-        return f"Graph({self.n_vertices} vertices, {self.n_edges} edges)"
+def format_lines(text: str):
+    """The line reader of the `.gr` and `.td` formats: the line number, the
+    stripped text and the tokens of each line that is neither blank nor a
+    comment, which starts with `c`."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line[0] != "c":
+            yield lineno, line, line.split()
+
+
+def int_tokens(tokens, ok: bool, error, lineno: int, line: str, what: str) -> tuple[int, ...]:
+    """`tokens` as ints if `ok` and every one is an int; otherwise raises
+    `error` saying line `lineno` is `what`, in which `{line!r}` stands for
+    the line's text."""
+    if ok:
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            pass
+    raise error(f"line {lineno}: " + what.format(line=line))
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the .gr format: `p gr <n> <m>` header, one `<u> <v>` line per edge."""
     header = None
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
+    for lineno, line, tokens in format_lines(text):
+        if line[0] == "p":
             if header is not None:
                 raise GraphError(f"line {lineno}: duplicate header")
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "gr":
-                raise GraphError(f"line {lineno}: malformed header {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise GraphError(f"line {lineno}: malformed header {line!r}") from None
-            continue
-        if header is None:
+            ok = len(tokens) == 4 and tokens[:2] == ["p", "gr"]
+            what = "malformed header {line!r}"
+            header = int_tokens(tokens[2:], ok, GraphError, lineno, line, what)
+        elif header is None:
             raise GraphError(f"line {lineno}: edge before header")
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {lineno}: malformed edge line {line!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise GraphError(f"line {lineno}: malformed edge line {line!r}") from None
+        else:
+            what = "malformed edge line {line!r}"
+            pairs.append(int_tokens(tokens, len(tokens) == 2, GraphError, lineno, line, what))
     if header is None:
         raise GraphError("missing header line")
     n_vertices, n_edges = header

@@ -71,15 +71,12 @@ class StateSpace:
     rejects and a sure state accepts on every consistent continuation of the
     run, that is, one that gives each object variable at most one value (see
     `QuantifierSpace`, which relies on them). Both may answer False when
-    unsure."""
+    unsure. Each space defines `dead`; `sure` is False unless it says more."""
 
     initial = None
 
     def is_accepting(self, s) -> bool:
         raise NotImplementedError
-
-    def dead(self, s) -> bool:
-        return False
 
     def sure(self, s) -> bool:
         return False

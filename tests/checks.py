@@ -28,7 +28,7 @@ from mso2dd.decomposition import (
     _dropped_edges,
     validate_decomposition,
 )
-from mso2dd.errors import DecompositionError, Mso2ddError
+from mso2dd.errors import Mso2ddError
 from mso2dd.graph import Graph, children_first
 from mso2dd.mso import Formula, Var
 from mso2dd.obdd import Obdd, build_layers
@@ -46,7 +46,7 @@ def min_fill_reference(g: Graph) -> TreeDecomposition:
     """The min-fill decomposition by a full scan per step: every remaining
     vertex's fill is recomputed, and the first least fill in id order wins."""
     if g.n_vertices == 0:
-        raise DecompositionError("graph has no vertices")
+        return TreeDecomposition({1: frozenset()}, [])
     # the vertices not yet eliminated, in id order: built in that order, only popped
     adj = {v: set(g.neighbors(v)) for v in g.vertices()}
     order, saved_nbrs = [], []
@@ -124,6 +124,25 @@ def validate_nice(g: Graph, t: NiceTreeDecomposition) -> ValidationReport:
         if times != 1:
             violations.append(f"edge ({e.u}, {e.v}) dropped {times} times")
     return ValidationReport(not violations, base.width, tuple(violations))
+
+
+def good_coloring_reference(g: Graph, t: NiceTreeDecomposition) -> dict[int, int]:
+    """The greedy coloring by increasing depth of each vertex's forget node,
+    ties by vertex id: each vertex takes the smallest color unused in the bag
+    of its forget node."""
+    forgets = {t.nodes[nid].vertex: nid for nid in t.forget_nodes()}
+    depth = {t.root: 0}
+    for nid in reversed(t.postorder()):  # each node before its children
+        for child in t.nodes[nid].children:
+            depth[child] = depth[nid] + 1
+    color: dict[int, int] = {}
+    for v in sorted(g.vertices(), key=lambda v: (depth[forgets[v]], v)):
+        used = {color[u] for u in t.nodes[forgets[v]].bag if u in color}
+        c = 1
+        while c in used:
+            c += 1
+        color[v] = c
+    return color
 
 
 def is_good_coloring(g: Graph, t: NiceTreeDecomposition, color: dict[int, int]) -> bool:

@@ -182,9 +182,11 @@ class TestCompile:
              "line 1: header declares largest bag 1, found 2"),
             (P4_TD.replace("s td 3 2 4", "s td 3 2 3"),
              "line 1: bag vertex 4 is not in the graph of 3 vertices the header declares"),
+            (P4_TD + "3 9\n", "tree edge (3, 9) references unknown node"),
+            ("s td 0 0 4\n", "decomposition has no nodes"),
         ],
         ids=["bag-vertex-not-in-graph", "header-field", "tree-edge-endpoint", "uncovered-edge",
-             "header-max-bag", "header-vertex-count"],
+             "header-max-bag", "header-vertex-count", "tree-edge-unknown-bag", "no-bags"],
     )
     def test_malformed_td_rejected(self, workdir, tmp_path, capsys, td, message):
         bad = tmp_path / "bad.td"
@@ -196,6 +198,59 @@ class TestCompile:
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and message in line
+
+    @pytest.mark.parametrize(
+        "gr, message",
+        [("c a comment, and no header\n", "missing header line"),
+         ("p gr -1 0\n", "vertex count must be non-negative")],
+        ids=["no-header", "negative-vertex-count"],
+    )
+    def test_malformed_gr_rejected(self, workdir, tmp_path, capsys, gr, message):
+        bad = tmp_path / "bad.gr"
+        bad.write_text(gr)
+        assert run(["compile", "--graph", bad, "--formula", workdir / "eq.mso"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_td_comments_ignored(self, workdir, tmp_path, capsys):
+        # comment and blank lines anywhere in a .td change nothing
+        lines = P4_TD.splitlines(keepends=True)
+        commented = tmp_path / "commented.td"
+        commented.write_text(
+            "c a path decomposition\n" + "".join(line + "c between lines\n\n" for line in lines)
+        )
+        outs = []
+        for td in (workdir / "p4.td", commented):
+            outs.append(tmp_path / f"{td.stem}.obdd")
+            assert run(["compile", "--graph", workdir / "p4.gr", "--formula",
+                        workdir / "kappa.mso", "--td", td, "--target", "obdd",
+                        "--out", outs[-1]]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "formula, count",
+        [(FORMULA_TEXTS["taut"], "1"), ("free vertex x; (x = x)", "0")],
+        ids=["taut", "x-eq-x"],
+    )
+    def test_empty_graph(self, tmp_path, capsys, formula, count):
+        # the graph with no vertices compiles to a one-node constant diagram,
+        # without `--td` as with one empty bag, and the bound counts that node
+        graph, td, mso = tmp_path / "empty.gr", tmp_path / "empty.td", tmp_path / "f.mso"
+        graph.write_text("p gr 0 0\n")
+        td.write_text("s td 1 0 0\nb 1\n")
+        mso.write_text(formula + "\n")
+        for target in ("sdd", "obdd"):
+            printed = []
+            for route in ([], ["--td", td]):
+                out = tmp_path / f"{target}{len(route)}.dd"
+                assert run(["compile", "--graph", graph, "--formula", mso, *route,
+                            "--target", target, "--out", out]) == 0
+                printed.append(capsys.readouterr().out)
+                machine = printed[-1].split("-- stats --\n")[1]
+                stats = dict(line.split(": ") for line in machine.splitlines())
+                assert (stats["n"], stats["size"], stats["bound_ok"]) == ("0", "1", "yes")
+                assert run(["query", "--diagram", out, "--query", "count"]) == 0
+                assert capsys.readouterr().out == count + "\n"
+            assert printed[0] == printed[1]
 
     def test_deterministic_output(self, workdir, capsys):
         out1, out2 = workdir / "a.sdd", workdir / "b.sdd"
@@ -345,6 +400,15 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().out
 
+    def test_other_instances_diagram_refused(self, workdir, capsys):
+        out = workdir / "p4.sdd"
+        assert run(["compile", "--graph", workdir / "p4.gr", "--formula",
+                    workdir / "kappa.mso", "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--graph", workdir / "k3.gr", "--formula",
+                    workdir / "kappa.mso", "--diagram", out]) == 2
+        assert capsys.readouterr().err == "error: diagram legend does not match the instance\n"
+
     def test_cap_exceeded(self, workdir, capsys):
         out = workdir / "k3.sdd"
         run(["compile", "--graph", workdir / "k3.gr", "--formula", workdir / "kappa.mso",
@@ -444,6 +508,17 @@ class TestQuery:
         assert run(["query", "--diagram", out, "--query", "enumerate", "--limit", "5"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5
+
+    def test_enumerate_prints_object_values(self, workdir, capsys):
+        # a free object variable prints as `name=value`
+        adj, out = workdir / "adj.mso", workdir / "adj.sdd"
+        adj.write_text(FORMULA_TEXTS["adj"] + "\n")
+        assert run(["compile", "--graph", workdir / "p4.gr", "--formula", adj,
+                    "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["query", "--diagram", out, "--query", "enumerate"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(lines) == ["x=1 p=1", "x=2 p=1", "x=2 p=2", "x=3 p=2", "x=3 p=3", "x=4 p=3"]
 
     def test_enumerate_kappa_on_64_vertex_path(self, tmp_path, capsys):
         # 127 legend variables: the first ten models come from the prefix walk
@@ -570,6 +645,12 @@ class TestBench:
     def test_k_below_one_rejected(self, capsys):
         assert run(["bench-kt", "--k", 0, "--r-max", 20_000]) == 2
         assert capsys.readouterr().err == "error: --k must be at least 1\n"
+
+    def test_k_past_the_cap_refused(self, capsys):
+        # 100 copies of the 7-vertex tree: 700 vertices against the cap of 500
+        assert run(["bench-kt", "--k", 100, "--r-max", 3]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: largest instance has 700 vertices, cap is 500\n"
 
     def test_degenerate_row_marked(self, capsys):
         assert run(["bench-kt", "--k", "1", "--r-max", "1"]) == 0

@@ -20,8 +20,12 @@ from mso2dd.errors import DecompositionError
 from mso2dd.graph import clique, clique_tree, complete_binary_tree
 from mso2dd.states import context_of
 
-from checks import as_tree_decomposition, is_good_coloring, min_fill_reference, validate_nice
+from checks import (
+    as_tree_decomposition, good_coloring_reference, is_good_coloring, min_fill_reference,
+    validate_nice,
+)
 from conftest import (
+    corpus_graphs,
     cycle_graph,
     grid_chain_decomposition,
     grid_graph,
@@ -158,6 +162,15 @@ class TestMinFill:
         t = min_fill_decomposition(g)
         report = validate_decomposition(g, t)
         assert report.valid and report.width == 1
+
+    def test_empty_graph_gets_one_empty_bag(self):
+        g = Graph(0, [])
+        t = min_fill_decomposition(g)
+        assert (t.bags, t.tree_edges) == ({1: frozenset()}, [])
+        assert validate_decomposition(g, t) == (True, -1, ())
+        nice = make_nice(g, t)
+        assert [n.kind for n in nice.nodes.values()] == ["leaf"]
+        assert good_coloring(g, nice) == {}
 
     def test_single_vertex(self):
         t = min_fill_decomposition(clique(1))
@@ -313,6 +326,23 @@ class TestColoring:
             for e in g.edges:
                 assert col[e.u] != col[e.v]
 
+    def test_equals_the_depth_ordered_reference(self):
+        # colouring parents first gives the greedy by forget-node depth
+        rng = random.Random(35)
+        graphs = [random_graph(rng) for _ in range(200)] + list(corpus_graphs().values())
+        graphs += [complete_binary_tree(r) for r in range(1, 7)]
+        graphs += [clique_tree(2, 3), clique_tree(3, 2)]
+        cases = [(g, min_fill_decomposition(g)) for g in graphs]
+        for cols in (4, 16, 64):
+            g, t = grid_graph(cols), grid_chain_decomposition(cols)
+            cases += [(g, t), (g, with_intersection_bags(t))]
+        cases.append((path_graph(64), with_intersection_bags(path_decomposition(64))))
+        for g, t in cases:
+            nice = make_nice(g, t)
+            col = good_coloring(g, nice)
+            assert col == good_coloring_reference(g, nice)
+            assert is_good_coloring(g, nice, col)
+
 
 def scan_forgotten_edges(g, nice, nid):
     """Direct application of the edge-forgetting definition."""
@@ -443,3 +473,18 @@ class TestTdIO:
     def test_missing_header(self):
         with pytest.raises(DecompositionError):
             parse_tree_decomposition("b 1 1 2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("s td 1 2\n", "line 1: malformed header"),
+        ("c x\ns tw 1 2 3\n", "line 2: malformed header"),
+        ("s td 1 2 3\ns td 1 2 3\n", "line 2: duplicate header"),
+        ("s td 1 2 3\nb\n", "line 2: malformed bag line"),
+        ("s td 1 2 3\nb 1 x\n", "line 2: malformed bag line"),
+        ("s td 1 2 3\nb 1 1\n\nb 1 2\n", "line 4: duplicate bag 1"),
+        ("s td 1 2 3\n1\n", "line 2: malformed tree edge line"),
+        ("s td 1 2 3\n1 y\n", "line 2: malformed tree edge line"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(DecompositionError) as exc:
+            parse_tree_decomposition(text)
+        assert str(exc.value) == message

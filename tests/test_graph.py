@@ -29,13 +29,13 @@ class TestParse:
     def test_smallest_graph(self):
         g = parse_graph("p gr 2 1\n1 2\n")
         assert g.n_vertices == 2
-        assert [e.endpoints for e in g.edges] == [(1, 2)]
+        assert [(e.u, e.v) for e in g.edges] == [(1, 2)]
 
     def test_triangle(self):
         g = parse_graph("p gr 3 3\n1 2\n2 3\n1 3\n")
         assert g.n_vertices == 3
         # same edge set as the complete graph; ids follow line order
-        assert {e.endpoints for e in g.edges} == {e.endpoints for e in clique(3).edges}
+        assert {(e.u, e.v) for e in g.edges} == {(e.u, e.v) for e in clique(3).edges}
         assert [e.id for e in g.edges] == [1, 2, 3]
 
     def test_comments_ignored(self):
@@ -69,6 +69,21 @@ class TestParse:
     def test_count_mismatch(self):
         with pytest.raises(GraphError):
             parse_graph("p gr 3 2\n1 2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("p tw 2 1\n1 2\n", "line 1: malformed header 'p tw 2 1'"),
+        ("c x\np gr 2  y\n", "line 2: malformed header 'p gr 2  y'"),
+        ("pgr 2 1\n", "line 1: malformed header 'pgr 2 1'"),
+        ("1 2\n", "line 1: edge before header"),
+        ("p gr 2 1\n\np gr 2 1\n", "line 3: duplicate header"),
+        ("p gr 2 1\n  1\t x \n", "line 2: malformed edge line '1\\t x'"),
+        ("p gr 2 1\n1 2 3\n", "line 2: malformed edge line '1 2 3'"),
+        ("c only a comment\n\n", "missing header line"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message
 
     def test_roundtrip_is_identity(self):
         rng = random.Random(7)
@@ -113,14 +128,14 @@ class TestGenerators:
     def test_k2_squared_is_k4(self):
         g = full_product(clique(2), clique(2))
         expected = brute_product_edges(clique(2), clique(2))
-        assert [e.endpoints for e in g.edges] == expected
+        assert [(e.u, e.v) for e in g.edges] == expected
         assert len(expected) == 6  # frozen from the brute-force rules
         assert g == clique(4)
 
     def test_k2_times_p2_is_k4(self):
         p2 = Graph(2, [(1, 2)])
         g = full_product(clique(2), p2)
-        assert [e.endpoints for e in g.edges] == brute_product_edges(clique(2), p2)
+        assert [(e.u, e.v) for e in g.edges] == brute_product_edges(clique(2), p2)
         assert g == clique(4)
 
     def test_clique_tree_base_cases(self):

@@ -100,6 +100,16 @@ SUGAR_TEXT = (
 )
 
 
+def table_by_assignment(phi, g, dvars) -> int:
+    """The truth table over `dvars` of `oracle_eval` run on one assignment at a time."""
+    table = 0
+    for alpha in all_mso_assignments(phi, g):
+        if oracle_eval(phi, g, alpha):
+            delta = encode_assignment(alpha, phi, g)
+            table |= 1 << sum(delta[d] << i for i, d in enumerate(dvars))
+    return table
+
+
 class TestBitsets:
     def test_table_matches_one_assignment_at_a_time(self):
         # the table runs every atom on free arguments, oracle_eval on bound ones
@@ -112,14 +122,24 @@ class TestBitsets:
                     dvars = decision_variables(phi, g)
                     if len(dvars) > 12:
                         continue
-                    expected = 0
-                    for alpha in all_mso_assignments(phi, g):
-                        if oracle_eval(phi, g, alpha):
-                            delta = encode_assignment(alpha, phi, g)
-                            expected |= 1 << sum(delta[d] << i for i, d in enumerate(dvars))
+                    expected = table_by_assignment(phi, g, dvars)
                     assert truth_table_oracle(phi, g, dvars) == expected, text
                     checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize("text", [
+        "free vertex x; exists vertex y. (x = y)",
+        "free vertex x; free vset X; exists vertex y. (~(x = y) & (y in X))",
+        "free edge p; exists edge q. exists vertex u. ((p = q) & adj(u, q))",
+    ])
+    def test_free_left_of_bound_equality(self, text):
+        # `(x = y)` with x free and y bound: the table swaps the two
+        phi = parse_formula(text)
+        for g in corpus_graphs().values():
+            dvars = decision_variables(phi, g)
+            if len(dvars) > 12:
+                continue
+            assert truth_table_oracle(phi, g, dvars) == table_by_assignment(phi, g, dvars), text
 
     def test_formulas_nested_to_the_cap(self):
         # the evaluator takes a bounded number of frames per level of nesting

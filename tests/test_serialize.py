@@ -260,6 +260,10 @@ MALFORMED = {
         "vtree 2 inner 0 1", "vtree 2 inner 0 0"
     ),
     "vtreeroot-below-root-node": SDD_TEXT.format(vtree=2).replace("vtreeroot 2", "vtreeroot 0"),
+    # every v-tree node is listed before the first decomposition names one
+    "vtree-after-decomposition": SDD_TEXT.format(vtree=2).replace(
+        "root 4", "vtree 3 leaf 1\nroot 4"
+    ),
     "legend-leaf-outside-vtreeroot": SDD_TEXT.format(vtree=2).replace(
         "vtreeroot 2", "vtreeroot 1"
     ).replace("root 4", "root 1"),
